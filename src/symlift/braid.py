@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from .symaut import (
     GeneratorWord,
     SymmetricAut,
+    act_letters,
     eval_generator_word,
+    identity_aut,
     inner_witness_of,
 )
 from .lift import reduce_mod
@@ -139,8 +141,8 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
     checked = 0
     trivial = 0
 
-    identity = eval_generator_word(GeneratorWord(strands), fctx)
-    stack: list[tuple[tuple[int, ...], SymmetricAut]] = [((), identity)]
+    steps = {l: _generator_word(BraidWord(strands, (l,))) for l in letters}
+    stack: list[tuple[tuple[int, ...], SymmetricAut]] = [((), identity_aut(fctx))]
     while stack:
         word, aut = stack.pop()
         if len(word) >= max_length:
@@ -149,10 +151,11 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
             if word and word[-1] == -l:
                 continue
             new_word = word + (l,)
-            step = eval_generator_word(
-                _generator_word(BraidWord(strands, (l,))), fctx
-            )
-            new_aut = _compose(aut, step)
+            # right-multiply by the step's two letters, updating images in place
+            step = steps[l]
+            images = list(aut.images)
+            act_letters(images, step.letters, fctx)
+            new_aut = SymmetricAut(fctx, tuple(images), (aut.source * step).free_cancel())
             checked += 1
             if new_aut.is_identity():
                 trivial += 1
@@ -163,9 +166,3 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
             stack.append((new_word, new_aut))
     flagged.sort()
     return SearchReport(strands, modulus, max_length, checked, trivial, tuple(flagged))
-
-
-def _compose(f: SymmetricAut, g: SymmetricAut) -> SymmetricAut:
-    from .symaut import compose
-
-    return compose(f, g)

@@ -316,7 +316,8 @@ def certify(gw: GeneratorWord, search_depth: int = 2) -> Optional[Certificate]:
         if add_rho:
             conjugators = conjugators + [GeneratorWord(n)]
         cert = Certificate(n, tuple(conjugators))
-        assert verify_certificate(cert, gw), "internal: certificate must verify"
+        if not verify_certificate(cert, gw):
+            raise RuntimeError(f"internal: certificate for {gw} does not verify")
         return cert
 
     candidates = [nf_raw.pure, nf_raw.pure.free_cancel()]

@@ -32,8 +32,8 @@ from .words import (
     free_context,
     format_word,
     generator,
-    identity as identity_word,
     inner_witness,
+    product,
     project_mod_k,
     torsion_context,
 )
@@ -78,10 +78,11 @@ class Restriction:
     images: tuple[Word, ...]
 
     def apply(self, w: Word) -> Word:
-        out = identity_word(self.ctx)
+        factors: list[Word] = []
         for gen, exp in w.syllables:
-            out = out * self.images[gen - 1].pow(exp)
-        return out
+            img = self.images[gen - 1]
+            factors += [img if exp > 0 else img.inverse()] * abs(exp)
+        return product(factors, self.ctx)
 
     def then(self, other: "Restriction") -> "Restriction":
         """Composition acting with ``self`` first."""

@@ -16,6 +16,12 @@ and evaluation is a homomorphism: ``eval(uv) = eval(u) . eval(v)`` where
 ``.`` is composition acting on the right argument first.  Automorphisms built
 by evaluation remember their source word, which gives exact inversion for
 free; raw automorphisms fall back to a bounded greedy solver.
+
+Evaluation is letter-local: it keeps one list of images and updates it in
+place for each letter (:func:`act_letters`).  An ``a``-letter rewrites one
+conjugator, an ``s``-letter swaps two images and an ``r``-letter flips a
+sign, so a letter costs time linear in the conjugators it touches.
+:func:`compose` stays on the general substitute-and-decompose path.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .words import (
     format_word,
     generator,
     identity as identity_word,
+    product,
 )
 
 # letters are ("a", i, j, exp) with exp = +-1, ("r", i) and ("s", i, j)
@@ -243,11 +250,14 @@ class SymmetricAut:
         """Image of a word (substitute generator images and reduce)."""
         if w.ctx != self.ctx:
             raise WordError("context mismatch")
-        out = identity_word(self.ctx)
+        factors: list[Word] = []
+        inverses: dict[int, Word] = {}
         for gen, exp in w.syllables:
             conj, target, sign = self.images[gen - 1]
-            out = out * conj * generator(self.ctx, target, sign * exp) * conj.inverse()
-        return out
+            if gen not in inverses:
+                inverses[gen] = conj.inverse()
+            factors += (conj, generator(self.ctx, target, sign * exp), inverses[gen])
+        return product(factors, self.ctx)
 
     def apply_basis(self, basis: Sequence[Word]) -> tuple[Word, ...]:
         return tuple(self.apply(b) for b in basis)
@@ -349,13 +359,52 @@ def compose_all(auts: Sequence[SymmetricAut], ctx: GroupContext) -> SymmetricAut
     return out
 
 
+def act_letters(images: list[Image], letters: Iterable[Letter], ctx: GroupContext) -> None:
+    """Right-multiply the automorphism held in ``images`` by ``letters``.
+
+    Updates the ``(conjugator, target, sign)`` list in place, letter by
+    letter, touching only the images a letter changes:
+
+    * ``a[i,j]^e`` sends g_i to ``f(g_j)^e f(g_i) f(g_j)^{-e}``, so only the
+      conjugator of image i changes, to ``c_j g_{t_j}^{s_j e} c_j^{-1} c_i``
+      with trailing ``t_i``-syllables dropped.  The core ``g_{t_i}^{s_i}``
+      stays, and the centralizer of a generator power is the generator's
+      cyclic group, so no cyclic reduction is needed;
+    * ``s[i,j]`` swaps images i and j;
+    * ``r[i]`` flips the sign of image i (free contexts only).
+
+    Each letter costs time linear in the two conjugators it reads.
+    """
+    for letter in letters:
+        kind = letter[0]
+        if kind == "a":
+            _, i, j, exp = letter
+            cj, tj, sj = images[j - 1]
+            ci, ti, si = images[i - 1]
+            conj = product((cj, generator(ctx, tj, sj * exp), cj.inverse(), ci), ctx)
+            images[i - 1] = _canonical_image(conj, ti, si)
+        elif kind == "r":
+            if ctx.is_free:
+                ci, ti, si = images[letter[1] - 1]
+                images[letter[1] - 1] = (ci, ti, -si)
+        else:
+            _, i, j = letter
+            images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
+
+
 def eval_generator_word(gw: GeneratorWord, ctx: GroupContext) -> SymmetricAut:
+    """The automorphism a presentation word evaluates to, remembering ``gw``.
+
+    Starts from the identity images and applies each letter in place with
+    :func:`act_letters`, so the cost per letter is linear in the conjugators
+    it touches; the value is built (and validated) once at the end.
+    """
     if gw.rank != ctx.rank:
         raise WordError(f"rank mismatch: word has {gw.rank}, context {ctx.rank}")
-    out = identity_aut(ctx)
-    for letter in gw.letters:
-        out = compose(out, act_letter(letter, ctx))
-    return SymmetricAut(out.ctx, out.images, gw)
+    e = identity_word(ctx)
+    images: list[Image] = [(e, i, 1) for i in range(1, ctx.rank + 1)]
+    act_letters(images, gw.letters, ctx)
+    return SymmetricAut(ctx, tuple(images), gw)
 
 
 # ---------------------------------------------------------------------------

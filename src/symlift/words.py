@@ -106,8 +106,7 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         _require_same_ctx(self.ctx, other.ctx)
         out = list(self.syllables)
-        for gen, exp in other.syllables:
-            _push(out, gen, exp, self.ctx.torsion)
+        _extend_reduced(out, other.syllables, self.ctx.torsion)
         return Word(self.ctx, tuple(out))
 
     def inverse(self) -> "Word":
@@ -116,13 +115,9 @@ class Word:
         return Word(self.ctx, tuple(inv))
 
     def pow(self, m: int) -> "Word":
-        if m == 0:
-            return Word(self.ctx, ())
-        base = self if m > 0 else self.inverse()
-        out = base
-        for _ in range(abs(m) - 1):
-            out = out * base
-        return out
+        """``self^m``, as one product of |m| copies of the base."""
+        base = self if m >= 0 else self.inverse()
+        return product([base] * abs(m), self.ctx)
 
     def conjugated_by(self, g: "Word") -> "Word":
         """g * self * g^{-1}."""
@@ -147,6 +142,41 @@ class Word:
 def _require_same_ctx(a: GroupContext, b: GroupContext) -> None:
     if a != b:
         raise WordError(f"context mismatch: {a.describe()} vs {b.describe()}")
+
+
+def _extend_reduced(
+    out: list[Syllable], sylls: tuple[Syllable, ...], modulus: Optional[int]
+) -> None:
+    """Append the reduced syllables ``sylls`` to the reduced list ``out``.
+
+    Only the junction can cancel: syllables merge into the end of ``out``
+    while they meet its last generator, and once one does not, the rest is
+    already reduced and is copied in bulk.
+    """
+    for t, (gen, exp) in enumerate(sylls):
+        if not out or out[-1][0] != gen:
+            out.extend(sylls[t:] if t else sylls)
+            return
+        merged = out.pop()[1] + exp
+        if modulus is not None:
+            merged %= modulus
+        if merged != 0:
+            out.append((gen, merged))
+
+
+def product(words: Iterable[Word], ctx: GroupContext) -> Word:
+    """The reduced product of ``words`` in order, in one list.
+
+    Every factor is already reduced, so cancellation happens only at the
+    junctions, and the cost is linear in the total length.
+    """
+    out: list[Syllable] = []
+    for w in words:
+        if w.ctx is not ctx:
+            _require_same_ctx(w.ctx, ctx)
+        if w.syllables:
+            _extend_reduced(out, w.syllables, ctx.torsion)
+    return Word(ctx, tuple(out))
 
 
 def normalize(raw: Iterable[Syllable], ctx: GroupContext) -> Word:
@@ -213,21 +243,25 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 
     Returns ``(p, c)``.  A word is cyclically reduced when its first and last
     syllables involve distinct generators (or it has at most one syllable).
+    Two pointers walk in from both ends while the end syllables share a
+    generator, so the cost is linear in ``len(w)``.  When their exponents do
+    not cancel, the merged syllable closes the core: the next syllable from
+    the left is on another generator, so no further peel is possible.
     """
     ctx = w.ctx
-    prefix: list[Syllable] = []
-    core = list(w.syllables)
-    while len(core) >= 2 and core[0][0] == core[-1][0]:
-        gen, a = core[0]
-        _, b = core[-1]
-        middle = core[1:-1]
-        _push(prefix, gen, a, ctx.torsion)
-        merged = a + b if ctx.torsion is None else (a + b) % ctx.torsion
+    sylls = w.syllables
+    i, j = 0, len(sylls) - 1
+    while i < j and sylls[i][0] == sylls[j][0]:
+        gen, a = sylls[i]
+        merged = a + sylls[j][1]
+        if ctx.torsion is not None:
+            merged %= ctx.torsion
         if merged != 0:
-            # middle cannot end in `gen`, so this append stays reduced
-            middle.append((gen, merged))
-        core = middle
-    return Word(ctx, tuple(prefix)), Word(ctx, tuple(core))
+            core = sylls[i + 1 : j] + ((gen, merged),)
+            return Word(ctx, sylls[: i + 1]), Word(ctx, core)
+        i += 1
+        j -= 1
+    return Word(ctx, sylls[:i]), Word(ctx, sylls[i : j + 1])
 
 
 def primitive_root(core: Word) -> Word:
@@ -302,11 +336,15 @@ def conjugacy_witness(u: Word, v: Word) -> Optional[ConjugacyWitness]:
             # beyond this range |g0 p root^t p^{-1}| grows monotonically
             span = len(g0) + 2 * len(p) + len(root) + 2
             axis = p * root * p.inverse()
+            axis_inv = axis.inverse()
             if ctx.torsion is not None and len(root) == 1:
                 span = min(span, ctx.torsion - 1)
-            for t in range(1, span + 1):
-                candidates.append(g0 * axis.pow(t))
-                candidates.append(g0 * axis.pow(-t))
+            up = down = identity(ctx)
+            for _ in range(span):
+                up = up * axis
+                down = down * axis_inv
+                candidates.append(g0 * up)
+                candidates.append(g0 * down)
         for g in candidates:
             if u.conjugated_by(g) == v and (best is None or g.sort_key() < best.sort_key()):
                 best = g

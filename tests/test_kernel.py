@@ -121,6 +121,14 @@ def test_verify_examples():
         verify_certificate(Certificate(4, ()), gw("a[1,2]"))
 
 
+def test_certify_raises_when_its_certificate_fails_to_verify(monkeypatch):
+    import symlift.kernel
+
+    monkeypatch.setattr(symlift.kernel, "verify_certificate", lambda cert, target: False)
+    with pytest.raises(RuntimeError, match="does not verify"):
+        certify(gw("a[1,2] a[1,2]"))
+
+
 def test_certify_soundness_on_random_products():
     rng = random.Random(321)
     for n in (3, 4):

@@ -25,6 +25,8 @@ from symlift.symaut import (
 from symlift.words import (
     WordError,
     free_context,
+    identity,
+    normalize,
     parse_word,
     torsion_context,
 )
@@ -102,6 +104,19 @@ def test_restriction_is_homomorphism():
         composed = lift_restrict(compose(h1, h2))
         stacked = lift_restrict(h2).then(lift_restrict(h1))
         assert composed.images == stacked.images
+
+
+def test_restriction_apply_matches_product_of_image_powers():
+    rng = random.Random(5)
+    ctx = free_context(3, letter="x")
+    for _ in range(200):
+        r = lift_restrict(eval_generator_word(random_gw(rng, 4), torsion_context(4, 2)))
+        raw = [(rng.randint(1, 3), rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(rng.randint(0, 6))]
+        w = normalize(raw, ctx)
+        expected = identity(ctx)
+        for gen, exp in w.syllables:
+            expected = expected * r.images[gen - 1].pow(exp)
+        assert r.apply(w) == expected
 
 
 def test_inverting_generators_commutator_is_inner():

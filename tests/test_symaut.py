@@ -1,12 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from symlift.symaut import (
     GeneratorWord,
     InverseUnavailable,
     SymmetricAut,
+    act_letter,
     all_letters,
     alpha,
     check_relations,
@@ -70,6 +71,26 @@ def test_eval_is_homomorphism_bulk():
             assert eval_generator_word(u * v, ctx) == compose(
                 eval_generator_word(u, ctx), eval_generator_word(v, ctx)
             )
+
+
+@st.composite
+def context_and_letters(draw):
+    n = draw(st.integers(2, 5))
+    ctx = draw(st.sampled_from([free_context(n), torsion_context(n, 2), torsion_context(n, 3)]))
+    letters = draw(st.lists(st.sampled_from(all_letters(n)), max_size=14))
+    return ctx, GeneratorWord(n, tuple(letters))
+
+
+@given(context_and_letters())
+@settings(max_examples=300)
+def test_letter_local_eval_matches_compose_fold(case):
+    ctx, gw = case
+    folded = identity_aut(ctx)
+    for letter in gw.letters:
+        folded = compose(folded, act_letter(letter, ctx))
+    f = eval_generator_word(gw, ctx)
+    assert f == folded
+    assert f.source == gw
 
 
 @given(st.integers(3, 5))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from symlift.words import (
     normalize,
     parse_context,
     parse_word,
+    product,
     project_mod_k,
     torsion_context,
 )
@@ -69,6 +71,19 @@ def test_normalize_idempotent_torsion(raw):
 def test_normalize_is_monoid_homomorphism(a, b):
     for ctx in (F3, H33):
         assert normalize(a + b, ctx) == normalize(a, ctx) * normalize(b, ctx)
+
+
+@given(st.lists(raw_syllables(3), max_size=5))
+def test_product_reduces_only_at_junctions_like_normalize(parts):
+    # u w u^-1 makes the junctions cancel deep into their neighbours
+    flat = [s for raw in parts for s in raw]
+    for ctx in (F3, H3, H33):
+        words = [normalize(raw, ctx) for raw in parts]
+        assert product(words, ctx) == normalize(flat, ctx)
+        if words:
+            u = words[0]
+            raw = [*u.syllables, *flat, *u.inverse().syllables]
+            assert product([u, *words, u.inverse()], ctx) == normalize(raw, ctx)
 
 
 @given(raw_syllables(3), raw_syllables(3))
@@ -128,6 +143,76 @@ def test_conjugacy_symmetric_with_inverse_witness(raw_u, raw_g):
 def test_cyclic_reduce_merges_across_torsion():
     p, core = cyclic_reduce(parse_word("z1 z2 z1", H3))
     assert format_word(core) == "z2" and format_word(p) == "z1"
+
+
+def _peel_reference(w):
+    """The syllable-at-a-time peel loop that two-pointer cyclic_reduce replaced."""
+    k = w.ctx.torsion
+    prefix, core = [], list(w.syllables)
+    while len(core) >= 2 and core[0][0] == core[-1][0]:
+        gen, a = core[0]
+        b = core[-1][1]
+        middle = core[1:-1]
+        prefix.append((gen, a))
+        merged = a + b if k is None else (a + b) % k
+        if merged != 0:
+            middle.append((gen, merged))
+        core = middle
+    return normalize(prefix, w.ctx), normalize(core, w.ctx)
+
+
+def _inverse_raw(raw):
+    return [(g, -e) for g, e in reversed(raw)]
+
+
+@given(
+    st.sampled_from([F3, H3, H33]),
+    raw_syllables(3, max_len=10),
+    raw_syllables(3, max_len=6),
+)
+@settings(max_examples=300)
+def test_cyclic_reduce_matches_peel_loop(ctx, raw_p, raw_m):
+    # p m p^-1 peels deep; with m = g^a .. g^b the last step merges partially
+    for w in (normalize(raw_p, ctx), normalize(raw_p + raw_m + _inverse_raw(raw_p), ctx)):
+        p, core = cyclic_reduce(w)
+        assert (p, core) == _peel_reference(w)
+        assert p * core * p.inverse() == w
+
+
+def test_cyclic_reduce_partial_merge_closes_the_core():
+    w = parse_word("y1 y2^2 y3 y1 y2^-1 y3 y2^3 y1^-1", F3)
+    p, core = cyclic_reduce(w)
+    assert (p, core) == _peel_reference(w)
+    assert format_word(p) == "y1 y2^2" and format_word(core) == "y3 y1 y2^-1 y3 y2^5"
+    w = parse_word("z1 z2 z3 z1 z2 z1^2", H33)
+    p, core = cyclic_reduce(w)
+    assert (p, core) == _peel_reference(w)
+    assert format_word(p) == "z1 z2" and format_word(core) == "z3 z1 z2^2"
+
+
+def test_cyclic_reduce_is_linear_on_deep_conjugates():
+    p = normalize([(1 + t % 2, 1) for t in range(10**5)], F3)
+    w = p * generator(F3, 3) * p.inverse()
+    t0 = time.perf_counter()
+    prefix, core = cyclic_reduce(w)
+    elapsed = time.perf_counter() - t0
+    assert prefix == p and core == generator(F3, 3)
+    assert elapsed < 2.0, f"cyclic_reduce took {elapsed:.2f} s on |p| = 10^5"
+
+
+@given(
+    st.sampled_from([F3, H3, H33]),
+    raw_syllables(3, max_len=6),
+    st.integers(-7, 7),
+)
+@settings(max_examples=200)
+def test_pow_matches_repeated_multiplication(ctx, raw, m):
+    w = normalize(raw, ctx)
+    base = w if m >= 0 else w.inverse()
+    expected = identity(ctx)
+    for _ in range(abs(m)):
+        expected = expected * base
+    assert w.pow(m) == expected
 
 
 def test_centralizer_root_of_powers():
