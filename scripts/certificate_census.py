@@ -7,6 +7,7 @@ Usage: python scripts/certificate_census.py [--samples 200] [--rank 3] [--seed 1
 
 import argparse
 import random
+import sys
 import time
 from collections import Counter
 
@@ -24,12 +25,14 @@ def main() -> None:
     sizes = Counter()
     max_conj = Counter()
     t_total = 0.0
-    for _ in range(args.samples):
+    for sample in range(args.samples):
         target = random_rho_conjugate_product(rng, args.rank)
         t0 = time.time()
         cert = certify(target)
-        assert cert is not None and verify_certificate(cert, target)
-        assert kernel_verdict(target, "both").verdict == "in"
+        if cert is None or not verify_certificate(cert, target):
+            sys.exit(f"sample {sample} ({target}): no verified certificate")
+        if kernel_verdict(target, "both").verdict != "in":
+            sys.exit(f"sample {sample} ({target}): kernel verdict is not 'in'")
         t_total += time.time() - t0
         sizes[len(cert.conjugators)] += 1
         max_conj[max((len(c) for c in cert.conjugators), default=0)] += 1

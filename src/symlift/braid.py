@@ -133,6 +133,8 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
     its mod-k image acts innerly.  Injectivity of the reduced action predicts
     an empty flag list.
     """
+    if strands < 2:
+        raise WordError("braid groups need at least 2 strands")
     if max_length < 1:
         raise WordError("max_length must be >= 1")
     fctx = free_context(strands)

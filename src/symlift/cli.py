@@ -18,7 +18,6 @@ from . import braid as braid_mod
 from . import complexes, kernel as kernel_mod, selftest as selftest_mod
 from .lift import kernel_verdict, lift_restrict, reduce_aut
 from .symaut import (
-    GeneratorWord,
     check_relations,
     eval_generator_word,
     outer_equal,
@@ -26,6 +25,7 @@ from .symaut import (
     semidirect_normal_form,
 )
 from .words import (
+    GroupContext,
     WordError,
     conjugacy_witness,
     even_to_x,
@@ -95,13 +95,17 @@ def cmd_words_even_to_x(args) -> int:
 # -- symaut -----------------------------------------------------------------
 
 
-def _parse_gw(text: str, n: int) -> GeneratorWord:
-    return parse_generator_word(text, n)
+def _aut_context(args) -> GroupContext:
+    if args.ctx:
+        return parse_context(args.ctx)
+    if args.n is None:
+        raise WordError("give --n or --ctx")
+    return free_context(args.n)
 
 
 def cmd_symaut_eval(args) -> int:
-    ctx = parse_context(args.ctx) if args.ctx else free_context(args.n)
-    aut = eval_generator_word(_parse_gw(args.word, ctx.rank), ctx)
+    ctx = _aut_context(args)
+    aut = eval_generator_word(parse_generator_word(args.word, ctx.rank), ctx)
     return _emit({"images": aut.to_json()})
 
 
@@ -111,7 +115,7 @@ def cmd_symaut_relations(args) -> int:
 
 
 def cmd_symaut_nf(args) -> int:
-    nf = semidirect_normal_form(_parse_gw(args.word, args.n))
+    nf = semidirect_normal_form(parse_generator_word(args.word, args.n))
     return _emit(
         {
             "pure": str(nf.pure),
@@ -123,9 +127,9 @@ def cmd_symaut_nf(args) -> int:
 
 
 def cmd_symaut_outer_equal(args) -> int:
-    ctx = parse_context(args.ctx) if args.ctx else free_context(args.n)
-    f = eval_generator_word(_parse_gw(args.left, ctx.rank), ctx)
-    g = eval_generator_word(_parse_gw(args.right, ctx.rank), ctx)
+    ctx = _aut_context(args)
+    f = eval_generator_word(parse_generator_word(args.left, ctx.rank), ctx)
+    g = eval_generator_word(parse_generator_word(args.right, ctx.rank), ctx)
     equal = outer_equal(f, g)
     return _emit({"outer_equal": equal}, 0 if equal else 1)
 
@@ -135,13 +139,13 @@ def cmd_symaut_outer_equal(args) -> int:
 
 def cmd_lift_eval(args) -> int:
     ctx = free_context(args.n)
-    h = reduce_aut(eval_generator_word(_parse_gw(args.word, args.n), ctx))
+    h = reduce_aut(eval_generator_word(parse_generator_word(args.word, args.n), ctx))
     restriction = lift_restrict(h)
     return _emit({"restriction": restriction.to_json()})
 
 
 def cmd_lift_kernel(args) -> int:
-    verdict = kernel_verdict(_parse_gw(args.word, args.n), args.route)
+    verdict = kernel_verdict(parse_generator_word(args.word, args.n), args.route)
     return _emit(verdict.to_json(), 0 if verdict.verdict == "in" else 1)
 
 
@@ -149,7 +153,7 @@ def cmd_lift_kernel(args) -> int:
 
 
 def cmd_kernel_certify(args) -> int:
-    cert = kernel_mod.certify(_parse_gw(args.word, args.n))
+    cert = kernel_mod.certify(parse_generator_word(args.word, args.n))
     if cert is None:
         return _emit({"status": "absent"}, 1)
     return _emit({"status": "certified", "certificate": cert.to_json()})
@@ -158,10 +162,10 @@ def cmd_kernel_certify(args) -> int:
 def cmd_kernel_verify(args) -> int:
     with open(args.cert) as handle:
         data = json.load(handle)
-    if "certificate" in data:
+    if isinstance(data, dict) and "certificate" in data:
         data = data["certificate"]
     cert = kernel_mod.Certificate.from_json(data)
-    ok = kernel_mod.verify_certificate(cert, _parse_gw(args.word, cert.rank))
+    ok = kernel_mod.verify_certificate(cert, parse_generator_word(args.word, cert.rank))
     return _emit({"verified": ok}, 0 if ok else 1)
 
 
@@ -268,7 +272,7 @@ def cmd_braid_search(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    report = selftest_mod.run_selftest(args.level, seed=args.seed, threads=args.threads)
+    report = selftest_mod.run_selftest(args.level, seed=args.seed)
     if not report["all_passed"]:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         print(f"failed checks: {', '.join(failing)}", file=sys.stderr)
@@ -410,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="deterministic check suite")
     p.add_argument("--level", choices=["quick", "full"], default="quick")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_selftest)
 
     return parser

@@ -96,9 +96,6 @@ class LabelledBipartiteTree:
     def label_neighbors(self, label: int) -> list[int]:
         return sorted(u for l, u in self.edges if l == label)
 
-    def unit_neighbors(self, u: int) -> list[int]:
-        return sorted(l for l, uu in self.edges if uu == u)
-
     def canonical(self) -> str:
         """Isomorphism-class key: minimal rooted encoding over unlabelled
         roots (labels are preserved, unlabelled vertices interchangeable)."""
@@ -234,9 +231,6 @@ class WhiteheadPoset:
                 if i != j and self.leq[i][j]:
                     best[j] = max(best[j], best[i] + 1)
         return max(best.values())
-
-    def comparable(self, i: int, j: int) -> bool:
-        return self.leq[i][j] or self.leq[j][i]
 
     def to_dot(self) -> str:
         lines = ["digraph poset {", "  rankdir=BT;"]
@@ -638,18 +632,6 @@ class StabilizerGenerators:
     inversions: tuple[GeneratorWord, ...]
     symmetries: tuple[tuple[int, ...], ...]
 
-    def all_generator_words(self) -> list[tuple[str, GeneratorWord]]:
-        from .symaut import _transposition_letters
-
-        out = [("vertex_aut", s.generator_word()) for s in self.vertex_auts]
-        out.extend(("inversion", gw) for gw in self.inversions)
-        n = self.tree.rank
-        out.extend(
-            ("symmetry", GeneratorWord(n, tuple(_transposition_letters(p))))
-            for p in self.symmetries
-        )
-        return out
-
     def to_json(self) -> dict:
         return {
             "tree": self.tree.canonical(),
@@ -716,13 +698,6 @@ def stabilizer_soundness(t: LabelledBipartiteTree) -> list[tuple[str, bool]]:
 Factor = tuple[Word, int]  # (conjugator, target index)
 
 
-def _strip_len(x_inv_c: Word, target: int) -> int:
-    sylls = x_inv_c.syllables
-    if sylls and sylls[-1][0] == target:
-        return len(sylls) - 1
-    return len(sylls)
-
-
 def _basis_factors(basis: Sequence[Word], ctx: GroupContext) -> list[Factor]:
     factors = []
     for w in basis:
@@ -783,70 +758,61 @@ class NuclearVertex:
         return "; ".join(f"{t}:{format_word(conj)}" for conj, t in self.factors)
 
 
+def _conjugated(xi: Word, factors: Sequence[Factor]) -> list[Factor]:
+    """The factors conjugated by ``xi``, less trailing target syllables."""
+    out = []
+    for conj, t in factors:
+        sylls = (xi * conj).syllables
+        if sylls and sylls[-1][0] == t:
+            sylls = sylls[:-1]
+        out.append((Word(xi.ctx, sylls), t))
+    return out
+
+
 def _cost(x: Word, factors: Sequence[Factor]) -> int:
-    xi = x.inverse()
-    return sum(_strip_len(xi * conj, t) for conj, t in factors)
+    return sum(len(w) for w, _ in _conjugated(x.inverse(), factors))
 
 
 def _canonicalize_factors(factors: Sequence[Factor], ctx: GroupContext) -> tuple[Factor, ...]:
     """Minimize total conjugator length over simultaneous conjugation.
 
     The cost of a conjugator choice x is the sum of distances from x to the
-    lines {c_i <g_{t_i}>} in the Bass-Serre tree; each term is convex and
-    proper, so the minimizing set is finite and reachable by never letting
-    the cost exceed the best seen.  Among minimizers the lexicographically
+    vertices c_i <g_{t_i}> of the Bass-Serre tree, a convex function.  A
+    move goes from x to x s, with s the first syllable of some stripped
+    x^{-1} c_i: only these neighbours step towards a vertex, so a
+    non-minimal x always has a strictly cheaper move, the minimizers are
+    connected by moves, and the search stays in the finite hull of the
+    seeds and the vertices.  Single-letter moves would not do: the cost can
+    be flat along a ray x g^k.  Among minimizers the lexicographically
     least sorted factor tuple wins.
     """
-    # canonical per-factor form first: strip trailing target syllables
-    cleaned = []
-    for conj, t in factors:
-        sylls = conj.syllables
-        while sylls and sylls[-1][0] == t:
-            sylls = sylls[:-1]
-        cleaned.append((Word(ctx, sylls), t))
-    factors = cleaned
-    seeds = [identity_word(ctx)] + [conj for conj, _ in factors]
+    e = identity_word(ctx)
+    factors = _conjugated(e, factors)
+    seeds = [e] + [conj for conj, _ in factors]
     best = min(_cost(s, factors) for s in seeds)
     visited: set = set()
     frontier = [s for s in seeds if _cost(s, factors) <= best]
-    minimizers = []
-    exps = (
-        [1, -1]
-        if ctx.is_free
-        else list(range(1, ctx.torsion))
-    )
+    minimizers: list[list[Factor]] = []
     while frontier:
         x = frontier.pop()
         if x.syllables in visited:
             continue
         visited.add(x.syllables)
-        c = _cost(x, factors)
+        moved = _conjugated(x.inverse(), factors)
+        c = sum(len(w) for w, _ in moved)
         if c > best:
             continue
         if c < best:
             best = c
             minimizers = []
-        if c == best:
-            minimizers.append(x)
-        for g in range(1, ctx.rank + 1):
-            for e in exps:
-                y = x * generator(ctx, g, e)
+        minimizers.append(moved)
+        for w, _ in moved:
+            if w:
+                y = x * Word(ctx, w.syllables[:1])
                 if y.syllables not in visited and _cost(y, factors) <= best:
                     frontier.append(y)
-    minimizers = [x for x in minimizers if _cost(x, factors) == best]
-    candidates = []
-    for x in minimizers:
-        xi = x.inverse()
-        tuple_ = []
-        for conj, t in factors:
-            w = xi * conj
-            sylls = w.syllables
-            while sylls and sylls[-1][0] == t:
-                sylls = sylls[:-1]
-            tuple_.append((Word(ctx, sylls), t))
-        tuple_.sort(key=lambda f: (f[1], f[0].sort_key()))
-        candidates.append(tuple(tuple_))
-    return min(candidates, key=lambda tt: [(t, w.sort_key()) for w, t in tt])
+    candidates = [sorted(moved, key=lambda f: (f[1], f[0].sort_key())) for moved in minimizers]
+    return tuple(min(candidates, key=lambda tt: [(t, w.sort_key()) for w, t in tt]))
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,8 @@ from typing import Literal, Optional
 from .symaut import (
     GeneratorWord,
     Letter,
-    SymmetricAut,
     eval_generator_word,
     letter_inverse,
-    outer_equal,
     rho,
     semidirect_normal_form,
 )
@@ -232,18 +230,6 @@ class Certificate:
             out = out * c * r * c.inverse()
         return out
 
-    def product_aut(self) -> SymmetricAut:
-        """Evaluate factor-wise; far cheaper than one concatenated word."""
-        from .symaut import compose, identity_aut
-
-        ctx = free_context(self.rank)
-        rho_hat = eval_generator_word(rho(self.rank), ctx)
-        out = identity_aut(ctx)
-        for c in self.conjugators:
-            f = eval_generator_word(c, ctx)
-            out = compose(out, compose(compose(f, rho_hat), f.inverse()))
-        return out
-
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
@@ -251,11 +237,17 @@ class Certificate:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Certificate":
+    def from_json(cls, data) -> "Certificate":
         from .symaut import parse_generator_word
 
-        rank = int(data["rank"])
-        return cls(rank, tuple(parse_generator_word(t, rank) for t in data["conjugators"]))
+        if not isinstance(data, dict) or "rank" not in data or "conjugators" not in data:
+            raise WordError("certificate must be an object with 'rank' and 'conjugators'")
+        rank, texts = data["rank"], data["conjugators"]
+        if type(rank) is not int or rank < 1:
+            raise WordError(f"certificate rank must be a positive integer, not {rank!r}")
+        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            raise WordError("certificate conjugators must be a list of strings")
+        return cls(rank, tuple(parse_generator_word(t, rank) for t in texts))
 
 
 def _node_certificate(node: SpNode, rank: int) -> list[GeneratorWord]:

@@ -19,9 +19,8 @@ the direct route), and there the lift route reports everything in the kernel.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional
 
 from .symaut import GeneratorWord, SymmetricAut, eval_generator_word
 from .words import (
@@ -215,13 +214,3 @@ def kernel_verdict(gw: GeneratorWord, route: Route = "both") -> KernelVerdict:
         h_witness=h_witness,
         lift_result=lift_result,
     )
-
-
-def kernel_verdict_batch(
-    words: Sequence[GeneratorWord], route: Route = "both", threads: int = 1
-) -> list[KernelVerdict]:
-    """Batch verdicts, emitted in input order regardless of thread count."""
-    if threads <= 1:
-        return [kernel_verdict(gw, route) for gw in words]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda gw: kernel_verdict(gw, route), words))

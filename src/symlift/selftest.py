@@ -1,9 +1,9 @@
 """Deterministic self-test registry behind the `selftest` CLI command.
 
 Every check is a pure function of (scale parameters, seed), so two runs with
-the same seed and level produce byte-identical reports; timings are reported
-on stderr by the CLI, never inside the payload.  The ``quick`` level is a
-scaled-down version of the ``full`` acceptance scales.
+the same seed and level produce byte-identical reports.  ``full`` is the
+acceptance gate: ``tests/test_acceptance.py`` runs every check in
+:data:`CHECKS` at that level.  ``quick`` is a scaled-down version of it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable
 
 from . import braid as braid_mod
 from . import complexes, kernel as kernel_mod
-from .lift import kernel_verdict, kernel_verdict_batch
+from .lift import kernel_verdict
 from .symaut import (
     GeneratorWord,
     all_letters,
@@ -52,8 +52,8 @@ LEVELS = {
         "free_relation_length": 8,
         "oracle_words": 500,
         "poset_max_rank": 5,
-        "stabilizer_samples": 50,
-        "quotient_samples": 50,
+        "stabilizer_samples": 55,
+        "quotient_samples": 100,
         "quotient_ranks": (3, 4),
         "braid_searches": ((2, 2, 6), (3, 2, 6), (3, 3, 4)),
     },
@@ -64,7 +64,7 @@ def _rng(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}:{name}")
 
 
-def check_presentation(params, seed, threads) -> dict:
+def check_presentation(params, seed) -> dict:
     ranks = {}
     ok = True
     for n in params["presentation_ranks"]:
@@ -77,18 +77,16 @@ def check_presentation(params, seed, threads) -> dict:
     return {"passed": ok, "ranks": ranks}
 
 
-def check_route_agreement(params, seed, threads) -> dict:
+def check_route_agreement(params, seed) -> dict:
     rng = _rng(seed, "route_agreement")
     total = 0
     disagreements = 0
     unknown = 0
     for n in params["route_ranks"]:
         letters = all_letters(n)
-        words = [
-            GeneratorWord(n, tuple(rng.choice(letters) for _ in range(rng.randint(0, 20))))
-            for _ in range(params["route_words"])
-        ]
-        for v in kernel_verdict_batch(words, "both", threads=threads):
+        for _ in range(params["route_words"]):
+            gw = GeneratorWord(n, tuple(rng.choice(letters) for _ in range(rng.randint(0, 20))))
+            v = kernel_verdict(gw, "both")
             total += 1
             if v.verdict == "unknown":
                 unknown += 1
@@ -102,7 +100,7 @@ def check_route_agreement(params, seed, threads) -> dict:
     }
 
 
-def check_n2_degeneracy(params, seed, threads) -> dict:
+def check_n2_degeneracy(params, seed) -> dict:
     in_kernel = 0
     for bits in itertools.product((0, 1), repeat=3):
         letters = []
@@ -126,7 +124,7 @@ def check_n2_degeneracy(params, seed, threads) -> dict:
     }
 
 
-def check_theorem_c(params, seed, threads) -> dict:
+def check_theorem_c(params, seed) -> dict:
     rng = _rng(seed, "theorem_c")
     stats = {"samples": 0, "in_kernel": 0, "certified": 0, "verified": 0}
     for n in params["theorem_c_ranks"]:
@@ -209,7 +207,7 @@ def _scan_free_relations(max_len: int) -> tuple[int, str | None]:
     return checked, None
 
 
-def check_corollary_d(params, seed, threads) -> dict:
+def check_corollary_d(params, seed) -> dict:
     ctx = free_context(3)
     a13 = eval_generator_word(alpha(3, 1, 3), ctx)
     a23_inv = eval_generator_word(alpha(3, 2, 3, -1), ctx)
@@ -245,27 +243,50 @@ def check_corollary_d(params, seed, threads) -> dict:
     }
 
 
-def check_poset_facts(params, seed, threads) -> dict:
+def _proper_part(poset: complexes.WhiteheadPoset) -> complexes.WhiteheadPoset:
+    """The poset without its minimum, the trivial tree."""
+    bottom = poset.index_of(complexes.trivial_tree(poset.rank))
+    keep = [i for i in range(len(poset.elements)) if i != bottom]
+    return complexes.WhiteheadPoset(
+        poset.rank,
+        tuple(poset.elements[i] for i in keep),
+        tuple(tuple(poset.leq[i][j] for j in keep) for i in keep),
+    )
+
+
+def check_poset_facts(params, seed) -> dict:
+    """Sizes, longest chains, and the homology of the proper part.
+
+    The whole poset has a minimum, so its order complex is a cone and is
+    acyclic for any input.  The proper part has reduced homology free of
+    rank (n-1)^(n-2) in degree n-3 and nothing else (McCammond-Meier, "The
+    hypertree poset and the l^2-Betti numbers of the motion group of the
+    trivial link", Math. Ann. 2004); at rank 2 it is empty.
+    """
     sizes = {}
     chains = {}
-    homology_ok = {}
+    proper = {}
     ok = True
     for n in range(2, params["poset_max_rank"] + 1):
         poset = complexes.enumerate_whitehead_poset(n)
         sizes[str(n)] = len(poset.elements)
         chains[str(n)] = poset.max_chain_cardinality()
         ok = ok and chains[str(n)] == n - 1
-        report = complexes.order_complex_homology(poset)
-        homology_ok[str(n)] = (
-            report.euler_characteristic == 1 and report.is_reduced_acyclic
-        )
-        ok = ok and homology_ok[str(n)]
+        if n < 3:
+            continue
+        report = complexes.order_complex_homology(_proper_part(poset))
+        proper[str(n)] = {
+            "reduced_betti": list(report.reduced_betti),
+            "torsion": [list(t) for t in report.torsion],
+        }
+        expected = [0] * (n - 3) + [(n - 1) ** (n - 2)]
+        ok = ok and list(report.reduced_betti) == expected and not any(report.torsion)
     ok = ok and sizes["2"] == 1 and sizes["3"] == 4
     return {
         "passed": ok,
         "sizes": sizes,
         "max_chain_cardinality": chains,
-        "homology_acyclic": homology_ok,
+        "proper_part_homology": proper,
     }
 
 
@@ -281,14 +302,12 @@ def _sample_vertex_aut(rng, poset, n):
             p = rng.randint(-2, 2)
             for l in comp:
                 powers[l - 1] = p
-        for l in comps[-1]:
-            powers[l - 1] = 0
         spec = complexes.VertexAutomorphismSpec(t, v, tuple(powers))
         if any(spec.powers):
             return spec
 
 
-def check_stabilizers(params, seed, threads) -> dict:
+def check_stabilizers(params, seed) -> dict:
     rng = _rng(seed, "stabilizers")
     from .symaut import compose
 
@@ -326,7 +345,7 @@ def check_stabilizers(params, seed, threads) -> dict:
     }
 
 
-def check_quotient_map(params, seed, threads) -> dict:
+def check_quotient_map(params, seed) -> dict:
     rng = _rng(seed, "quotient_map")
     results = {}
     ok = True
@@ -337,7 +356,7 @@ def check_quotient_map(params, seed, threads) -> dict:
     return {"passed": ok, "ranks": results}
 
 
-def check_braid_search(params, seed, threads) -> dict:
+def check_braid_search(params, seed) -> dict:
     runs = {}
     ok = True
     for strands, modulus, max_len in params["braid_searches"]:
@@ -363,20 +382,19 @@ CHECKS: tuple[tuple[str, Callable], ...] = (
 )
 
 
-def run_selftest(level: str = "quick", seed: int = DEFAULT_SEED, threads: int = 1) -> dict:
+def run_selftest(level: str = "quick", seed: int = DEFAULT_SEED) -> dict:
     if level not in LEVELS:
         raise ValueError(f"level must be one of {sorted(LEVELS)}")
     params = LEVELS[level]
     checks = []
     all_passed = True
     for name, fn in CHECKS:
-        result = fn(params, seed, threads)
+        result = fn(params, seed)
         checks.append({"name": name, **result})
         all_passed = all_passed and result["passed"]
     return {
         "level": level,
         "seed": seed,
-        "threads": threads,
         "checks": checks,
         "all_passed": all_passed,
     }

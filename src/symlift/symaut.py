@@ -14,8 +14,8 @@ letters
 
 and evaluation is a homomorphism: ``eval(uv) = eval(u) . eval(v)`` where
 ``.`` is composition acting on the right argument first.  Automorphisms built
-by evaluation remember their source word, which gives exact inversion for
-free; raw automorphisms fall back to a bounded greedy solver.
+by evaluation remember their source word, which gives exact inversion;
+inverting an automorphism without one raises ``WordError``.
 
 Evaluation is letter-local: it keeps one list of images and updates it in
 place for each letter (:func:`act_letters`).  An ``a``-letter rewrites one
@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .words import (
     GroupContext,
@@ -45,10 +45,6 @@ from .words import (
 
 # letters are ("a", i, j, exp) with exp = +-1, ("r", i) and ("s", i, j)
 Letter = tuple
-
-
-class InverseUnavailable(RuntimeError):
-    """Inversion of a sourceless automorphism exceeded the solver bound."""
 
 
 def letter_inverse(letter: Letter) -> Letter:
@@ -259,19 +255,10 @@ class SymmetricAut:
             factors += (conj, generator(self.ctx, target, sign * exp), inverses[gen])
         return product(factors, self.ctx)
 
-    def apply_basis(self, basis: Sequence[Word]) -> tuple[Word, ...]:
-        return tuple(self.apply(b) for b in basis)
-
-    def then(self, other: "SymmetricAut") -> "SymmetricAut":
-        return compose(other, self)
-
     def inverse(self) -> "SymmetricAut":
         if self.source is not None:
             return eval_generator_word(self.source.inverse(), self.ctx)
-        return _solve_inverse(self)
-
-    def conjugator_size(self) -> int:
-        return sum(len(conj) for conj, _, _ in self.images)
+        raise WordError("cannot invert an automorphism without a source word")
 
     def to_json(self) -> list[dict]:
         return [
@@ -285,16 +272,6 @@ class SymmetricAut:
         for i in range(1, self.ctx.rank + 1):
             parts.append(f"{letter}{i} -> {format_word(self.image_word(i))}")
         return "; ".join(parts)
-
-
-def aut_from_json(data: Iterable[dict], ctx: GroupContext) -> SymmetricAut:
-    from .words import parse_word
-
-    images = []
-    for entry in data:
-        conj = parse_word(entry["conjugator"], ctx)
-        images.append(_canonical_image(conj, int(entry["target"]), int(entry["sign"])))
-    return SymmetricAut(ctx, tuple(images))
 
 
 def identity_aut(ctx: GroupContext) -> SymmetricAut:
@@ -350,13 +327,6 @@ def compose(f: SymmetricAut, g: SymmetricAut) -> SymmetricAut:
     if f.source is not None and g.source is not None:
         source = (f.source * g.source).free_cancel()
     return SymmetricAut(f.ctx, images, source)
-
-
-def compose_all(auts: Sequence[SymmetricAut], ctx: GroupContext) -> SymmetricAut:
-    out = identity_aut(ctx)
-    for a in auts:
-        out = compose(out, a)
-    return out
 
 
 def act_letters(images: list[Image], letters: Iterable[Letter], ctx: GroupContext) -> None:
@@ -453,52 +423,6 @@ def inner_witness_of(f: SymmetricAut) -> Optional[Word]:
 
 def is_inner(f: SymmetricAut) -> bool:
     return inner_witness_of(f) is not None
-
-
-def _solve_inverse(f: SymmetricAut, budget: int = 6000) -> SymmetricAut:
-    """Bounded inversion for automorphisms without a source word.
-
-    Best-first search over right-compositions with single letters, ordered
-    by total conjugator size (peaks make pure greedy stall).  At size zero
-    the remaining permutation/sign part inverts directly.  Past the node
-    budget the failure is honest: InverseUnavailable, never a wrong answer.
-    """
-    import heapq
-
-    ctx = f.ctx
-    start = SymmetricAut(ctx, f.images, None)
-    letters = all_letters(ctx.rank, include_r=ctx.is_free)
-    counter = 0
-    heap = [(start.conjugator_size(), 0, counter, start, ())]
-    seen = {start.images}
-    expanded = 0
-    while heap and expanded < budget:
-        size, _, _, current, trail = heapq.heappop(heap)
-        expanded += 1
-        if size == 0:
-            perm = current.permutation()
-            signs = current.signs()
-            e = identity_word(ctx)
-            inv_images: list[Image] = [None] * ctx.rank  # type: ignore[list-item]
-            for i in range(1, ctx.rank + 1):
-                inv_images[perm[i - 1] - 1] = (e, i, signs[i - 1])
-            pure_inv = SymmetricAut(ctx, tuple(inv_images))
-            word = GeneratorWord(ctx.rank, trail)
-            result = compose(eval_generator_word(word, ctx), pure_inv)
-            if not compose(f, result).is_identity():  # pragma: no cover
-                raise InverseUnavailable("search produced a non-inverse")
-            return result
-        for letter in letters:
-            cand = compose(current, act_letter(letter, ctx))
-            if cand.images in seen:
-                continue
-            seen.add(cand.images)
-            counter += 1
-            heapq.heappush(
-                heap,
-                (cand.conjugator_size(), len(trail) + 1, counter, cand, trail + (letter,)),
-            )
-    raise InverseUnavailable(f"inverse search budget exhausted ({budget} nodes)")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ Words are stored in syllable normal form: a tuple of ``(generator, exponent)``
 pairs with nonzero exponents (taken in ``1..k-1`` for torsion contexts) and no
 two adjacent syllables on the same generator.  The empty tuple is the
 identity.  Everything here is an immutable value and every operation is a
-pure function, so words are safe to share across threads.
+pure function.
 """
 
 from __future__ import annotations

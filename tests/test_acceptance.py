@@ -1,34 +1,43 @@
-"""Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance gate: the ``selftest`` check registry at the ``full`` level.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines; the
-same checks power ``symlift selftest``.
+There is one test per entry of ``symlift.selftest.CHECKS``.  Each calls the
+check with ``LEVELS["full"]`` and prints an ``ACCEPTANCE <n> <name>:
+PASS|FAIL`` line.  On top of the check's own verdict, the gate holds the time
+bounds and count floors below, read from the check's report.  The last test
+runs ``symlift selftest`` twice normally and once under ``python -O``, and
+requires byte-identical reports.
+
+Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
-import itertools
-import json
-import random
 import subprocess
 import sys
 import time
 
-from symlift import complexes
-from symlift.braid import bounded_kernel_search
-from symlift.kernel import certify, random_rho_conjugate_product, verify_certificate
-from symlift.lift import kernel_verdict, kernel_verdict_batch
-from symlift.symaut import (
-    GeneratorWord,
-    all_letters,
-    alpha,
-    check_relations,
-    compose,
-    eval_generator_word,
-    outer_equal,
-    rho_i,
-)
-from symlift.selftest import _scan_free_relations
-from symlift.words import free_context, normalize, torsion_context
+from symlift.selftest import CHECKS, LEVELS
 
 SEED = 20240811
+
+# seconds a check may take at the full level
+TIME_BOUNDS = {
+    "presentation": 5,
+    "route_agreement": 60,
+    "theorem_c_certificates": 300,
+    "poset_facts": 600,
+    "braid_injectivity_evidence": 300,
+}
+
+# (count read from the report, least allowed value)
+COUNT_FLOORS = {
+    "stabilizer_algebra": (lambda result: result.get("samples", 0), 100),
+    "quotient_map": (
+        lambda result: sum(
+            rank["kernel_translate_checks"] + rank["separating_checks"]
+            for rank in result["ranks"].values()
+        ),
+        400,
+    ),
+}
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -38,199 +47,39 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {number} ({name}) failed{suffix}"
 
 
-def test_criterion_1_presentation():
-    t0 = time.time()
-    ok = True
-    instances = 0
-    for n in (3, 4, 5):
-        rep = check_relations(n)
-        instances += len(rep.checks)
-        ok = ok and rep.all_pass
-    elapsed = time.time() - t0
-    report(1, "presentation", ok and elapsed < 5, f"{instances} instances, {elapsed:.1f}s")
+def _acceptance_test(number, name, fn):
+    def test():
+        t0 = time.perf_counter()
+        result = fn(LEVELS["full"], SEED)
+        elapsed = time.perf_counter() - t0
+        ok = result["passed"] and elapsed < TIME_BOUNDS.get(name, float("inf"))
+        detail = f"{elapsed:.1f}s"
+        if name in COUNT_FLOORS:
+            count, floor = COUNT_FLOORS[name]
+            ok = ok and count(result) >= floor
+            detail = f"{count(result)} sampled, {detail}"
+        report(number, name, ok, detail)
+
+    test.__name__ = f"test_criterion_{number}_{name}"
+    return test
 
 
-def test_criterion_2_route_agreement():
-    t0 = time.time()
-    rng = random.Random(SEED)
-    disagreements = unknown = total = 0
-    for n in (3, 4):
-        letters = all_letters(n)
-        words = [
-            GeneratorWord(n, tuple(rng.choice(letters) for _ in range(rng.randint(0, 20))))
-            for _ in range(1000)
-        ]
-        for v in kernel_verdict_batch(words, "both", threads=2):
-            total += 1
-            unknown += v.verdict == "unknown"
-            disagreements += not v.agree
-    elapsed = time.time() - t0
-    report(
-        2,
-        "route_agreement",
-        disagreements == 0 and unknown == 0 and elapsed < 60,
-        f"{total} words, {elapsed:.1f}s",
-    )
+# module-level functions, so each check keeps a plain test id
+for _number, (_name, _fn) in enumerate(CHECKS, start=1):
+    _test = _acceptance_test(_number, _name, _fn)
+    globals()[_test.__name__] = _test
 
 
-def test_criterion_3_rank_two_degeneracy():
-    in_kernel = 0
-    for bits in itertools.product((0, 1), repeat=3):
-        letters = []
-        if bits[0]:
-            letters.append(("r", 1))
-        if bits[1]:
-            letters.append(("r", 2))
-        if bits[2]:
-            letters.append(("s", 1, 2))
-        if kernel_verdict(GeneratorWord(2, tuple(letters)), "lift").verdict == "in":
-            in_kernel += 1
-    ctx = free_context(2)
-    conj_inner = outer_equal(
-        eval_generator_word(alpha(2, 1, 2), ctx),
-        eval_generator_word(GeneratorWord(2), ctx),
-    )
-    report(3, "rank2_degeneracy", in_kernel == 8 and conj_inner, f"{in_kernel}/8 in kernel")
-
-
-def test_criterion_4_theorem_c_certificates():
-    t0 = time.time()
-    rng = random.Random(SEED + 4)
-    failures = []
-    total = 0
-    for n in (3, 4):
-        for _ in range(250):
-            total += 1
-            target = random_rho_conjugate_product(rng, n, max_factors=6, max_conj_len=10)
-            v = kernel_verdict(target, "both")
-            cert = certify(target)
-            ok = (
-                v.verdict == "in"
-                and v.agree
-                and cert is not None
-                and verify_certificate(cert, target)
-            )
-            if not ok:
-                failures.append(str(target))
-    elapsed = time.time() - t0
-    report(
-        4,
-        "theorem_c_certificates",
-        not failures and elapsed < 300,
-        f"{total} products, {elapsed:.1f}s",
-    )
-
-
-def test_criterion_5_corollary_d():
-    ctx = free_context(3)
-    pair = outer_equal(
-        eval_generator_word(alpha(3, 1, 3), ctx),
-        eval_generator_word(alpha(3, 2, 3, -1), ctx),
-    )
-    checked, relation = _scan_free_relations(8)
-    rng = random.Random(SEED + 5)
-    hctx = torsion_context(3, 2)
-    gens = {1: ("a", 1, 2), 2: ("a", 2, 3), 3: ("a", 3, 1)}
-    mismatches = 0
-    for _ in range(500):
-        word = [rng.choice((1, 2, 3, -1, -2, -3)) for _ in range(rng.randint(0, 10))]
-        letters = tuple(gens[abs(c)] + (1 if c > 0 else -1,) for c in word)
-        in_ker = kernel_verdict(GeneratorWord(3, letters), "inner-in-H").verdict == "in"
-        oracle = len(normalize([(abs(c), 1) for c in word], hctx)) == 0
-        mismatches += in_ker != oracle
-    report(
-        5,
-        "corollary_d",
-        pair and relation is None and mismatches == 0,
-        f"{checked} relation words, 500 oracle words",
-    )
-
-
-def test_criterion_6_poset_facts():
-    t0 = time.time()
-    sizes = {n: len(complexes.enumerate_whitehead_poset(n).elements) for n in (2, 3)}
-    ok = sizes[2] == 1 and sizes[3] == 4
-    for n in (2, 3, 4, 5):
-        poset = complexes.enumerate_whitehead_poset(n)
-        ok = ok and poset.max_chain_cardinality() == n - 1
-        hom = complexes.order_complex_homology(poset)
-        ok = ok and hom.euler_characteristic == 1 and hom.is_reduced_acyclic
-    elapsed = time.time() - t0
-    report(6, "poset_facts", ok and elapsed < 600, f"{elapsed:.1f}s")
-
-
-def _sample_spec(rng, poset, n):
-    while True:
-        t = rng.choice(poset.elements)
-        v = rng.randint(1, n)
-        comps = complexes.components_without(t, v)
-        if len(comps) < 2:
-            continue
-        powers = [0] * n
-        for comp in comps[:-1]:
-            p = rng.randint(-2, 2)
-            for l in comp:
-                powers[l - 1] = p
-        spec = complexes.VertexAutomorphismSpec(t, v, tuple(powers))
-        if any(spec.powers):
-            return spec
-
-
-def test_criterion_7_stabilizer_algebra():
-    rng = random.Random(SEED + 7)
-    samples = 0
-    ok = True
-    for n in (3, 4):
-        ctx = free_context(n)
-        poset = complexes.enumerate_whitehead_poset(n)
-        for _ in range(55):
-            spec = _sample_spec(rng, poset, n)
-            samples += 1
-            f = complexes.vertex_aut_eval(spec, ctx)
-            r = eval_generator_word(rho_i(n, spec.vertex), ctx)
-            if compose(compose(r, f), r) != complexes.vertex_aut_eval(
-                spec.inverse_spec(), ctx
-            ):
-                ok = False
-            other = _sample_spec(rng, poset, n)
-            if other.tree == spec.tree and other.vertex != spec.vertex:
-                g = complexes.vertex_aut_eval(other, ctx)
-                if not outer_equal(compose(f, g), compose(g, f)):
-                    ok = False
-        for t in poset.elements:
-            if not all(flag for _, flag in complexes.stabilizer_soundness(t)):
-                ok = False
-    report(7, "stabilizer_algebra", ok and samples >= 100, f"{samples} samples")
-
-
-def test_criterion_8_quotient_map():
-    rng = random.Random(SEED + 8)
-    ok = True
-    checks = 0
-    for n in (3, 4):
-        rep = complexes.quotient_star_check(n, rng, samples=100)
-        ok = ok and rep.all_pass
-        checks += rep.kernel_translate_checks + rep.separating_checks
-    report(8, "quotient_map", ok and checks >= 400, f"{checks} sampled translates")
-
-
-def test_criterion_9_braid_injectivity_evidence():
-    t0 = time.time()
-    ok = True
-    total = 0
-    for strands, modulus, max_len in ((2, 2, 6), (3, 2, 6), (3, 3, 4)):
-        rep = bounded_kernel_search(strands, modulus, max_len)
-        ok = ok and rep.flagged == ()
-        total += rep.words_checked
-    elapsed = time.time() - t0
-    report(9, "braid_search", ok and elapsed < 300, f"{total} braids, {elapsed:.1f}s")
+def test_bounds_name_registered_checks():
+    assert set(TIME_BOUNDS) | set(COUNT_FLOORS) <= {name for name, _ in CHECKS}
 
 
 def test_criterion_10_determinism():
-    def run(threads):
+    def run(*python_flags):
         proc = subprocess.run(
             [
                 sys.executable,
+                *python_flags,
                 "-m",
                 "symlift.cli",
                 "selftest",
@@ -238,8 +87,6 @@ def test_criterion_10_determinism():
                 "quick",
                 "--seed",
                 "7",
-                "--threads",
-                str(threads),
             ],
             capture_output=True,
             text=True,
@@ -247,13 +94,5 @@ def test_criterion_10_determinism():
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
-    single_a = run(1)
-    single_b = run(1)
-    quad_a = run(4)
-    quad_b = run(4)
-    ok = single_a == single_b and quad_a == quad_b
-    # thread count must not change any check outcome either
-    a, q = json.loads(single_a), json.loads(quad_a)
-    a.pop("threads"), q.pop("threads")
-    ok = ok and a == q
-    report(10, "determinism", ok, "two runs each at 1 and 4 threads")
+    outputs = [run(), run(), run("-O")]
+    report(10, "determinism", len(set(outputs)) == 1, "two runs, one more under python -O")

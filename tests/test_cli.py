@@ -102,11 +102,25 @@ def test_braid_commands(capsys):
     assert code == 0 and payload["search"]["flagged"] == []
 
 
-def test_malformed_input_exits_2(capsys):
+def test_malformed_input_exits_2(capsys, tmp_path):
     code, payload = run(capsys, "lift", "kernel", "--n", "3", "--word", "a[1,1]")
     assert code == 2 and "error" in payload
     code, payload = run(capsys, "words", "normalize", "--ctx", "Q:9", "--word", "e")
     assert code == 2 and "error" in payload
+    cert_file = tmp_path / "cert.json"
+    for data in ({"conjugators": []}, [1, 2], 5, {"certificate": None},
+                 {"rank": "3", "conjugators": []}, {"rank": 3, "conjugators": [3]}):
+        cert_file.write_text(json.dumps(data))
+        code, payload = run(
+            capsys, "kernel", "verify", "--cert", str(cert_file), "--word", "a[1,2]"
+        )
+        assert code == 2 and "certificate" in payload["error"]["message"], data
+    for argv in (("symaut", "eval", "--word", "a[1,2]"),
+                 ("symaut", "outer-equal", "--left", "e", "--right", "e")):
+        code, payload = run(capsys, *argv)
+        assert code == 2 and "--n or --ctx" in payload["error"]["message"]
+    code, payload = run(capsys, "braid", "search", "--n", "1", "--k", "2", "--max-len", "3")
+    assert code == 2 and "2 strands" in payload["error"]["message"]
 
 
 def test_usage_error_exits_2(capsys):
@@ -131,3 +145,35 @@ def test_selftest_fault_injection(capsys, monkeypatch):
     failing = [c for c in payload["checks"] if not c["passed"]]
     assert [c["name"] for c in failing] == ["presentation"]
     assert "injected_fault(0,)" in failing[0]["ranks"]["3"]["failures"]
+
+
+def test_selftest_poset_fault_injection(capsys, monkeypatch):
+    # drop one cover below a maximal tree: sizes and longest chains stay,
+    # the proper part's homology does not
+    import symlift.complexes as complexes_mod
+
+    enumerate_poset = complexes_mod.enumerate_whitehead_poset
+
+    def corrupted(n):
+        poset = enumerate_poset(n)
+        if n < 4:
+            return poset
+        top = len(poset.elements) - 1
+        below = [
+            i for i in range(top)
+            if poset.leq[i][top]
+            and poset.elements[i].unlabelled_count == poset.elements[top].unlabelled_count - 1
+        ]
+        leq = [list(row) for row in poset.leq]
+        leq[below[0]][top] = False
+        return complexes_mod.WhiteheadPoset(
+            n, poset.elements, tuple(tuple(row) for row in leq)
+        )
+
+    monkeypatch.setattr(complexes_mod, "enumerate_whitehead_poset", corrupted)
+    code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "3")
+    assert code == 1
+    failing = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failing] == ["poset_facts"]
+    assert failing[0]["sizes"]["4"] == 29
+    assert failing[0]["max_chain_cardinality"]["4"] == 3

@@ -29,7 +29,7 @@ from symlift.symaut import (
     parse_generator_word,
     rho_i,
 )
-from symlift.words import WordError, free_context, parse_word, torsion_context
+from symlift.words import WordError, format_word, free_context, parse_word, torsion_context
 
 F3 = free_context(3)
 H3 = torsion_context(3, 2)
@@ -298,6 +298,30 @@ def test_nuclear_vertex_identifies_inner_translates():
         (parse_word("z1", H3), parse_word("z3 z2 z3", H3), parse_word("z3", H3)), H3
     )
     assert v == w
+
+
+def _vertex_from_factors(*conjugators):
+    """The F3 vertex of the basis c_i y_i c_i^-1."""
+    basis = []
+    for i, text in enumerate(conjugators, start=1):
+        c = parse_word(text, F3)
+        basis.append(c * parse_word(f"y{i}", F3) * c.inverse())
+    return NuclearVertex.from_basis(basis, F3)
+
+
+def test_nuclear_vertex_free_conjugates_share_one_form():
+    # y1^3 conjugates one factor set into the other; the least conjugator
+    # lengths sit at y1^0 and y1^3, which single letters do not join
+    v = _vertex_from_factors("e", "y1^-3 y2 y3 y2^-1 y1", "y2")
+    w = _vertex_from_factors("e", "y2 y3 y2^-1 y1", "y1^3 y2")
+    assert v == w
+    # a factor set whose conjugator length is flat along the ray y1^k
+    u = _vertex_from_factors(
+        "e",
+        "y1^4 y3^-1 y1^-2 y3",
+        "y1^3 y3^-1 y1^-2 y3 y2 y3^-1 y1^2 y3 y1^-2 y3^-1 y1^-2 y3 y2^-1 y3^-1 y1^2 y3 y1^-1",
+    )
+    assert u == _vertex_from_factors(*(format_word(c) for c, _ in u.factors))
 
 
 def test_nuclear_vertex_inversion_translate_is_fixed():

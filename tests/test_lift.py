@@ -7,7 +7,6 @@ from symlift.lift import (
     Restriction,
     iota,
     kernel_verdict,
-    kernel_verdict_batch,
     lift_restrict,
     reduce_aut,
     reduce_mod,
@@ -193,14 +192,6 @@ def test_rank_two_collapses_through_the_lift_route():
     v = kernel_verdict(GeneratorWord(2, (("s", 1, 2),)), "both")
     assert v.routes["lift"] and not v.routes["inner-in-H"]
     assert v.verdict == "in"
-
-
-def test_batch_matches_sequential_and_order():
-    rng = random.Random(9)
-    words = [random_gw(rng, 3) for _ in range(40)]
-    seq = [v.to_json() for v in kernel_verdict_batch(words, "both", threads=1)]
-    par = [v.to_json() for v in kernel_verdict_batch(words, "both", threads=4)]
-    assert seq == par
 
 
 def test_verdict_json_shape():
