@@ -8,23 +8,33 @@ import argparse
 import time
 
 from symlift.complexes import enumerate_whitehead_poset, order_complex_homology
+from symlift.selftest import proper_part
 
 
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-rank", type=int, default=5)
     args = parser.parse_args()
-    header = f"{'n':>2} {'elements':>9} {'covers':>7} {'max chain':>9} {'chi':>4} {'acyclic':>8} {'time':>7}"
+    header = (
+        f"{'n':>2} {'elements':>9} {'covers':>7} {'max chain':>9} {'chi':>4} "
+        f"{'proper part reduced betti':>25} {'time':>7}"
+    )
     print(header)
     print("-" * len(header))
     for n in range(2, args.max_rank + 1):
         t0 = time.time()
         poset = enumerate_whitehead_poset(n)
         hom = order_complex_homology(poset)
+        # the whole poset is a cone on the trivial tree, hence acyclic
+        part = proper_part(poset)
+        proper = order_complex_homology(part)
+        betti = str(list(proper.reduced_betti)) if part.elements else "(empty)"
+        if any(proper.torsion):
+            betti += f" torsion {[list(t) for t in proper.torsion]}"
         print(
             f"{n:>2} {len(poset.elements):>9} {len(poset.covers()):>7} "
             f"{poset.max_chain_cardinality():>9} {hom.euler_characteristic:>4} "
-            f"{str(hom.is_reduced_acyclic):>8} {time.time() - t0:>6.1f}s"
+            f"{betti:>25} {time.time() - t0:>6.1f}s"
         )
         print(f"   simplices by dimension: {list(hom.simplex_counts)}")
 

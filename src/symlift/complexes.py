@@ -19,16 +19,19 @@ kernel.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .symaut import (
     GeneratorWord,
     SymmetricAut,
+    all_letters,
     compose,
     eval_generator_word,
     identity_aut,
+    is_inner,
     rho_i,
 )
 from .words import (
@@ -45,6 +48,25 @@ from .words import (
 )
 
 Edge = tuple[int, int]  # (label, unlabelled id)
+
+
+def _encode(edges: Iterable[Edge], name: Callable[[int], str]) -> str:
+    """Minimal rooted encoding over unlabelled roots, labels written by ``name``."""
+    lab_adj: dict[int, list[int]] = {}
+    unit_adj: dict[int, list[int]] = {}
+    for l, u in edges:
+        lab_adj.setdefault(l, []).append(u)
+        unit_adj.setdefault(u, []).append(l)
+
+    def enc_unit(u: int, parent: Optional[int]) -> str:
+        kids = sorted(enc_label(l, u) for l in unit_adj[u] if l != parent)
+        return "(" + ",".join(kids) + ")"
+
+    def enc_label(l: int, parent: Optional[int]) -> str:
+        kids = sorted(enc_unit(u, l) for u in lab_adj[l] if u != parent)
+        return name(l) + ("" if not kids else "[" + ",".join(kids) + "]")
+
+    return min(enc_unit(u, None) for u in unit_adj)
 
 
 @dataclass(frozen=True)
@@ -67,6 +89,7 @@ class LabelledBipartiteTree:
                 raise WordError(f"unlabelled vertex {u} has valence < 2")
         if m > n - 1:
             raise WordError("too many unlabelled vertices")  # pragma: no cover
+        object.__setattr__(self, "_key", _encode(self.edges, str))
 
     def _connected(self, labels: set[int], units: set[int]) -> bool:
         nodes = {("L", l) for l in labels} | {("U", u) for u in units}
@@ -97,41 +120,12 @@ class LabelledBipartiteTree:
         return sorted(u for l, u in self.edges if l == label)
 
     def canonical(self) -> str:
-        """Isomorphism-class key: minimal rooted encoding over unlabelled
-        roots (labels are preserved, unlabelled vertices interchangeable)."""
-        lab_adj: dict[int, list[int]] = {}
-        unit_adj: dict[int, list[int]] = {}
-        for l, u in self.edges:
-            lab_adj.setdefault(l, []).append(u)
-            unit_adj.setdefault(u, []).append(l)
-
-        def enc_unit(u: int, parent: Optional[int]) -> str:
-            kids = sorted(enc_label(l, u) for l in unit_adj[u] if l != parent)
-            return "(" + ",".join(kids) + ")"
-
-        def enc_label(l: int, parent: Optional[int]) -> str:
-            kids = sorted(enc_unit(u, l) for u in lab_adj[l] if u != parent)
-            return str(l) + ("" if not kids else "[" + ",".join(kids) + "]")
-
-        return min(enc_unit(u, None) for u in unit_adj)
+        """Isomorphism-class key (labels kept, unlabelled vertices interchangeable)."""
+        return self._key
 
     def type_encoding(self) -> str:
         """Isomorphism class forgetting labels (the tree's type)."""
-        lab_adj: dict[int, list[int]] = {}
-        unit_adj: dict[int, list[int]] = {}
-        for l, u in self.edges:
-            lab_adj.setdefault(l, []).append(u)
-            unit_adj.setdefault(u, []).append(l)
-
-        def enc_unit(u: int, parent) -> str:
-            kids = sorted(enc_label(l, u) for l in unit_adj[u] if l != parent)
-            return "(" + ",".join(kids) + ")"
-
-        def enc_label(l: int, parent) -> str:
-            kids = sorted(enc_unit(u, l) for u in lab_adj[l] if u != parent)
-            return "*" + ("" if not kids else "[" + ",".join(kids) + "]")
-
-        return min(enc_unit(u, None) for u in unit_adj)
+        return _encode(self.edges, lambda l: "*")
 
     def relabelled(self, perm: Sequence[int]) -> "LabelledBipartiteTree":
         """Apply label i -> perm[i-1]."""
@@ -143,11 +137,11 @@ class LabelledBipartiteTree:
         return (
             isinstance(other, LabelledBipartiteTree)
             and self.rank == other.rank
-            and self.canonical() == other.canonical()
+            and self._key == other._key
         )
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.canonical()))
+        return hash((self.rank, self._key))
 
     def to_dot(self, name: str = "tree") -> str:
         lines = [f"graph {name} {{"]
@@ -192,6 +186,25 @@ def all_folds(t: LabelledBipartiteTree) -> list[tuple[int, int, int, LabelledBip
     return out
 
 
+def _unfolds(t: LabelledBipartiteTree) -> list[LabelledBipartiteTree]:
+    """The trees with a fold to ``t``, up to isomorphism: split an unlabelled
+    vertex u at a labelled neighbour l, moving a nonempty proper group of u's
+    other neighbours to a fresh vertex that is also joined to l."""
+    fresh = max(t.unit_ids()) + 1
+    out = []
+    for u in t.unit_ids():
+        neighbours = sorted(l for l, uu in t.edges if uu == u)
+        for l in neighbours:
+            rest = [k for k in neighbours if k != l]
+            # rest[0] always stays, so each unordered split is listed once
+            for size in range(1, len(rest)):
+                for moved in itertools.combinations(rest[1:], size):
+                    edges = t.edges - {(k, u) for k in moved}
+                    edges |= {(k, fresh) for k in moved + (l,)}
+                    out.append(LabelledBipartiteTree(t.rank, edges))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The Whitehead poset over a fixed basis
 # ---------------------------------------------------------------------------
@@ -213,15 +226,7 @@ class WhiteheadPoset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with elements[i] covered by elements[j]."""
-        out = []
-        for j, t in enumerate(self.elements):
-            seen = set()
-            for _, _, _, folded in all_folds(t):
-                i = self.index_of(folded)
-                if i not in seen:
-                    seen.add(i)
-                    out.append((i, j))
-        return sorted(out)
+        return _fold_covers(self.elements)
 
     def max_chain_cardinality(self) -> int:
         order = sorted(range(len(self.elements)), key=lambda i: self.elements[i].unlabelled_count)
@@ -251,52 +256,48 @@ class WhiteheadPoset:
         }
 
 
-def _enumerate_trees(n: int) -> list[LabelledBipartiteTree]:
-    found: dict[str, LabelledBipartiteTree] = {}
-    for m in range(1, n):
-        slots = [(l, u) for l in range(1, n + 1) for u in range(m)]
-        need = n + m - 1
-        for chosen in itertools.combinations(slots, need):
-            label_deg = [0] * (n + 1)
-            unit_deg = [0] * m
-            for l, u in chosen:
-                label_deg[l] += 1
-                unit_deg[u] += 1
-            if any(d == 0 for d in label_deg[1:]) or any(d < 2 for d in unit_deg):
-                continue
-            try:
-                t = LabelledBipartiteTree(n, frozenset(chosen))
-            except WordError:
-                continue
-            found.setdefault(t.canonical(), t)
-    return [found[k] for k in sorted(found)]
+def _fold_covers(elements: Sequence[LabelledBipartiteTree]) -> list[tuple[int, int]]:
+    """Sorted pairs (i, j) with one fold taking elements[j] to elements[i].
+    Every fold lowers the unlabelled count by one, so these are the covers."""
+    index = {t: i for i, t in enumerate(elements)}
+    pairs = set()
+    for j, t in enumerate(elements):
+        for _, _, _, folded in all_folds(t):
+            if folded not in index:
+                raise WordError("tree not in poset")
+            pairs.add((index[folded], j))
+    return sorted(pairs)
+
+
+MAX_POSET_RANK = 6  # rank 7 has 79,745 classes: a dense leq of ~6.4e9 entries
 
 
 @lru_cache(maxsize=None)
 def enumerate_whitehead_poset(n: int) -> WhiteheadPoset:
     """All isomorphism classes of labelled bipartite trees at rank ``n``,
-    ordered by fold-reachability."""
+    ordered by fold-reachability.
+
+    Every non-trivial tree has a fold, so a search of unfolds from the
+    trivial tree reaches every class; ``leq`` closes the fold covers.
+    """
     if n < 2:
         raise WordError("the poset needs rank >= 2 (no valid trees at rank 1)")
-    elements = _enumerate_trees(n)
-    elements.sort(key=lambda t: (t.unlabelled_count, t.canonical()))
-    index = {t.canonical(): i for i, t in enumerate(elements)}
+    if n > MAX_POSET_RANK:
+        raise WordError(f"the poset is limited to rank <= {MAX_POSET_RANK}, not {n}")
+    queue = [trivial_tree(n)]
+    seen = set(queue)
+    for t in queue:
+        for s in _unfolds(t):
+            if s not in seen:
+                seen.add(s)
+                queue.append(s)
+    elements = sorted(queue, key=lambda t: (t.unlabelled_count, t.canonical()))
     size = len(elements)
-    below: list[set[int]] = [set() for _ in range(size)]
-    for j, t in enumerate(elements):
-        reach = {j}
-        stack = [t]
-        while stack:
-            cur = stack.pop()
-            for _, _, _, folded in all_folds(cur):
-                i = index[folded.canonical()]
-                if i not in reach:
-                    reach.add(i)
-                    stack.append(folded)
-        below[j] = reach
-    leq = tuple(
-        tuple(i in below[j] for j in range(size)) for i in range(size)
-    )
+    # a cover (i, j) has i < j, so each up-set is complete before it is read
+    above = [{i} for i in range(size)]
+    for i, j in reversed(_fold_covers(elements)):
+        above[i] |= above[j]
+    leq = tuple(tuple(j in up for j in range(size)) for up in above)
     return WhiteheadPoset(n, tuple(elements), leq)
 
 
@@ -422,8 +423,6 @@ def _dense_smith(a: list[list[int]]) -> list[int]:
     # enforce divisibility chain
     for i in range(len(divisors)):
         for j in range(i + 1, len(divisors)):
-            import math
-
             g = math.gcd(divisors[i], divisors[j])
             l = divisors[i] * divisors[j] // g if g else 0
             divisors[i], divisors[j] = g, l
@@ -987,6 +986,8 @@ def quotient_star_check(n: int, rng, samples: int = 25) -> QuotientCheckReport:
     (c) Translates whose mod-2 image is non-inner land on distinct projected
         vertices.
     """
+    if samples < 1:
+        raise WordError(f"samples must be >= 1, not {samples}")
     fctx = free_context(n)
     hctx = torsion_context(n, 2)
     poset_f = enumerate_whitehead_poset(n)
@@ -1000,9 +1001,6 @@ def quotient_star_check(n: int, rng, samples: int = 25) -> QuotientCheckReport:
     star_iso = star_iso and all(
         generator_conjugate_shape(w) is not None for w in q0.basis_words()
     )
-
-    from .symaut import all_letters
-
     pure = [l for l in all_letters(n) if l[0] == "a"]
     kernel_ok = True
     k_checks = 0
@@ -1023,8 +1021,6 @@ def quotient_star_check(n: int, rng, samples: int = 25) -> QuotientCheckReport:
         attempts += 1
         gw = GeneratorWord(n, tuple(rng.choice(pure) for _ in range(rng.randint(1, 4))))
         h = eval_generator_word(gw, hctx)
-        from .symaut import is_inner
-
         if is_inner(h):
             continue
         g = eval_generator_word(gw, fctx)

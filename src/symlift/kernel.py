@@ -19,7 +19,6 @@ semipalindromes) into a verified list of conjugators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal, Optional
 
 from .symaut import (
@@ -42,12 +41,14 @@ class SpNode:
     inner: Optional["SpNode"] = None
 
     def letters(self) -> tuple[Letter, ...]:
-        if self.kind == "empty":
-            return ()
-        inner = self.inner.letters()
-        if self.kind == "wrap_same":
-            return (self.letter,) + inner + (self.letter,)
-        return (self.letter,) + inner + (letter_inverse(self.letter),)
+        head, tail = [], []
+        node = self
+        while node.kind != "empty":
+            letter = node.letter
+            head.append(letter)
+            tail.append(letter if node.kind == "wrap_same" else letter_inverse(letter))
+            node = node.inner
+        return tuple(head + tail[::-1])
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,7 @@ class SemipalindromeDerivation:
     blocks: tuple[SpNode, ...]
 
     def letters(self) -> tuple[Letter, ...]:
-        out: tuple[Letter, ...] = ()
-        for block in self.blocks:
-            out += block.letters()
-        return out
+        return tuple(l for block in self.blocks for l in block.letters())
 
     def block_words(self) -> tuple[GeneratorWord, ...]:
         return tuple(GeneratorWord(self.rank, b.letters()) for b in self.blocks)
@@ -78,28 +76,32 @@ def _sp_table(letters: tuple[Letter, ...]):
 
     The doubled-letter base is the same-sign wrap around the empty word, so a
     single recurrence suffices: first and last letters agree up to sign and
-    the interior is a semipalindrome.
+    the interior is a semipalindrome.  Unrolled, letters[i:j] has even length
+    and its mirrored pairs agree up to sign; ``radius[c]`` counts the pairs
+    that agree outwards from the gap before letters[c].
     """
     n = len(letters)
+    radius = []
+    for c in range(n + 1):
+        r = 0
+        while r < c and c + r < n and letters[c + r] in (
+            letters[c - 1 - r], letter_inverse(letters[c - 1 - r])
+        ):
+            r += 1
+        radius.append(r)
 
-    @lru_cache(maxsize=None)
     def sp(i: int, j: int) -> bool:
-        if i == j:
-            return True
-        if (j - i) % 2:
-            return False
-        first, last = letters[i], letters[j - 1]
-        return (last == first or last == letter_inverse(first)) and sp(i + 1, j - 1)
+        return (j - i) % 2 == 0 and radius[(i + j) // 2] >= (j - i) // 2
 
     return sp
 
 
 def _derivation(letters: tuple[Letter, ...], i: int, j: int) -> SpNode:
-    if i == j:
-        return SpNode("empty")
-    first, last = letters[i], letters[j - 1]
-    kind = "wrap_same" if last == first else "wrap_inv"
-    return SpNode(kind, first, _derivation(letters, i + 1, j - 1))
+    node = SpNode("empty")
+    for k in range((i + j) // 2 - 1, i - 1, -1):  # innermost pair first
+        first, last = letters[k], letters[i + j - 1 - k]
+        node = SpNode("wrap_same" if last == first else "wrap_inv", first, node)
+    return node
 
 
 def parse_semipalindrome_product(gw: GeneratorWord) -> Optional[SemipalindromeDerivation]:
@@ -118,19 +120,16 @@ def parse_semipalindrome_product(gw: GeneratorWord) -> Optional[SemipalindromeDe
     if n % 2:
         return None
     sp = _sp_table(letters)
-
-    @lru_cache(maxsize=None)
-    def splittable(i: int) -> bool:
-        if i == n:
-            return True
-        return any(sp(i, j) and splittable(j) for j in range(i + 2, n + 1, 2))
-
-    if not splittable(0):
+    # splittable[i]: letters[i:] is a product of semipalindromes
+    splittable = [False] * n + [True]
+    for i in range(n - 2, -1, -2):
+        splittable[i] = any(splittable[j] and sp(i, j) for j in range(i + 2, n + 1, 2))
+    if not splittable[0]:
         return None
     blocks = []
     i = 0
     while i < n:
-        j = min(j for j in range(i + 2, n + 1, 2) if sp(i, j) and splittable(j))
+        j = min(j for j in range(i + 2, n + 1, 2) if splittable[j] and sp(i, j))
         blocks.append(_derivation(letters, i, j))
         i = j
     return SemipalindromeDerivation(gw.rank, tuple(blocks))
@@ -251,20 +250,24 @@ class Certificate:
 
 
 def _node_certificate(node: SpNode, rank: int) -> list[GeneratorWord]:
-    if node.kind == "empty":
-        return []
     letters = node.letters()
-    half = len(letters) // 2
-    if all(letters[j] == letters[-1 - j] for j in range(half)):
+    n = len(letters)
+    # the nest below depth d is mirror-symmetric iff every pair (k, n-1-k)
+    # with k >= d is equal: the outermost one starts after the last unequal pair
+    top = max(
+        (k + 1 for k in range(n // 2) if letters[k] != letters[n - 1 - k]), default=0
+    )
+    out: list[GeneratorWord] = []
+    if top < n // 2:
         # mirror-symmetric block: v rev(v) = (v rho v^{-1}) rho, two factors
-        return [GeneratorWord(rank, letters[:half]), GeneratorWord(rank)]
-    inner = _node_certificate(node.inner, rank)
-    letter_word = GeneratorWord(rank, (node.letter,))
-    wrapped = [letter_word * c for c in inner]
-    if node.kind == "wrap_inv":
-        return wrapped
-    # a u a = (a u a^{-1}) a^2  and  a^2 = (a rho a^{-1}) rho
-    return wrapped + [letter_word, GeneratorWord(rank)]
+        out = [GeneratorWord(rank, letters[top : n // 2]), GeneratorWord(rank)]
+    for d in reversed(range(top)):
+        letter_word = GeneratorWord(rank, (letters[d],))
+        out = [letter_word * c for c in out]
+        if letters[n - 1 - d] == letters[d]:
+            # a u a = (a u a^{-1}) a^2  and  a^2 = (a rho a^{-1}) rho
+            out += [letter_word, GeneratorWord(rank)]
+    return out
 
 
 def _certificate_for_derivation(d: SemipalindromeDerivation) -> list[GeneratorWord]:

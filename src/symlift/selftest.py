@@ -243,7 +243,7 @@ def check_corollary_d(params, seed) -> dict:
     }
 
 
-def _proper_part(poset: complexes.WhiteheadPoset) -> complexes.WhiteheadPoset:
+def proper_part(poset: complexes.WhiteheadPoset) -> complexes.WhiteheadPoset:
     """The poset without its minimum, the trivial tree."""
     bottom = poset.index_of(complexes.trivial_tree(poset.rank))
     keep = [i for i in range(len(poset.elements)) if i != bottom]
@@ -274,7 +274,7 @@ def check_poset_facts(params, seed) -> dict:
         ok = ok and chains[str(n)] == n - 1
         if n < 3:
             continue
-        report = complexes.order_complex_homology(_proper_part(poset))
+        report = complexes.order_complex_homology(proper_part(poset))
         proper[str(n)] = {
             "reduced_betti": list(report.reduced_betti),
             "torsion": [list(t) for t in report.torsion],

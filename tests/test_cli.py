@@ -74,6 +74,13 @@ def test_kernel_certify_and_verify(capsys, tmp_path):
     assert code == 1 and payload["verified"] is False
     code, payload = run(capsys, "kernel", "certify", "--n", "3", "--word", "a[1,2]")
     assert code == 1 and payload["status"] == "absent"
+    # longer than the recursion limit allows a recursive parse
+    long_word = " ".join(["a[1,2]"] * 500)
+    code, payload = run(capsys, "kernel", "certify", "--n", "3", "--word", long_word)
+    assert code == 0 and payload["status"] == "certified"
+    cert_file.write_text(json.dumps(payload["certificate"]))
+    code, payload = run(capsys, "kernel", "verify", "--cert", str(cert_file), "--word", long_word)
+    assert code == 0 and payload["verified"] is True
 
 
 def test_complex_commands(capsys):
@@ -121,6 +128,14 @@ def test_malformed_input_exits_2(capsys, tmp_path):
         assert code == 2 and "--n or --ctx" in payload["error"]["message"]
     code, payload = run(capsys, "braid", "search", "--n", "1", "--k", "2", "--max-len", "3")
     assert code == 2 and "2 strands" in payload["error"]["message"]
+    for samples in ("0", "-1"):
+        code, payload = run(
+            capsys, "complex", "quotient-check", "--n", "3", "--samples", samples
+        )
+        assert code == 2 and "samples" in payload["error"]["message"]
+    for command in ("poset", "homology"):
+        code, payload = run(capsys, "complex", command, "--n", "7")
+        assert code == 2 and "rank <= 6" in payload["error"]["message"]
 
 
 def test_usage_error_exits_2(capsys):

@@ -4,8 +4,10 @@ import random
 import pytest
 
 from symlift.complexes import (
+    LabelledBipartiteTree,
     NuclearVertex,
     VertexAutomorphismSpec,
+    WhiteheadPoset,
     all_folds,
     components_without,
     enumerate_whitehead_poset,
@@ -20,6 +22,7 @@ from symlift.complexes import (
     trivial_tree,
     vertex_aut_eval,
     _generated_subgroup,
+    _unfolds,
 )
 from symlift.symaut import (
     compose,
@@ -81,13 +84,77 @@ def test_folds_reduce_unlabelled_count_by_one():
 # -- the poset -------------------------------------------------------------------
 
 
+def subset_scan(n):
+    """Reference enumeration: every edge subset of the right size that is a
+    tree, one per isomorphism class, in poset order."""
+    found = {}
+    for m in range(1, n):
+        slots = [(l, u) for l in range(1, n + 1) for u in range(m)]
+        for chosen in itertools.combinations(slots, n + m - 1):
+            try:
+                t = LabelledBipartiteTree(n, frozenset(chosen))
+            except WordError:
+                continue
+            found.setdefault(t.canonical(), t)
+    return sorted(found.values(), key=lambda t: (t.unlabelled_count, t.canonical()))
+
+
+def proper_part(poset):
+    """The poset without the trivial tree, its minimum."""
+    keep = [i for i, t in enumerate(poset.elements) if t.unlabelled_count > 1]
+    return WhiteheadPoset(
+        poset.rank,
+        tuple(poset.elements[i] for i in keep),
+        tuple(tuple(poset.leq[i][j] for j in keep) for i in keep),
+    )
+
+
+def fold_reachable(poset, j):
+    """Reference order: the indices reachable from ``j`` by folds."""
+    reach, stack = {j}, [poset.elements[j]]
+    while stack:
+        for _, _, _, folded in all_folds(stack.pop()):
+            i = poset.index_of(folded)
+            if i not in reach:
+                reach.add(i)
+                stack.append(folded)
+    return reach
+
+
 def test_poset_counts():
-    assert len(enumerate_whitehead_poset(2).elements) == 1
-    p3 = enumerate_whitehead_poset(3)
-    assert len(p3.elements) == 4
-    assert len(p3.covers()) == 3
+    # the labelled hypertree counts, OEIS A030019
+    for n, size in ((2, 1), (3, 4), (4, 29), (5, 311)):
+        assert len(enumerate_whitehead_poset(n).elements) == size
+    assert len(enumerate_whitehead_poset(3).covers()) == 3
     with pytest.raises(WordError):
         enumerate_whitehead_poset(1)
+    with pytest.raises(WordError, match="rank <= 6"):
+        enumerate_whitehead_poset(7)
+
+
+def test_unfolding_matches_subset_scan_and_fold_reachability():
+    for n in (2, 3, 4):
+        poset = enumerate_whitehead_poset(n)
+        assert [t.canonical() for t in poset.elements] == [
+            t.canonical() for t in subset_scan(n)
+        ]
+        size = len(poset.elements)
+        for j in range(size):
+            below = fold_reachable(poset, j)
+            assert [poset.leq[i][j] for i in range(size)] == [i in below for i in range(size)]
+
+
+def test_unfolds_invert_folds_and_give_the_upper_covers():
+    for n in (3, 4, 5):
+        poset = enumerate_whitehead_poset(n)
+        above = {i: set() for i in range(len(poset.elements))}
+        for i, j in poset.covers():
+            above[i].add(poset.elements[j])
+        for i, t in enumerate(poset.elements):
+            ups = _unfolds(t)
+            for s in ups:
+                assert t in [folded for _, _, _, folded in all_folds(s)]
+            assert set(ups) == above[i]
 
 
 def test_poset_rank3_is_exactly_trivial_plus_paths():
@@ -127,14 +194,21 @@ def test_homology_point():
 
 
 def test_homology_rank_3_star():
-    report = order_complex_homology(enumerate_whitehead_poset(3))
+    poset = enumerate_whitehead_poset(3)
+    report = order_complex_homology(poset)
     assert report.simplex_counts == (4, 3)
     assert report.euler_characteristic == 1 and report.is_reduced_acyclic
+    # the proper part is three points
+    proper = order_complex_homology(proper_part(poset))
+    assert proper.reduced_betti == (2,) and proper.torsion == ((),)
 
 
 def test_homology_rank_4():
-    report = order_complex_homology(enumerate_whitehead_poset(4))
+    poset = enumerate_whitehead_poset(4)
+    report = order_complex_homology(poset)
     assert report.euler_characteristic == 1 and report.is_reduced_acyclic
+    proper = order_complex_homology(proper_part(poset))
+    assert proper.reduced_betti == (0, 9) and proper.torsion == ((), ())
 
 
 # -- vertex automorphisms ---------------------------------------------------------

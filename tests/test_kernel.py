@@ -108,6 +108,31 @@ def test_certify_examples():
     cert = certify(rho(3))
     assert cert is not None and [str(c) for c in cert.conjugators] == ["e"]
     assert certify(gw("a[1,2]")) is None
+    # same-sign wrap around an inverse wrap, and a wrap around a mirror block
+    cert = certify(gw("a[1,2] a[2,3] a[2,3]^-1 a[1,2]"))
+    assert [str(c) for c in cert.conjugators] == ["a[1,2]", "e"]
+    cert = certify(gw("a[1,2] a[2,3] a[3,1] a[3,1] a[2,3] a[1,2]^-1"))
+    assert [str(c) for c in cert.conjugators] == ["a[1,2] a[2,3] a[3,1]", "a[1,2]"]
+
+
+def nest(depth, inverted):
+    """v rev(v), or v v^-1 when ``inverted``, with v cycling through three
+    letters so that no shorter block splits it."""
+    pairs = [(1, 2), (2, 3), (3, 1)]
+    v = [("a", *pairs[k % 3], 1) for k in range(depth)]
+    back = [("a", i, j, -e if inverted else e) for _, i, j, e in reversed(v)]
+    return GeneratorWord(3, tuple(v + back))
+
+
+def test_deep_nests_parse_and_certify_without_recursion():
+    word = nest(2100, inverted=False)
+    d = parse_semipalindrome_product(word)
+    assert d is not None and len(d.blocks) == 1
+    assert d.letters() == word.letters
+    # a deep wrap_inv nest certifies through every level of the derivation
+    word = nest(2100, inverted=True)
+    cert = certify(word)
+    assert cert is not None and verify_certificate(cert, word)
 
 
 def test_verify_examples():
