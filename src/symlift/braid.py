@@ -143,7 +143,7 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
     checked = 0
     trivial = 0
 
-    steps = {l: _generator_word(BraidWord(strands, (l,))) for l in letters}
+    steps = {l: _generator_word(BraidWord(strands, (l,))).letters for l in letters}
     stack: list[tuple[tuple[int, ...], SymmetricAut]] = [((), identity_aut(fctx))]
     while stack:
         word, aut = stack.pop()
@@ -153,11 +153,11 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
             if word and word[-1] == -l:
                 continue
             new_word = word + (l,)
-            # right-multiply by the step's two letters, updating images in place
-            step = steps[l]
+            # right-multiply by the step's two letters, updating images in place;
+            # nothing below reads a source word, so none is kept
             images = list(aut.images)
-            act_letters(images, step.letters, fctx)
-            new_aut = SymmetricAut(fctx, tuple(images), (aut.source * step).free_cancel())
+            act_letters(images, steps[l], fctx)
+            new_aut = SymmetricAut(fctx, tuple(images))
             checked += 1
             if new_aut.is_identity():
                 trivial += 1

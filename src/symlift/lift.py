@@ -22,7 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .symaut import GeneratorWord, SymmetricAut, eval_generator_word
+from .symaut import (
+    GeneratorWord,
+    SymmetricAut,
+    canonical_image,
+    eval_generator_word,
+    inner_witness_of,
+)
 from .words import (
     GroupContext,
     Word,
@@ -54,14 +60,10 @@ def reduce_mod(f: SymmetricAut, k: int) -> SymmetricAut:
     if k > 2 and any(s != 1 for s in f.signs()):
         raise WordError("cannot reduce a generator-inverting automorphism mod k > 2")
     ctx = torsion_context(f.ctx.rank, k)
-    images = []
-    for conj, target, _sign in f.images:
-        pc = project_mod_k(conj, k)
-        sylls = pc.syllables
-        while sylls and sylls[-1][0] == target:
-            sylls = sylls[:-1]
-        images.append((Word(ctx, sylls), target, 1))
-    return SymmetricAut(ctx, tuple(images), f.source)
+    images = tuple(
+        canonical_image(project_mod_k(conj, k), target, 1) for conj, target, _sign in f.images
+    )
+    return SymmetricAut(ctx, images, f.source)
 
 
 def reduce_aut(f: SymmetricAut) -> SymmetricAut:
@@ -193,7 +195,7 @@ def kernel_verdict(gw: GeneratorWord, route: Route = "both") -> KernelVerdict:
     h_witness = None
     lift_result = None
     if route in ("inner-in-H", "both"):
-        h_witness = inner_witness(h.image_words(), h.ctx, strict=False)
+        h_witness = inner_witness_of(h)
         routes["inner-in-H"] = h_witness is not None
     if route in ("lift", "both"):
         lift_result = lift_route(h)

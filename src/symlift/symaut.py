@@ -186,8 +186,12 @@ def all_letters(rank: int, include_r: bool = True) -> list[Letter]:
 Image = tuple[Word, int, int]  # (conjugator, target, sign)
 
 
-def _canonical_image(conj: Word, target: int, sign: int) -> Image:
-    # absorb a trailing target-power: (w g^m) g^s (w g^m)^{-1} = w g^s w^{-1}
+def canonical_image(conj: Word, target: int, sign: int) -> Image:
+    """The image triple with the conjugator in canonical form.
+
+    A trailing target power is absorbed, since
+    ``(w g^m) g^s (w g^m)^{-1} = w g^s w^{-1}``.
+    """
     sylls = conj.syllables
     while sylls and sylls[-1][0] == target:
         sylls = sylls[:-1]
@@ -320,7 +324,7 @@ def compose(f: SymmetricAut, g: SymmetricAut) -> SymmetricAut:
     if f.ctx != g.ctx:
         raise WordError("context mismatch")
     images = tuple(
-        _canonical_image(*_decompose_image(f.apply(g.image_word(i))))
+        canonical_image(*_decompose_image(f.apply(g.image_word(i))))
         for i in range(1, f.ctx.rank + 1)
     )
     source = None
@@ -352,7 +356,7 @@ def act_letters(images: list[Image], letters: Iterable[Letter], ctx: GroupContex
             cj, tj, sj = images[j - 1]
             ci, ti, si = images[i - 1]
             conj = product((cj, generator(ctx, tj, sj * exp), cj.inverse(), ci), ctx)
-            images[i - 1] = _canonical_image(conj, ti, si)
+            images[i - 1] = canonical_image(conj, ti, si)
         elif kind == "r":
             if ctx.is_free:
                 ci, ti, si = images[letter[1] - 1]
@@ -386,8 +390,9 @@ def conjugating_witness(f: SymmetricAut, g: SymmetricAut) -> Optional[Word]:
     """Word w with f = conj_w . g, i.e. f(u) = w g(u) w^{-1} for all u.
 
     Since conjugation preserves each image's target and sign, those must
-    match; what remains is a simultaneous-conjugacy coset intersection, which
-    is exact in both contexts.  Any witness is unique for rank >= 2.
+    match; what remains is a simultaneous-conjugacy coset intersection
+    (:func:`~symlift.words.coset_intersection`), exact in free and torsion
+    contexts alike.  Any witness is unique for rank >= 2.
     """
     if f.ctx != g.ctx:
         raise WordError("context mismatch")
@@ -399,16 +404,6 @@ def conjugating_witness(f: SymmetricAut, g: SymmetricAut) -> Optional[Word]:
         constraints.append((cf, tf, cg))
     if ctx.rank == 1:
         return identity_word(ctx)  # rank 1: inner is trivial, images matched
-    if ctx.torsion is not None:
-        c1, t1, d1 = constraints[0]
-        for j in range(ctx.torsion):
-            w = c1 * generator(ctx, t1).pow(j) * d1.inverse()
-            if all(
-                f.image_word(i) == g.image_word(i).conjugated_by(w)
-                for i in range(1, ctx.rank + 1)
-            ):
-                return w
-        return None
     return coset_intersection(constraints, ctx)
 
 

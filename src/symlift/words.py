@@ -373,39 +373,32 @@ def coset_intersection(
 ) -> Optional[Word]:
     """Solve ``w`` in the intersection of cosets ``A_i <g_{t_i}> B_i^{-1}``.
 
-    ``constraints`` is a list of ``(A_i, t_i, B_i)`` whose targets ``t_i`` are
-    pairwise distinct (as for generator images of a symmetric automorphism).
+    ``constraints`` is a list of at least two ``(A_i, t_i, B_i)`` whose
+    targets ``t_i`` are pairwise distinct (as for generator images of a
+    symmetric automorphism).  This is the one solver for inner conjugators,
+    in free contexts and in free products of cyclic groups alike.
 
     Writing ``w = A_1 g^m B_1^{-1}``, membership in the second coset demands
     that the middle ``g_{t_1}``-syllable of ``A_2^{-1} A_1 g^m B_1^{-1} B_2``
     vanish (the reduced form otherwise retains a ``t_1``-syllable, while
     elements of ``<g_{t_2}>`` have none, and ``t_2 != t_1``).  That pins
-    ``m = -(a+b)`` where ``a``/``b`` are the adjacent ``t_1``-exponents, so a
-    single candidate remains; it is then verified against every constraint.
-    Any two solutions differ by a central element, and centers here are
-    trivial for rank >= 2, so the solution is unique when it exists.
+    ``m = -(a+b)`` where ``a``/``b`` are the adjacent ``t_1``-exponents, taken
+    mod k in a torsion context; the argument uses only syllable normal form,
+    so it holds in both contexts.  The single candidate is then verified
+    against every constraint.  Any two solutions differ by a central element,
+    and centres here are trivial for rank >= 2, so the solution is unique
+    when it exists.
     """
-    if not constraints:
-        return identity(ctx)
+    if len(constraints) < 2:
+        raise WordError("coset_intersection needs at least two constraints")
     a1, t1, b1 = constraints[0]
-    if len(constraints) == 1:
-        # one coset: any exponent works; take the shortest representative
-        best = a1 * b1.inverse()
-        span = len(a1) + len(b1) + 2
-        if ctx.torsion is not None:
-            span = min(span, ctx.torsion - 1)
-        for m in range(-span, span + 1):
-            cand = a1 * generator(ctx, t1).pow(m) * b1.inverse()
-            if cand.sort_key() < best.sort_key():
-                best = cand
-        return best
     a2, t2, b2 = constraints[1]
     if t1 == t2:
         raise WordError("coset targets must be distinct")
     x = a2.inverse() * a1
     y = b1.inverse() * b2
     m = -(_trailing_exponent(x, t1) + _leading_exponent(y, t1))
-    w = a1 * generator(ctx, t1).pow(m) * b1.inverse()
+    w = a1 * generator(ctx, t1, m) * b1.inverse()
     for a_i, t_i, b_i in constraints:
         if not _is_power_of(a_i.inverse() * w * b_i, t_i):
             return None
@@ -439,10 +432,10 @@ def inner_witness(
     """Word ``w`` with ``w g_i w^{-1} = images[i]`` for all i, or None.
 
     With ``strict`` any image that is not a conjugate of a generator or its
-    inverse raises; otherwise such maps simply report None (not inner).  In
-    torsion contexts the candidate conjugators form the finite coset
-    ``c_1 <g_1>``; in free contexts the single viable exponent is pinned by
-    the second constraint (see :func:`coset_intersection`).
+    inverse raises; otherwise such maps simply report None (not inner).  Image
+    i must be ``c_i g_i c_i^{-1}``, so ``w`` lies in every coset
+    ``c_i <g_i>``, and :func:`coset_intersection` pins the one candidate
+    exponent, in free and torsion contexts alike (mod k in the latter).
     """
     if len(images) != ctx.rank:
         raise WordError(f"expected {ctx.rank} images, got {len(images)}")
@@ -463,16 +456,6 @@ def inner_witness(
         constraints.append((conj, target, e))
     if ctx.rank == 1:
         return e  # rank 1: conjugation is trivial, the map must be identity
-    if ctx.torsion is not None:
-        c1 = constraints[0][0]
-        matches = []
-        for j in range(ctx.torsion):
-            w = c1 * generator(ctx, 1).pow(j)
-            if all(generator(ctx, i).conjugated_by(w) == img for i, img in enumerate(images, 1)):
-                matches.append(w)
-        if not matches:
-            return None
-        return min(matches, key=Word.sort_key)
     return coset_intersection(constraints, ctx)
 
 

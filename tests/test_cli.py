@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import symlift
 from symlift.cli import main
 
 
@@ -141,6 +146,28 @@ def test_malformed_input_exits_2(capsys, tmp_path):
 def test_usage_error_exits_2(capsys):
     assert main(["lift", "kernel", "--n", "3"]) == 2  # missing --word
     capsys.readouterr()
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(capsys):
+    # cli.main keeps no state between calls: a malformed call in between
+    # must not change what later calls in the same process print or return
+    calls = [
+        ("lift", "kernel", "--n", "3", "--word", "a[2,1] a[3,1]"),
+        ("lift", "kernel", "--n", "3", "--route", "sideways", "--word", "e"),
+        ("symaut", "nf", "--n", "3", "--word", "r[2] a[1,2] s[1,3]"),
+        ("lift", "kernel", "--n", "3", "--word", "a[2,1] a[3,1]"),
+    ]
+    in_process = []
+    for argv in calls:
+        code = main(list(argv))
+        in_process.append((capsys.readouterr().out, code))
+    assert [code for _, code in in_process] == [0, 2, 0, 0]
+    env = {**os.environ, "PYTHONPATH": str(Path(symlift.__file__).parents[1])}
+    for argv, expected in zip(calls, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "symlift.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (fresh.stdout, fresh.returncode) == expected, argv
 
 
 def test_selftest_fault_injection(capsys, monkeypatch):

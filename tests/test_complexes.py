@@ -443,3 +443,17 @@ def test_quotient_star_check_passes():
         report = quotient_star_check(n, random.Random(31 + n), samples=15)
         assert report.all_pass, report.to_json()
 
+
+def test_quotient_star_check_fails_when_projection_merges_targets(monkeypatch):
+    # a projection that puts two factors on one target breaks the label
+    # bijection between the two stars, and part (a) must say so
+    project = NuclearVertex.project
+
+    def merged(self):
+        q = project(self)
+        return NuclearVertex(q.ctx, (q.factors[0], q.factors[0]) + q.factors[2:])
+
+    monkeypatch.setattr(NuclearVertex, "project", merged)
+    report = quotient_star_check(3, random.Random(34), samples=15)
+    assert report.kernel_translates_agree
+    assert not report.star_isomorphic and not report.all_pass

@@ -25,6 +25,7 @@ from symlift.words import (
     WordError,
     free_context,
     identity,
+    inner_witness,
     normalize,
     parse_word,
     torsion_context,
@@ -162,6 +163,29 @@ def test_route_agreement_random():
             )
             v = kernel_verdict(gw, "both")
             assert v.agree is True and v.verdict in ("in", "out")
+
+
+def test_inner_in_h_witness_matches_the_image_word_route():
+    # the verdict reads the witness off h's image triples; the reference
+    # rebuilds the image words and solves from scratch
+    nontrivial = outer = 0
+    for n in (2, 3, 4):
+        rng = random.Random(500 + n)
+        pure = [l for l in all_letters(n) if l[0] == "a"]
+        for t in range(100):
+            conj = GeneratorWord(n, tuple(rng.choice(pure) for _ in range(rng.randint(0, 6))))
+            j = rng.randint(1, n)
+            # conjugation by g_j, an inner automorphism moved by conj
+            inner_j = GeneratorWord(n, tuple(("a", i, j, 1) for i in range(1, n + 1) if i != j))
+            middle = (random_gw(rng, n), rho_i(n, j), inner_j)[t % 3]
+            gw = conj * middle * conj.inverse()
+            h = eval_generator_word(gw, torsion_context(n, 2))
+            expected = inner_witness(h.image_words(), h.ctx, strict=False)
+            for route in ("inner-in-H", "both"):
+                assert kernel_verdict(gw, route).h_witness == expected
+            nontrivial += expected is not None and len(expected) > 0
+            outer += expected is None
+    assert nontrivial >= 100 and outer >= 50
 
 
 def test_conjugates_of_single_inversions_are_in_kernel():

@@ -205,7 +205,7 @@ def _brute_outer_equal(f, g, max_len=3):
 
 def test_outer_equal_matches_brute_force():
     rng = random.Random(77)
-    for ctx in (F3, H3):
+    for ctx in (F3, H3, torsion_context(3, 3)):
         for _ in range(80):
             f = eval_generator_word(random_word(rng, 3, 4), ctx)
             g = eval_generator_word(random_word(rng, 3, 4), ctx)
@@ -213,6 +213,10 @@ def test_outer_equal_matches_brute_force():
             expected = _brute_outer_equal(f, g)
             if got:
                 assert expected
+                w = conjugating_witness(f, g)
+                assert all(
+                    f.image_word(i) == g.image_word(i).conjugated_by(w) for i in (1, 2, 3)
+                )
             elif expected:  # pragma: no cover - would indicate a solver bug
                 assert got
     # witnesses recompose

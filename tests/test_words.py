@@ -9,6 +9,7 @@ from symlift.words import (
     WordError,
     centralizer_root,
     conjugacy_witness,
+    coset_intersection,
     cyclic_reduce,
     even_to_x,
     expand_x,
@@ -271,7 +272,7 @@ def _brute_inner(images, ctx, max_len=4):
 def test_inner_witness_matches_exhaustive_search():
     # cross-check of the pinned-exponent solver against brute force
     rng = random.Random(2024)
-    for ctx in (F3, torsion_context(3, 2)):
+    for ctx in (F3, torsion_context(3, 2), torsion_context(3, 3), torsion_context(3, 4)):
         exps = (1, -1) if ctx.is_free else (1,)
         for _ in range(120):
             raw = [
@@ -290,6 +291,15 @@ def test_inner_witness_matches_exhaustive_search():
             assert (got is None) == (expected is None)
             if got is not None:
                 assert got == expected
+
+
+def test_coset_intersection_needs_two_constraints():
+    e = identity(F3)
+    with pytest.raises(WordError):
+        coset_intersection([], F3)
+    with pytest.raises(WordError):
+        coset_intersection([(e, 1, e)], F3)
+    assert coset_intersection([(e, 1, e), (e, 2, e)], F3) == e
 
 
 # -- projection and the even-word basis --------------------------------------
