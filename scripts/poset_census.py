@@ -7,8 +7,7 @@ Usage: python scripts/poset_census.py [--max-rank 5]
 import argparse
 import time
 
-from symlift.complexes import enumerate_whitehead_poset, order_complex_homology
-from symlift.selftest import proper_part
+from symlift.complexes import enumerate_whitehead_poset, order_complex_homology, proper_part
 
 
 def main() -> None:

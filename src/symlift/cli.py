@@ -183,7 +183,10 @@ def cmd_complex_poset(args) -> int:
 def cmd_complex_homology(args) -> int:
     poset = complexes.enumerate_whitehead_poset(args.n)
     report = complexes.order_complex_homology(poset)
-    return _emit({"homology": report.to_json()})
+    # the whole poset is a cone on its minimum, so only its proper part can
+    # have reduced homology
+    proper = complexes.order_complex_homology(complexes.proper_part(poset))
+    return _emit({"homology": report.to_json(), "proper_homology": proper.to_json()})
 
 
 def cmd_complex_ball(args) -> int:

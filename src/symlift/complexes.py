@@ -226,17 +226,32 @@ class WhiteheadPoset:
         raise WordError("tree not in poset")
 
     def covers(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) with elements[i] covered by elements[j]."""
-        return _fold_covers(self.elements)
+        """Sorted pairs (i, j) with elements[i] covered by elements[j]: the
+        minimal elements j of the strict up-set of i, read from ``leq``."""
+        above = _strict_up_sets(self)
+        pairs = []
+        for i, up in enumerate(above):
+            # a larger element has a smaller up-set, so everything between i
+            # and j is seen before j, and j is minimal iff no earlier cover is below it
+            minimal: list[int] = []
+            for j in sorted(up, key=lambda j: (-len(above[j]), j)):
+                if not any(self.leq[m][j] for m in minimal):
+                    minimal.append(j)
+            pairs.extend((i, j) for j in minimal)
+        return sorted(pairs)
 
     def max_chain_cardinality(self) -> int:
-        order = sorted(range(len(self.elements)), key=lambda i: self.elements[i].unlabelled_count)
-        best = {i: 1 for i in order}
-        for j in order:
-            for i in order:
-                if i != j and self.leq[i][j]:
-                    best[j] = max(best[j], best[i] + 1)
-        return max(best.values())
+        """Elements in a longest chain.  Every chain refines to a chain of
+        covers, so this is the longest path up the covers."""
+        up: list[list[int]] = [[] for _ in self.elements]
+        for i, j in self.covers():
+            up[i].append(j)
+
+        @lru_cache(maxsize=None)
+        def height(i: int) -> int:
+            return 1 + max((height(j) for j in up[i]), default=0)
+
+        return max((height(i) for i in range(len(up))), default=0)
 
     def to_dot(self) -> str:
         lines = ["digraph poset {", "  rankdir=BT;"]
@@ -255,6 +270,26 @@ class WhiteheadPoset:
             "covers": self.covers(),
             "max_chain_cardinality": self.max_chain_cardinality(),
         }
+
+
+def _strict_up_sets(poset: WhiteheadPoset) -> list[list[int]]:
+    """For each i, the ascending indices j != i with elements[i] <= elements[j]."""
+    indices = range(len(poset.elements))
+    return [
+        [j for j in itertools.compress(indices, row) if j != i]
+        for i, row in enumerate(poset.leq)
+    ]
+
+
+def proper_part(poset: WhiteheadPoset) -> WhiteheadPoset:
+    """The poset without its minimum, the trivial tree."""
+    bottom = poset.index_of(trivial_tree(poset.rank))
+    leq = tuple(row[:bottom] + row[bottom + 1 :] for row in poset.leq)
+    return WhiteheadPoset(
+        poset.rank,
+        poset.elements[:bottom] + poset.elements[bottom + 1 :],
+        leq[:bottom] + leq[bottom + 1 :],
+    )
 
 
 def _fold_covers(elements: Sequence[LabelledBipartiteTree]) -> list[tuple[int, int]]:
@@ -298,8 +333,13 @@ def enumerate_whitehead_poset(n: int) -> WhiteheadPoset:
     above = [{i} for i in range(size)]
     for i, j in reversed(_fold_covers(elements)):
         above[i] |= above[j]
-    leq = tuple(tuple(j in up for j in range(size)) for up in above)
-    return WhiteheadPoset(n, tuple(elements), leq)
+    leq = []
+    for up in above:
+        row = [False] * size
+        for j in up:
+            row[j] = True
+        leq.append(tuple(row))
+    return WhiteheadPoset(n, tuple(elements), tuple(leq))
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +349,8 @@ def enumerate_whitehead_poset(n: int) -> WhiteheadPoset:
 
 def _chains(poset: WhiteheadPoset) -> list[list[tuple[int, ...]]]:
     """Chains by dimension: chains[d] lists (d+1)-element chains."""
-    size = len(poset.elements)
-    above = [[j for j in range(size) if j != i and poset.leq[i][j]] for i in range(size)]
-    by_dim: list[list[tuple[int, ...]]] = [[(i,) for i in range(size)]]
+    above = _strict_up_sets(poset)
+    by_dim: list[list[tuple[int, ...]]] = [[(i,) for i in range(len(above))]]
     current = by_dim[0]
     while current:
         nxt = []
@@ -328,48 +367,39 @@ def _chains(poset: WhiteheadPoset) -> list[list[tuple[int, ...]]]:
 def _smith_rank_divisors(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
     """Rank and elementary divisors of a sparse integer matrix.
 
-    Pivots on +-1 entries first (no new torsion, minimal fill), then runs a
-    dense Smith reduction on whatever survives.
+    Walks the columns once, pivoting each on a +-1 entry in its shortest row
+    (a unimodular step, so rank and divisors are unchanged), then runs a
+    dense Smith reduction on whatever survives, unit entries made by fill
+    included.
     """
     cols: dict[int, set[int]] = {}
     for r, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
     unit_pivots = 0
-    while True:
-        pivot = None
-        best_fill = None
-        for r, row in rows.items():
-            for c, v in row.items():
-                if v in (1, -1):
-                    fill = (len(row) - 1) * (len(cols[c]) - 1)
-                    if best_fill is None or fill < best_fill:
-                        best_fill, pivot = fill, (r, c)
-                    if fill == 0:
-                        break
-            if best_fill == 0:
-                break
-        if pivot is None:
-            break
-        r0, c0 = pivot
+    for c0 in sorted(cols):
+        units = [r for r in cols[c0] if rows[r][c0] in (1, -1)]
+        if not units:
+            continue
+        r0 = min(units, key=lambda r: (len(rows[r]), r))
         v0 = rows[r0][c0]
         prow = rows.pop(r0)
         for c in prow:
             cols[c].discard(r0)
-        for r in list(cols.get(c0, ())):
+        for r in list(cols[c0]):
             row = rows[r]
             factor = row[c0] * v0  # v0 in {1,-1}: row -= factor * prow
             for c, v in prow.items():
                 new = row.get(c, 0) - factor * v
                 if new == 0:
-                    row.pop(c, None)
-                    cols.get(c, set()).discard(r)
+                    del row[c]
+                    cols[c].discard(r)
                 else:
                     row[c] = new
-                    cols.setdefault(c, set()).add(r)
+                    cols[c].add(r)
             if not row:
                 del rows[r]
-        cols.pop(c0, None)
+        del cols[c0]
         unit_pivots += 1
     if not rows:
         return unit_pivots, [1] * unit_pivots

@@ -51,7 +51,7 @@ LEVELS = {
         "theorem_c_ranks": (3, 4),
         "free_relation_length": 8,
         "oracle_words": 500,
-        "poset_max_rank": 5,
+        "poset_max_rank": 6,
         "stabilizer_samples": 55,
         "quotient_samples": 100,
         "quotient_ranks": (3, 4),
@@ -243,17 +243,6 @@ def check_corollary_d(params, seed) -> dict:
     }
 
 
-def proper_part(poset: complexes.WhiteheadPoset) -> complexes.WhiteheadPoset:
-    """The poset without its minimum, the trivial tree."""
-    bottom = poset.index_of(complexes.trivial_tree(poset.rank))
-    keep = [i for i in range(len(poset.elements)) if i != bottom]
-    return complexes.WhiteheadPoset(
-        poset.rank,
-        tuple(poset.elements[i] for i in keep),
-        tuple(tuple(poset.leq[i][j] for j in keep) for i in keep),
-    )
-
-
 def check_poset_facts(params, seed) -> dict:
     """Sizes, longest chains, and the homology of the proper part.
 
@@ -274,7 +263,7 @@ def check_poset_facts(params, seed) -> dict:
         ok = ok and chains[str(n)] == n - 1
         if n < 3:
             continue
-        report = complexes.order_complex_homology(proper_part(poset))
+        report = complexes.order_complex_homology(complexes.proper_part(poset))
         proper[str(n)] = {
             "reduced_betti": list(report.reduced_betti),
             "torsion": [list(t) for t in report.torsion],

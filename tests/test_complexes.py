@@ -14,6 +14,7 @@ from symlift.complexes import (
     fold_apply,
     nuclear_ball,
     order_complex_homology,
+    proper_part,
     quotient_star_check,
     stabilizer_generators,
     stabilizer_soundness,
@@ -21,7 +22,9 @@ from symlift.complexes import (
     tree_symmetries,
     trivial_tree,
     vertex_aut_eval,
+    _dense_smith,
     _generated_subgroup,
+    _smith_rank_divisors,
     _unfolds,
 )
 from symlift.symaut import (
@@ -99,16 +102,6 @@ def subset_scan(n):
     return sorted(found.values(), key=lambda t: (t.unlabelled_count, t.canonical()))
 
 
-def proper_part(poset):
-    """The poset without the trivial tree, its minimum."""
-    keep = [i for i, t in enumerate(poset.elements) if t.unlabelled_count > 1]
-    return WhiteheadPoset(
-        poset.rank,
-        tuple(poset.elements[i] for i in keep),
-        tuple(tuple(poset.leq[i][j] for j in keep) for i in keep),
-    )
-
-
 def fold_reachable(poset, j):
     """Reference order: the indices reachable from ``j`` by folds."""
     reach, stack = {j}, [poset.elements[j]]
@@ -173,6 +166,19 @@ def test_max_chain_cardinality():
         assert enumerate_whitehead_poset(n).max_chain_cardinality() == n - 1
 
 
+def test_proper_part_covers_and_reports():
+    # the proper part is not closed under folds: its covers come from leq
+    for n in (2, 3, 4, 5):
+        poset = enumerate_whitehead_poset(n)
+        part = proper_part(poset)
+        bottom = poset.index_of(trivial_tree(n))
+        assert bottom == 0
+        assert part.covers() == [(i - 1, j - 1) for i, j in poset.covers() if i != bottom]
+        assert part.max_chain_cardinality() == max(n - 2, 0)
+        assert part.to_json()["size"] == len(poset.elements) - 1
+        assert part.to_dot().count(" -> ") == len(part.covers())
+
+
 def test_trivial_tree_is_unique_minimum():
     p = enumerate_whitehead_poset(4)
     bottom = p.index_of(trivial_tree(4))
@@ -209,6 +215,44 @@ def test_homology_rank_4():
     assert report.euler_characteristic == 1 and report.is_reduced_acyclic
     proper = order_complex_homology(proper_part(poset))
     assert proper.reduced_betti == (0, 9) and proper.torsion == ((), ())
+
+
+def test_sparse_smith_matches_dense_smith():
+    rng = random.Random(6)
+    nonunit_pivots = 0
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        dense = [[0] * ncols for _ in range(nrows)]
+        for _ in range(rng.randint(1, nrows * ncols)):
+            value = rng.choice((1, -1, 1, -1, 2, -2, 3, 4, -6))
+            dense[rng.randrange(nrows)][rng.randrange(ncols)] = value
+        rows = {r: {c: v for c, v in enumerate(row) if v} for r, row in enumerate(dense)}
+        rows = {r: row for r, row in rows.items() if row}
+        expected = _dense_smith([list(row) for row in dense])
+        assert _smith_rank_divisors(rows) == (len(expected), expected)
+        nonunit_pivots += any(d > 1 for d in expected)
+    assert nonunit_pivots > 20
+    assert _smith_rank_divisors({0: {0: 2}, 1: {1: 3}}) == (2, [1, 6])
+
+
+def test_homology_finds_torsion_of_the_projective_plane():
+    # the face poset of the 6-vertex real projective plane: its order
+    # complex is the barycentric subdivision, with H_1 = Z/2
+    triangles = [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+        (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
+    ]
+    faces = sorted(
+        {frozenset(f) for t in triangles for k in (1, 2, 3) for f in itertools.combinations(t, k)},
+        key=lambda f: (len(f), sorted(f)),
+    )
+    assert len(faces) == 31
+    leq = tuple(tuple(f <= g for g in faces) for f in faces)
+    # the homology reads only the order, so the faces can stand in for trees
+    report = order_complex_homology(WhiteheadPoset(2, tuple(faces), leq))
+    assert report.simplex_counts == (31, 90, 60)
+    assert report.reduced_betti == (0, 0, 0)
+    assert report.torsion == ((), (2,), ())
 
 
 # -- vertex automorphisms ---------------------------------------------------------
