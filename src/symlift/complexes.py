@@ -241,17 +241,8 @@ class WhiteheadPoset:
         return sorted(pairs)
 
     def max_chain_cardinality(self) -> int:
-        """Elements in a longest chain.  Every chain refines to a chain of
-        covers, so this is the longest path up the covers."""
-        up: list[list[int]] = [[] for _ in self.elements]
-        for i, j in self.covers():
-            up[i].append(j)
-
-        @lru_cache(maxsize=None)
-        def height(i: int) -> int:
-            return 1 + max((height(j) for j in up[i]), default=0)
-
-        return max((height(i) for i in range(len(up))), default=0)
+        """Elements in a longest chain."""
+        return _longest_cover_path(len(self.elements), self.covers())
 
     def to_dot(self) -> str:
         lines = ["digraph poset {", "  rankdir=BT;"]
@@ -263,13 +254,28 @@ class WhiteheadPoset:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
+        covers = self.covers()
         return {
             "rank": self.rank,
             "size": len(self.elements),
             "elements": [t.canonical() for t in self.elements],
-            "covers": self.covers(),
-            "max_chain_cardinality": self.max_chain_cardinality(),
+            "covers": covers,
+            "max_chain_cardinality": _longest_cover_path(len(self.elements), covers),
         }
+
+
+def _longest_cover_path(size: int, covers: list[tuple[int, int]]) -> int:
+    """Elements in a longest chain.  Every chain refines to a chain of
+    covers, so this is the longest path up the covers."""
+    up: list[list[int]] = [[] for _ in range(size)]
+    for i, j in covers:
+        up[i].append(j)
+
+    @lru_cache(maxsize=None)
+    def height(i: int) -> int:
+        return 1 + max((height(j) for j in up[i]), default=0)
+
+    return max((height(i) for i in range(size)), default=0)
 
 
 def _strict_up_sets(poset: WhiteheadPoset) -> list[list[int]]:

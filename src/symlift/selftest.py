@@ -21,6 +21,7 @@ from .symaut import (
     alpha,
     check_relations,
     eval_generator_word,
+    find_outer_relation,
     outer_equal,
     rho_i,
 )
@@ -143,89 +144,30 @@ def check_theorem_c(params, seed) -> dict:
     return {"passed": passed, **stats}
 
 
-def _scan_free_relations(max_len: int) -> tuple[int, str | None]:
-    """Exhaustively test reduced words in the letter classes conjugating
-    1-by-2, 2-by-3 and 3-by-1 at rank 3 for outer triviality.
-
-    Raw syllable-tuple arithmetic: the state is the conjugator triple of a
-    pure automorphism, one entry of which updates per appended letter.  The
-    inner test pins the only viable conjugator via the first two cosets and
-    verifies all three, exactly as the generic solver does.
-    """
-
-    def mul(a, b):
-        out = list(a)
-        for g, e in b:
-            if out and out[-1][0] == g:
-                m = out[-1][1] + e
-                out.pop()
-                if m:
-                    out.append((g, m))
-            else:
-                out.append((g, e))
-        return tuple(out)
-
-    def inv(a):
-        return tuple((g, -e) for g, e in reversed(a))
-
-    def strip(c, i):
-        while c and c[-1][0] == i:
-            c = c[:-1]
-        return c
-
-    def is_inner(cs) -> bool:
-        d = mul(inv(cs[1]), cs[0])
-        m = -d[-1][1] if d and d[-1][0] == 1 else 0
-        w = mul(cs[0], ((1, m),)) if m else cs[0]
-        for i, ci in enumerate(cs, start=1):
-            r = mul(inv(ci), w)
-            if r and not (len(r) == 1 and r[0][0] == i):
-                return False
-        return True
-
-    letters = []
-    for idx, (i, j) in enumerate(((1, 2), (2, 3), (3, 1)), start=1):
-        letters.append((idx, i, j, 1))
-        letters.append((-idx, i, j, -1))
-    stack: list[tuple[tuple[int, ...], tuple]] = [((), ((), (), ()))]
-    checked = 0
-    while stack:
-        word, cs = stack.pop()
-        if len(word) >= max_len:
-            continue
-        for code, i, j, e in letters:
-            if word and word[-1] == -code:
-                continue
-            cj = cs[j - 1]
-            conj = mul(mul(cj, ((j, e),)), inv(cj))
-            newc = strip(mul(conj, cs[i - 1]), i)
-            ncs = cs[: i - 1] + (newc,) + cs[i:]
-            checked += 1
-            if is_inner(ncs):
-                return checked, " ".join(map(str, word + (code,)))
-            stack.append((word + (code,), ncs))
-    return checked, None
-
-
 def check_corollary_d(params, seed) -> dict:
+    """Corollary D at rank 3: ``a[1,3]`` and ``a[2,3]^-1`` are outer-equal, no
+    reduced word of length <= ``free_relation_length`` in ``a[1,2]``,
+    ``a[2,3]``, ``a[3,1]`` is outer-trivial (``symaut.find_outer_relation``), and
+    seeded words in them lie in the mod-2 kernel exactly when they cancel in
+    the free product of three involutions."""
     ctx = free_context(3)
     a13 = eval_generator_word(alpha(3, 1, 3), ctx)
     a23_inv = eval_generator_word(alpha(3, 2, 3, -1), ctx)
     pair_identified = outer_equal(a13, a23_inv)
-
-    checked, relation_found = _scan_free_relations(params["free_relation_length"])
+    pairs = ((1, 2), (2, 3), (3, 1))
+    checked, relation = find_outer_relation(pairs, params["free_relation_length"])
+    # letter a[pairs[c-1]]^{+-1} is written +-c
+    relation_found = None if relation is None else " ".join(
+        str(e * (pairs.index((i, j)) + 1)) for _, i, j, e in relation.letters
+    )
 
     rng = _rng(seed, "corollary_d")
     hctx = torsion_context(3, 2)
     mismatches = 0
     codes = [1, 2, 3, -1, -2, -3]
-    gens = {1: ("a", 1, 2, 1), 2: ("a", 2, 3, 1), 3: ("a", 3, 1, 1)}
     for _ in range(params["oracle_words"]):
         word = [rng.choice(codes) for _ in range(rng.randint(0, 10))]
-        letters = tuple(
-            gens[abs(c)][:3] + (1 if c > 0 else -1,) for c in word
-        )
-        gw = GeneratorWord(3, letters)
+        gw = GeneratorWord(3, tuple(("a", *pairs[abs(c) - 1], 1 if c > 0 else -1) for c in word))
         in_ker = kernel_verdict(gw, "inner-in-H").verdict == "in"
         # independent oracle: exponents mod 2 in the free product of three
         # involutions, on the abstract letters themselves

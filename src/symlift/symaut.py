@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .words import (
     GroupContext,
@@ -38,8 +38,11 @@ from .words import (
     coset_intersection,
     cyclic_reduce,
     format_word,
+    free_context,
     generator,
     identity as identity_word,
+    inner_conjugator,
+    pinned_coset_element,
     product,
 )
 
@@ -413,7 +416,60 @@ def outer_equal(f: SymmetricAut, g: SymmetricAut) -> bool:
 
 
 def inner_witness_of(f: SymmetricAut) -> Optional[Word]:
-    return conjugating_witness(f, identity_aut(f.ctx))
+    """Word w with f = conj_w, solved from f's own images, or None."""
+    return inner_conjugator(f.images, f.ctx)
+
+
+def outer_form(f: SymmetricAut) -> tuple[Image, ...]:
+    """Hashable representative of f's outer class: f and g are outer-equal
+    exactly when ``outer_form(f) == outer_form(g)``.
+
+    The images of ``conj_{w^{-1}} . f`` for the one ``w = c_1 g_{t_1}^m``
+    that leaves image 1's conjugator e and image 2's without a leading
+    ``t_1``-syllable (the pin of ``coset_intersection`` with ``B_i = e``).
+    One member of each class meets both, so all members share the form.
+    """
+    if f.ctx.rank == 1:
+        return f.images  # rank 1: conjugation is trivial
+    e = identity_word(f.ctx)
+    first, second = ((c, t, e) for c, t, _ in f.images[:2])
+    w_inv = pinned_coset_element(first, second, f.ctx).inverse()
+    return tuple(canonical_image(w_inv * c, t, s) for c, t, s in f.images)
+
+
+def find_outer_relation(
+    pairs: Sequence[tuple[int, int]], max_len: int
+) -> tuple[int, Optional[GeneratorWord]]:
+    """An outer-trivial reduced word of length <= ``max_len`` rounded up to
+    even, in the letters ``a[i,j]^{+-1}`` for ``(i, j)`` in ``pairs``.
+
+    Meets in the middle: a reduced word of length <= 2h is outer-trivial
+    exactly when two distinct reduced half-words of length <= h share an
+    :func:`outer_form` (split it as ``u v^{-1}``).  Half-words grow level by
+    level, one :func:`act_letters` step from their parent's images.  Returns
+    how many were checked (the empty one included) and the first collision
+    as the freely reduced ``u v^{-1}``, or None.
+    """
+    ctx = free_context(max(max(pair) for pair in pairs))
+    letters = [("a", i, j, e) for i, j in pairs for e in (1, -1)]
+    start = identity_aut(ctx)
+    seen = {outer_form(start): start.source}
+    level = [((), start.images)]
+    for _ in range((max_len + 1) // 2):
+        grown = []
+        for word, images in level:
+            for letter in letters:
+                if word and word[-1] == letter_inverse(letter):
+                    continue
+                u, new = GeneratorWord(ctx.rank, word + (letter,)), list(images)
+                act_letters(new, (letter,), ctx)
+                form = outer_form(SymmetricAut(ctx, tuple(new)))
+                if form in seen:
+                    return len(seen) + 1, (u * seen[form].inverse()).free_cancel()
+                seen[form] = u
+                grown.append((u.letters, new))
+        level = grown
+    return len(seen), None
 
 
 def is_inner(f: SymmetricAut) -> bool:
@@ -459,11 +515,6 @@ def _transposition_letters(perm: tuple[int, ...]) -> list[Letter]:
         for a, b in zip(cycle, cycle[1:]):
             letters.append(("s", a, b))
     return letters
-
-
-def permutation_aut(perm: tuple[int, ...], ctx: GroupContext) -> SymmetricAut:
-    gw = GeneratorWord(ctx.rank, tuple(_transposition_letters(perm)))
-    return eval_generator_word(gw, ctx)
 
 
 def semidirect_normal_form(gw: GeneratorWord, cancel: bool = True) -> NormalForm:
@@ -641,8 +692,6 @@ def check_relations(n: int) -> RelationReport:
     """Evaluate every defining-relation instance at rank ``n`` (exact)."""
     if n < 2:
         raise WordError("check_relations needs rank >= 2")
-    from .words import free_context
-
     ctx = free_context(n)
     checks: list[RelationCheck] = []
     for family in RELATION_FAMILIES:

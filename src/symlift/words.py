@@ -123,15 +123,6 @@ class Word:
         """g * self * g^{-1}."""
         return g * self * g.inverse()
 
-    def letter_length(self) -> int:
-        """Number of generator letters (sum of |exponents|)."""
-        if self.ctx.is_free:
-            return sum(abs(e) for _, e in self.syllables)
-        return sum(e for _, e in self.syllables)
-
-    def exponent_sum(self) -> int:
-        return sum(e for _, e in self.syllables)
-
     def sort_key(self) -> tuple:
         return (len(self.syllables), self.syllables)
 
@@ -282,13 +273,6 @@ def primitive_root(core: Word) -> Word:
     return core
 
 
-def centralizer_root(w: Word) -> Word:
-    """Generator r with centralizer(w) = <p r p^{-1}> for w = p c p^{-1}."""
-    p, core = cyclic_reduce(w)
-    root = primitive_root(core)
-    return p * root * p.inverse()
-
-
 @dataclass(frozen=True)
 class ConjugacyWitness:
     conjugator: Word
@@ -368,9 +352,23 @@ def _leading_exponent(w: Word, gen: int) -> int:
     return 0
 
 
-def coset_intersection(
-    constraints: Sequence[tuple[Word, int, Word]], ctx: GroupContext
-) -> Optional[Word]:
+Coset = tuple[Word, int, Word]  # (A, t, B) stands for A <g_t> B^{-1}
+
+
+def pinned_coset_element(first: Coset, second: Coset, ctx: GroupContext) -> Word:
+    """The one ``w = A_1 g_{t_1}^m B_1^{-1}`` for which ``A_2^{-1} w B_2``
+    keeps no ``g_{t_1}``-syllable in the middle: ``m = -(a+b)``, with ``a`` the
+    trailing ``t_1``-exponent of ``A_2^{-1} A_1`` and ``b`` the leading one
+    of ``B_1^{-1} B_2`` (0 when absent; mod k in a torsion context)."""
+    a1, t1, b1 = first
+    a2, _, b2 = second
+    x = a2.inverse() * a1
+    y = b1.inverse() * b2
+    m = -(_trailing_exponent(x, t1) + _leading_exponent(y, t1))
+    return a1 * generator(ctx, t1, m) * b1.inverse()
+
+
+def coset_intersection(constraints: Sequence[Coset], ctx: GroupContext) -> Optional[Word]:
     """Solve ``w`` in the intersection of cosets ``A_i <g_{t_i}> B_i^{-1}``.
 
     ``constraints`` is a list of at least two ``(A_i, t_i, B_i)`` whose
@@ -382,23 +380,18 @@ def coset_intersection(
     that the middle ``g_{t_1}``-syllable of ``A_2^{-1} A_1 g^m B_1^{-1} B_2``
     vanish (the reduced form otherwise retains a ``t_1``-syllable, while
     elements of ``<g_{t_2}>`` have none, and ``t_2 != t_1``).  That pins
-    ``m = -(a+b)`` where ``a``/``b`` are the adjacent ``t_1``-exponents, taken
-    mod k in a torsion context; the argument uses only syllable normal form,
-    so it holds in both contexts.  The single candidate is then verified
-    against every constraint.  Any two solutions differ by a central element,
-    and centres here are trivial for rank >= 2, so the solution is unique
-    when it exists.
+    ``m`` (:func:`pinned_coset_element`); the argument uses only syllable
+    normal form, so it holds in both contexts.  The single candidate is then
+    verified against every constraint, stopping at the first that fails.
+    Any two solutions differ by a central element, and centres here are
+    trivial for rank >= 2, so the solution is unique when it exists.  With
+    every ``B_i = e`` the same pin gives ``symaut.outer_form``.
     """
     if len(constraints) < 2:
         raise WordError("coset_intersection needs at least two constraints")
-    a1, t1, b1 = constraints[0]
-    a2, t2, b2 = constraints[1]
-    if t1 == t2:
+    if constraints[0][1] == constraints[1][1]:
         raise WordError("coset targets must be distinct")
-    x = a2.inverse() * a1
-    y = b1.inverse() * b2
-    m = -(_trailing_exponent(x, t1) + _leading_exponent(y, t1))
-    w = a1 * generator(ctx, t1, m) * b1.inverse()
+    w = pinned_coset_element(constraints[0], constraints[1], ctx)
     for a_i, t_i, b_i in constraints:
         if not _is_power_of(a_i.inverse() * w * b_i, t_i):
             return None
@@ -432,10 +425,8 @@ def inner_witness(
     """Word ``w`` with ``w g_i w^{-1} = images[i]`` for all i, or None.
 
     With ``strict`` any image that is not a conjugate of a generator or its
-    inverse raises; otherwise such maps simply report None (not inner).  Image
-    i must be ``c_i g_i c_i^{-1}``, so ``w`` lies in every coset
-    ``c_i <g_i>``, and :func:`coset_intersection` pins the one candidate
-    exponent, in free and torsion contexts alike (mod k in the latter).
+    inverse raises; otherwise such maps simply report None (not inner).  The
+    decomposed images go to :func:`inner_conjugator`.
     """
     if len(images) != ctx.rank:
         raise WordError(f"expected {ctx.rank} images, got {len(images)}")
@@ -448,9 +439,17 @@ def inner_witness(
                 raise WordError(f"image {i} is not a conjugate of a generator: {img}")
             return None
         shapes.append(shape)
+    return inner_conjugator(shapes, ctx)
+
+
+def inner_conjugator(
+    images: Sequence[tuple[Word, int, int]], ctx: GroupContext
+) -> Optional[Word]:
+    """Word ``w`` with ``w g_i w^{-1} = c_i g_{t_i}^{s_i} c_i^{-1}`` for all
+    image triples, or None: each ``t_i = i``, ``s_i = 1``, ``w`` in ``c_i <g_i>``."""
     e = identity(ctx)
     constraints = []
-    for i, (conj, target, sign) in enumerate(shapes, start=1):
+    for i, (conj, target, sign) in enumerate(images, start=1):
         if target != i or sign != 1:
             return None
         constraints.append((conj, target, e))
@@ -470,8 +469,11 @@ def project_mod_k(w: Word, k: int) -> Word:
         raise WordError("project_mod_k expects a free-context word")
     if k < 2:
         raise WordError(f"modulus must be >= 2, got {k}")
-    target = torsion_context(w.ctx.rank, k)
-    return normalize(w.syllables, target)
+    # w is already reduced: fold its syllables without re-validating them
+    out: list[Syllable] = []
+    for gen, exp in w.syllables:
+        _push(out, gen, exp, k)
+    return Word(torsion_context(w.ctx.rank, k), tuple(out))
 
 
 def even_to_x(w: Word) -> Word:

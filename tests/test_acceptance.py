@@ -23,6 +23,7 @@ TIME_BOUNDS = {
     "presentation": 5,
     "route_agreement": 60,
     "theorem_c_certificates": 300,
+    "corollary_d": 30,
     "poset_facts": 600,
     "braid_injectivity_evidence": 300,
 }

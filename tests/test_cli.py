@@ -219,3 +219,24 @@ def test_selftest_poset_fault_injection(capsys, monkeypatch):
     assert [c["name"] for c in failing] == ["poset_facts"]
     assert failing[0]["sizes"]["4"] == 29
     assert failing[0]["max_chain_cardinality"]["4"] == 3
+
+
+def test_selftest_outer_form_fault_injection(capsys, monkeypatch):
+    # a lossy outer form forgets image 3's conjugator, so half-words that
+    # differ only there collide and corollary_d reports a relation
+    import symlift.symaut as symaut_mod
+    from symlift.words import identity
+
+    outer_form = symaut_mod.outer_form
+
+    def lossy(f):
+        form = outer_form(f)
+        return form[:2] + ((identity(f.ctx),) + form[2][1:],)
+
+    monkeypatch.setattr(symaut_mod, "outer_form", lossy)
+    code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "3")
+    assert code == 1
+    failing = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failing] == ["corollary_d"]
+    assert failing[0]["relation_found"] is not None
+    assert failing[0]["pair_identified"] and failing[0]["oracle_mismatches"] == 0

@@ -13,10 +13,13 @@ from symlift.symaut import (
     compose,
     conjugating_witness,
     eval_generator_word,
+    find_outer_relation,
     identity_aut,
+    is_inner,
+    letter_inverse,
     outer_equal,
+    outer_form,
     parse_generator_word,
-    permutation_aut,
     rho_i,
     semidirect_normal_form,
     swap,
@@ -227,6 +230,82 @@ def test_outer_equal_matches_brute_force():
     )
 
 
+def _inner_block(rng, n):
+    """Letters evaluating to conjugation by a generator or its inverse."""
+    j, e = rng.randint(1, n), rng.choice((1, -1))
+    return tuple(("a", i, j, e) for i in range(1, n + 1) if i != j)
+
+
+def test_outer_forms_are_equal_exactly_when_outer_equal():
+    rng = random.Random(4242)
+    contexts = (
+        F2, F3, free_context(4), H3, torsion_context(3, 3), torsion_context(4, 2)
+    )
+    for ctx in contexts:
+        n = ctx.rank
+        outer_equal_pairs = 0
+        for trial in range(300):
+            u = random_word(rng, n, 8)
+            if trial % 2:
+                # the same outer class: splice inner automorphisms into u
+                letters = list(u.letters)
+                for _ in range(rng.randint(1, 2)):
+                    at = rng.randint(0, len(letters))
+                    letters[at:at] = _inner_block(rng, n)
+                v = GeneratorWord(n, tuple(letters))
+            else:
+                v = random_word(rng, n, 8)
+            f, g = eval_generator_word(u, ctx), eval_generator_word(v, ctx)
+            form = outer_form(f)
+            same = outer_equal(f, g)
+            assert (form == outer_form(g)) == same, (ctx, u, v)
+            assert len({form, outer_form(g)}) == (1 if same else 2)
+            assert outer_form(SymmetricAut(ctx, form)) == form
+            outer_equal_pairs += same
+        assert outer_equal_pairs >= 100, ctx
+
+
+def _reduced_words(letters, max_len):
+    words, level = [()], [()]
+    for _ in range(max_len):
+        level = [w + (l,) for w in level for l in letters if not w or w[-1] != letter_inverse(l)]
+        words += level
+    return words
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        ((1, 2), (2, 3), (3, 1)),
+        ((1, 2), (3, 2), (2, 3)),
+        ((1, 2), (2, 1), (1, 3)),
+        ((1, 2), (3, 4)),
+        ((1, 2), (2, 1)),
+    ],
+)
+def test_outer_relation_search_matches_exhaustive_oracle(pairs):
+    rank = max(max(pair) for pair in pairs)
+    ctx = free_context(rank)
+    letters = [("a", i, j, e) for i, j in pairs for e in (1, -1)]
+    trivial = [
+        len(w)
+        for w in _reduced_words(letters, 5)[1:]
+        if is_inner(eval_generator_word(GeneratorWord(rank, w), ctx))
+    ]
+    shortest = min(trivial, default=None)
+    for max_len in (1, 2, 3, 4, 5):
+        covered = max_len + max_len % 2
+        _, relation = find_outer_relation(pairs, max_len)
+        if relation is None:
+            assert shortest is None or shortest > covered
+            continue
+        assert relation.free_cancel() == relation and 0 < len(relation) <= covered
+        assert set(relation.letters) <= set(letters)
+        assert is_inner(eval_generator_word(relation, ctx))
+        if len(relation) <= 5:
+            assert shortest is not None and shortest >= len(relation) - 1
+
+
 # -- semidirect normal form ---------------------------------------------------
 
 
@@ -248,13 +327,6 @@ def test_normal_form_recomposes_exactly():
         nf = semidirect_normal_form(gw)
         assert eval_generator_word(nf.recompose(), ctx) == eval_generator_word(gw, ctx)
         assert all(l[0] == "a" for l in nf.pure.letters)
-
-
-def test_permutation_aut_matches_cycle_decomposition():
-    for perm in ((2, 1, 3), (2, 3, 1), (3, 1, 2), (1, 2, 3)):
-        f = permutation_aut(perm, F3)
-        assert f.permutation() == perm
-        assert all(not c for c, _, _ in f.images)
 
 
 # -- the presentation ---------------------------------------------------------

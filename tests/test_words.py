@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from symlift.words import (
     ConjugacyWitness,
     WordError,
-    centralizer_root,
     conjugacy_witness,
     coset_intersection,
     cyclic_reduce,
@@ -21,6 +20,7 @@ from symlift.words import (
     normalize,
     parse_context,
     parse_word,
+    primitive_root,
     product,
     project_mod_k,
     torsion_context,
@@ -119,6 +119,9 @@ def test_conjugacy_examples():
     assert conjugacy_witness(parse_word("y1", F3), parse_word("y2", F3)) is None
     w = conjugacy_witness(parse_word("z1 z2 z1", H3), parse_word("z2", H3))
     assert w is not None and format_word(w.conjugator) == "z1"
+    # the conjugator search walks the centralizer, generated by the primitive root
+    assert primitive_root(parse_word("y1^4", F3)) == parse_word("y1", F3)
+    assert primitive_root(parse_word("y1 y2 y1 y2", F3)) == parse_word("y1 y2", F3)
 
 
 def test_conjugacy_rank_one_is_equality():
@@ -214,12 +217,6 @@ def test_pow_matches_repeated_multiplication(ctx, raw, m):
     for _ in range(abs(m)):
         expected = expected * base
     assert w.pow(m) == expected
-
-
-def test_centralizer_root_of_powers():
-    assert centralizer_root(parse_word("y1^4", F3)) == parse_word("y1", F3)
-    w = parse_word("y1 y2 y1 y2", F3)
-    assert centralizer_root(w) == parse_word("y1 y2", F3)
 
 
 # -- inner witnesses ---------------------------------------------------------
@@ -334,7 +331,8 @@ def test_project_is_homomorphism_bulk():
 def test_psi_parity(raw):
     # length mod 2 downstairs tracks exponent sum mod 2 upstairs
     w = normalize(raw, F3)
-    assert project_mod_k(w, 2).letter_length() % 2 == w.exponent_sum() % 2
+    # every syllable of an order-2 word has exponent 1
+    assert len(project_mod_k(w, 2)) % 2 == sum(e for _, e in w.syllables) % 2
 
 
 def test_even_to_x_examples():
