@@ -7,13 +7,20 @@ Usage: python scripts/poset_census.py [--max-rank 5]
 import argparse
 import time
 
-from symlift.complexes import enumerate_whitehead_poset, order_complex_homology, proper_part
+from symlift.complexes import (
+    MAX_POSET_RANK,
+    enumerate_whitehead_poset,
+    order_complex_homology,
+    proper_part,
+)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-rank", type=int, default=5)
     args = parser.parse_args()
+    if not 2 <= args.max_rank <= MAX_POSET_RANK:
+        parser.error(f"--max-rank must be between 2 and {MAX_POSET_RANK}, not {args.max_rank}")
     header = (
         f"{'n':>2} {'elements':>9} {'covers':>7} {'max chain':>9} {'chi':>4} "
         f"{'proper part reduced betti':>25} {'time':>7}"
@@ -21,7 +28,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for n in range(2, args.max_rank + 1):
-        t0 = time.time()
+        t0 = time.perf_counter()
         poset = enumerate_whitehead_poset(n)
         hom = order_complex_homology(poset)
         # the whole poset is a cone on the trivial tree, hence acyclic
@@ -33,7 +40,7 @@ def main() -> None:
         print(
             f"{n:>2} {len(poset.elements):>9} {len(poset.covers()):>7} "
             f"{poset.max_chain_cardinality():>9} {hom.euler_characteristic:>4} "
-            f"{betti:>25} {time.time() - t0:>6.1f}s"
+            f"{betti:>25} {time.perf_counter() - t0:>6.1f}s"
         )
         print(f"   simplices by dimension: {list(hom.simplex_counts)}")
 

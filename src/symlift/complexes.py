@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .symaut import (
@@ -187,23 +187,37 @@ def all_folds(t: LabelledBipartiteTree) -> list[tuple[int, int, int, LabelledBip
     return out
 
 
-def _unfolds(t: LabelledBipartiteTree) -> list[LabelledBipartiteTree]:
-    """The trees with a fold to ``t``, up to isomorphism: split an unlabelled
-    vertex u at a labelled neighbour l, moving a nonempty proper group of u's
-    other neighbours to a fresh vertex that is also joined to l."""
-    fresh = max(t.unit_ids()) + 1
+# An isomorphism class of trees (labels fixed, unlabelled vertices
+# interchangeable) as the set of its unlabelled vertices' label sets.  Two
+# unlabelled vertices share at most one label, as a second would close a
+# 4-cycle, so each vertex is fixed by its label set and the key is exact.
+LabelSets = frozenset[frozenset[int]]
+
+
+def _label_set_splits(key: LabelSets) -> list[LabelSets]:
+    """The classes with a fold to ``key``: split one label set E at a label
+    l in E into two sets that meet in {l}, each with at least two labels."""
     out = []
-    for u in t.unit_ids():
-        neighbours = sorted(l for l, uu in t.edges if uu == u)
-        for l in neighbours:
-            rest = [k for k in neighbours if k != l]
+    for labels in key:
+        others = key - {labels}
+        for l in labels:
+            rest = sorted(labels - {l})
             # rest[0] always stays, so each unordered split is listed once
             for size in range(1, len(rest)):
                 for moved in itertools.combinations(rest[1:], size):
-                    edges = t.edges - {(k, u) for k in moved}
-                    edges |= {(k, fresh) for k in moved + (l,)}
-                    out.append(LabelledBipartiteTree(t.rank, edges))
+                    moved_set = frozenset(moved)
+                    out.append(others | {labels - moved_set, moved_set | {l}})
     return out
+
+
+def _label_set_merges(key: LabelSets) -> list[LabelSets]:
+    """The classes one fold below ``key``: merge two label sets that share
+    a label (the fold at that label)."""
+    return [
+        key - {a, b} | {a | b}
+        for a, b in itertools.combinations(key, 2)
+        if not a.isdisjoint(b)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +239,8 @@ class WhiteheadPoset:
                 return i
         raise WordError("tree not in poset")
 
-    def covers(self) -> list[tuple[int, int]]:
-        """Sorted pairs (i, j) with elements[i] covered by elements[j]: the
-        minimal elements j of the strict up-set of i, read from ``leq``."""
+    @cached_property
+    def _covers(self) -> tuple[tuple[int, int], ...]:
         above = _strict_up_sets(self)
         pairs = []
         for i, up in enumerate(above):
@@ -238,33 +251,38 @@ class WhiteheadPoset:
                 if not any(self.leq[m][j] for m in minimal):
                     minimal.append(j)
             pairs.extend((i, j) for j in minimal)
-        return sorted(pairs)
+        return tuple(sorted(pairs))
+
+    def covers(self) -> list[tuple[int, int]]:
+        """Sorted pairs (i, j) with elements[i] covered by elements[j]: the
+        minimal elements j of the strict up-set of i, read from ``leq`` once
+        per poset.  The list is the caller's own."""
+        return list(self._covers)
 
     def max_chain_cardinality(self) -> int:
         """Elements in a longest chain."""
-        return _longest_cover_path(len(self.elements), self.covers())
+        return _longest_cover_path(len(self.elements), self._covers)
 
     def to_dot(self) -> str:
         lines = ["digraph poset {", "  rankdir=BT;"]
         for i, t in enumerate(self.elements):
             lines.append(f'  n{i} [label="{t.canonical()}"];')
-        for i, j in self.covers():
+        for i, j in self._covers:
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        covers = self.covers()
         return {
             "rank": self.rank,
             "size": len(self.elements),
             "elements": [t.canonical() for t in self.elements],
-            "covers": covers,
-            "max_chain_cardinality": _longest_cover_path(len(self.elements), covers),
+            "covers": self.covers(),
+            "max_chain_cardinality": self.max_chain_cardinality(),
         }
 
 
-def _longest_cover_path(size: int, covers: list[tuple[int, int]]) -> int:
+def _longest_cover_path(size: int, covers: Sequence[tuple[int, int]]) -> int:
     """Elements in a longest chain.  Every chain refines to a chain of
     covers, so this is the longest path up the covers."""
     up: list[list[int]] = [[] for _ in range(size)]
@@ -298,19 +316,6 @@ def proper_part(poset: WhiteheadPoset) -> WhiteheadPoset:
     )
 
 
-def _fold_covers(elements: Sequence[LabelledBipartiteTree]) -> list[tuple[int, int]]:
-    """Sorted pairs (i, j) with one fold taking elements[j] to elements[i].
-    Every fold lowers the unlabelled count by one, so these are the covers."""
-    index = {t: i for i, t in enumerate(elements)}
-    pairs = set()
-    for j, t in enumerate(elements):
-        for _, _, _, folded in all_folds(t):
-            if folded not in index:
-                raise WordError("tree not in poset")
-            pairs.add((index[folded], j))
-    return sorted(pairs)
-
-
 MAX_POSET_RANK = 6  # rank 7 has 79,745 classes: a dense leq of ~6.4e9 entries
 
 
@@ -319,25 +324,38 @@ def enumerate_whitehead_poset(n: int) -> WhiteheadPoset:
     """All isomorphism classes of labelled bipartite trees at rank ``n``,
     ordered by fold-reachability.
 
-    Every non-trivial tree has a fold, so a search of unfolds from the
-    trivial tree reaches every class; ``leq`` closes the fold covers.
+    The search runs on label sets: a class is the set of its unlabelled
+    vertices' label sets, an unfold splits one set at a label into two sets
+    that meet there, and a fold merges two sets that share a label.  Every
+    non-trivial tree has a fold, so a breadth-first search of splits from
+    the trivial tree's ``{{1..n}}`` reaches every class.  Each class then
+    builds its one ``LabelledBipartiteTree`` through ``tree_from_units``;
+    the elements are sorted by ``(unlabelled_count, canonical())``, the
+    merges of each element give its lower covers, and ``leq`` closes them.
     """
     if n < 2:
         raise WordError("the poset needs rank >= 2 (no valid trees at rank 1)")
     if n > MAX_POSET_RANK:
         raise WordError(f"the poset is limited to rank <= {MAX_POSET_RANK}, not {n}")
-    queue = [trivial_tree(n)]
+    queue: list[LabelSets] = [frozenset({frozenset(range(1, n + 1))})]
     seen = set(queue)
-    for t in queue:
-        for s in _unfolds(t):
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
-    elements = sorted(queue, key=lambda t: (t.unlabelled_count, t.canonical()))
+    for key in queue:
+        for split in _label_set_splits(key):
+            if split not in seen:
+                seen.add(split)
+                queue.append(split)
+    trees = {key: tree_from_units(n, sorted(map(sorted, key))) for key in queue}
+    keys = sorted(queue, key=lambda key: (len(key), trees[key].canonical()))
+    elements = [trees[key] for key in keys]
+    index = {key: i for i, key in enumerate(keys)}
+    # every fold lowers the unlabelled count by one, so these are the covers
+    covers = sorted(
+        {(index[merged], j) for j, key in enumerate(keys) for merged in _label_set_merges(key)}
+    )
     size = len(elements)
     # a cover (i, j) has i < j, so each up-set is complete before it is read
     above = [{i} for i in range(size)]
-    for i, j in reversed(_fold_covers(elements)):
+    for i, j in reversed(covers):
         above[i] |= above[j]
     leq = []
     for up in above:

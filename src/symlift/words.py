@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 Syllable = tuple[int, int]
@@ -61,7 +62,10 @@ def free_context(rank: int, letter: str = "y") -> GroupContext:
     return GroupContext(rank, None, letter)
 
 
+@lru_cache(maxsize=None)
 def torsion_context(rank: int, modulus: int, letter: str = "z") -> GroupContext:
+    # one object per context: words projected into it pass the ``is`` check
+    # in ``product`` instead of falling back to the dataclass ``__eq__``
     return GroupContext(rank, modulus, letter)
 
 

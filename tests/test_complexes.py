@@ -24,8 +24,9 @@ from symlift.complexes import (
     vertex_aut_eval,
     _dense_smith,
     _generated_subgroup,
+    _label_set_merges,
+    _label_set_splits,
     _smith_rank_divisors,
-    _unfolds,
 )
 from symlift.symaut import (
     compose,
@@ -102,16 +103,27 @@ def subset_scan(n):
     return sorted(found.values(), key=lambda t: (t.unlabelled_count, t.canonical()))
 
 
-def fold_reachable(poset, j):
-    """Reference order: the indices reachable from ``j`` by folds."""
-    reach, stack = {j}, [poset.elements[j]]
-    while stack:
-        for _, _, _, folded in all_folds(stack.pop()):
-            i = poset.index_of(folded)
-            if i not in reach:
+def fold_reachable(poset):
+    """Reference order, from tree-level folds: for each index j, the indices
+    reachable from ``j`` by folds."""
+    down = [{poset.index_of(folded) for *_, folded in all_folds(t)} for t in poset.elements]
+    reachable = []
+    for j in range(len(poset.elements)):
+        reach, stack = {j}, [j]
+        while stack:
+            for i in down[stack.pop()] - reach:
                 reach.add(i)
-                stack.append(folded)
-    return reach
+                stack.append(i)
+        reachable.append(reach)
+    return reachable
+
+
+def label_sets(t):
+    """The label-set key of a tree: one label set per unlabelled vertex."""
+    by_unit = {}
+    for l, u in t.edges:
+        by_unit.setdefault(u, set()).add(l)
+    return frozenset(frozenset(labels) for labels in by_unit.values())
 
 
 def test_poset_counts():
@@ -126,28 +138,56 @@ def test_poset_counts():
 
 
 def test_unfolding_matches_subset_scan_and_fold_reachability():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         poset = enumerate_whitehead_poset(n)
-        assert [t.canonical() for t in poset.elements] == [
-            t.canonical() for t in subset_scan(n)
-        ]
+        if n < 5:  # the subset scan is out of reach at rank 5
+            assert [t.canonical() for t in poset.elements] == [
+                t.canonical() for t in subset_scan(n)
+            ]
         size = len(poset.elements)
-        for j in range(size):
-            below = fold_reachable(poset, j)
+        for j, below in enumerate(fold_reachable(poset)):
             assert [poset.leq[i][j] for i in range(size)] == [i in below for i in range(size)]
 
 
 def test_unfolds_invert_folds_and_give_the_upper_covers():
     for n in (3, 4, 5):
         poset = enumerate_whitehead_poset(n)
-        above = {i: set() for i in range(len(poset.elements))}
+        keys = [label_sets(t) for t in poset.elements]
+        above = {i: set() for i in range(len(keys))}
         for i, j in poset.covers():
-            above[i].add(poset.elements[j])
-        for i, t in enumerate(poset.elements):
-            ups = _unfolds(t)
-            for s in ups:
-                assert t in [folded for _, _, _, folded in all_folds(s)]
-            assert set(ups) == above[i]
+            above[i].add(keys[j])
+        for i, key in enumerate(keys):
+            splits = _label_set_splits(key)
+            for split in splits:
+                assert key in _label_set_merges(split)
+            assert len(splits) == len(set(splits)) and set(splits) == above[i]
+
+
+def test_label_sets_and_canonical_agree_on_equality():
+    # every rank-5 class under every relabelling, its unlabelled ids renumbered
+    canonical_of = {}
+    for t in enumerate_whitehead_poset(5).elements:
+        units = t.unit_ids()
+        renumber = dict(zip(units, range(10, 10 - len(units), -1)))
+        for perm in itertools.permutations(range(1, 6)):
+            edges = frozenset((perm[l - 1], renumber[u]) for l, u in t.edges)
+            s = LabelledBipartiteTree(5, edges)
+            assert canonical_of.setdefault(label_sets(s), s.canonical()) == s.canonical()
+    assert len(set(canonical_of.values())) == len(canonical_of) == 311
+
+
+def test_enumeration_builds_one_tree_per_class(monkeypatch):
+    built = []
+    post_init = LabelledBipartiteTree.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(LabelledBipartiteTree, "__post_init__", counted)
+    enumerate_whitehead_poset.cache_clear()
+    poset = enumerate_whitehead_poset(5)
+    assert len(built) == len(poset.elements) == 311
 
 
 def test_poset_rank3_is_exactly_trivial_plus_paths():
@@ -164,6 +204,16 @@ def test_poset_rank3_is_exactly_trivial_plus_paths():
 def test_max_chain_cardinality():
     for n in (2, 3, 4, 5):
         assert enumerate_whitehead_poset(n).max_chain_cardinality() == n - 1
+
+
+def test_covers_returns_a_copy_of_its_cache():
+    p = enumerate_whitehead_poset(4)
+    poset = WhiteheadPoset(p.rank, p.elements, p.leq)
+    covers = poset.covers()
+    expected = list(covers)
+    covers.clear()
+    assert poset.covers() == expected and len(expected) == 48
+    assert poset.max_chain_cardinality() == 3
 
 
 def test_proper_part_covers_and_reports():
