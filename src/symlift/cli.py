@@ -4,7 +4,9 @@ Uniform conventions: JSON (with a top-level ``schema`` field) on stdout,
 diagnostics on stderr.  Exit codes: 0 for success or a positive verdict, 1
 for a negative verdict (out of kernel, certificate mismatch, failed checks,
 nonempty flag list), 2 for usage errors, reported as a machine-readable
-error object.  The default seed comes from ``SYMLIFT_SEED`` when set.
+error object, and 3 for no answer within a stated bound (``kernel certify``
+on a kernel element its bounded search cannot certify).  The default seed
+comes from ``SYMLIFT_SEED`` when set.
 """
 
 from __future__ import annotations
@@ -153,10 +155,18 @@ def cmd_lift_kernel(args) -> int:
 
 
 def cmd_kernel_certify(args) -> int:
-    cert = kernel_mod.certify(parse_generator_word(args.word, args.n))
-    if cert is None:
+    gw = parse_generator_word(args.word, args.n)
+    cert = kernel_mod.certify(gw)
+    if cert is not None:
+        return _emit({"status": "certified", "certificate": cert.to_json()})
+    if kernel_verdict(gw).verdict != "in":
         return _emit({"status": "absent"}, 1)
-    return _emit({"status": "certified", "certificate": cert.to_json()})
+    # in the kernel, but the bounded search found no certificate
+    bound = {
+        "search_depth": kernel_mod.SEARCH_DEPTH,
+        "eval_gate_letters": kernel_mod.EVAL_GATE_LETTERS,
+    }
+    return _emit({"status": "unproven", "bound": bound}, 3)
 
 
 def cmd_kernel_verify(args) -> int:

@@ -7,62 +7,41 @@ the property.  Conjugating the full inversion ``rho = r[1]...r[n]`` by any
 pure word and cancelling the inversions produces such a word, and conversely
 every semipalindrome factors explicitly as a product of conjugates of rho:
 
-* ``a^2 = (a rho a^{-1}) rho``,
-* certificates conjugate through ``a u a^{-1}`` wraps, and
+* ``v rev(v) = (v rho v^{-1}) rho``, since ``rho a rho = a^{-1}``,
+* ``a u a^{-1}`` conjugates every factor of ``u`` by ``a``, and
 * ``a u a = (a u a^{-1}) a^2`` handles same-sign wraps.
 
-``certify`` turns any generator word of the right shape (trivial permutation
-part, inversion vector all-0 or all-1, pure part a product of
-semipalindromes) into a verified list of conjugators.
+Unrolled, every conjugator is a prefix of the block's letters (see
+:func:`block_conjugators`).  ``certify`` turns any generator word of the
+right shape (trivial permutation part, inversion vector all-0 or all-1, pure
+part a product of semipalindromes) into a verified list of conjugators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Optional
 
 from .symaut import (
     GeneratorWord,
     Letter,
+    all_letters,
     eval_generator_word,
+    is_inner,
     letter_inverse,
+    parse_generator_word,
     rho,
     semidirect_normal_form,
 )
 from .words import WordError, free_context
 
+# rounds of multiplying the pure part by inner relators before giving up
+SEARCH_DEPTH = 2
+# longest reduced pure part whose images ``certify`` evaluates to try the
+# empty certificate; image words can grow exponentially with the length
+EVAL_GATE_LETTERS = 60
 
-@dataclass(frozen=True)
-class SpNode:
-    """One derivation step: empty base, or a wrap around an inner node."""
-
-    kind: Literal["empty", "wrap_same", "wrap_inv"]
-    letter: Optional[Letter] = None
-    inner: Optional["SpNode"] = None
-
-    def letters(self) -> tuple[Letter, ...]:
-        head, tail = [], []
-        node = self
-        while node.kind != "empty":
-            letter = node.letter
-            head.append(letter)
-            tail.append(letter if node.kind == "wrap_same" else letter_inverse(letter))
-            node = node.inner
-        return tuple(head + tail[::-1])
-
-
-@dataclass(frozen=True)
-class SemipalindromeDerivation:
-    """Split of a word into semipalindrome blocks with their derivations."""
-
-    rank: int
-    blocks: tuple[SpNode, ...]
-
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(l for block in self.blocks for l in block.letters())
-
-    def block_words(self) -> tuple[GeneratorWord, ...]:
-        return tuple(GeneratorWord(self.rank, b.letters()) for b in self.blocks)
+Block = tuple[Letter, ...]
 
 
 def _require_pure(gw: GeneratorWord) -> None:
@@ -96,16 +75,8 @@ def _sp_table(letters: tuple[Letter, ...]):
     return sp
 
 
-def _derivation(letters: tuple[Letter, ...], i: int, j: int) -> SpNode:
-    node = SpNode("empty")
-    for k in range((i + j) // 2 - 1, i - 1, -1):  # innermost pair first
-        first, last = letters[k], letters[i + j - 1 - k]
-        node = SpNode("wrap_same" if last == first else "wrap_inv", first, node)
-    return node
-
-
-def parse_semipalindrome_product(gw: GeneratorWord) -> Optional[SemipalindromeDerivation]:
-    """Full derivation of ``gw`` as a product of semipalindromes, or None.
+def parse_semipalindrome_product(gw: GeneratorWord) -> Optional[tuple[Block, ...]]:
+    """Split of ``gw`` into semipalindrome blocks (letter tuples), or None.
 
     The interval table is complete, so recognition never depends on the split
     policy.  The split itself is deterministic: each block is as short as
@@ -130,84 +101,30 @@ def parse_semipalindrome_product(gw: GeneratorWord) -> Optional[SemipalindromeDe
     i = 0
     while i < n:
         j = min(j for j in range(i + 2, n + 1, 2) if splittable[j] and sp(i, j))
-        blocks.append(_derivation(letters, i, j))
+        blocks.append(letters[i:j])
         i = j
-    return SemipalindromeDerivation(gw.rank, tuple(blocks))
+    return tuple(blocks)
 
 
-def is_semipalindrome(gw: GeneratorWord) -> bool:
-    _require_pure(gw)
-    return _sp_table(gw.letters)(0, len(gw.letters))
+def block_conjugators(block: Block) -> list[Block]:
+    """Conjugators of one semipalindrome block, each a prefix of it.
 
-
-# ---------------------------------------------------------------------------
-# rho normal form
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RhoNormalForm:
-    """Pushed-right form with the pure part split into semipalindromes.
-
-    ``segments`` partitions the reduced pure part in order; entries are
-    ``("sp", word)`` for recognized blocks and ``("residual", word)`` for
-    letters no recognized block covers.  Residual letters flag input outside
-    the certifiable shape.
+    Pair d of a block of length 2h is ``(block[d], block[2h-1-d])``, counted
+    from the outside; its letters agree up to sign.  Past the innermost pair
+    of opposite signs, at ``top``, the core is ``v rev(v)`` with
+    ``v = block[top:h]``: the factors ``v, e``.  The wrap at depth d
+    conjugates every factor inside it by ``block[d]``, so a factor found at
+    depth d gains the prefix ``block[:d]``: the core gives ``block[:h],
+    block[:top]``, and each same-sign wrap d adds ``a^2 = (a rho a^{-1})
+    rho`` as ``block[:d+1], block[:d]``.
     """
-
-    rank: int
-    segments: tuple[tuple[str, GeneratorWord], ...]
-    rho_bits: tuple[int, ...]
-    perm: tuple[int, ...]
-
-    @property
-    def semiparts(self) -> tuple[GeneratorWord, ...]:
-        return tuple(w for kind, w in self.segments if kind == "sp")
-
-    @property
-    def residual(self) -> GeneratorWord:
-        letters: tuple[Letter, ...] = ()
-        for kind, w in self.segments:
-            if kind == "residual":
-                letters += w.letters
-        return GeneratorWord(self.rank, letters)
-
-    def recompose(self) -> GeneratorWord:
-        letters: tuple[Letter, ...] = ()
-        for _, w in self.segments:
-            letters += w.letters
-        pure = GeneratorWord(self.rank, letters)
-        from .symaut import NormalForm
-
-        return NormalForm(pure, self.rho_bits, self.perm).recompose()
-
-
-def rho_normal_form(gw: GeneratorWord) -> RhoNormalForm:
-    """Push r/s letters right, then greedily carve semipalindrome blocks."""
-    nf = semidirect_normal_form(gw, cancel=True)
-    letters = nf.pure.letters
-    sp = _sp_table(letters)
-    n = len(letters)
-    segments: list[tuple[str, GeneratorWord]] = []
-    residual_run: list[Letter] = []
-    i = 0
-    while i < n:
-        best = 0
-        for j in range(i + 2, n + 1, 2):
-            if sp(i, j):
-                best = j
-        if best:
-            if residual_run:
-                segments.append(("residual", GeneratorWord(gw.rank, tuple(residual_run))))
-                residual_run = []
-            segments.append(("sp", GeneratorWord(gw.rank, letters[i:best])))
-            i = best
-        else:
-            residual_run.append(letters[i])
-            i += 1
-    if residual_run:
-        segments.append(("residual", GeneratorWord(gw.rank, tuple(residual_run))))
-    return RhoNormalForm(gw.rank, tuple(segments), nf.rho, nf.perm)
+    h = len(block) // 2
+    top = max((d + 1 for d in range(h) if block[d] != block[-1 - d]), default=0)
+    out = [block[:h], block[:top]] if top < h else []
+    for d in range(top - 1, -1, -1):
+        if block[-1 - d] == block[d]:
+            out += [block[: d + 1], block[:d]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +140,13 @@ class Certificate:
     conjugators: tuple[GeneratorWord, ...]
 
     def product_word(self) -> GeneratorWord:
-        r = rho(self.rank)
-        out = GeneratorWord(self.rank)
+        r = rho(self.rank).letters
+        letters: list[Letter] = []
         for c in self.conjugators:
-            out = out * c * r * c.inverse()
-        return out
+            letters += c.letters
+            letters += r
+            letters += (letter_inverse(l) for l in reversed(c.letters))
+        return GeneratorWord(self.rank, tuple(letters))
 
     def to_json(self) -> dict:
         return {
@@ -237,8 +156,6 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data) -> "Certificate":
-        from .symaut import parse_generator_word
-
         if not isinstance(data, dict) or "rank" not in data or "conjugators" not in data:
             raise WordError("certificate must be an object with 'rank' and 'conjugators'")
         rank, texts = data["rank"], data["conjugators"]
@@ -249,43 +166,31 @@ class Certificate:
         return cls(rank, tuple(parse_generator_word(t, rank) for t in texts))
 
 
-def _node_certificate(node: SpNode, rank: int) -> list[GeneratorWord]:
-    letters = node.letters()
-    n = len(letters)
-    # the nest below depth d is mirror-symmetric iff every pair (k, n-1-k)
-    # with k >= d is equal: the outermost one starts after the last unequal pair
-    top = max(
-        (k + 1 for k in range(n // 2) if letters[k] != letters[n - 1 - k]), default=0
-    )
-    out: list[GeneratorWord] = []
-    if top < n // 2:
-        # mirror-symmetric block: v rev(v) = (v rho v^{-1}) rho, two factors
-        out = [GeneratorWord(rank, letters[top : n // 2]), GeneratorWord(rank)]
-    for d in reversed(range(top)):
-        letter_word = GeneratorWord(rank, (letters[d],))
-        out = [letter_word * c for c in out]
-        if letters[n - 1 - d] == letters[d]:
-            # a u a = (a u a^{-1}) a^2  and  a^2 = (a rho a^{-1}) rho
-            out += [letter_word, GeneratorWord(rank)]
-    return out
-
-
-def _certificate_for_derivation(d: SemipalindromeDerivation) -> list[GeneratorWord]:
-    out: list[GeneratorWord] = []
-    for block in d.blocks:
-        out.extend(_node_certificate(block, d.rank))
-    return out
-
-
 def _inner_relators(rank: int) -> list[GeneratorWord]:
+    """Each word acting as conjugation by a generator, then its inverse."""
     out = []
     for j in range(1, rank + 1):
-        letters = tuple(("a", i, j, 1) for i in range(1, rank + 1) if i != j)
-        out.append(GeneratorWord(rank, letters))
+        rel = GeneratorWord(rank, tuple(("a", i, j, 1) for i in range(1, rank + 1) if i != j))
+        out += [rel, rel.inverse()]
     return out
 
 
-def certify(gw: GeneratorWord, search_depth: int = 2) -> Optional[Certificate]:
+def _relator_level(
+    level: list[GeneratorWord], relators: list[GeneratorWord], seen: set
+) -> list[GeneratorWord]:
+    """The unseen reduced words ``rel * pure`` and ``pure * rel``, in order."""
+    out = []
+    for pure in level:
+        for rel in relators:
+            for cand in (rel * pure, pure * rel):
+                cand = cand.free_cancel()
+                if cand.letters not in seen:
+                    seen.add(cand.letters)
+                    out.append(cand)
+    return out
+
+
+def certify(gw: GeneratorWord) -> Optional[Certificate]:
     """Certificate expressing ``gw`` as a product of conjugates of rho.
 
     Requires the normal form to have trivial permutation and an inversion
@@ -293,64 +198,38 @@ def certify(gw: GeneratorWord, search_depth: int = 2) -> Optional[Certificate]:
     class, so failure there is definitive).  The pure part is parsed as a
     product of semipalindromes first *without* free cancellation: cancelling
     across block boundaries can destroy parseability, while inputs built as
-    products of conjugates of rho parse raw.  If neither the raw nor the
-    reduced pure part parses, a bounded search multiplies by inner relators
-    (words acting by conjugation) before giving up, so absence beyond the
-    bound is reported honestly as None.
+    products of conjugates of rho parse raw.  Level 0 of the search holds the
+    raw and the reduced pure part; each further level, up to
+    ``SEARCH_DEPTH``, multiplies the last one by inner relators (words
+    acting by conjugation, which keep the outer class) on either side.  An
+    outer-trivial pure part of at most ``EVAL_GATE_LETTERS`` letters gets the
+    empty certificate; beyond these bounds the absence is reported as None.
     """
     n = gw.rank
-    nf_raw = semidirect_normal_form(gw, cancel=False)
-    if nf_raw.perm != tuple(range(1, n + 1)):
+    nf = semidirect_normal_form(gw, cancel=False)
+    if nf.perm != tuple(range(1, n + 1)) or set(nf.rho) not in ({0}, {1}, set()):
         return None
-    bits = set(nf_raw.rho)
-    if bits not in ({0}, {1}, set()):
-        return None
-    add_rho = nf_raw.rho and nf_raw.rho[0] == 1
-
-    def finish(conjugators: list[GeneratorWord]) -> Certificate:
-        if add_rho:
-            conjugators = conjugators + [GeneratorWord(n)]
-        cert = Certificate(n, tuple(conjugators))
-        if not verify_certificate(cert, gw):
-            raise RuntimeError(f"internal: certificate for {gw} does not verify")
-        return cert
-
-    candidates = [nf_raw.pure, nf_raw.pure.free_cancel()]
-    seen = set()
-    frontier = []
-    for cand in candidates:
-        if cand.letters not in seen:
-            seen.add(cand.letters)
-            frontier.append(cand)
-    for pure in frontier:
-        d = parse_semipalindrome_product(pure)
-        if d is not None:
-            return finish(_certificate_for_derivation(d))
-    # bounded fallback: rewrite by inner relators, which do not change the
-    # outer class, and retry the parse
+    reduced = nf.pure.free_cancel()
+    level = [nf.pure] if reduced.letters == nf.pure.letters else [nf.pure, reduced]
+    seen = {pure.letters for pure in level}
     relators = _inner_relators(n)
-    current = frontier[:]
-    for _ in range(search_depth):
-        nxt = []
-        for pure in current:
-            for rel in relators:
-                for variant in (rel, rel.inverse()):
-                    for cand in (variant * pure, pure * variant):
-                        cand = cand.free_cancel()
-                        if cand.letters in seen:
-                            continue
-                        seen.add(cand.letters)
-                        d = parse_semipalindrome_product(cand)
-                        if d is not None:
-                            return finish(_certificate_for_derivation(d))
-                        nxt.append(cand)
-        current = nxt
-    # last resort: an outer-trivial element is the empty product; gate the
-    # image evaluation behind a length bound to stay responsive
-    if len(nf_raw.pure.free_cancel().letters) <= 60:
-        empty = Certificate(n, ())
-        if verify_certificate(empty, gw):
-            return empty
+    for depth in range(SEARCH_DEPTH + 1):
+        if depth:
+            level = _relator_level(level, relators, seen)
+        for pure in level:
+            blocks = parse_semipalindrome_product(pure)
+            if blocks is not None:
+                conjugators = [
+                    GeneratorWord(n, c) for block in blocks for c in block_conjugators(block)
+                ]
+                if nf.rho and nf.rho[0] == 1:
+                    conjugators.append(GeneratorWord(n))
+                cert = Certificate(n, tuple(conjugators))
+                if not verify_certificate(cert, gw):
+                    raise RuntimeError(f"internal: certificate for {gw} does not verify")
+                return cert
+    if len(reduced) <= EVAL_GATE_LETTERS and verify_certificate(Certificate(n, ()), gw):
+        return Certificate(n, ())
     return None
 
 
@@ -373,27 +252,15 @@ def verify_certificate(cert: Certificate, target: GeneratorWord) -> bool:
     residue = (nf_t.pure.inverse() * nf_w.pure).free_cancel()
     if not residue.letters:
         return True
-    from .symaut import is_inner
-
-    ctx = free_context(cert.rank)
-    return is_inner(eval_generator_word(residue, ctx))
+    return is_inner(eval_generator_word(residue, free_context(cert.rank)))
 
 
-def random_rho_conjugate_product(
-    rng, rank: int, max_factors: int = 6, max_conj_len: int = 10
-) -> GeneratorWord:
-    """Sample ``prod_k c_k rho c_k^{-1}`` with pure random conjugators."""
-    letters = []
-    for i in range(1, rank + 1):
-        for j in range(1, rank + 1):
-            if i != j:
-                letters.append(("a", i, j, 1))
-                letters.append(("a", i, j, -1))
-    out = GeneratorWord(rank)
-    r = rho(rank)
-    for _ in range(rng.randint(1, max_factors)):
-        conj = GeneratorWord(
-            rank, tuple(rng.choice(letters) for _ in range(rng.randint(0, max_conj_len)))
-        )
-        out = out * conj * r * conj.inverse()
-    return out
+def random_rho_conjugate_product(rng, rank: int) -> GeneratorWord:
+    """Sample ``prod_k c_k rho c_k^{-1}``: 1-6 factors, pure conjugators of
+    0-10 letters."""
+    letters = [l for l in all_letters(rank) if l[0] == "a"]
+    conjugators = tuple(
+        GeneratorWord(rank, tuple(rng.choice(letters) for _ in range(rng.randint(0, 10))))
+        for _ in range(rng.randint(1, 6))
+    )
+    return Certificate(rank, conjugators).product_word()

@@ -167,15 +167,14 @@ def swap(rank: int, i: int, j: int) -> GeneratorWord:
     return GeneratorWord(rank, (("s", i, j),))
 
 
-def all_letters(rank: int, include_r: bool = True) -> list[Letter]:
+def all_letters(rank: int) -> list[Letter]:
     letters: list[Letter] = []
     for i in range(1, rank + 1):
         for j in range(1, rank + 1):
             if i != j:
                 letters.append(("a", i, j, 1))
                 letters.append(("a", i, j, -1))
-    if include_r:
-        letters.extend(("r", i) for i in range(1, rank + 1))
+    letters.extend(("r", i) for i in range(1, rank + 1))
     for i in range(1, rank + 1):
         for j in range(i + 1, rank + 1):
             letters.append(("s", i, j))

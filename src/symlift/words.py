@@ -195,7 +195,11 @@ def identity(ctx: GroupContext) -> Word:
 
 
 def generator(ctx: GroupContext, i: int, exp: int = 1) -> Word:
-    return normalize([(i, exp)], ctx)
+    if not 1 <= i <= ctx.rank:
+        raise WordError(f"generator index {i} out of range 1..{ctx.rank}")
+    if ctx.torsion is not None:
+        exp %= ctx.torsion
+    return Word(ctx, ((i, exp),) if exp else ())
 
 
 _SYLLABLE_RE = re.compile(r"^([xyz])(\d+)(?:\^(-?\d+))?$")

@@ -78,7 +78,7 @@ def test_kernel_certify_and_verify(capsys, tmp_path):
     code, payload = run(capsys, "kernel", "verify", "--cert", str(cert_file), "--word", "a[1,2]")
     assert code == 1 and payload["verified"] is False
     code, payload = run(capsys, "kernel", "certify", "--n", "3", "--word", "a[1,2]")
-    assert code == 1 and payload["status"] == "absent"
+    assert code == 1 and payload == {"schema": "symlift/1", "status": "absent"}
     # longer than the recursion limit allows a recursive parse
     long_word = " ".join(["a[1,2]"] * 500)
     code, payload = run(capsys, "kernel", "certify", "--n", "3", "--word", long_word)
@@ -86,6 +86,26 @@ def test_kernel_certify_and_verify(capsys, tmp_path):
     cert_file.write_text(json.dumps(payload["certificate"]))
     code, payload = run(capsys, "kernel", "verify", "--cert", str(cert_file), "--word", long_word)
     assert code == 0 and payload["verified"] is True
+
+
+def test_kernel_certify_refuses_honestly_inside_the_kernel(capsys):
+    # in the kernel (the two letters commute), but no certificate lies within
+    # the bounded search; exit 1 would read as "outside the kernel"
+    word = "a[3,1]^-1 a[4,2]^-1 a[3,1]^-1 a[4,2]^-1"
+    code, payload = run(capsys, "lift", "kernel", "--n", "4", "--word", word)
+    assert code == 0 and payload["verdict"] == "in"
+    code, payload = run(capsys, "kernel", "certify", "--n", "4", "--word", word)
+    assert code == 3 and payload["status"] == "unproven"
+    assert payload["bound"] == {"search_depth": 2, "eval_gate_letters": 60}
+    # the same element with the commuting letters regrouped certifies
+    word = "a[3,1]^-1 a[3,1]^-1 a[4,2]^-1 a[4,2]^-1"
+    code, payload = run(capsys, "kernel", "certify", "--n", "4", "--word", word)
+    assert code == 0 and payload["status"] == "certified"
+    # outside the kernel stays a negative verdict
+    code, payload = run(capsys, "lift", "kernel", "--n", "4", "--word", "a[3,1] a[4,2]")
+    assert code == 1 and payload["verdict"] == "out"
+    code, payload = run(capsys, "kernel", "certify", "--n", "4", "--word", "a[3,1] a[4,2]")
+    assert code == 1 and payload == {"schema": "symlift/1", "status": "absent"}
 
 
 def test_complex_commands(capsys):

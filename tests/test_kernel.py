@@ -5,20 +5,21 @@ from hypothesis import given, strategies as st
 
 from symlift.kernel import (
     Certificate,
+    block_conjugators,
     certify,
-    is_semipalindrome,
     parse_semipalindrome_product,
     random_rho_conjugate_product,
-    rho_normal_form,
     verify_certificate,
 )
 from symlift.lift import kernel_verdict
 from symlift.symaut import (
     GeneratorWord,
-    eval_generator_word,
-    outer_equal,
+    all_letters,
+    letter_inverse,
     parse_generator_word,
     rho,
+    rho_i,
+    semidirect_normal_form,
 )
 from symlift.words import WordError, free_context
 
@@ -33,15 +34,17 @@ def gw(text, n=3):
 
 
 def test_parse_examples():
-    d = parse_semipalindrome_product(gw("a[1,2] a[2,3] a[2,3] a[1,2]"))
-    assert d is not None and len(d.blocks) == 1
-    node = d.blocks[0]
-    assert node.kind == "wrap_same" and node.letter == ("a", 1, 2, 1)
-    assert node.inner.kind == "wrap_same" and node.inner.inner.kind == "empty"
+    word = gw("a[1,2] a[2,3] a[2,3] a[1,2]")
+    blocks = parse_semipalindrome_product(word)
+    assert blocks == (word.letters,)
+    # both wraps are same-sign: a[1,2] (a[2,3] (e) a[2,3]) a[1,2]
+    block = blocks[0]
+    assert block[0] == block[3] == ("a", 1, 2, 1) and block[1] == block[2]
     assert parse_semipalindrome_product(gw("a[1,2]")) is None
-    d = parse_semipalindrome_product(gw("a[1,2] a[1,2] a[2,3] a[2,3]"))
-    assert d is not None
-    assert [str(w) for w in d.block_words()] == ["a[1,2] a[1,2]", "a[2,3] a[2,3]"]
+    blocks = parse_semipalindrome_product(gw("a[1,2] a[1,2] a[2,3] a[2,3]"))
+    assert blocks is not None
+    assert [str(GeneratorWord(3, b)) for b in blocks] == ["a[1,2] a[1,2]", "a[2,3] a[2,3]"]
+    assert parse_semipalindrome_product(GeneratorWord(3)) == ()
 
 
 def test_parse_rejects_non_conjugation_letters():
@@ -50,8 +53,9 @@ def test_parse_rejects_non_conjugation_letters():
 
 
 def test_wrap_inverse_form_recognized():
-    assert is_semipalindrome(gw("a[1,2] a[2,3] a[2,3] a[1,2]^-1"))
-    assert not is_semipalindrome(gw("a[1,2] a[2,3]"))
+    word = gw("a[1,2] a[2,3] a[2,3] a[1,2]^-1")
+    assert parse_semipalindrome_product(word) == (word.letters,)
+    assert parse_semipalindrome_product(gw("a[1,2] a[2,3]")) is None
 
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.booleans()), min_size=1, max_size=9))
@@ -64,38 +68,26 @@ def test_odd_length_words_never_parse(codes):
         assert parse_semipalindrome_product(GeneratorWord(3, letters)) is None
 
 
-def test_derivation_recomposes_letters():
+def test_blocks_recompose_letters():
     word = gw("a[1,2] a[2,3] a[2,3] a[1,2] a[3,1] a[3,1]")
-    d = parse_semipalindrome_product(word)
-    assert d is not None and d.letters() == word.letters
+    blocks = parse_semipalindrome_product(word)
+    assert blocks is not None and len(blocks) == 2
+    assert sum(blocks, ()) == word.letters
 
 
 # -- normal form ---------------------------------------------------------------
 
 
-def test_rho_normal_form_examples():
-    nf = rho_normal_form(gw("r[1] a[1,2] r[1]"))
-    assert nf.rho_bits == (0, 0, 0) and nf.perm == (1, 2, 3)
-    assert str(nf.residual) == "a[1,2]"  # one letter cannot be a semipalindrome
-    nf = rho_normal_form(gw("a[1,2] r[2] a[1,2] r[2]"))
-    assert nf.semiparts == () and not nf.residual.letters
-    assert nf.rho_bits == (0, 0, 0)
+def test_semidirect_normal_form_of_inversion_words():
+    nf = semidirect_normal_form(gw("r[1] a[1,2] r[1]"))
+    assert nf.rho == (0, 0, 0) and nf.perm == (1, 2, 3)
+    assert str(nf.pure) == "a[1,2]"  # one letter cannot be a semipalindrome
+    assert parse_semipalindrome_product(nf.pure) is None
+    nf = semidirect_normal_form(gw("a[1,2] r[2] a[1,2] r[2]"))
+    assert not nf.pure.letters and nf.rho == (0, 0, 0)
     # the r[2] does not flip a[1,3], so the pure part cancels entirely
-    nf = rho_normal_form(gw("a[1,3] r[2] a[1,3]^-1"))
-    assert nf.rho_bits == (0, 1, 0) and not nf.residual.letters
-    assert nf.semiparts == ()
-
-
-def test_rho_normal_form_recomposition_outer_equal():
-    rng = random.Random(23)
-    for _ in range(1000):
-        n = rng.choice((3, 4))
-        gw_in = random_rho_conjugate_product(rng, n, max_factors=3, max_conj_len=5)
-        nf = rho_normal_form(gw_in)
-        ctx = free_context(n)
-        assert outer_equal(
-            eval_generator_word(nf.recompose(), ctx), eval_generator_word(gw_in, ctx)
-        )
+    nf = semidirect_normal_form(gw("a[1,3] r[2] a[1,3]^-1"))
+    assert nf.rho == (0, 1, 0) and not nf.pure.letters
 
 
 # -- certificates ---------------------------------------------------------------
@@ -126,13 +118,76 @@ def nest(depth, inverted):
 
 def test_deep_nests_parse_and_certify_without_recursion():
     word = nest(2100, inverted=False)
-    d = parse_semipalindrome_product(word)
-    assert d is not None and len(d.blocks) == 1
-    assert d.letters() == word.letters
-    # a deep wrap_inv nest certifies through every level of the derivation
+    assert parse_semipalindrome_product(word) == (word.letters,)
+    # a deep wrap_inv nest certifies through every level of the nest
     word = nest(2100, inverted=True)
     cert = certify(word)
     assert cert is not None and verify_certificate(cert, word)
+
+
+def wrap_by_wrap_conjugators(block):
+    """Reference construction: start from the mirror-symmetric core, then
+    walk the wraps outwards, conjugating every factor found so far by the
+    wrap letter and adding ``a, e`` (``a^2 = (a rho a^-1) rho``) for a
+    same-sign wrap."""
+    n = len(block)
+    top = max((k + 1 for k in range(n // 2) if block[k] != block[n - 1 - k]), default=0)
+    out = [block[top : n // 2], ()] if top < n // 2 else []
+    for d in reversed(range(top)):
+        out = [(block[d],) + c for c in out]
+        if block[n - 1 - d] == block[d]:
+            out += [(block[d],), ()]
+    return out
+
+
+def mixed_wrap_block(rng, n, depth):
+    pure = [l for l in all_letters(n) if l[0] == "a"]
+    front = [rng.choice(pure) for _ in range(depth)]
+    back = [l if rng.random() < 0.5 else letter_inverse(l) for l in reversed(front)]
+    return tuple(front + back)
+
+
+def test_prefix_conjugators_match_wrap_by_wrap_construction():
+    rng = random.Random(4242)
+    for _ in range(3000):
+        n = rng.choice((3, 4))
+        block = mixed_wrap_block(rng, n, rng.randint(0, 14))
+        assert block_conjugators(block) == wrap_by_wrap_conjugators(block), block
+    for inverted in (False, True):
+        block = nest(2100, inverted).letters
+        assert block_conjugators(block) == wrap_by_wrap_conjugators(block)
+    # the blocks of products of conjugates of rho, as certify meets them
+    for _ in range(300):
+        n = rng.choice((3, 4))
+        product = random_rho_conjugate_product(rng, n)
+        blocks = parse_semipalindrome_product(semidirect_normal_form(product, cancel=False).pure)
+        for block in blocks:
+            assert block_conjugators(block) == wrap_by_wrap_conjugators(block)
+
+
+def test_prefix_conjugators_multiply_back_to_their_block():
+    rng = random.Random(77)
+    for _ in range(300):
+        n = rng.choice((3, 4))
+        block = mixed_wrap_block(rng, n, rng.randint(0, 10))
+        cert = Certificate(n, tuple(GeneratorWord(n, c) for c in block_conjugators(block)))
+        assert verify_certificate(cert, GeneratorWord(n, block))
+
+
+def test_random_products_draw_as_a_factor_loop():
+    # the sampler's rng draws (and so every seeded corpus) are pinned
+    for seed in range(20):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        n = 3 + seed % 2
+        pure = [l for l in all_letters(n) if l[0] == "a"]
+        expected = GeneratorWord(n)
+        for _ in range(ref_rng.randint(1, 6)):
+            conj = GeneratorWord(
+                n, tuple(ref_rng.choice(pure) for _ in range(ref_rng.randint(0, 10)))
+            )
+            expected = expected * conj * rho(n) * conj.inverse()
+        assert random_rho_conjugate_product(rng, n) == expected
+        assert rng.random() == ref_rng.random()
 
 
 def test_verify_examples():
@@ -211,8 +266,6 @@ def test_theorem_c_products_stay_in_kernel_both_routes():
 
 
 def _random_single_inversion_product(rng, n, factors, conj_len):
-    from symlift.symaut import all_letters, rho_i
-
     pure = [l for l in all_letters(n) if l[0] == "a"]
     out = GeneratorWord(n)
     for _ in range(factors):
@@ -231,7 +284,7 @@ def test_single_inversion_products_certify_when_residual_allows():
         n = rng.choice((3, 4))
         target = _random_single_inversion_product(rng, n, rng.randint(1, 4), 8)
         assert kernel_verdict(target, "inner-in-H").verdict == "in"
-        bits = set(rho_normal_form(target).rho_bits)
+        bits = set(semidirect_normal_form(target).rho)
         cert = certify(target)
         if bits in ({0}, {1}, set()):
             assert cert is not None and verify_certificate(cert, target)

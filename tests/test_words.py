@@ -55,6 +55,17 @@ def test_normalize_rejects_bad_index():
         normalize([(0, 1)], F3)
 
 
+def test_generator_matches_normalize():
+    for ctx in (F3, H3, H33):
+        k = ctx.torsion or 2
+        for i in (1, 3):
+            for exp in (0, 1, -1, k, -k, k + 1):
+                assert generator(ctx, i, exp) == normalize([(i, exp)], ctx)
+        for i in (0, 4):
+            with pytest.raises(WordError):
+                generator(ctx, i)
+
+
 @given(raw_syllables(3))
 def test_normalize_idempotent_free(raw):
     w = normalize(raw, F3)
