@@ -3,21 +3,30 @@
 The generator ``s_i`` acts by ``y_i -> y_i y_{i+1} y_i^{-1}``,
 ``y_{i+1} -> y_i`` (one of the two mirror conventions; both satisfy the braid
 relations, and the kernel searches below are convention-independent).  Its
-word in the presentation letters is ``s[i,i+1] a[i,i+1]``, so braid values
-carry source words and compose within the symmetric automorphism machinery.
+word in the presentation letters is ``s[i,i+1] a[i,i+1]``, so a braid is
+evaluated letter by letter by the symmetric automorphism machinery, in the
+free group or directly in a free product of cyclic groups.
 
 Reducing generators mod k gives an action on the free product of cyclic
-groups.  The bounded search looks for braids that act non-innerly on the
-free group but innerly after reduction: any such braid would be a nontrivial
-element of the reduced outer action's kernel.  Braid triviality itself is
-decided through the faithfulness of the free-group action, so braid-relation
-ghosts (freely reduced words representing the trivial braid) are never
-miscounted.
+groups.  It is evaluated in the torsion context itself: projecting
+conjugators mod k commutes with every letter action, and trailing
+target syllables are absorbed on both sides, so this equals reducing the
+free-group action.  The bounded search looks for braids that act non-innerly
+on the free group but innerly after reduction: any such braid would be a
+nontrivial element of the reduced outer action's kernel.  A braid that is
+trivial or inner on the free group is inner mod k, so the search decides mod
+k first and evaluates the free action only for the few words that are inner
+mod k.  Braid triviality itself is decided through the faithfulness of the
+free-group action, so braid-relation ghosts (freely reduced words
+representing the trivial braid) are never miscounted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterator
+
 from .symaut import (
     GeneratorWord,
     SymmetricAut,
@@ -26,8 +35,11 @@ from .symaut import (
     identity_aut,
     inner_witness_of,
 )
-from .lift import reduce_mod
-from .words import WordError, free_context
+from .words import WordError, free_context, torsion_context
+
+# Most freely reduced braid words one bounded_kernel_search may enumerate,
+# one to two minutes of work; larger searches are refused before they start.
+MAX_SEARCH_WORDS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -98,10 +110,11 @@ def artin_action(b: BraidWord) -> SymmetricAut:
 
 
 def eta_image(b: BraidWord, k: int) -> SymmetricAut:
-    """The braid's action after reducing every generator mod ``k``."""
+    """The braid's action after reducing every generator mod ``k``,
+    evaluated directly in the free product of cyclic groups of order ``k``."""
     if k < 2:
         raise WordError(f"modulus must be >= 2, got {k}")
-    return reduce_mod(artin_action(b), k)
+    return eval_generator_word(_generator_word(b), torsion_context(b.strands, k))
 
 
 @dataclass(frozen=True)
@@ -124,6 +137,67 @@ class SearchReport:
         }
 
 
+def search_word_count(strands: int, max_length: int) -> int:
+    """Freely reduced braid words of length 1..``max_length``:
+    ``2(n-1) * sum((2n-3)^j for j < max_length)``."""
+    letters = 2 * (strands - 1)
+    if letters == 2:
+        return 2 * max_length
+    return letters * ((letters - 1) ** max_length - 1) // (letters - 2)
+
+
+def check_search(strands: int, modulus: int, max_length: int) -> None:
+    """Refuse a malformed or over-budget search before doing any work."""
+    if strands < 2:
+        raise WordError("braid groups need at least 2 strands")
+    if max_length < 1:
+        raise WordError("max_length must be >= 1")
+    if modulus < 2:
+        raise WordError(f"modulus must be >= 2, got {modulus}")
+    letters = 2 * (strands - 1)
+    # the count exceeds (2n-3)^max_length: past 10^30 it is not worth building
+    if letters > 2 and max_length * math.log10(letters - 1) > 30:
+        size = "more than 10^30"
+    else:
+        count = search_word_count(strands, max_length)
+        if count <= MAX_SEARCH_WORDS:
+            return
+        size = f"{count:,}"
+    raise WordError(
+        f"braid search at {strands} strands up to length {max_length} covers {size} words, "
+        f"over the limit of {MAX_SEARCH_WORDS:,}"
+    )
+
+
+def _words_mod_k(
+    strands: int, modulus: int, max_length: int
+) -> Iterator[tuple[tuple[int, ...], SymmetricAut]]:
+    """Every freely reduced braid word of length 1..``max_length``, depth
+    first, with its mod-k image.
+
+    Each word's images are its parent's advanced by the last letter's two
+    presentation letters (:func:`act_letters`), so a word costs one step,
+    not an evaluation from scratch; the value is built, and validated, once
+    per word.
+    """
+    tctx = torsion_context(strands, modulus)
+    letters = sorted([i for i in range(1, strands)] + [-i for i in range(1, strands)])
+    steps = {l: _generator_word(BraidWord(strands, (l,))).letters for l in letters}
+    stack: list[tuple[tuple[int, ...], tuple]] = [((), identity_aut(tctx).images)]
+    while stack:
+        word, images = stack.pop()
+        for l in letters:
+            if word and word[-1] == -l:
+                continue
+            new_word = word + (l,)
+            new_images = list(images)
+            act_letters(new_images, steps[l], tctx)
+            aut = SymmetricAut(tctx, tuple(new_images))
+            yield new_word, aut
+            if len(new_word) < max_length:
+                stack.append((new_word, aut.images))
+
+
 def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> SearchReport:
     """Search for outer-kernel elements of the reduced braid action.
 
@@ -132,39 +206,26 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
     central braids like the full twist act innerly and are excluded) while
     its mod-k image acts innerly.  Injectivity of the reduced action predicts
     an empty flag list.
+
+    Only the mod-k images are carried from word to word.  Reduction maps
+    the identity to the identity and inner automorphisms to inner ones, so a
+    word that is not inner mod k (most fail at once on their permutation) is
+    neither trivial nor flagged; the free action is evaluated, from scratch,
+    only for words that are inner mod k.  Raises ``WordError`` for malformed
+    parameters and for searches over :data:`MAX_SEARCH_WORDS` words.
     """
-    if strands < 2:
-        raise WordError("braid groups need at least 2 strands")
-    if max_length < 1:
-        raise WordError("max_length must be >= 1")
-    fctx = free_context(strands)
-    letters = [i for i in range(1, strands)] + [-i for i in range(1, strands)]
+    check_search(strands, modulus, max_length)
     flagged: list[str] = []
     checked = 0
     trivial = 0
-
-    steps = {l: _generator_word(BraidWord(strands, (l,))).letters for l in letters}
-    stack: list[tuple[tuple[int, ...], SymmetricAut]] = [((), identity_aut(fctx))]
-    while stack:
-        word, aut = stack.pop()
-        if len(word) >= max_length:
+    for word, reduced in _words_mod_k(strands, modulus, max_length):
+        checked += 1
+        if inner_witness_of(reduced) is None:
             continue
-        for l in sorted(letters):
-            if word and word[-1] == -l:
-                continue
-            new_word = word + (l,)
-            # right-multiply by the step's two letters, updating images in place;
-            # nothing below reads a source word, so none is kept
-            images = list(aut.images)
-            act_letters(images, steps[l], fctx)
-            new_aut = SymmetricAut(fctx, tuple(images))
-            checked += 1
-            if new_aut.is_identity():
-                trivial += 1
-            elif inner_witness_of(new_aut) is None:
-                h = reduce_mod(new_aut, modulus)
-                if inner_witness_of(h) is not None:
-                    flagged.append(" ".join(map(str, new_word)))
-            stack.append((new_word, new_aut))
+        free = artin_action(BraidWord(strands, word))
+        if free.is_identity():
+            trivial += 1
+        elif inner_witness_of(free) is None:
+            flagged.append(" ".join(map(str, word)))
     flagged.sort()
     return SearchReport(strands, modulus, max_length, checked, trivial, tuple(flagged))

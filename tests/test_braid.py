@@ -1,16 +1,22 @@
 import random
+import time
 
 import pytest
 
+from symlift import braid
 from symlift.braid import (
+    MAX_SEARCH_WORDS,
     BraidWord,
+    SearchReport,
     artin_action,
     bounded_kernel_search,
     eta_image,
     parse_braid,
+    search_word_count,
 )
-from symlift.symaut import compose, inner_witness_of
-from symlift.words import WordError, free_context, parse_word, torsion_context
+from symlift.lift import reduce_mod
+from symlift.symaut import SymmetricAut, act_letters, compose, identity_aut, inner_witness_of
+from symlift.words import WordError, free_context, identity, parse_word, torsion_context
 
 F3 = free_context(3)
 H3 = torsion_context(3, 2)
@@ -64,6 +70,15 @@ def test_eta_examples():
         eta_image(BraidWord(3, (1,)), 1)
 
 
+def test_eta_equals_reduced_free_action():
+    rng = random.Random(11)
+    for _ in range(400):
+        strands, k = rng.randint(2, 5), rng.randint(2, 4)
+        pool = [i for i in range(1, strands)] + [-i for i in range(1, strands)]
+        b = BraidWord(strands, tuple(rng.choice(pool) for _ in range(rng.randint(0, 8))))
+        assert eta_image(b, k) == reduce_mod(artin_action(b), k), (b, k)
+
+
 def test_eta_is_homomorphism():
     rng = random.Random(4)
     for _ in range(100):
@@ -95,3 +110,118 @@ def test_search_counts_reduced_words():
     assert report.words_checked == 8
     report = bounded_kernel_search(3, 2, 3)
     assert report.words_checked == 4 + 4 * 3 + 4 * 9
+
+
+def reference_search(strands: int, modulus: int, max_length: int) -> SearchReport:
+    """The free-first search: carry the free images, reduce every word that
+    is not inner upstairs.  Its mod-k inner test is looked up on the braid
+    module, so a fault injected there reaches both searches."""
+    fctx = free_context(strands)
+    letters = sorted([i for i in range(1, strands)] + [-i for i in range(1, strands)])
+    steps = {l: braid._generator_word(BraidWord(strands, (l,))).letters for l in letters}
+    flagged, checked, trivial = [], 0, 0
+    stack = [((), identity_aut(fctx))]
+    while stack:
+        word, aut = stack.pop()
+        if len(word) >= max_length:
+            continue
+        for l in letters:
+            if word and word[-1] == -l:
+                continue
+            new_word = word + (l,)
+            images = list(aut.images)
+            act_letters(images, steps[l], fctx)
+            new_aut = SymmetricAut(fctx, tuple(images))
+            checked += 1
+            if new_aut.is_identity():
+                trivial += 1
+            elif inner_witness_of(new_aut) is None:
+                if braid.inner_witness_of(reduce_mod(new_aut, modulus)) is not None:
+                    flagged.append(" ".join(map(str, new_word)))
+            stack.append((new_word, new_aut))
+    flagged.sort()
+    return SearchReport(strands, modulus, max_length, checked, trivial, tuple(flagged))
+
+
+SEARCHES = [(n, k, length) for n, length in ((2, 8), (3, 6), (4, 4), (5, 3)) for k in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("strands,modulus,max_length", SEARCHES)
+def test_search_matches_free_first_reference(strands, modulus, max_length):
+    report = bounded_kernel_search(strands, modulus, max_length)
+    assert report == reference_search(strands, modulus, max_length)
+    assert report.words_checked == search_word_count(strands, max_length)
+
+
+def test_carried_images_are_the_reduced_free_action():
+    for strands, modulus, max_length in ((2, 3, 6), (3, 2, 5), (3, 4, 4), (4, 3, 3)):
+        seen = 0
+        for word, reduced in braid._words_mod_k(strands, modulus, max_length):
+            free = artin_action(BraidWord(strands, word))
+            assert reduced == reduce_mod(free, modulus), word
+            seen += 1
+        assert seen == search_word_count(strands, max_length)
+
+
+def test_free_action_evaluated_only_for_words_inner_mod_k(monkeypatch):
+    calls = []
+
+    def counted(b):
+        calls.append(b.letters)
+        return artin_action(b)
+
+    monkeypatch.setattr(braid, "artin_action", counted)
+    for strands, modulus, max_length in ((2, 3, 6), (3, 2, 6), (3, 3, 6), (4, 2, 4)):
+        calls.clear()
+        bounded_kernel_search(strands, modulus, max_length)
+        inner = [
+            word
+            for word, _ in braid._words_mod_k(strands, modulus, max_length)
+            if inner_witness_of(eta_image(BraidWord(strands, word), modulus)) is not None
+        ]
+        assert calls == inner and inner
+
+
+def test_lossy_mod_k_test_flags_the_same_braids_in_both_searches(monkeypatch):
+    # a broken mod-k inner test: every torsion automorphism with the identity
+    # permutation reads as inner, so pure braids like s1^2 are flagged
+    def lossy(f):
+        if not f.ctx.is_free and f.permutation() == tuple(range(1, f.ctx.rank + 1)):
+            return identity(f.ctx)
+        return inner_witness_of(f)
+
+    monkeypatch.setattr(braid, "inner_witness_of", lossy)
+    for strands, modulus, max_length in ((3, 2, 4), (3, 3, 4), (4, 2, 3)):
+        report = bounded_kernel_search(strands, modulus, max_length)
+        assert report.flagged and report == reference_search(strands, modulus, max_length)
+
+
+def no_work(*args):
+    raise AssertionError("search started")
+
+
+def test_search_rejects_bad_parameters_before_any_work(monkeypatch):
+    monkeypatch.setattr(braid, "_words_mod_k", no_work)
+    for args, message in (
+        ((1, 2, 3), "2 strands"),
+        ((3, 1, 3), "modulus must be >= 2"),
+        ((3, 0, 3), "modulus must be >= 2"),
+        ((3, 2, 0), "max_length"),
+    ):
+        with pytest.raises(WordError, match=message):
+            bounded_kernel_search(*args)
+
+
+def test_search_budget(monkeypatch):
+    monkeypatch.setattr(braid, "_words_mod_k", no_work)
+    assert search_word_count(2, 5) == 10
+    assert search_word_count(4, 12) == 366_210_936
+    assert search_word_count(4, 6) < MAX_SEARCH_WORDS // 50
+    start = time.perf_counter()
+    with pytest.raises(WordError) as exc:
+        bounded_kernel_search(4, 2, 12)
+    assert "366,210,936" in str(exc.value) and f"{MAX_SEARCH_WORDS:,}" in str(exc.value)
+    for args in ((2, 2, MAX_SEARCH_WORDS), (3, 2, 10**9), (10**6, 2, 2)):
+        with pytest.raises(WordError, match="over the limit"):
+            bounded_kernel_search(*args)
+    assert time.perf_counter() - start < 1.0

@@ -153,6 +153,9 @@ def test_malformed_input_exits_2(capsys, tmp_path):
         assert code == 2 and "--n or --ctx" in payload["error"]["message"]
     code, payload = run(capsys, "braid", "search", "--n", "1", "--k", "2", "--max-len", "3")
     assert code == 2 and "2 strands" in payload["error"]["message"]
+    for k, max_len, message in (("1", "3", "modulus"), ("2", "12", "366,210,936 words")):
+        code, payload = run(capsys, "braid", "search", "--n", "4", "--k", k, "--max-len", max_len)
+        assert code == 2 and message in payload["error"]["message"]
     for samples in ("0", "-1"):
         code, payload = run(
             capsys, "complex", "quotient-check", "--n", "3", "--samples", samples
