@@ -257,7 +257,7 @@ def cmd_complex_tree(args) -> int:
                 "canonical": tree.canonical(),
                 "type": tree.type_encoding(),
                 "unlabelled_count": tree.unlabelled_count,
-                "edges": sorted(tree.edges),
+                "edges": tree.edges,
             }
         }
     )

@@ -2,11 +2,12 @@
 
 A labelled bipartite tree on rank ``n`` has ``n`` labelled vertices (one per
 basis index), some unlabelled vertices, and edges that each join a labelled
-vertex to an unlabelled one.  Valence-1 vertices must be labelled, which
-forces every unlabelled vertex to have valence >= 2 and caps the unlabelled
-count at ``n - 1``.  Folding two edges at a labelled vertex merges their
-unlabelled endpoints; fold-reachability partially orders the trees over a
-fixed basis, with the star-shaped trivial tree as the unique minimum.
+vertex to an unlabelled one; valence-1 vertices must be labelled.  Such a
+tree is its unlabelled vertices' label sets, a hypertree on 1..n in the
+sense of McCammond and Meier.  Folding two edges at a labelled vertex
+merges their unlabelled endpoints; fold-reachability partially orders the
+trees over a fixed basis, with the star-shaped trivial tree as the unique
+minimum.
 
 The same poset, read with its labels as the factors of a free-product basis,
 is the star of a nuclear vertex in the complex the outer symmetric
@@ -50,148 +51,156 @@ from .words import (
 
 Edge = tuple[int, int]  # (label, unlabelled id)
 
+# An isomorphism class of trees (labels fixed, unlabelled vertices
+# interchangeable) as the set of its unlabelled vertices' label sets.  Two
+# unlabelled vertices share at most one label, as a second would close a
+# 4-cycle, so each vertex is fixed by its label set and the key is exact.
+LabelSets = frozenset[frozenset[int]]
 
-def _encode(edges: Iterable[Edge], name: Callable[[int], str]) -> str:
-    """Minimal rooted encoding over unlabelled roots, labels written by ``name``."""
-    lab_adj: dict[int, list[int]] = {}
-    unit_adj: dict[int, list[int]] = {}
-    for l, u in edges:
-        lab_adj.setdefault(l, []).append(u)
-        unit_adj.setdefault(u, []).append(l)
 
-    def enc_unit(u: int, parent: Optional[int]) -> str:
-        kids = sorted(enc_label(l, u) for l in unit_adj[u] if l != parent)
-        return "(" + ",".join(kids) + ")"
+def _label_components(labels: Iterable[int], sets: Iterable[frozenset]) -> list[frozenset]:
+    """The components of ``labels``, each set joining its labels, sorted by
+    smallest label.  Every label in a set must be listed."""
+    component = {l: frozenset((l,)) for l in labels}
+    for s in sets:
+        merged = frozenset().union(*(component[l] for l in s))
+        for l in merged:
+            component[l] = merged
+    return sorted(set(component.values()), key=min)
 
-    def enc_label(l: int, parent: Optional[int]) -> str:
-        kids = sorted(enc_unit(u, l) for u in lab_adj[l] if u != parent)
-        return name(l) + ("" if not kids else "[" + ",".join(kids) + "]")
 
-    return min(enc_unit(u, None) for u in unit_adj)
+def _encode(units: Sequence[frozenset[int]], name: Callable[[int], str]) -> str:
+    """Minimal rooted encoding over unlabelled roots, labels written by
+    ``name``.  Codes are built leaves first along a breadth-first order, so
+    deep trees need no recursion."""
+    label_units: dict[int, list[int]] = {}
+    for u, labels in enumerate(units):
+        for l in labels:
+            label_units.setdefault(l, []).append(u)
+
+    def rooted(root: int) -> str:
+        # (is_label, vertex, parent), each vertex listed before its children
+        order = [(False, root, -1)]
+        for is_label, v, parent in order:
+            near = label_units[v] if is_label else units[v]
+            order.extend((not is_label, w, v) for w in near if w != parent)
+        kids: dict[tuple[bool, int], list[str]] = {}
+        for is_label, v, parent in reversed(order):
+            inner = ",".join(sorted(kids.pop((is_label, v), ())))
+            code = (name(v) + (f"[{inner}]" if inner else "")) if is_label else f"({inner})"
+            kids.setdefault((not is_label, parent), []).append(code)
+        return code
+
+    return min(rooted(u) for u in range(len(units)))
 
 
 @dataclass(frozen=True)
 class LabelledBipartiteTree:
+    """``units[u]`` is the label set of unlabelled vertex ``u``.  Valid sets
+    use labels 1..n, have two labels or more, sum to ``sum(|E| - 1) == n - 1``
+    and connect the labels.  Equality reads ``label_sets``, the sets unordered."""
+
     rank: int
-    edges: frozenset[Edge]
+    units: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        labels = {l for l, _ in self.edges}
-        units = {u for _, u in self.edges}
-        n, m = self.rank, len(units)
+        n = self.rank
+        labels = frozenset().union(*self.units)
         if labels != set(range(1, n + 1)):
             raise WordError(f"labels {sorted(labels)} must be exactly 1..{n}")
-        if len(self.edges) != n + m - 1:
-            raise WordError("edge count wrong for a tree")
-        if not self._connected(labels, units):
-            raise WordError("tree is not connected")
-        for u in units:
-            if sum(1 for _, uu in self.edges if uu == u) < 2:
+        for u, unit in enumerate(self.units):
+            if len(unit) < 2:
                 raise WordError(f"unlabelled vertex {u} has valence < 2")
-        if m > n - 1:
-            raise WordError("too many unlabelled vertices")  # pragma: no cover
-        object.__setattr__(self, "_key", _encode(self.edges, str))
-
-    def _connected(self, labels: set[int], units: set[int]) -> bool:
-        nodes = {("L", l) for l in labels} | {("U", u) for u in units}
-        if not nodes:
-            return False
-        adj: dict = {v: [] for v in nodes}
-        for l, u in self.edges:
-            adj[("L", l)].append(("U", u))
-            adj[("U", u)].append(("L", l))
-        seen = set()
-        stack = [next(iter(nodes))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adj[v])
-        return seen == nodes
+        if sum(len(unit) - 1 for unit in self.units) != n - 1:
+            raise WordError(f"label sets are no tree: sum(|E| - 1) must be {n - 1}")
+        if len(_label_components(labels, self.units)) != 1:
+            raise WordError("tree is not connected")
+        object.__setattr__(self, "label_sets", frozenset(self.units))
 
     @property
     def unlabelled_count(self) -> int:
-        return len({u for _, u in self.edges})
+        return len(self.units)
 
-    def unit_ids(self) -> list[int]:
-        return sorted({u for _, u in self.edges})
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(sorted((l, u) for u, labels in enumerate(self.units) for l in labels))
 
-    def label_neighbors(self, label: int) -> list[int]:
-        return sorted(u for l, u in self.edges if l == label)
+    @cached_property
+    def _canonical(self) -> str:
+        return _encode(self.units, str)
 
     def canonical(self) -> str:
-        """Isomorphism-class key (labels kept, unlabelled vertices interchangeable)."""
-        return self._key
+        """Isomorphism-class text (labels kept, unlabelled vertices
+        interchangeable), for output and sorting."""
+        return self._canonical
 
     def type_encoding(self) -> str:
         """Isomorphism class forgetting labels (the tree's type)."""
-        return _encode(self.edges, lambda l: "*")
+        return _encode(self.units, lambda l: "*")
 
     def relabelled(self, perm: Sequence[int]) -> "LabelledBipartiteTree":
         """Apply label i -> perm[i-1]."""
         return LabelledBipartiteTree(
-            self.rank, frozenset((perm[l - 1], u) for l, u in self.edges)
+            self.rank, tuple(frozenset(perm[l - 1] for l in unit) for unit in self.units)
         )
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LabelledBipartiteTree)
             and self.rank == other.rank
-            and self._key == other._key
+            and self.label_sets == other.label_sets
         )
 
     def __hash__(self) -> int:
-        return hash((self.rank, self._key))
+        return hash((self.rank, self.label_sets))
 
     def to_dot(self, name: str = "tree") -> str:
         lines = [f"graph {name} {{"]
         for l in range(1, self.rank + 1):
             lines.append(f'  b{l} [label="b{l}", shape=circle];')
-        for u in self.unit_ids():
+        for u in range(len(self.units)):
             lines.append(f"  u{u} [label=\"\", shape=point];")
-        for l, u in sorted(self.edges):
+        for l, u in self.edges:
             lines.append(f"  b{l} -- u{u};")
         lines.append("}")
         return "\n".join(lines)
 
 
 def trivial_tree(n: int) -> LabelledBipartiteTree:
-    return LabelledBipartiteTree(n, frozenset((l, 0) for l in range(1, n + 1)))
+    return LabelledBipartiteTree(n, (frozenset(range(1, n + 1)),))
 
 
-def tree_from_units(n: int, units: Sequence[Iterable[int]]) -> LabelledBipartiteTree:
+def tree_from_units(n: int, units: Sequence[Sequence[int]]) -> LabelledBipartiteTree:
     """Build a tree by listing, per unlabelled vertex, its adjacent labels."""
-    edges = frozenset((l, u) for u, labels in enumerate(units) for l in labels)
-    return LabelledBipartiteTree(n, edges)
+    sets = tuple(map(frozenset, units))
+    for u, (labels, unit) in enumerate(zip(units, sets)):
+        if len(labels) != len(unit):
+            raise WordError(f"unlabelled vertex {u} lists a label twice")
+    return LabelledBipartiteTree(n, sets)
 
 
 def fold_apply(
     t: LabelledBipartiteTree, label: int, u1: int, u2: int
 ) -> LabelledBipartiteTree:
-    """Identify the edges (label, u1) and (label, u2), merging u2 into u1."""
+    """Identify the edges (label, u1) and (label, u2), merging u2 into u1;
+    the ids above u2 move down by one."""
     if u1 == u2:
         raise WordError("fold needs two distinct edges")
-    if (label, u1) not in t.edges or (label, u2) not in t.edges:
+    if not all(0 <= u < len(t.units) and label in t.units[u] for u in (u1, u2)):
         raise WordError(f"edges not incident to label {label}")
-    merged = frozenset((l, u1 if u == u2 else u) for l, u in t.edges)
-    return LabelledBipartiteTree(t.rank, merged)
+    units = list(t.units)
+    units[u1] |= units[u2]
+    del units[u2]
+    return LabelledBipartiteTree(t.rank, tuple(units))
 
 
 def all_folds(t: LabelledBipartiteTree) -> list[tuple[int, int, int, LabelledBipartiteTree]]:
     out = []
     for label in range(1, t.rank + 1):
-        units = t.label_neighbors(label)
+        units = [u for u, labels in enumerate(t.units) if label in labels]
         for u1, u2 in itertools.combinations(units, 2):
             out.append((label, u1, u2, fold_apply(t, label, u1, u2)))
     return out
-
-
-# An isomorphism class of trees (labels fixed, unlabelled vertices
-# interchangeable) as the set of its unlabelled vertices' label sets.  Two
-# unlabelled vertices share at most one label, as a second would close a
-# 4-cycle, so each vertex is fixed by its label set and the key is exact.
-LabelSets = frozenset[frozenset[int]]
 
 
 def _label_set_splits(key: LabelSets) -> list[LabelSets]:
@@ -233,11 +242,10 @@ class WhiteheadPoset:
     leq: tuple[tuple[bool, ...], ...]
 
     def index_of(self, t: LabelledBipartiteTree) -> int:
-        key = t.canonical()
-        for i, e in enumerate(self.elements):
-            if e.canonical() == key:
-                return i
-        raise WordError("tree not in poset")
+        try:
+            return self.elements.index(t)
+        except ValueError:
+            raise WordError("tree not in poset") from None
 
     @cached_property
     def _covers(self) -> tuple[tuple[int, int], ...]:
@@ -328,10 +336,10 @@ def enumerate_whitehead_poset(n: int) -> WhiteheadPoset:
     vertices' label sets, an unfold splits one set at a label into two sets
     that meet there, and a fold merges two sets that share a label.  Every
     non-trivial tree has a fold, so a breadth-first search of splits from
-    the trivial tree's ``{{1..n}}`` reaches every class.  Each class then
-    builds its one ``LabelledBipartiteTree`` through ``tree_from_units``;
-    the elements are sorted by ``(unlabelled_count, canonical())``, the
-    merges of each element give its lower covers, and ``leq`` closes them.
+    the trivial tree's ``{{1..n}}`` reaches every class.  Each class is one
+    ``LabelledBipartiteTree`` with its label sets as units; the elements
+    are sorted by ``(unlabelled_count, canonical())``, the merges of each
+    element give its lower covers, and ``leq`` closes them.
     """
     if n < 2:
         raise WordError("the poset needs rank >= 2 (no valid trees at rank 1)")
@@ -344,7 +352,7 @@ def enumerate_whitehead_poset(n: int) -> WhiteheadPoset:
             if split not in seen:
                 seen.add(split)
                 queue.append(split)
-    trees = {key: tree_from_units(n, sorted(map(sorted, key))) for key in queue}
+    trees = {key: LabelledBipartiteTree(n, tuple(sorted(key, key=sorted))) for key in queue}
     keys = sorted(queue, key=lambda key: (len(key), trees[key].canonical()))
     elements = [trees[key] for key in keys]
     index = {key: i for i, key in enumerate(keys)}
@@ -548,30 +556,14 @@ def order_complex_homology(poset: WhiteheadPoset) -> HomologyReport:
 def components_without(t: LabelledBipartiteTree, label: int) -> list[frozenset[int]]:
     """Label sets of the components of the tree minus one labelled vertex,
     sorted by smallest contained label."""
-    adj: dict = {}
-    for l, u in t.edges:
-        if l == label:
-            continue
-        adj.setdefault(("L", l), []).append(("U", u))
-        adj.setdefault(("U", u), []).append(("L", l))
-    for u in t.label_neighbors(label):
-        adj.setdefault(("U", u), [])
-    seen: set = set()
-    comps = []
-    for start in list(adj):
-        if start in seen:
-            continue
-        stack, comp = [start], set()
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            comp.add(v)
-            stack.extend(adj[v])
-        labels = frozenset(l for kind, l in comp if kind == "L")
-        comps.append(labels)
-    return sorted(comps, key=lambda s: min(s) if s else 0)
+    others = [l for l in range(1, t.rank + 1) if l != label]
+    return _label_components(others, (unit - {label} for unit in t.units))
+
+
+def _designated(comps: Sequence[frozenset[int]]) -> frozenset[int]:
+    """The component a vertex automorphism keeps at power 0: the one
+    holding the largest label."""
+    return max(comps, key=max)
 
 
 @dataclass(frozen=True)
@@ -598,8 +590,7 @@ class VertexAutomorphismSpec:
 
     def normalized(self) -> "VertexAutomorphismSpec":
         """Shift the component containing the largest label to power 0."""
-        comps = components_without(self.tree, self.vertex)
-        designated = max(comps, key=max)
+        designated = _designated(components_without(self.tree, self.vertex))
         shift = self.powers[max(designated) - 1]
         powers = tuple(
             0 if l == self.vertex else p - shift
@@ -634,15 +625,17 @@ def vertex_aut_eval(spec: VertexAutomorphismSpec, ctx: GroupContext) -> Symmetri
 # ---------------------------------------------------------------------------
 
 
+MAX_SYMMETRY_RANK = 8  # the scan tries all n! relabellings
+
+
 def tree_symmetries(t: LabelledBipartiteTree) -> list[tuple[int, ...]]:
     """Label permutations preserving the tree up to isomorphism."""
     n = t.rank
-    key = t.canonical()
-    out = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        if t.relabelled(perm).canonical() == key:
-            out.append(perm)
-    return out
+    if n > MAX_SYMMETRY_RANK:
+        raise WordError(f"tree symmetries are limited to rank <= {MAX_SYMMETRY_RANK}, not {n}")
+    return [
+        perm for perm in itertools.permutations(range(1, n + 1)) if t.relabelled(perm) == t
+    ]
 
 
 def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -705,19 +698,20 @@ def stabilizer_generators(t: LabelledBipartiteTree) -> StabilizerGenerators:
     of every emitted generator is checkable (see stabilizer_soundness).
     """
     n = t.rank
+    symmetries = tuple(symmetry_generators(t))  # first: it refuses large ranks
     v_specs = []
     for v in range(1, n + 1):
         comps = components_without(t, v)
         if len(comps) < 2:
             continue
-        designated = max(comps, key=max)
+        designated = _designated(comps)
         for comp in comps:
             if comp == designated:
                 continue
             powers = tuple(1 if l in comp else 0 for l in range(1, n + 1))
             v_specs.append(VertexAutomorphismSpec(t, v, powers))
     inversions = tuple(rho_i(n, i) for i in range(1, n + 1))
-    return StabilizerGenerators(t, tuple(v_specs), inversions, tuple(symmetry_generators(t)))
+    return StabilizerGenerators(t, tuple(v_specs), inversions, symmetries)
 
 
 def stabilizer_soundness(t: LabelledBipartiteTree) -> list[tuple[str, bool]]:
@@ -738,9 +732,8 @@ def stabilizer_soundness(t: LabelledBipartiteTree) -> list[tuple[str, bool]]:
         results.append((f"vertex_aut {spec.generator_word()}", ok))
     for gw in gens.inversions:
         results.append((f"inversion {gw}", True))
-    key = t.canonical()
     for p in gens.symmetries:
-        results.append((f"symmetry {p}", t.relabelled(p).canonical() == key))
+        results.append((f"symmetry {p}", t.relabelled(p) == t))
     return results
 
 
@@ -878,11 +871,9 @@ def _tree_vertex_aut_group(
         comps = components_without(t, v)
         if len(comps) < 2:
             continue
-        designated = max(comps, key=max)
+        designated = _designated(comps)
         free_comps = [c for c in comps if c != designated]
         if ctx.is_free:
-            if bound is None:
-                raise WordError("free-context exploration needs an exponent bound")
             ranges = [range(-bound, bound + 1)] * len(free_comps)
         else:
             ranges = [range(ctx.torsion)] * len(free_comps)
@@ -949,11 +940,16 @@ def nuclear_ball(ctx: GroupContext, radius: int, bound: Optional[int] = None) ->
 
     A neighbor of a nuclear vertex is the vertex of a basis obtained by a
     vertex-automorphism group element of some tree over the current basis.
-    Torsion contexts enumerate those groups exactly; free contexts bound the
-    exponents, and the report carries the soundness caveat.
+    Torsion contexts enumerate those groups exactly and take no ``bound``;
+    free contexts need ``bound >= 0`` on the exponents, and the report
+    carries the soundness caveat.
     """
     if radius < 0:
         raise WordError("radius must be >= 0")
+    if ctx.is_free and (bound is None or bound < 0):
+        raise WordError(f"free-context exploration needs an exponent bound >= 0, not {bound}")
+    if not ctx.is_free and bound is not None:
+        raise WordError("torsion contexts are explored exactly and take no exponent bound")
     poset = enumerate_whitehead_poset(ctx.rank)
     moves: list[tuple[SymmetricAut, str]] = []
     for t in poset.elements:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -164,6 +165,39 @@ def test_malformed_input_exits_2(capsys, tmp_path):
     for command in ("poset", "homology"):
         code, payload = run(capsys, "complex", command, "--n", "7")
         assert code == 2 and "rank <= 6" in payload["error"]["message"]
+    for tree in ("1,2;;2,3", "1,2,2;2,3"):  # an empty chunk, a repeated label
+        code, payload = run(capsys, "complex", "tree", "--n", "3", "--tree", tree)
+        assert code == 2 and "unlabelled vertex" in payload["error"]["message"]
+    for argv in (("--ctx", "F:3", "--bound", "-1"), ("--ctx", "H:3:2", "--bound", "5")):
+        code, payload = run(capsys, "complex", "ball", "--radius", "1", *argv)
+        assert code == 2 and "bound" in payload["error"]["message"]
+    code, payload = run(capsys, "complex", "stabilizer", "--n", "9")
+    assert code == 2 and "rank <= 8" in payload["error"]["message"]
+
+
+def test_deep_tree_needs_no_recursion(capsys):
+    path = ";".join(f"{l},{l + 1}" for l in range(1, 300))
+    code, payload = run(capsys, "complex", "tree", "--n", "300", "--tree", path)
+    assert code == 0 and payload["tree"]["unlabelled_count"] == 299
+    assert payload["tree"]["canonical"].count("(") == 299
+
+
+def test_complex_outputs_are_pinned(capsys):
+    # sha256 of stdout, fixed when trees were still stored as edges
+    pinned = {
+        ("poset", "--n", "6"):
+            "eb8e911c793e9276a0f3498c8fa1757beeb893f26655bde3b0b68746c4179fa9",
+        ("poset", "--n", "6", "--format", "dot"):
+            "8c95e2d3b8f4108413a75044e07f858eda21e67370173c5c793ce50333f75b79",
+        ("ball", "--ctx", "H:4:2", "--radius", "1"):
+            "38c14784299695945b82210d332d48b6e4f26233fcbccec76c71f8f83213dd29",
+        ("tree", "--n", "4", "--tree", "4,1,2;4,3"):
+            "fcc0a8478adfaaa36b49c58def19e219b245aab26a6a2f618a9d49412f1d4c1c",
+    }
+    for argv, digest in pinned.items():
+        assert main(["complex", *argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_usage_error_exits_2(capsys):

@@ -53,6 +53,39 @@ def test_tree_conditions_enforced():
         tree_from_units(3, [[1, 2, 3], [1]])  # valence-1 unlabelled vertex
     with pytest.raises(WordError):
         tree_from_units(3, [[1, 2], [2, 3], [3, 1]])  # cycle
+    with pytest.raises(WordError):
+        tree_from_units(3, [[1, 2], [], [2, 3]])  # an empty unlabelled vertex
+    with pytest.raises(WordError, match="twice"):
+        tree_from_units(3, [[1, 2, 2], [2, 3]])
+    with pytest.raises(WordError, match="connected"):
+        # the count sum(|E| - 1) = n - 1 holds, but {4, 5} hangs apart
+        tree_from_units(5, [[1, 2, 3], [1, 2], [4, 5]])
+
+
+def recursive_encode(units, name):
+    """Reference for the canonical encoding: the recursive rooted code."""
+    label_units = {}
+    for u, labels in enumerate(units):
+        for l in labels:
+            label_units.setdefault(l, []).append(u)
+
+    def enc_unit(u, parent):
+        return "(" + ",".join(sorted(enc_label(l, u) for l in units[u] if l != parent)) + ")"
+
+    def enc_label(l, parent):
+        kids = sorted(enc_unit(u, l) for u in label_units[l] if u != parent)
+        return name(l) + ("" if not kids else "[" + ",".join(kids) + "]")
+
+    return min(enc_unit(u, None) for u in range(len(units)))
+
+
+def test_encoding_matches_the_recursive_reference():
+    for n in (2, 3, 4, 5):
+        for t in enumerate_whitehead_poset(n).elements:
+            s = LabelledBipartiteTree(n, t.units[::-1])
+            for tree in (t, s):
+                assert tree.canonical() == recursive_encode(tree.units, str)
+                assert tree.type_encoding() == recursive_encode(tree.units, lambda l: "*")
 
 
 def test_tree_canonical_identifies_isomorphic_labelings():
@@ -95,8 +128,9 @@ def subset_scan(n):
     for m in range(1, n):
         slots = [(l, u) for l in range(1, n + 1) for u in range(m)]
         for chosen in itertools.combinations(slots, n + m - 1):
+            units = tuple(frozenset(l for l, v in chosen if v == u) for u in range(m))
             try:
-                t = LabelledBipartiteTree(n, frozenset(chosen))
+                t = LabelledBipartiteTree(n, units)
             except WordError:
                 continue
             found.setdefault(t.canonical(), t)
@@ -164,14 +198,12 @@ def test_unfolds_invert_folds_and_give_the_upper_covers():
 
 
 def test_label_sets_and_canonical_agree_on_equality():
-    # every rank-5 class under every relabelling, its unlabelled ids renumbered
+    # every rank-5 class under every relabelling, its unlabelled ids reversed
     canonical_of = {}
     for t in enumerate_whitehead_poset(5).elements:
-        units = t.unit_ids()
-        renumber = dict(zip(units, range(10, 10 - len(units), -1)))
         for perm in itertools.permutations(range(1, 6)):
-            edges = frozenset((perm[l - 1], renumber[u]) for l, u in t.edges)
-            s = LabelledBipartiteTree(5, edges)
+            units = tuple(frozenset(perm[l - 1] for l in labels) for labels in reversed(t.units))
+            s = LabelledBipartiteTree(5, units)
             assert canonical_of.setdefault(label_sets(s), s.canonical()) == s.canonical()
     assert len(set(canonical_of.values())) == len(canonical_of) == 311
 
@@ -518,6 +550,10 @@ def test_nuclear_ball_free_context_flagged():
     assert ball.counts() == [1, 6]
     with pytest.raises(WordError):
         nuclear_ball(F3, 1)  # bound mandatory over the free group
+    with pytest.raises(WordError, match=">= 0"):
+        nuclear_ball(F3, 1, bound=-1)
+    with pytest.raises(WordError, match="no exponent bound"):
+        nuclear_ball(H3, 1, bound=5)  # torsion contexts are exact
 
 
 # -- quotient map -------------------------------------------------------------------
