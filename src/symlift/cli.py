@@ -171,7 +171,10 @@ def cmd_kernel_certify(args) -> int:
 
 def cmd_kernel_verify(args) -> int:
     with open(args.cert) as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise WordError("certificate JSON is nested too deeply") from None
     if isinstance(data, dict) and "certificate" in data:
         data = data["certificate"]
     cert = kernel_mod.Certificate.from_json(data)
@@ -222,7 +225,7 @@ def cmd_complex_stabilizer(args) -> int:
         else complexes.trivial_tree(args.n)
     )
     gens = complexes.stabilizer_generators(tree)
-    soundness = complexes.stabilizer_soundness(tree)
+    soundness = complexes.stabilizer_soundness(gens)
     ok = all(flag for _, flag in soundness)
     return _emit(
         {
@@ -295,8 +298,16 @@ def cmd_selftest(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ``WordError``, so they print the error object."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise WordError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symlift",
         description="symmetric automorphisms, reduction mod k, kernel certificates",
     )
@@ -436,9 +447,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse reports usage problems itself; normalize the exit code
+    except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
+    except WordError as exc:
+        return _emit_error(str(exc))
     if getattr(args, "seed", "missing") is None:
         args.seed = _default_seed()
     try:

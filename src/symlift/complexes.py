@@ -27,12 +27,13 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .symaut import (
     GeneratorWord,
+    Letter,
     SymmetricAut,
+    act_letters,
     all_letters,
     canonical_image,
-    compose,
+    compose,  # unused here; perfbench/tests/test_tracing.py asserts this binding
     eval_generator_word,
-    identity_aut,
     is_inner,
     rho_i,
 )
@@ -42,7 +43,6 @@ from .words import (
     WordError,
     format_word,
     free_context,
-    generator,
     generator_conjugate_shape,
     identity as identity_word,
     project_mod_k,
@@ -560,10 +560,18 @@ def components_without(t: LabelledBipartiteTree, label: int) -> list[frozenset[i
     return _label_components(others, (unit - {label} for unit in t.units))
 
 
-def _designated(comps: Sequence[frozenset[int]]) -> frozenset[int]:
-    """The component a vertex automorphism keeps at power 0: the one
-    holding the largest label."""
-    return max(comps, key=max)
+def moving_components(t: LabelledBipartiteTree) -> dict[int, list[frozenset[int]]]:
+    """Per labelled vertex, in ascending order, the components of the tree
+    minus that vertex which a vertex automorphism there may move: all but
+    the one holding the largest label, which stays at power 0.  Vertices
+    leaving a single component have nothing to move and are left out."""
+    moving = {}
+    for v in range(1, t.rank + 1):
+        comps = components_without(t, v)
+        if len(comps) > 1:
+            kept = max(comps, key=max)
+            moving[v] = [comp for comp in comps if comp != kept]
+    return moving
 
 
 @dataclass(frozen=True)
@@ -588,15 +596,16 @@ class VertexAutomorphismSpec:
             if len(vals) > 1:
                 raise WordError(f"powers not constant on component {sorted(comp)}")
 
-    def normalized(self) -> "VertexAutomorphismSpec":
-        """Shift the component containing the largest label to power 0."""
-        designated = _designated(components_without(self.tree, self.vertex))
-        shift = self.powers[max(designated) - 1]
-        powers = tuple(
-            0 if l == self.vertex else p - shift
-            for l, p in enumerate(self.powers, start=1)
-        )
-        return VertexAutomorphismSpec(self.tree, self.vertex, powers)
+    @classmethod
+    def on_components(
+        cls, tree: LabelledBipartiteTree, vertex: int, powers: Iterable[tuple[frozenset[int], int]]
+    ) -> "VertexAutomorphismSpec":
+        """Power p on every label of each ``(component, p)`` pair, 0 elsewhere."""
+        by_label = [0] * tree.rank
+        for comp, p in powers:
+            for l in comp:
+                by_label[l - 1] = p
+        return cls(tree, vertex, tuple(by_label))
 
     def inverse_spec(self) -> "VertexAutomorphismSpec":
         return VertexAutomorphismSpec(
@@ -699,29 +708,23 @@ def stabilizer_generators(t: LabelledBipartiteTree) -> StabilizerGenerators:
     """
     n = t.rank
     symmetries = tuple(symmetry_generators(t))  # first: it refuses large ranks
-    v_specs = []
-    for v in range(1, n + 1):
-        comps = components_without(t, v)
-        if len(comps) < 2:
-            continue
-        designated = _designated(comps)
-        for comp in comps:
-            if comp == designated:
-                continue
-            powers = tuple(1 if l in comp else 0 for l in range(1, n + 1))
-            v_specs.append(VertexAutomorphismSpec(t, v, powers))
+    v_specs = tuple(
+        VertexAutomorphismSpec.on_components(t, v, [(comp, 1)])
+        for v, comps in moving_components(t).items()
+        for comp in comps
+    )
     inversions = tuple(rho_i(n, i) for i in range(1, n + 1))
-    return StabilizerGenerators(t, tuple(v_specs), inversions, symmetries)
+    return StabilizerGenerators(t, v_specs, inversions, symmetries)
 
 
-def stabilizer_soundness(t: LabelledBipartiteTree) -> list[tuple[str, bool]]:
-    """Constructive membership evidence for each emitted generator.
+def stabilizer_soundness(gens: StabilizerGenerators) -> list[tuple[str, bool]]:
+    """Constructive membership evidence for each generator in ``gens``.
 
     Vertex automorphisms are carried by the tree itself (the defining move);
     inversions fix every label's factor, hence the literal tree; symmetries
     must relabel the tree to an isomorphic copy.
     """
-    gens = stabilizer_generators(t)
+    t = gens.tree
     results: list[tuple[str, bool]] = []
     for spec in gens.vertex_auts:
         ok = spec.tree == t  # carried by construction; re-validate constancy
@@ -781,12 +784,9 @@ class NuclearVertex:
 
     @classmethod
     def from_aut(cls, f: SymmetricAut) -> "NuclearVertex":
-        return cls.from_basis(f.image_words(), f.ctx)
-
-    def basis_words(self) -> tuple[Word, ...]:
-        return tuple(
-            conj * generator(self.ctx, t) * conj.inverse() for conj, t in self.factors
-        )
+        """The vertex of the basis ``f(g_1), ..., f(g_n)``, whose factors are
+        the ``(conjugator, target)`` pairs of f's images."""
+        return cls(f.ctx, _canonicalize_factors([(c, t) for c, t, _ in f.images], f.ctx))
 
     def project(self) -> "NuclearVertex":
         """Mod-2 image: the quotient map on nuclear vertices."""
@@ -795,11 +795,6 @@ class NuclearVertex:
         hctx = torsion_context(self.ctx.rank, 2)
         projected = [(project_mod_k(conj, 2), t) for conj, t in self.factors]
         return NuclearVertex(hctx, _canonicalize_factors(projected, hctx))
-
-    def translated(self, f: SymmetricAut) -> "NuclearVertex":
-        return NuclearVertex.from_basis(
-            tuple(f.apply(w) for w in self.basis_words()), self.ctx
-        )
 
     def encode(self) -> str:
         return "; ".join(f"{t}:{format_word(conj)}" for conj, t in self.factors)
@@ -863,39 +858,25 @@ def _canonicalize_factors(factors: Sequence[Factor], ctx: GroupContext) -> tuple
 
 def _tree_vertex_aut_group(
     t: LabelledBipartiteTree, ctx: GroupContext, bound: Optional[int]
-) -> list[tuple[SymmetricAut, str]]:
+) -> list[tuple[tuple[Letter, ...], str]]:
     """All products of vertex automorphisms carried by ``t`` over the
-    standard basis, exponents bounded in free contexts, exact otherwise."""
-    per_vertex: list[list[tuple[VertexAutomorphismSpec, str]]] = []
-    for v in range(1, t.rank + 1):
-        comps = components_without(t, v)
-        if len(comps) < 2:
-            continue
-        designated = _designated(comps)
-        free_comps = [c for c in comps if c != designated]
-        if ctx.is_free:
-            ranges = [range(-bound, bound + 1)] * len(free_comps)
-        else:
-            ranges = [range(ctx.torsion)] * len(free_comps)
+    standard basis, each as the letters of its factors in vertex order with
+    its tag; exponents bounded in free contexts, exact otherwise."""
+    powers = range(-bound, bound + 1) if ctx.is_free else range(ctx.torsion)
+    per_vertex = []
+    for v, comps in moving_components(t).items():
         options = []
-        for combo in itertools.product(*ranges):
-            powers = [0] * t.rank
-            for comp, p in zip(free_comps, combo):
-                for l in comp:
-                    powers[l - 1] = p
-            spec = VertexAutomorphismSpec(t, v, tuple(powers))
-            options.append((spec, f"v{v}:{combo}"))
+        for combo in itertools.product(powers, repeat=len(comps)):
+            spec = VertexAutomorphismSpec.on_components(t, v, zip(comps, combo))
+            options.append((spec.generator_word().letters, f"v{v}:{combo}" if any(combo) else ""))
         per_vertex.append(options)
-    combos: list[tuple[SymmetricAut, str]] = []
-    for assignment in itertools.product(*per_vertex):
-        aut = identity_aut(ctx)
-        tags = []
-        for spec, tag in assignment:
-            if any(spec.powers):
-                aut = compose(aut, vertex_aut_eval(spec, ctx))
-                tags.append(tag)
-        combos.append((aut, ",".join(tags) or "id"))
-    return combos
+    return [
+        (
+            tuple(itertools.chain.from_iterable(letters for letters, _ in assignment)),
+            ",".join(tag for _, tag in assignment if tag) or "id",
+        )
+        for assignment in itertools.product(*per_vertex)
+    ]
 
 
 @dataclass(frozen=True)
@@ -935,6 +916,12 @@ class BallReport:
         return "\n".join(lines)
 
 
+# Moves listed, and move applications summed over the levels (at least one
+# per level), allowed in one exploration.  F:4 at radius 2 and bound 2
+# applies 124,848 moves in about 60 s on one core of a 2-vCPU x86-64 host.
+MAX_BALL_WORK = 150_000
+
+
 def nuclear_ball(ctx: GroupContext, radius: int, bound: Optional[int] = None) -> BallReport:
     """Breadth-first exploration of nuclear vertices through shared stars.
 
@@ -942,7 +929,10 @@ def nuclear_ball(ctx: GroupContext, radius: int, bound: Optional[int] = None) ->
     vertex-automorphism group element of some tree over the current basis.
     Torsion contexts enumerate those groups exactly and take no ``bound``;
     free contexts need ``bound >= 0`` on the exponents, and the report
-    carries the soundness caveat.
+    carries the soundness caveat.  Each vertex keeps its automorphism's
+    image list, and a move steps a copy of it with :func:`act_letters`.
+    The moves listed, and the move applications summed over the levels,
+    are each refused above ``MAX_BALL_WORK`` before that work starts.
     """
     if radius < 0:
         raise WordError("radius must be >= 0")
@@ -951,33 +941,48 @@ def nuclear_ball(ctx: GroupContext, radius: int, bound: Optional[int] = None) ->
     if not ctx.is_free and bound is not None:
         raise WordError("torsion contexts are explored exactly and take no exponent bound")
     poset = enumerate_whitehead_poset(ctx.rank)
-    moves: list[tuple[SymmetricAut, str]] = []
-    for t in poset.elements:
-        for aut, tag in _tree_vertex_aut_group(t, ctx, bound):
-            if not aut.is_identity():
-                moves.append((aut, f"{t.canonical()}|{tag}"))
-    start = NuclearVertex.standard(ctx)
-    state: dict[str, SymmetricAut] = {start.encode(): identity_aut(ctx)}
-    witnesses: dict[str, tuple[Optional[str], str]] = {start.encode(): (None, "start")}
-    levels: list[tuple[str, ...]] = [(start.encode(),)]
-    current = [(start, identity_aut(ctx))]
+    choices = 2 * bound + 1 if ctx.is_free else ctx.torsion
+    # every exponent choice but all-zero is a move, so this is len(moves)
+    candidates = sum(
+        choices ** sum(map(len, moving_components(t).values())) - 1 for t in poset.elements
+    )
+    if candidates > MAX_BALL_WORK:
+        raise WordError(
+            f"the ball would list {candidates:,} moves, over the limit of {MAX_BALL_WORK:,}"
+        )
+    moves = [
+        (letters, f"{t.canonical()}|{tag}")
+        for t in poset.elements
+        for letters, tag in _tree_vertex_aut_group(t, ctx, bound)
+        if letters
+    ]
+    start = NuclearVertex.standard(ctx).encode()
+    witnesses: dict[str, tuple[Optional[str], str]] = {start: (None, "start")}
+    levels: list[tuple[str, ...]] = [(start,)]
+    e = identity_word(ctx)
+    current = [(start, [(e, i, 1) for i in range(1, ctx.rank + 1)])]
+    work = 0
     for _ in range(radius):
-        nxt: list[tuple[NuclearVertex, SymmetricAut]] = []
-        for vertex, g in current:
-            enc0 = vertex.encode()
-            for move, tag in moves:
+        work += max(len(current) * len(moves), 1)
+        if work > MAX_BALL_WORK:
+            raise WordError(
+                f"the ball would apply {work:,} moves by distance {len(levels)}, "
+                f"over the limit of {MAX_BALL_WORK:,}"
+            )
+        nxt = []
+        for enc0, images in current:
+            for letters, tag in moves:
                 # the move is carried by a tree over the current basis:
-                # conjugate the standard move through g
-                g2 = compose(g, move)
-                v2 = NuclearVertex.from_aut(g2)
-                enc2 = v2.encode()
-                if enc2 in state:
+                # conjugate the standard move through the current images
+                stepped = list(images)
+                act_letters(stepped, letters, ctx)
+                enc2 = NuclearVertex.from_aut(SymmetricAut(ctx, tuple(stepped))).encode()
+                if enc2 in witnesses:
                     continue
-                state[enc2] = g2
                 witnesses[enc2] = (enc0, tag)
-                nxt.append((v2, g2))
-        nxt.sort(key=lambda pair: pair[0].encode())
-        levels.append(tuple(v.encode() for v, _ in nxt))
+                nxt.append((enc2, stepped))
+        nxt.sort(key=lambda pair: pair[0])
+        levels.append(tuple(enc for enc, _ in nxt))
         current = nxt
     return BallReport(
         ctx,
@@ -1026,23 +1031,26 @@ def quotient_star_check(n: int, rng, samples: int = 25) -> QuotientCheckReport:
 
     (a) The star posets over a basis and its projection are isomorphic: the
         fold order only sees the tree shapes, and projection keeps every
-        label a generator conjugate and the labels' targets a permutation of
-        1..n, so the two stars are one poset under the label bijection.
+        label a generator conjugate (a factor of the projected vertex) and
+        the labels' targets a permutation of 1..n, so the two stars are one
+        poset under the label bijection.
     (b) Translating by products of conjugates of generator inversions (all of
         which die mod 2) never moves the projected vertex.
     (c) Translates whose mod-2 image is non-inner land on distinct projected
         vertices.
+
+    Ranks below 3 are refused: there every pure word is inner mod 2, so (c)
+    would have nothing to test.
     """
+    if n < 3:
+        raise WordError(f"the quotient check needs rank >= 3, not {n}")
     if samples < 1:
         raise WordError(f"samples must be >= 1, not {samples}")
     fctx = free_context(n)
     hctx = torsion_context(n, 2)
     star_size = len(enumerate_whitehead_poset(n).elements)
-    v0 = NuclearVertex.standard(fctx)
-    q0 = v0.project()
-    shapes = [generator_conjugate_shape(w) for w in q0.basis_words()]
-    targets = sorted(shape[1] for shape in shapes if shape is not None)
-    star_iso = None not in shapes and targets == list(range(1, n + 1))
+    q0 = NuclearVertex.standard(fctx).project()
+    star_iso = sorted(t for _, t in q0.factors) == list(range(1, n + 1))
     pure = [l for l in all_letters(n) if l[0] == "a"]
     kernel_ok = True
     k_checks = 0
@@ -1054,7 +1062,7 @@ def quotient_star_check(n: int, rng, samples: int = 25) -> QuotientCheckReport:
             gw = gw * conj * rho_i(n, i) * conj.inverse()
         g = eval_generator_word(gw, fctx)
         k_checks += 1
-        if v0.translated(g).project() != q0:
+        if NuclearVertex.from_aut(g).project() != q0:
             kernel_ok = False
     sep_ok = True
     s_checks = 0
@@ -1067,7 +1075,7 @@ def quotient_star_check(n: int, rng, samples: int = 25) -> QuotientCheckReport:
             continue
         g = eval_generator_word(gw, fctx)
         s_checks += 1
-        if v0.translated(g).project() == q0:
+        if NuclearVertex.from_aut(g).project() == q0:
             sep_ok = False
     return QuotientCheckReport(
         rank=n,

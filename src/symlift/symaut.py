@@ -20,8 +20,14 @@ inverting an automorphism without one raises ``WordError``.
 Evaluation is letter-local: it keeps one list of images and updates it in
 place for each letter (:func:`act_letters`).  An ``a``-letter rewrites one
 conjugator, an ``s``-letter swaps two images and an ``r``-letter flips a
-sign, so a letter costs time linear in the conjugators it touches.
-:func:`compose` stays on the general substitute-and-decompose path.
+sign, so a letter costs time linear in the conjugators it touches.  Every
+automorphism the other modules build comes from letters this way: a product
+is the concatenated letter word.
+
+:func:`compose`, :meth:`SymmetricAut.apply` and :func:`act_letter` stay on
+the general substitute-and-decompose path.  Nothing outside this module
+calls them: they are the independent reference the tests check letter
+evaluation against.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .words import (
     Word,
     WordError,
     coset_intersection,
-    cyclic_reduce,
+    cyclic_reduce,  # perfbench/tests/test_tracing.py asserts this binding
     format_word,
     free_context,
     generator,
@@ -77,6 +83,8 @@ class GeneratorWord:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.rank < 1:
+            raise WordError(f"rank must be >= 1, got {self.rank}")
         for letter in self.letters:
             kind = letter[0]
             if kind == "a":
@@ -558,7 +566,6 @@ class RelationCheck:
     family: str
     instance: tuple
     holds: bool
-    witness: Optional[str] = None
 
 
 def _exact_identity(gw: GeneratorWord, ctx: GroupContext) -> bool:
@@ -643,14 +650,7 @@ def _check_inner_product(n, ctx):
     for j in range(1, n + 1):
         letters = tuple(("a", i, j, 1) for i in range(1, n + 1) if i != j)
         f = eval_generator_word(GeneratorWord(n, letters), ctx)
-        w = inner_witness_of(f)
-        expected = generator(ctx, j)
-        yield RelationCheck(
-            "outer_product",
-            (j,),
-            w is not None and w == expected,
-            None if w is None else format_word(w),
-        )
+        yield RelationCheck("outer_product", (j,), inner_witness_of(f) == generator(ctx, j))
 
 
 RELATION_FAMILIES = (

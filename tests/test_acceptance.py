@@ -28,15 +28,20 @@ TIME_BOUNDS = {
     "braid_injectivity_evidence": 300,
 }
 
-# (count read from the report, least allowed value)
+# per check, pairs of (count read from the report, least allowed value)
 COUNT_FLOORS = {
-    "stabilizer_algebra": (lambda result: result.get("samples", 0), 100),
+    "stabilizer_algebra": (
+        (lambda result: result.get("samples", 0), 100),
+        (lambda result: result.get("commutation_checks", 0), 30),
+    ),
     "quotient_map": (
-        lambda result: sum(
-            rank["kernel_translate_checks"] + rank["separating_checks"]
-            for rank in result["ranks"].values()
+        (
+            lambda result: sum(
+                rank["kernel_translate_checks"] + rank["separating_checks"]
+                for rank in result["ranks"].values()
+            ),
+            400,
         ),
-        400,
     ),
 }
 
@@ -56,9 +61,9 @@ def _acceptance_test(number, name, fn):
         ok = result["passed"] and elapsed < TIME_BOUNDS.get(name, float("inf"))
         detail = f"{elapsed:.1f}s"
         if name in COUNT_FLOORS:
-            count, floor = COUNT_FLOORS[name]
-            ok = ok and count(result) >= floor
-            detail = f"{count(result)} sampled, {detail}"
+            counts = [(count(result), floor) for count, floor in COUNT_FLOORS[name]]
+            ok = ok and all(got >= floor for got, floor in counts)
+            detail = f"{', '.join(str(got) for got, _ in counts)} sampled, {detail}"
         report(number, name, ok, detail)
 
     test.__name__ = f"test_criterion_{number}_{name}"

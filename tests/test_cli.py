@@ -173,6 +173,20 @@ def test_malformed_input_exits_2(capsys, tmp_path):
         assert code == 2 and "bound" in payload["error"]["message"]
     code, payload = run(capsys, "complex", "stabilizer", "--n", "9")
     assert code == 2 and "rank <= 8" in payload["error"]["message"]
+    # at rank 2 every pure word is inner mod 2, so the check would be vacuous
+    for samples in ("25", "200"):
+        code, payload = run(
+            capsys, "complex", "quotient-check", "--n", "2", "--samples", samples
+        )
+        assert code == 2 and "rank >= 3" in payload["error"]["message"]
+    cert_file.write_text('{"rank": 3, "conjugators": ' + "[" * 3000 + "]" * 3000 + "}")
+    code, payload = run(capsys, "kernel", "verify", "--cert", str(cert_file), "--word", "e")
+    assert code == 2 and "nested too deeply" in payload["error"]["message"]
+    for argv in (("symaut", "nf"), ("kernel", "certify"), ("lift", "kernel")):
+        code, payload = run(capsys, *argv, "--n", "0", "--word", "e")
+        assert code == 2 and "rank must be >= 1" in payload["error"]["message"], argv
+    code, payload = run(capsys, "complex", "ball", "--ctx", "F:5", "--radius", "1", "--bound", "5")
+    assert code == 2 and "184,600 moves, over the limit of 150,000" in payload["error"]["message"]
 
 
 def test_deep_tree_needs_no_recursion(capsys):
@@ -203,6 +217,26 @@ def test_complex_outputs_are_pinned(capsys):
 def test_usage_error_exits_2(capsys):
     assert main(["lift", "kernel", "--n", "3"]) == 2  # missing --word
     capsys.readouterr()
+    # argparse's own errors print the error object too
+    for argv in (("lift", "kernel", "--n", "x", "--word", "e"), ("complex",), ()):
+        code, payload = run(capsys, *argv)
+        assert code == 2 and "error" in payload, argv
+
+
+def test_complex_stabilizer_computes_the_generators_once(capsys, monkeypatch):
+    import symlift.complexes as complexes_mod
+
+    calls = []
+    generators = complexes_mod.stabilizer_generators
+
+    def counted(tree):
+        calls.append(tree)
+        return generators(tree)
+
+    monkeypatch.setattr(complexes_mod, "stabilizer_generators", counted)
+    code, payload = run(capsys, "complex", "stabilizer", "--n", "4", "--tree", "1,2;2,3,4")
+    assert code == 0 and len(calls) == 1
+    assert [g["generator"] for g in payload["soundness"]][:1] == ["vertex_aut a[1,2]"]
 
 
 def test_repeated_calls_in_one_process_match_fresh_processes(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from symlift.complexes import (
     components_without,
     enumerate_whitehead_poset,
     fold_apply,
+    moving_components,
     nuclear_ball,
     order_complex_homology,
     proper_part,
@@ -24,11 +26,14 @@ from symlift.complexes import (
     vertex_aut_eval,
     _dense_smith,
     _generated_subgroup,
+    _tree_vertex_aut_group,
     _label_set_merges,
     _label_set_splits,
     _smith_rank_divisors,
 )
 from symlift.symaut import (
+    GeneratorWord,
+    all_letters,
     compose,
     eval_generator_word,
     is_inner,
@@ -346,6 +351,24 @@ def test_components_and_valences():
     assert len(components_without(trivial_tree(3), 1)) == 1
 
 
+def test_moving_components_keep_the_largest_label_still():
+    assert moving_components(PATH3) == {3: [frozenset({1})]}
+    assert moving_components(trivial_tree(4)) == {}
+    # at b2 the components are {1, 5}, {3} and {4}: the first holds 5, so it
+    # stays although it does not sort last
+    star = tree_from_units(5, [[2, 1, 5], [2, 3], [2, 4]])
+    assert moving_components(star)[2] == [frozenset({3}), frozenset({4})]
+    for t in enumerate_whitehead_poset(5).elements:
+        moving = moving_components(t)
+        for v in range(1, 6):
+            comps = components_without(t, v)
+            if v not in moving:
+                assert len(comps) == 1
+                continue
+            (kept,) = [c for c in comps if c not in moving[v]]
+            assert len(moving[v]) == len(comps) - 1 and max(map(max, comps)) in kept
+
+
 def test_vertex_aut_example_matches_generator():
     spec = VertexAutomorphismSpec(PATH3, 3, (1, 0, 0))
     assert vertex_aut_eval(spec, F3) == eval_generator_word(
@@ -364,13 +387,6 @@ def test_vertex_aut_constancy_errors():
         VertexAutomorphismSpec(trivial_tree(3), 1, (0, 1, 2))
     with pytest.raises(WordError):
         VertexAutomorphismSpec(PATH3, 3, (1, 0, 1))  # base power must be 0
-
-
-def test_vertex_aut_normalization_is_outer_equal():
-    spec = VertexAutomorphismSpec(PATH3, 3, (1, 2, 0))
-    norm = spec.normalized()
-    assert norm.powers == (-1, 0, 0)
-    assert outer_equal(vertex_aut_eval(spec, F3), vertex_aut_eval(norm, F3))
 
 
 def test_vertex_aut_inverse_and_torsion_powers():
@@ -464,7 +480,18 @@ def test_stabilizer_rank4_example():
 
 def test_stabilizer_soundness_across_rank_4():
     for t in enumerate_whitehead_poset(4).elements:
-        assert all(ok for _, ok in stabilizer_soundness(t))
+        assert all(ok for _, ok in stabilizer_soundness(stabilizer_generators(t)))
+
+
+def test_stabilizer_soundness_checks_the_generators_it_is_given():
+    gens = stabilizer_generators(PATH3)
+    wrong_tree = gens.vertex_auts + (VertexAutomorphismSpec(trivial_tree(3), 1, (0, 1, 1)),)
+    bad_symmetry = gens.symmetries + ((1, 3, 2),)
+    for forged in (
+        type(gens)(PATH3, wrong_tree, gens.inversions, gens.symmetries),
+        type(gens)(PATH3, gens.vertex_auts, gens.inversions, bad_symmetry),
+    ):
+        assert [ok for _, ok in stabilizer_soundness(forged)].count(False) == 1
 
 
 def test_acts_without_rotations_on_chains():
@@ -527,7 +554,7 @@ def test_nuclear_vertex_free_conjugates_share_one_form():
 def test_nuclear_vertex_inversion_translate_is_fixed():
     v0 = NuclearVertex.standard(F3)
     r1 = eval_generator_word(rho_i(3, 1), F3)
-    assert v0.translated(r1) == v0
+    assert NuclearVertex.from_aut(r1) == v0
 
 
 def test_nuclear_ball_counts():
@@ -536,12 +563,67 @@ def test_nuclear_ball_counts():
     assert ball.counts() == [1, 3]
     # each distance-1 vertex is the translate by a single conjugation move
     moves = [
-        NuclearVertex.standard(H3)
-        .translated(eval_generator_word(parse_generator_word(f"a[{i},{j}]", 3), H3))
+        NuclearVertex.from_aut(eval_generator_word(parse_generator_word(f"a[{i},{j}]", 3), H3))
         .encode()
         for i, j in itertools.permutations((1, 2, 3), 2)
     ]
     assert set(ball.levels[1]) <= set(moves)
+
+
+def test_from_aut_reads_the_images_like_the_image_word_round_trip():
+    # reference: rebuild each image word and decompose it again
+    for ctx in (F3, H3, torsion_context(3, 3), torsion_context(4, 2)):
+        rng = random.Random(ctx.rank * 10 + (ctx.torsion or 0))
+        letters = all_letters(ctx.rank)
+        for _ in range(60):
+            length = rng.randint(0, 12)
+            gw = GeneratorWord(ctx.rank, tuple(rng.choice(letters) for _ in range(length)))
+            f = eval_generator_word(gw, ctx)
+            assert NuclearVertex.from_aut(f) == NuclearVertex.from_basis(f.image_words(), ctx)
+
+
+def test_ball_moves_are_letter_words_of_the_composed_vertex_automorphisms():
+    # reference: compose the evaluated vertex automorphisms one by one
+    for ctx, bound in ((F3, 1), (torsion_context(4, 2), None), (torsion_context(4, 3), None)):
+        for t in enumerate_whitehead_poset(ctx.rank).elements:
+            for letters, tag in _tree_vertex_aut_group(t, ctx, bound):
+                expected = eval_generator_word(GeneratorWord(ctx.rank), ctx)
+                for v, combo in re.findall(r"v(\d+):\(([^)]*)\)", tag):
+                    combo = [int(p) for p in combo.split(",") if p.strip()]
+                    comps = moving_components(t)[int(v)]
+                    spec = VertexAutomorphismSpec.on_components(t, int(v), zip(comps, combo))
+                    expected = compose(expected, vertex_aut_eval(spec, ctx))
+                f = eval_generator_word(GeneratorWord(ctx.rank, letters), ctx)
+                assert f == expected
+                # only the empty word is the identity, so the ball lists
+                # exactly the non-identity moves
+                assert f.is_identity() == (not letters) == (tag == "id")
+
+
+def test_nuclear_ball_work_budget(monkeypatch):
+    import symlift.complexes as complexes_mod
+
+    # refused before a move is listed: 11 exponents on up to 3 components
+    with pytest.raises(WordError, match="list 184,600 moves, over the limit of 150,000"):
+        nuclear_ball(free_context(5), 1, bound=5)
+    # H:5:2 lists 1,360 moves and reaches 215 vertices at distance 1
+    with pytest.raises(WordError, match="293,760 moves by distance 2"):
+        nuclear_ball(torsion_context(5, 2), 2)
+    H42 = torsion_context(4, 2)
+    monkeypatch.setattr(complexes_mod, "MAX_BALL_WORK", 59)
+    with pytest.raises(WordError, match="list 60 moves"):
+        nuclear_ball(H42, 0)
+    # H:4:2 lists 60 moves and applies 60 + 60 * 24 = 1,500 by radius 2
+    monkeypatch.setattr(complexes_mod, "MAX_BALL_WORK", 1_499)
+    with pytest.raises(WordError, match="1,500 moves by distance 2"):
+        nuclear_ball(H42, 2)
+    monkeypatch.setattr(complexes_mod, "MAX_BALL_WORK", 1_500)
+    assert nuclear_ball(H42, 2).counts() == [1, 24, 312]
+    # a level with nothing to apply still counts one, so the radius is bounded
+    monkeypatch.setattr(complexes_mod, "MAX_BALL_WORK", 10)
+    assert nuclear_ball(torsion_context(2, 2), 10).counts() == [1] + [0] * 10
+    with pytest.raises(WordError, match="by distance 11"):
+        nuclear_ball(torsion_context(2, 2), 11)
 
 
 def test_nuclear_ball_free_context_flagged():
@@ -563,15 +645,23 @@ def test_quotient_translates():
     v0 = NuclearVertex.standard(F3)
     q0 = v0.project()
     gk = eval_generator_word(parse_generator_word("a[2,3] r[1] a[2,3]^-1", 3), F3)
-    assert v0.translated(gk).project() == q0
+    assert NuclearVertex.from_aut(gk).project() == q0
     ga = eval_generator_word(parse_generator_word("a[1,2]", 3), F3)
-    assert v0.translated(ga).project() != q0
+    assert NuclearVertex.from_aut(ga).project() != q0
 
 
 def test_quotient_star_check_passes():
     for n in (3, 4):
         report = quotient_star_check(n, random.Random(31 + n), samples=15)
         assert report.all_pass, report.to_json()
+
+
+def test_quotient_star_check_refuses_rank_2_before_any_work():
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(WordError, match="rank >= 3"):
+        quotient_star_check(2, rng, samples=200)
+    assert rng.getstate() == state
 
 
 def test_quotient_star_check_fails_when_projection_merges_targets(monkeypatch):

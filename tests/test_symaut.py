@@ -146,6 +146,14 @@ def test_inverse_without_source_raises():
         raw.inverse()
 
 
+def test_generator_word_needs_rank_1():
+    for rank in (0, -1):
+        with pytest.raises(WordError, match="rank must be >= 1"):
+            GeneratorWord(rank)
+        with pytest.raises(WordError, match="rank must be >= 1"):
+            parse_generator_word("e", rank)
+
+
 def test_generator_word_parse_roundtrip():
     for text in ("e", "a[1,2]", "a[2,1]^-1 r[3] s[1,2]"):
         assert str(parse_generator_word(text, 3)) == text
@@ -338,13 +346,18 @@ def test_relations_rank_3_and_4():
         assert report.all_pass, report.failures()
 
 
-def test_relation_report_carries_inner_witness():
+def test_outer_product_relation_pins_the_inner_witness(monkeypatch):
+    # a[1,j] ... a[n,j] is conjugation by y_j itself, so a witness off by an
+    # inverse must fail every instance
+    import symlift.symaut as symaut_mod
+
+    outer_product = [c for c in check_relations(3).checks if c.family == "outer_product"]
+    assert [c.instance for c in outer_product] == [(1,), (2,), (3,)]
+    assert all(c.holds for c in outer_product)
+    witness = symaut_mod.inner_witness_of
+    monkeypatch.setattr(symaut_mod, "inner_witness_of", lambda f: witness(f).inverse())
     report = check_relations(3)
-    witnesses = {
-        c.instance: c.witness for c in report.checks if c.family == "outer_product"
-    }
-    assert witnesses[(1,)] == "y1"
-    assert witnesses[(2,)] == "y2"
+    assert [c.instance for c in report.failures()] == [(1,), (2,), (3,)]
 
 
 def test_rho_conjugation_flips_only_matching_head():
