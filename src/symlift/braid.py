@@ -16,16 +16,21 @@ on the free group but innerly after reduction: any such braid would be a
 nontrivial element of the reduced outer action's kernel.  A braid that is
 trivial or inner on the free group is inner mod k, so the search decides mod
 k first and evaluates the free action only for the few words that are inner
-mod k.  Braid triviality itself is decided through the faithfulness of the
-free-group action, so braid-relation ghosts (freely reduced words
-representing the trivial braid) are never miscounted.
+mod k.  An inner automorphism fixes every generator's class, so only pure
+braids (identity permutation) can be inner mod k.  Each letter moves the
+permutation's inversion count by exactly one, so a word whose count exceeds
+the letters still allowed has no pure braid below it, and the search counts
+that subtree in closed form instead of walking it.  Braid triviality itself
+is decided through the faithfulness of the free-group action, so
+braid-relation ghosts (freely reduced words representing the trivial braid)
+are never miscounted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .symaut import (
     GeneratorWord,
@@ -37,8 +42,12 @@ from .symaut import (
 )
 from .words import WordError, free_context, torsion_context
 
-# Most freely reduced braid words one bounded_kernel_search may enumerate,
-# one to two minutes of work; larger searches are refused before they start.
+# Most freely reduced braid words one bounded_kernel_search may enumerate;
+# larger searches are refused before they start.  At 3 strands, the slowest,
+# a search at the limit (length 12, 1,062,880 words) takes about 32 s on one
+# core of a 2-core x86-64 host.  At 2 strands the images grow with the word,
+# each doubling of max_length costs about six times as long (length 600,
+# 1,200 words: about 15 s), and the limit does not bound the time.
 MAX_SEARCH_WORDS = 2_000_000
 
 
@@ -169,33 +178,51 @@ def check_search(strands: int, modulus: int, max_length: int) -> None:
     )
 
 
-def _words_mod_k(
-    strands: int, modulus: int, max_length: int
-) -> Iterator[tuple[tuple[int, ...], SymmetricAut]]:
-    """Every freely reduced braid word of length 1..``max_length``, depth
-    first, with its mod-k image.
+def _subtree_words(strands: int, depth: int) -> int:
+    """Words in the search tree below and including one word with ``depth``
+    letters still to go: ``sum((2n-3)^j for j <= depth)``."""
+    return sum((2 * strands - 3) ** j for j in range(depth + 1))
 
-    Each word's images are its parent's advanced by the last letter's two
-    presentation letters (:func:`act_letters`), so a word costs one step,
-    not an evaluation from scratch; the value is built, and validated, once
-    per word.
+
+def _search_tree(
+    strands: int, modulus: int, max_length: int
+) -> Iterator[tuple[tuple[int, ...], int, Optional[SymmetricAut]]]:
+    """The freely reduced braid words of length 1..``max_length``, depth
+    first, as ``(word, inversions, mod-k image)``, where ``inversions`` is
+    the inversion count of the word's permutation.
+
+    Each letter swaps the targets at two adjacent positions, so it moves the
+    inversion count by exactly one, read off the parent's targets.  A word
+    whose count exceeds the letters still to go has no pure braid below it:
+    it is yielded with image None and its subtree (``_subtree_words`` words)
+    is not walked.  Every other word's images are its parent's advanced by
+    the last letter's two presentation letters (:func:`act_letters`), so a
+    word costs one step, not an evaluation from scratch; the value is built,
+    and validated, once per word.  A kept word's parent is always kept, as
+    its count differs by one and it has one more letter to go.
     """
     tctx = torsion_context(strands, modulus)
     letters = sorted([i for i in range(1, strands)] + [-i for i in range(1, strands)])
     steps = {l: _generator_word(BraidWord(strands, (l,))).letters for l in letters}
-    stack: list[tuple[tuple[int, ...], tuple]] = [((), identity_aut(tctx).images)]
+    stack: list[tuple[tuple[int, ...], int, tuple]] = [((), 0, identity_aut(tctx).images)]
     while stack:
-        word, images = stack.pop()
+        word, inversions, images = stack.pop()
+        to_go = max_length - len(word) - 1
         for l in letters:
             if word and word[-1] == -l:
                 continue
+            i = abs(l)
             new_word = word + (l,)
+            new_inversions = inversions + (1 if images[i - 1][1] < images[i][1] else -1)
+            if new_inversions > to_go:
+                yield new_word, new_inversions, None
+                continue
             new_images = list(images)
             act_letters(new_images, steps[l], tctx)
             aut = SymmetricAut(tctx, tuple(new_images))
-            yield new_word, aut
-            if len(new_word) < max_length:
-                stack.append((new_word, aut.images))
+            yield new_word, new_inversions, aut
+            if to_go:
+                stack.append((new_word, new_inversions, aut.images))
 
 
 def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> SearchReport:
@@ -209,18 +236,25 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
 
     Only the mod-k images are carried from word to word.  Reduction maps
     the identity to the identity and inner automorphisms to inner ones, so a
-    word that is not inner mod k (most fail at once on their permutation) is
-    neither trivial nor flagged; the free action is evaluated, from scratch,
-    only for words that are inner mod k.  Raises ``WordError`` for malformed
+    word that is not inner mod k is neither trivial nor flagged.  Inner
+    images have the identity permutation, so the walk (:func:`_search_tree`)
+    evaluates only the words that can still reach a pure braid within
+    ``max_length`` and counts every other subtree without walking it;
+    ``words_checked`` is the tally of both.  Only pure words get the mod-k
+    inner test, and the free action is evaluated, from scratch, only for
+    words that are inner mod k.  Raises ``WordError`` for malformed
     parameters and for searches over :data:`MAX_SEARCH_WORDS` words.
     """
     check_search(strands, modulus, max_length)
     flagged: list[str] = []
     checked = 0
     trivial = 0
-    for word, reduced in _words_mod_k(strands, modulus, max_length):
+    for word, inversions, reduced in _search_tree(strands, modulus, max_length):
+        if reduced is None:
+            checked += _subtree_words(strands, max_length - len(word))
+            continue
         checked += 1
-        if inner_witness_of(reduced) is None:
+        if inversions or inner_witness_of(reduced) is None:
             continue
         free = artin_action(BraidWord(strands, word))
         if free.is_identity():

@@ -219,6 +219,7 @@ def _parse_tree(text: str, n: int) -> complexes.LabelledBipartiteTree:
 
 
 def cmd_complex_stabilizer(args) -> int:
+    complexes.check_symmetry_rank(args.n)
     tree = (
         _parse_tree(args.tree, args.n)
         if args.tree

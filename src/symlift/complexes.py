@@ -637,11 +637,16 @@ def vertex_aut_eval(spec: VertexAutomorphismSpec, ctx: GroupContext) -> Symmetri
 MAX_SYMMETRY_RANK = 8  # the scan tries all n! relabellings
 
 
+def check_symmetry_rank(n: int) -> None:
+    """Refuse a rank over :data:`MAX_SYMMETRY_RANK` before any tree is built."""
+    if n > MAX_SYMMETRY_RANK:
+        raise WordError(f"tree symmetries are limited to rank <= {MAX_SYMMETRY_RANK}, not {n}")
+
+
 def tree_symmetries(t: LabelledBipartiteTree) -> list[tuple[int, ...]]:
     """Label permutations preserving the tree up to isomorphism."""
     n = t.rank
-    if n > MAX_SYMMETRY_RANK:
-        raise WordError(f"tree symmetries are limited to rank <= {MAX_SYMMETRY_RANK}, not {n}")
+    check_symmetry_rank(n)
     return [
         perm for perm in itertools.permutations(range(1, n + 1)) if t.relabelled(perm) == t
     ]

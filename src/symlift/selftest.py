@@ -303,7 +303,8 @@ def check_braid_search(params, seed) -> dict:
             "words_checked": report.words_checked,
             "flagged": list(report.flagged),
         }
-        ok = ok and not report.flagged
+        covered = report.words_checked == braid_mod.search_word_count(strands, max_len)
+        ok = ok and covered and not report.flagged
     return {"passed": ok, "runs": runs}
 
 

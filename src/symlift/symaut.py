@@ -224,7 +224,7 @@ class SymmetricAut:
         if targets != list(range(1, n + 1)):
             raise WordError(f"targets are not a permutation: {targets}")
         for conj, target, sign in self.images:
-            if conj.ctx != self.ctx:
+            if conj.ctx is not self.ctx and conj.ctx != self.ctx:
                 raise WordError("image conjugator context mismatch")
             if self.ctx.is_free:
                 if sign not in (1, -1):

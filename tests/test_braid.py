@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -153,14 +154,89 @@ def test_search_matches_free_first_reference(strands, modulus, max_length):
     assert report.words_checked == search_word_count(strands, max_length)
 
 
+def inversion_count(perm: tuple[int, ...]) -> int:
+    return sum(1 for x, y in itertools.combinations(perm, 2) if x > y)
+
+
+def all_words(strands: int, max_length: int) -> list[tuple[int, ...]]:
+    """Every freely reduced braid word of length 1..max_length, by brute force."""
+    pool = [i for i in range(1, strands)] + [-i for i in range(1, strands)]
+    return [
+        word
+        for length in range(1, max_length + 1)
+        for word in itertools.product(pool, repeat=length)
+        if all(x != -y for x, y in zip(word, word[1:]))
+    ]
+
+
 def test_carried_images_are_the_reduced_free_action():
     for strands, modulus, max_length in ((2, 3, 6), (3, 2, 5), (3, 4, 4), (4, 3, 3)):
         seen = 0
-        for word, reduced in braid._words_mod_k(strands, modulus, max_length):
+        for word, inversions, reduced in braid._search_tree(strands, modulus, max_length):
             free = artin_action(BraidWord(strands, word))
-            assert reduced == reduce_mod(free, modulus), word
-            seen += 1
+            assert inversions == inversion_count(free.permutation()), word
+            to_go = max_length - len(word)
+            if reduced is None:
+                assert inversions > to_go, word
+                seen += braid._subtree_words(strands, to_go)
+            else:
+                assert reduced == reduce_mod(free, modulus), word
+                seen += 1
         assert seen == search_word_count(strands, max_length)
+
+
+def test_evaluated_words_are_those_that_can_still_reach_a_pure_braid():
+    for strands, modulus, max_length in ((2, 2, 7), (3, 3, 5), (4, 2, 4)):
+        reachable = set()
+        pruned = set()
+        for word in all_words(strands, max_length):
+            # room[d]: the prefix of d + 1 letters has at most as many
+            # inversions as letters still to go
+            counts = [
+                inversion_count(artin_action(BraidWord(strands, word[:d])).permutation())
+                for d in range(1, len(word) + 1)
+            ]
+            room = [counts[d] <= max_length - d - 1 for d in range(len(word))]
+            if all(room):
+                reachable.add(word)
+            elif all(room[:-1]):
+                pruned.add(word)
+        walked = list(braid._search_tree(strands, modulus, max_length))
+        assert {w for w, _, reduced in walked if reduced is not None} == reachable
+        assert {w for w, _, reduced in walked if reduced is None} == pruned
+        assert len(walked) == len(reachable) + len(pruned)
+
+
+def test_evaluated_word_counts():
+    # (words evaluated, pure words among them) of the benchmark's two searches,
+    # which cover 4,686 and 4,372 words.  A word's inversion count has the
+    # parity of its length, so no word of odd length is pure: (3,2,7)
+    # evaluates what (3,2,6) does, and only an even max_length tells a prune
+    # at count >= letters to go from the exact count > letters to go
+    for params, evaluated, pure in (
+        ((4, 2, 5), 216, 116),
+        ((3, 2, 7), 712, 372),
+        ((3, 2, 6), 712, 372),
+    ):
+        walked = [(inversions, reduced) for _, inversions, reduced in braid._search_tree(*params)]
+        assert sum(reduced is not None for _, reduced in walked) == evaluated
+        assert sum(reduced is not None and not inversions for inversions, reduced in walked) == pure
+
+
+def test_mod_k_inner_test_runs_only_on_pure_words(monkeypatch):
+    tested = []
+
+    def counted(f):
+        if not f.ctx.is_free:
+            tested.append(f.permutation())
+        return inner_witness_of(f)
+
+    monkeypatch.setattr(braid, "inner_witness_of", counted)
+    for params, pure in (((4, 2, 5), 116), ((3, 2, 7), 372)):
+        tested.clear()
+        bounded_kernel_search(*params)
+        assert len(tested) == pure
+        assert set(tested) == {tuple(range(1, params[0] + 1))}
 
 
 def test_free_action_evaluated_only_for_words_inner_mod_k(monkeypatch):
@@ -176,10 +252,10 @@ def test_free_action_evaluated_only_for_words_inner_mod_k(monkeypatch):
         bounded_kernel_search(strands, modulus, max_length)
         inner = [
             word
-            for word, _ in braid._words_mod_k(strands, modulus, max_length)
+            for word in all_words(strands, max_length)
             if inner_witness_of(eta_image(BraidWord(strands, word), modulus)) is not None
         ]
-        assert calls == inner and inner
+        assert sorted(calls) == sorted(inner) and inner
 
 
 def test_lossy_mod_k_test_flags_the_same_braids_in_both_searches(monkeypatch):
@@ -201,7 +277,7 @@ def no_work(*args):
 
 
 def test_search_rejects_bad_parameters_before_any_work(monkeypatch):
-    monkeypatch.setattr(braid, "_words_mod_k", no_work)
+    monkeypatch.setattr(braid, "_search_tree", no_work)
     for args, message in (
         ((1, 2, 3), "2 strands"),
         ((3, 1, 3), "modulus must be >= 2"),
@@ -213,7 +289,7 @@ def test_search_rejects_bad_parameters_before_any_work(monkeypatch):
 
 
 def test_search_budget(monkeypatch):
-    monkeypatch.setattr(braid, "_words_mod_k", no_work)
+    monkeypatch.setattr(braid, "_search_tree", no_work)
     assert search_word_count(2, 5) == 10
     assert search_word_count(4, 12) == 366_210_936
     assert search_word_count(4, 6) < MAX_SEARCH_WORDS // 50

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import symlift
@@ -239,6 +240,22 @@ def test_complex_stabilizer_computes_the_generators_once(capsys, monkeypatch):
     assert [g["generator"] for g in payload["soundness"]][:1] == ["vertex_aut a[1,2]"]
 
 
+def test_complex_stabilizer_refuses_big_ranks_before_building_a_tree(capsys, monkeypatch):
+    import symlift.complexes as complexes_mod
+
+    def no_tree(*args):
+        raise AssertionError("tree built")
+
+    monkeypatch.setattr(complexes_mod, "trivial_tree", no_tree)
+    monkeypatch.setattr(complexes_mod, "tree_from_units", no_tree)
+    start = time.perf_counter()
+    for extra in ((), ("--tree", "1,2")):
+        code, payload = run(capsys, "complex", "stabilizer", "--n", "1000000", *extra)
+        assert code == 2
+        assert payload["error"]["message"] == "tree symmetries are limited to rank <= 8, not 1000000"
+    assert time.perf_counter() - start < 0.5
+
+
 def test_repeated_calls_in_one_process_match_fresh_processes(capsys):
     # cli.main keeps no state between calls: a malformed call in between
     # must not change what later calls in the same process print or return
@@ -331,3 +348,17 @@ def test_selftest_outer_form_fault_injection(capsys, monkeypatch):
     assert [c["name"] for c in failing] == ["corollary_d"]
     assert failing[0]["relation_found"] is not None
     assert failing[0]["pair_identified"] and failing[0]["oracle_mismatches"] == 0
+
+
+def test_selftest_braid_coverage_fault_injection(capsys, monkeypatch):
+    # a pruned subtree counted one word short: nothing is flagged, but the
+    # search no longer covers every word, so the braid check fails
+    import symlift.braid as braid_mod
+
+    subtree_words = braid_mod._subtree_words
+    monkeypatch.setattr(braid_mod, "_subtree_words", lambda n, depth: subtree_words(n, depth) - 1)
+    code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "3")
+    assert code == 1
+    failing = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failing] == ["braid_injectivity_evidence"]
+    assert all(not search["flagged"] for search in failing[0]["runs"].values())

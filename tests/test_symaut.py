@@ -24,7 +24,14 @@ from symlift.symaut import (
     semidirect_normal_form,
     swap,
 )
-from symlift.words import WordError, free_context, identity, parse_word, torsion_context
+from symlift.words import (
+    GroupContext,
+    WordError,
+    free_context,
+    identity,
+    parse_word,
+    torsion_context,
+)
 
 F2 = free_context(2)
 F3 = free_context(3)
@@ -144,6 +151,18 @@ def test_inverse_without_source_raises():
     raw = SymmetricAut(f.ctx, f.images, None)
     with pytest.raises(WordError, match="without a source word"):
         raw.inverse()
+
+
+def test_conjugators_in_an_equal_context_object_are_accepted():
+    twin = GroupContext(3, 2)
+    assert twin == H3 and twin is not H3
+    images = ((parse_word("z2", twin), 1, 1), (identity(twin), 2, 1), (identity(twin), 3, 1))
+    assert SymmetricAut(H3, images).images == images
+    free_images = ((parse_word("y2", F3), 1, 1), (identity(F3), 2, 1), (identity(F3), 3, 1))
+    with pytest.raises(WordError, match="context mismatch"):
+        SymmetricAut(H3, free_images)
+    with pytest.raises(WordError, match="context mismatch"):
+        SymmetricAut(F3, images)
 
 
 def test_generator_word_needs_rank_1():
