@@ -72,7 +72,7 @@ def cmd_words_conjugacy(args) -> int:
     witness = conjugacy_witness(parse_word(args.u, ctx), parse_word(args.v, ctx))
     if witness is None:
         return _emit({"conjugate": False}, 1)
-    return _emit({"conjugate": True, "witness": format_word(witness.conjugator)})
+    return _emit({"conjugate": True, "witness": format_word(witness)})
 
 
 def cmd_words_inner(args) -> int:

@@ -11,10 +11,10 @@ minimum.
 
 The same poset, read with its labels as the factors of a free-product basis,
 is the star of a nuclear vertex in the complex the outer symmetric
-automorphism group acts on; this module also evaluates vertex automorphisms,
-emits stabilizer generators, explores nuclear vertices through shared stars,
-and checks that mod-2 projection of labels collapses exactly the reduction
-kernel.
+automorphism group acts on; this module also writes vertex automorphisms as
+letter words, emits stabilizer generators and checks them on their images,
+explores nuclear vertices through shared stars, and checks that mod-2
+projection of labels collapses exactly the reduction kernel.
 """
 
 from __future__ import annotations
@@ -560,73 +560,42 @@ def components_without(t: LabelledBipartiteTree, label: int) -> list[frozenset[i
     return _label_components(others, (unit - {label} for unit in t.units))
 
 
+def _moving_at(t: LabelledBipartiteTree, v: int) -> list[frozenset[int]]:
+    """The components of the tree minus vertex ``v`` which a vertex
+    automorphism there may move: all but the one holding the largest label,
+    which stays at power 0.  Empty when ``v`` leaves a single component."""
+    comps = components_without(t, v)
+    kept = max(comps, key=max)
+    return [comp for comp in comps if comp != kept]
+
+
 def moving_components(t: LabelledBipartiteTree) -> dict[int, list[frozenset[int]]]:
-    """Per labelled vertex, in ascending order, the components of the tree
-    minus that vertex which a vertex automorphism there may move: all but
-    the one holding the largest label, which stays at power 0.  Vertices
-    leaving a single component have nothing to move and are left out."""
-    moving = {}
-    for v in range(1, t.rank + 1):
-        comps = components_without(t, v)
-        if len(comps) > 1:
-            kept = max(comps, key=max)
-            moving[v] = [comp for comp in comps if comp != kept]
-    return moving
+    """Per labelled vertex, in ascending order, its moving components
+    (:func:`_moving_at`).  Vertices with nothing to move are left out."""
+    moving = {v: _moving_at(t, v) for v in range(1, t.rank + 1)}
+    return {v: comps for v, comps in moving.items() if comps}
 
 
-@dataclass(frozen=True)
-class VertexAutomorphismSpec:
-    """Conjugate each basis element by a power of the base vertex's label,
-    constant on the components left after removing the base vertex."""
+def vertex_automorphism(
+    t: LabelledBipartiteTree, vertex: int, powers: Sequence[int]
+) -> GeneratorWord:
+    """The vertex automorphism at ``vertex`` that conjugates every label of
+    the i-th moving component by ``g_vertex^powers[i]``.
 
-    tree: LabelledBipartiteTree
-    vertex: int
-    powers: tuple[int, ...]  # one power per label 1..n; powers[vertex-1] == 0
-
-    def __post_init__(self) -> None:
-        n = self.tree.rank
-        if not 1 <= self.vertex <= n:
-            raise WordError(f"base vertex {self.vertex} out of range")
-        if len(self.powers) != n:
-            raise WordError("need one power per label")
-        if self.powers[self.vertex - 1] != 0:
-            raise WordError("the base vertex conjugates itself trivially; use power 0")
-        for comp in components_without(self.tree, self.vertex):
-            vals = {self.powers[l - 1] for l in comp}
-            if len(vals) > 1:
-                raise WordError(f"powers not constant on component {sorted(comp)}")
-
-    @classmethod
-    def on_components(
-        cls, tree: LabelledBipartiteTree, vertex: int, powers: Iterable[tuple[frozenset[int], int]]
-    ) -> "VertexAutomorphismSpec":
-        """Power p on every label of each ``(component, p)`` pair, 0 elsewhere."""
-        by_label = [0] * tree.rank
-        for comp, p in powers:
-            for l in comp:
-                by_label[l - 1] = p
-        return cls(tree, vertex, tuple(by_label))
-
-    def inverse_spec(self) -> "VertexAutomorphismSpec":
-        return VertexAutomorphismSpec(
-            self.tree, self.vertex, tuple(-p for p in self.powers)
-        )
-
-    def generator_word(self) -> GeneratorWord:
-        letters = []
-        for l, p in enumerate(self.powers, start=1):
-            if l == self.vertex or p == 0:
-                continue
-            exp = 1 if p > 0 else -1
-            letters.extend(("a", l, self.vertex, exp) for _ in range(abs(p)))
-        return GeneratorWord(self.tree.rank, tuple(letters))
-
-
-def vertex_aut_eval(spec: VertexAutomorphismSpec, ctx: GroupContext) -> SymmetricAut:
-    """The automorphism sending label l to (base^p_l) l (base^-p_l)."""
-    if ctx.rank != spec.tree.rank:
-        raise WordError("rank mismatch")
-    return eval_generator_word(spec.generator_word(), ctx)
+    Power p_l on label l is written ``a[l,vertex]^{+-1}`` |p_l| times, labels
+    in ascending order.  One power per component makes the powers constant
+    on components by construction; the inverse negates them.
+    """
+    comps = _moving_at(t, vertex)
+    if not comps:
+        raise WordError(f"vertex {vertex} has no moving components")
+    if len(powers) != len(comps):
+        raise WordError(f"vertex {vertex} has {len(comps)} moving components, not {len(powers)}")
+    by_label = sorted((l, p) for comp, p in zip(comps, powers) for l in comp)
+    letters = []
+    for l, p in by_label:
+        letters.extend(("a", l, vertex, 1 if p > 0 else -1) for _ in range(abs(p)))
+    return GeneratorWord(t.rank, tuple(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -689,14 +658,14 @@ def symmetry_generators(t: LabelledBipartiteTree) -> list[tuple[int, ...]]:
 @dataclass(frozen=True)
 class StabilizerGenerators:
     tree: LabelledBipartiteTree
-    vertex_auts: tuple[VertexAutomorphismSpec, ...]
+    vertex_auts: tuple[GeneratorWord, ...]
     inversions: tuple[GeneratorWord, ...]
     symmetries: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> dict:
         return {
             "tree": self.tree.canonical(),
-            "vertex_auts": [str(s.generator_word()) for s in self.vertex_auts],
+            "vertex_auts": [str(gw) for gw in self.vertex_auts],
             "inversions": [str(g) for g in self.inversions],
             "symmetries": [list(p) for p in self.symmetries],
         }
@@ -706,40 +675,63 @@ def stabilizer_generators(t: LabelledBipartiteTree) -> StabilizerGenerators:
     """Generators of the vertex stabilizer over the standard basis.
 
     Per labelled vertex with k complementary components, k-1 vertex
-    automorphisms (the component containing the largest label is designated
-    to power 0); all generator inversions; and label symmetries of the tree.
-    Completeness is the content of an external stabilizer theorem; soundness
-    of every emitted generator is checkable (see stabilizer_soundness).
+    automorphisms, each moving one component at power 1 (the component
+    containing the largest label stays at power 0); all generator
+    inversions; and label symmetries of the tree.  Completeness is the
+    content of an external stabilizer theorem; soundness of every emitted
+    generator is checkable (see stabilizer_soundness).
     """
     n = t.rank
     symmetries = tuple(symmetry_generators(t))  # first: it refuses large ranks
-    v_specs = tuple(
-        VertexAutomorphismSpec.on_components(t, v, [(comp, 1)])
+    vertex_auts = tuple(
+        vertex_automorphism(t, v, [int(i == k) for i in range(len(comps))])
         for v, comps in moving_components(t).items()
-        for comp in comps
+        for k in range(len(comps))
     )
     inversions = tuple(rho_i(n, i) for i in range(1, n + 1))
-    return StabilizerGenerators(t, v_specs, inversions, symmetries)
+    return StabilizerGenerators(t, vertex_auts, inversions, symmetries)
+
+
+def _is_vertex_automorphism(t: LabelledBipartiteTree, f: SymmetricAut) -> bool:
+    """Whether every image of f is ``(g_v^p_l, l, +1)`` for one vertex v,
+    with p constant on each component of the tree minus v.  A canonical
+    conjugator never ends in its target, so p_v = 0 holds by form."""
+    syllables = {}
+    for l, (conj, target, sign) in enumerate(f.images, start=1):
+        if target != l or sign != 1 or len(conj) > 1:
+            return False
+        if conj:
+            syllables[l] = conj.syllables[0]
+    bases = {v for v, _ in syllables.values()}
+    if not bases:
+        return True  # the identity
+    if len(bases) > 1:
+        return False
+    (v,) = bases
+    powers = {l: p for l, (_, p) in syllables.items()}
+    return all(len({powers.get(l, 0) for l in comp}) == 1 for comp in components_without(t, v))
 
 
 def stabilizer_soundness(gens: StabilizerGenerators) -> list[tuple[str, bool]]:
-    """Constructive membership evidence for each generator in ``gens``.
+    """Membership evidence for each generator in ``gens``, read off its
+    images over the free group.
 
-    Vertex automorphisms are carried by the tree itself (the defining move);
-    inversions fix every label's factor, hence the literal tree; symmetries
-    must relabel the tree to an isomorphic copy.
+    A vertex automorphism must conjugate each label l by a power of one
+    vertex's generator, constant on the components of the tree minus that
+    vertex; an inversion must fix every label's factor (conjugator e, target
+    l), hence the literal tree; a symmetry must relabel the tree to an
+    isomorphic copy.
     """
     t = gens.tree
+    ctx = free_context(t.rank)
     results: list[tuple[str, bool]] = []
-    for spec in gens.vertex_auts:
-        ok = spec.tree == t  # carried by construction; re-validate constancy
-        try:
-            VertexAutomorphismSpec(t, spec.vertex, spec.powers)
-        except WordError:
-            ok = False
-        results.append((f"vertex_aut {spec.generator_word()}", ok))
+    for gw in gens.vertex_auts:
+        f = eval_generator_word(gw, ctx)
+        results.append((f"vertex_aut {gw}", _is_vertex_automorphism(t, f)))
     for gw in gens.inversions:
-        results.append((f"inversion {gw}", True))
+        f = eval_generator_word(gw, ctx)
+        fixed = all(not conj and target == l for l, (conj, target, _) in enumerate(f.images, 1))
+        results.append((f"inversion {gw}", fixed))
     for p in gens.symmetries:
         results.append((f"symmetry {p}", t.relabelled(p) == t))
     return results
@@ -810,10 +802,6 @@ def _conjugated(xi: Word, factors: Sequence[Factor]) -> list[Factor]:
     return [canonical_image(xi * conj, t, 1)[:2] for conj, t in factors]
 
 
-def _cost(x: Word, factors: Sequence[Factor]) -> int:
-    return sum(len(w) for w, _ in _conjugated(x.inverse(), factors))
-
-
 def _canonicalize_factors(factors: Sequence[Factor], ctx: GroupContext) -> tuple[Factor, ...]:
     """Minimize total conjugator length over simultaneous conjugation.
 
@@ -824,15 +812,16 @@ def _canonicalize_factors(factors: Sequence[Factor], ctx: GroupContext) -> tuple
     non-minimal x always has a strictly cheaper move, the minimizers are
     connected by moves, and the search stays in the finite hull of the
     seeds and the vertices.  Single-letter moves would not do: the cost can
-    be flat along a ray x g^k.  Among minimizers the lexicographically
-    least sorted factor tuple wins.
+    be flat along a ray x g^k.  Each candidate is conjugated and costed
+    once, when it is popped; one above the best cost so far is dropped, as
+    the best only falls.  Among minimizers the lexicographically least
+    sorted factor tuple wins.
     """
     e = identity_word(ctx)
     factors = _conjugated(e, factors)
-    seeds = [e] + [conj for conj, _ in factors]
-    best = min(_cost(s, factors) for s in seeds)
+    frontier = [e] + [conj for conj, _ in factors]
+    best = math.inf
     visited: set = set()
-    frontier = [s for s in seeds if _cost(s, factors) <= best]
     minimizers: list[list[Factor]] = []
     while frontier:
         x = frontier.pop()
@@ -850,7 +839,7 @@ def _canonicalize_factors(factors: Sequence[Factor], ctx: GroupContext) -> tuple
         for w, _ in moved:
             if w:
                 y = x * Word(ctx, w.syllables[:1])
-                if y.syllables not in visited and _cost(y, factors) <= best:
+                if y.syllables not in visited:
                     frontier.append(y)
     candidates = [sorted(moved, key=lambda f: (f[1], f[0].sort_key())) for moved in minimizers]
     return tuple(min(candidates, key=lambda tt: [(t, w.sort_key()) for w, t in tt]))
@@ -872,8 +861,8 @@ def _tree_vertex_aut_group(
     for v, comps in moving_components(t).items():
         options = []
         for combo in itertools.product(powers, repeat=len(comps)):
-            spec = VertexAutomorphismSpec.on_components(t, v, zip(comps, combo))
-            options.append((spec.generator_word().letters, f"v{v}:{combo}" if any(combo) else ""))
+            letters = vertex_automorphism(t, v, combo).letters
+            options.append((letters, f"v{v}:{combo}" if any(combo) else ""))
         per_vertex.append(options)
     return [
         (

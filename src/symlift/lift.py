@@ -63,7 +63,7 @@ def reduce_mod(f: SymmetricAut, k: int) -> SymmetricAut:
     images = tuple(
         canonical_image(project_mod_k(conj, k), target, 1) for conj, target, _sign in f.images
     )
-    return SymmetricAut(ctx, images, f.source)
+    return SymmetricAut(ctx, images)
 
 
 def reduce_aut(f: SymmetricAut) -> SymmetricAut:

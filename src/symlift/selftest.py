@@ -222,22 +222,23 @@ def check_poset_facts(params, seed) -> dict:
 
 
 def _vertex_aut_at(rng, t, v, comps):
-    """A non-trivial vertex automorphism at ``v``: seeded powers in -2..2
-    on the moving components ``comps``, not all zero."""
+    """Seeded powers in -2..2 on the moving components ``comps`` of ``v``,
+    not all zero, and the vertex automorphism they give."""
     while True:
         powers = [rng.randint(-2, 2) for _ in comps]
         if any(powers):
-            return complexes.VertexAutomorphismSpec.on_components(t, v, zip(comps, powers))
+            return powers, complexes.vertex_automorphism(t, v, powers)
 
 
 def _sample_vertex_aut(rng, poset):
-    """A seeded vertex automorphism, with the moving components of its tree."""
+    """A seeded tree, vertex, powers and vertex automorphism, and the
+    moving components of the tree."""
     while True:
         t = rng.choice(poset.elements)
         v = rng.randint(1, t.rank)
         moving = complexes.moving_components(t)
         if v in moving:
-            return _vertex_aut_at(rng, t, v, moving[v]), moving
+            return (t, v, *_vertex_aut_at(rng, t, v, moving[v]), moving)
 
 
 def check_stabilizers(params, seed) -> dict:
@@ -251,19 +252,17 @@ def check_stabilizers(params, seed) -> dict:
         ctx = free_context(n)
         poset = complexes.enumerate_whitehead_poset(n)
         for _ in range(params["stabilizer_samples"]):
-            spec, moving = _sample_vertex_aut(rng, poset)
+            t, base, powers, f, moving = _sample_vertex_aut(rng, poset)
             samples += 1
-            f = spec.generator_word()
-            r = rho_i(n, spec.vertex)
-            inverse = spec.inverse_spec().generator_word()
+            r = rho_i(n, base)
+            inverse = complexes.vertex_automorphism(t, base, [-p for p in powers])
             if eval_generator_word(r * f * r, ctx) != eval_generator_word(inverse, ctx):
                 inversion_ok = False
-            others = [v for v in moving if v != spec.vertex]
+            others = [v for v in moving if v != base]
             if not others:
                 continue
             v = rng.choice(others)
-            other = _vertex_aut_at(rng, spec.tree, v, moving[v])
-            g = other.generator_word()
+            _, g = _vertex_aut_at(rng, t, v, moving[v])
             commutation_checks += 1
             if not outer_equal(eval_generator_word(f * g, ctx), eval_generator_word(g * f, ctx)):
                 commute_ok = False

@@ -13,9 +13,8 @@ letters
 * ``s[i,j]``: swap generators i and j,
 
 and evaluation is a homomorphism: ``eval(uv) = eval(u) . eval(v)`` where
-``.`` is composition acting on the right argument first.  Automorphisms built
-by evaluation remember their source word, which gives exact inversion;
-inverting an automorphism without one raises ``WordError``.
+``.`` is composition acting on the right argument first.  An automorphism
+holds only its images; to invert one, evaluate the inverse word.
 
 Evaluation is letter-local: it keeps one list of images and updates it in
 place for each letter (:func:`act_letters`).  An ``a``-letter rewrites one
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .words import (
@@ -46,6 +45,7 @@ from .words import (
     format_word,
     free_context,
     generator,
+    generator_conjugate_shape,
     identity as identity_word,
     inner_conjugator,
     pinned_coset_element,
@@ -214,7 +214,6 @@ class SymmetricAut:
 
     ctx: GroupContext
     images: tuple[Image, ...]
-    source: Optional[GeneratorWord] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         n = self.ctx.rank
@@ -269,11 +268,6 @@ class SymmetricAut:
             factors += (conj, generator(self.ctx, target, sign * exp), inverses[gen])
         return product(factors, self.ctx)
 
-    def inverse(self) -> "SymmetricAut":
-        if self.source is not None:
-            return eval_generator_word(self.source.inverse(), self.ctx)
-        raise WordError("cannot invert an automorphism without a source word")
-
     def to_json(self) -> list[dict]:
         return [
             {"conjugator": format_word(conj), "target": t, "sign": s}
@@ -290,23 +284,7 @@ class SymmetricAut:
 
 def identity_aut(ctx: GroupContext) -> SymmetricAut:
     e = identity_word(ctx)
-    return SymmetricAut(
-        ctx, tuple((e, i, 1) for i in range(1, ctx.rank + 1)), GeneratorWord(ctx.rank)
-    )
-
-
-def _decompose_image(w: Word) -> Image:
-    prefix, core = cyclic_reduce(w)
-    if len(core) != 1:
-        raise WordError(f"image is not a conjugate of a generator: {w}")
-    gen, exp = core.syllables[0]
-    if w.ctx.is_free:
-        if exp not in (1, -1):
-            raise WordError(f"image core has exponent {exp}: {w}")
-        return prefix, gen, exp
-    if exp != 1:
-        raise WordError(f"image core has exponent {exp}: {w}")
-    return prefix, gen, 1
+    return SymmetricAut(ctx, tuple((e, i, 1) for i in range(1, ctx.rank + 1)))
 
 
 def act_letter(letter: Letter, ctx: GroupContext) -> SymmetricAut:
@@ -326,21 +304,21 @@ def act_letter(letter: Letter, ctx: GroupContext) -> SymmetricAut:
         _, i, j = letter
         images[i - 1] = (e, j, 1)
         images[j - 1] = (e, i, 1)
-    return SymmetricAut(ctx, tuple(images), GeneratorWord(n, (letter,)))
+    return SymmetricAut(ctx, tuple(images))
 
 
 def compose(f: SymmetricAut, g: SymmetricAut) -> SymmetricAut:
     """f . g, acting as g first: (f.g)(w) = f(g(w))."""
     if f.ctx != g.ctx:
         raise WordError("context mismatch")
-    images = tuple(
-        canonical_image(*_decompose_image(f.apply(g.image_word(i))))
-        for i in range(1, f.ctx.rank + 1)
-    )
-    source = None
-    if f.source is not None and g.source is not None:
-        source = (f.source * g.source).free_cancel()
-    return SymmetricAut(f.ctx, images, source)
+    images = []
+    for i in range(1, f.ctx.rank + 1):
+        w = f.apply(g.image_word(i))
+        shape = generator_conjugate_shape(w)
+        if shape is None:
+            raise WordError(f"image is not a conjugate of a generator: {w}")
+        images.append(canonical_image(*shape))
+    return SymmetricAut(f.ctx, tuple(images))
 
 
 def act_letters(images: list[Image], letters: Iterable[Letter], ctx: GroupContext) -> None:
@@ -377,7 +355,7 @@ def act_letters(images: list[Image], letters: Iterable[Letter], ctx: GroupContex
 
 
 def eval_generator_word(gw: GeneratorWord, ctx: GroupContext) -> SymmetricAut:
-    """The automorphism a presentation word evaluates to, remembering ``gw``.
+    """The automorphism a presentation word evaluates to.
 
     Starts from the identity images and applies each letter in place with
     :func:`act_letters`, so the cost per letter is linear in the conjugators
@@ -388,7 +366,7 @@ def eval_generator_word(gw: GeneratorWord, ctx: GroupContext) -> SymmetricAut:
     e = identity_word(ctx)
     images: list[Image] = [(e, i, 1) for i in range(1, ctx.rank + 1)]
     act_letters(images, gw.letters, ctx)
-    return SymmetricAut(ctx, tuple(images), gw)
+    return SymmetricAut(ctx, tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +438,7 @@ def find_outer_relation(
     ctx = free_context(max(max(pair) for pair in pairs))
     letters = [("a", i, j, e) for i, j in pairs for e in (1, -1)]
     start = identity_aut(ctx)
-    seen = {outer_form(start): start.source}
+    seen = {outer_form(start): GeneratorWord(ctx.rank)}
     level = [((), start.images)]
     for _ in range((max_len + 1) // 2):
         grown = []

@@ -65,7 +65,7 @@ def free_context(rank: int, letter: str = "y") -> GroupContext:
 @lru_cache(maxsize=None)
 def torsion_context(rank: int, modulus: int, letter: str = "z") -> GroupContext:
     # one object per context: words projected into it pass the ``is`` check
-    # in ``product`` instead of falling back to the dataclass ``__eq__``
+    # in ``_require_same_ctx`` instead of falling back to the dataclass ``__eq__``
     return GroupContext(rank, modulus, letter)
 
 
@@ -135,7 +135,8 @@ class Word:
 
 
 def _require_same_ctx(a: GroupContext, b: GroupContext) -> None:
-    if a != b:
+    # one object per context is the common case: skip the dataclass __eq__
+    if a is not b and a != b:
         raise WordError(f"context mismatch: {a.describe()} vs {b.describe()}")
 
 
@@ -167,8 +168,7 @@ def product(words: Iterable[Word], ctx: GroupContext) -> Word:
     """
     out: list[Syllable] = []
     for w in words:
-        if w.ctx is not ctx:
-            _require_same_ctx(w.ctx, ctx)
+        _require_same_ctx(w.ctx, ctx)
         if w.syllables:
             _extend_reduced(out, w.syllables, ctx.torsion)
     return Word(ctx, tuple(out))
@@ -281,19 +281,11 @@ def primitive_root(core: Word) -> Word:
     return core
 
 
-@dataclass(frozen=True)
-class ConjugacyWitness:
-    conjugator: Word
-
-    def check(self, u: Word, v: Word) -> bool:
-        return u.conjugated_by(self.conjugator) == v
-
-
 def _rotation_matches(cu: tuple[Syllable, ...], cv: tuple[Syllable, ...]) -> list[int]:
     return [j for j in range(len(cu)) if cu[j:] + cu[:j] == cv]
 
 
-def conjugacy_witness(u: Word, v: Word) -> Optional[ConjugacyWitness]:
+def conjugacy_witness(u: Word, v: Word) -> Optional[Word]:
     """Conjugator g with g u g^{-1} = v, or None.
 
     Deterministic: among all valid conjugators the shortest is returned, ties
@@ -303,7 +295,7 @@ def conjugacy_witness(u: Word, v: Word) -> Optional[ConjugacyWitness]:
     ctx = u.ctx
     if ctx.rank == 1:
         # rank-1 groups are abelian: conjugacy is equality
-        return ConjugacyWitness(identity(ctx)) if u == v else None
+        return identity(ctx) if u == v else None
     p, cu = cyclic_reduce(u)
     q, cv = cyclic_reduce(v)
     if len(cu) != len(cv):
@@ -340,7 +332,7 @@ def conjugacy_witness(u: Word, v: Word) -> Optional[ConjugacyWitness]:
         for g in candidates:
             if u.conjugated_by(g) == v and (best is None or g.sort_key() < best.sort_key()):
                 best = g
-    return ConjugacyWitness(best) if best is not None else None
+    return best
 
 
 # ---------------------------------------------------------------------------

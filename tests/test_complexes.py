@@ -1,13 +1,13 @@
 import itertools
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
 from symlift.complexes import (
     LabelledBipartiteTree,
     NuclearVertex,
-    VertexAutomorphismSpec,
     WhiteheadPoset,
     all_folds,
     components_without,
@@ -23,7 +23,9 @@ from symlift.complexes import (
     tree_from_units,
     tree_symmetries,
     trivial_tree,
-    vertex_aut_eval,
+    vertex_automorphism,
+    _canonicalize_factors,
+    _conjugated,
     _dense_smith,
     _generated_subgroup,
     _tree_vertex_aut_group,
@@ -41,7 +43,16 @@ from symlift.symaut import (
     parse_generator_word,
     rho_i,
 )
-from symlift.words import WordError, format_word, free_context, parse_word, torsion_context
+from symlift.words import (
+    Word,
+    WordError,
+    format_word,
+    free_context,
+    identity,
+    normalize,
+    parse_word,
+    torsion_context,
+)
 
 F3 = free_context(3)
 H3 = torsion_context(3, 2)
@@ -370,32 +381,44 @@ def test_moving_components_keep_the_largest_label_still():
 
 
 def test_vertex_aut_example_matches_generator():
-    spec = VertexAutomorphismSpec(PATH3, 3, (1, 0, 0))
-    assert vertex_aut_eval(spec, F3) == eval_generator_word(
-        parse_generator_word("a[1,3]", 3), F3
-    )
+    gw = vertex_automorphism(PATH3, 3, [1])
+    assert gw == parse_generator_word("a[1,3]", 3)
+    # labels ascending, |p| letters each, the kept component {4} at power 0
+    t = tree_from_units(4, [[1, 2, 3], [3, 4]])
+    assert str(vertex_automorphism(t, 3, [-2])) == "a[1,3]^-1 a[1,3]^-1 a[2,3]^-1 a[2,3]^-1"
 
 
 def test_vertex_aut_on_trivial_tree_is_inner():
-    spec = VertexAutomorphismSpec(trivial_tree(3), 1, (0, 2, 2))
-    assert is_inner(vertex_aut_eval(spec, F3))
+    # power 2 on the only component of the trivial tree minus b1 is inner,
+    # so the trivial tree has nothing to move
+    assert is_inner(eval_generator_word(parse_generator_word("a[2,1] a[2,1] a[3,1] a[3,1]", 3), F3))
+    assert moving_components(trivial_tree(3)) == {}
+    # likewise moving the kept component too is inner
+    kept = parse_generator_word("a[2,3] a[2,3]", 3)
+    assert is_inner(eval_generator_word(vertex_automorphism(PATH3, 3, [2]) * kept, F3))
 
 
-def test_vertex_aut_constancy_errors():
-    # the trivial tree leaves a single component, so unequal powers fail
-    with pytest.raises(WordError):
-        VertexAutomorphismSpec(trivial_tree(3), 1, (0, 1, 2))
-    with pytest.raises(WordError):
-        VertexAutomorphismSpec(PATH3, 3, (1, 0, 1))  # base power must be 0
+def test_vertex_automorphism_refuses_bad_vertex_or_power_count():
+    for vertex in (0, 1, 2, 4):  # out of range, or leaves one component
+        with pytest.raises(WordError, match=f"vertex {vertex} has no moving components"):
+            vertex_automorphism(PATH3, vertex, [1])
+    with pytest.raises(WordError, match="has no moving components"):
+        vertex_automorphism(trivial_tree(3), 1, [])
+    for powers in ([], [1, 0]):
+        with pytest.raises(WordError, match=f"1 moving components, not {len(powers)}"):
+            vertex_automorphism(PATH3, 3, powers)
 
 
 def test_vertex_aut_inverse_and_torsion_powers():
-    spec = VertexAutomorphismSpec(PATH3, 3, (2, 0, 0))
-    f = vertex_aut_eval(spec, F3)
-    g = vertex_aut_eval(spec.inverse_spec(), F3)
+    gw = vertex_automorphism(PATH3, 3, [2])
+    f = eval_generator_word(gw, F3)
+    g = eval_generator_word(vertex_automorphism(PATH3, 3, [-2]), F3)
     assert compose(f, g).is_identity()
-    h = vertex_aut_eval(spec, H3)  # exponents collapse mod 2
-    assert h.is_identity()
+    assert eval_generator_word(gw, H3).is_identity()  # exponents collapse mod 2
+
+
+def _seeded_powers(rng, comps):
+    return [rng.randint(-2, 2) for _ in comps]
 
 
 def test_rho_inversion_of_vertex_automorphisms():
@@ -407,25 +430,19 @@ def test_rho_inversion_of_vertex_automorphisms():
         while samples < 40:
             t = rng.choice(poset.elements)
             v = rng.randint(1, n)
-            comps = components_without(t, v)
-            if len(comps) < 2:
+            moving = moving_components(t)
+            if v not in moving:
                 continue
-            powers = [0] * n
-            for comp in comps[:-1]:
-                p = rng.randint(-2, 2)
-                for l in comp:
-                    powers[l - 1] = p
-            spec = VertexAutomorphismSpec(t, v, tuple(powers))
-            if not any(spec.powers):
+            powers = _seeded_powers(rng, moving[v])
+            if not any(powers):
                 continue
             samples += 1
-            f = vertex_aut_eval(spec, ctx)
+            f = eval_generator_word(vertex_automorphism(t, v, powers), ctx)
+            inverse = eval_generator_word(vertex_automorphism(t, v, [-p for p in powers]), ctx)
             r = eval_generator_word(rho_i(n, v), ctx)
-            assert compose(compose(r, f), r) == vertex_aut_eval(spec.inverse_spec(), ctx)
+            assert compose(compose(r, f), r) == inverse
             # squares are commutators with the matching inversion
-            assert compose(f, f) == compose(
-                compose(compose(f, r), f.inverse()), r
-            )
+            assert compose(f, f) == compose(compose(compose(f, r), inverse), r)
 
 
 def test_distinct_vertex_automorphisms_commute_up_to_inner():
@@ -435,20 +452,14 @@ def test_distinct_vertex_automorphisms_commute_up_to_inner():
     checked = 0
     while checked < 25:
         t = rng.choice(poset.elements)
-        vs = [v for v in range(1, 5) if len(components_without(t, v)) >= 2]
-        if len(vs) < 2:
+        moving = moving_components(t)
+        if len(moving) < 2:
             continue
-        v1, v2 = rng.sample(vs, 2)
-        specs = []
-        for v in (v1, v2):
-            comps = components_without(t, v)
-            powers = [0] * 4
-            for comp in comps[:-1]:
-                p = rng.randint(-2, 2)
-                for l in comp:
-                    powers[l - 1] = p
-            specs.append(VertexAutomorphismSpec(t, v, tuple(powers)))
-        f, g = (vertex_aut_eval(s, ctx) for s in specs)
+        v1, v2 = rng.sample(sorted(moving), 2)
+        f, g = (
+            eval_generator_word(vertex_automorphism(t, v, _seeded_powers(rng, moving[v])), ctx)
+            for v in (v1, v2)
+        )
         assert outer_equal(compose(f, g), compose(g, f))
         checked += 1
 
@@ -465,7 +476,7 @@ def test_stabilizer_trivial_tree():
 
 def test_stabilizer_path_tree():
     gens = stabilizer_generators(PATH3)
-    assert [str(s.generator_word()) for s in gens.vertex_auts] == ["a[1,3]"]
+    assert [str(gw) for gw in gens.vertex_auts] == ["a[1,3]"]
     group = _generated_subgroup(gens.symmetries, 3)
     assert group == {(1, 2, 3), (2, 1, 3)}
 
@@ -485,13 +496,51 @@ def test_stabilizer_soundness_across_rank_4():
 
 def test_stabilizer_soundness_checks_the_generators_it_is_given():
     gens = stabilizer_generators(PATH3)
-    wrong_tree = gens.vertex_auts + (VertexAutomorphismSpec(trivial_tree(3), 1, (0, 1, 1)),)
-    bad_symmetry = gens.symmetries + ((1, 3, 2),)
-    for forged in (
-        type(gens)(PATH3, wrong_tree, gens.inversions, gens.symmetries),
-        type(gens)(PATH3, gens.vertex_auts, gens.inversions, bad_symmetry),
+    # a[2,1] moves b2 but not b3, which share a component of PATH3 minus b1;
+    # a[1,2] and s[1,2] move a label's factor; r[1] is no conjugation; the
+    # products conjugate by two generators, or by a longer word
+    for field, forged in (
+        ("vertex_auts", "a[2,1]"),
+        ("vertex_auts", "r[1]"),
+        ("vertex_auts", "a[1,3] a[3,2]"),
+        ("vertex_auts", "a[1,3] a[2,1]"),
+        ("inversions", "a[1,2]"),
+        ("inversions", "s[1,2]"),
     ):
-        assert [ok for _, ok in stabilizer_soundness(forged)].count(False) == 1
+        added = replace(gens, **{field: getattr(gens, field) + (parse_generator_word(forged, 3),)})
+        flags = dict(stabilizer_soundness(added))
+        assert list(flags.values()).count(False) == 1 and not flags[f"{field[:-1]} {forged}"]
+    added = replace(gens, symmetries=gens.symmetries + ((1, 3, 2),))
+    assert [ok for _, ok in stabilizer_soundness(added)].count(False) == 1
+    # any powers at one vertex pass: here b2 leaves three components
+    star = tree_from_units(4, [[1, 2], [2, 3], [2, 4]])
+    gw = vertex_automorphism(star, 2, [2, -1])
+    only = replace(gens, tree=star, vertex_auts=(gw,), inversions=(), symmetries=())
+    assert stabilizer_soundness(only) == [("vertex_aut a[1,2] a[1,2] a[3,2]^-1", True)]
+
+
+def _swapped_indices(gw):
+    return GeneratorWord(gw.rank, tuple(("a", j, i, e) for _, i, j, e in gw.letters))
+
+
+def _first_label_only(gw):
+    return GeneratorWord(gw.rank, tuple(l for l in gw.letters if l[1] == gw.letters[0][1]))
+
+
+@pytest.mark.parametrize("mutate", [_swapped_indices, _first_label_only])
+def test_stabilizer_soundness_catches_mutated_vertex_automorphisms(monkeypatch, mutate):
+    import symlift.complexes as complexes_mod
+
+    build = complexes_mod.vertex_automorphism
+    monkeypatch.setattr(
+        complexes_mod, "vertex_automorphism", lambda t, v, powers: mutate(build(t, v, powers))
+    )
+    flags = [
+        ok
+        for t in enumerate_whitehead_poset(4).elements
+        for _, ok in stabilizer_soundness(stabilizer_generators(t))
+    ]
+    assert not all(flags)
 
 
 def test_acts_without_rotations_on_chains():
@@ -551,6 +600,62 @@ def test_nuclear_vertex_free_conjugates_share_one_form():
     assert u == _vertex_from_factors(*(format_word(c) for c, _ in u.factors))
 
 
+def _reference_canonicalize(factors, ctx):
+    """The search as first written: every seed and every neighbour costed
+    before it is pushed, and only those no dearer than the best kept."""
+
+    def cost(x):
+        return sum(len(w) for w, _ in _conjugated(x.inverse(), factors))
+
+    e = identity(ctx)
+    factors = _conjugated(e, factors)
+    seeds = [e] + [conj for conj, _ in factors]
+    best = min(cost(s) for s in seeds)
+    visited = set()
+    frontier = [s for s in seeds if cost(s) <= best]
+    minimizers = []
+    while frontier:
+        x = frontier.pop()
+        if x.syllables in visited:
+            continue
+        visited.add(x.syllables)
+        moved = _conjugated(x.inverse(), factors)
+        c = sum(len(w) for w, _ in moved)
+        if c > best:
+            continue
+        if c < best:
+            best = c
+            minimizers = []
+        minimizers.append(moved)
+        for w, _ in moved:
+            if w:
+                y = x * Word(ctx, w.syllables[:1])
+                if y.syllables not in visited and cost(y) <= best:
+                    frontier.append(y)
+    candidates = [sorted(moved, key=lambda f: (f[1], f[0].sort_key())) for moved in minimizers]
+    return tuple(min(candidates, key=lambda tt: [(t, w.sort_key()) for w, t in tt]))
+
+
+def test_canonical_factors_match_the_reference_search():
+    # seeded random conjugators, and the images of seeded automorphisms
+    contexts = (F3, free_context(4), H3, torsion_context(4, 2), torsion_context(4, 5))
+    for ctx in contexts:
+        n = ctx.rank
+        rng = random.Random(f"factors:{ctx.describe()}")
+        letters = all_letters(n)
+        for _ in range(120):
+            if rng.random() < 0.5:
+                factors = []
+                for t in rng.sample(range(1, n + 1), n):
+                    length = rng.randint(0, 6)
+                    raw = [(rng.randint(1, n), rng.choice((-2, -1, 1, 2))) for _ in range(length)]
+                    factors.append((normalize(raw, ctx), t))
+            else:
+                gw = GeneratorWord(n, tuple(rng.choice(letters) for _ in range(rng.randint(0, 10))))
+                factors = [(c, t) for c, t, _ in eval_generator_word(gw, ctx).images]
+            assert _canonicalize_factors(factors, ctx) == _reference_canonicalize(factors, ctx)
+
+
 def test_nuclear_vertex_inversion_translate_is_fixed():
     v0 = NuclearVertex.standard(F3)
     r1 = eval_generator_word(rho_i(3, 1), F3)
@@ -590,9 +695,8 @@ def test_ball_moves_are_letter_words_of_the_composed_vertex_automorphisms():
                 expected = eval_generator_word(GeneratorWord(ctx.rank), ctx)
                 for v, combo in re.findall(r"v(\d+):\(([^)]*)\)", tag):
                     combo = [int(p) for p in combo.split(",") if p.strip()]
-                    comps = moving_components(t)[int(v)]
-                    spec = VertexAutomorphismSpec.on_components(t, int(v), zip(comps, combo))
-                    expected = compose(expected, vertex_aut_eval(spec, ctx))
+                    gw = vertex_automorphism(t, int(v), combo)
+                    expected = compose(expected, eval_generator_word(gw, ctx))
                 f = eval_generator_word(GeneratorWord(ctx.rank, letters), ctx)
                 assert f == expected
                 # only the empty word is the identity, so the ball lists
