@@ -591,11 +591,19 @@ def vertex_automorphism(
         raise WordError(f"vertex {vertex} has no moving components")
     if len(powers) != len(comps):
         raise WordError(f"vertex {vertex} has {len(comps)} moving components, not {len(powers)}")
+    return GeneratorWord(t.rank, _component_power_letters(vertex, comps, powers))
+
+
+def _component_power_letters(
+    vertex: int, comps: Sequence[frozenset[int]], powers: Sequence[int]
+) -> tuple[Letter, ...]:
+    """The letters of :func:`vertex_automorphism` for moving components
+    ``comps`` already in hand."""
     by_label = sorted((l, p) for comp, p in zip(comps, powers) for l in comp)
     letters = []
     for l, p in by_label:
         letters.extend(("a", l, vertex, 1 if p > 0 else -1) for _ in range(abs(p)))
-    return GeneratorWord(t.rank, tuple(letters))
+    return tuple(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -684,9 +692,9 @@ def stabilizer_generators(t: LabelledBipartiteTree) -> StabilizerGenerators:
     n = t.rank
     symmetries = tuple(symmetry_generators(t))  # first: it refuses large ranks
     vertex_auts = tuple(
-        vertex_automorphism(t, v, [int(i == k) for i in range(len(comps))])
+        GeneratorWord(n, _component_power_letters(v, [comp], [1]))
         for v, comps in moving_components(t).items()
-        for k in range(len(comps))
+        for comp in comps
     )
     inversions = tuple(rho_i(n, i) for i in range(1, n + 1))
     return StabilizerGenerators(t, vertex_auts, inversions, symmetries)
@@ -861,7 +869,7 @@ def _tree_vertex_aut_group(
     for v, comps in moving_components(t).items():
         options = []
         for combo in itertools.product(powers, repeat=len(comps)):
-            letters = vertex_automorphism(t, v, combo).letters
+            letters = _component_power_letters(v, comps, combo)
             options.append((letters, f"v{v}:{combo}" if any(combo) else ""))
         per_vertex.append(options)
     return [
