@@ -20,6 +20,7 @@ from . import braid as braid_mod
 from . import complexes, kernel as kernel_mod, selftest as selftest_mod
 from .lift import kernel_verdict, lift_restrict, reduce_aut
 from .symaut import (
+    MAX_EVAL_RANK,
     check_relations,
     eval_generator_word,
     outer_equal,
@@ -29,6 +30,7 @@ from .symaut import (
 from .words import (
     GroupContext,
     WordError,
+    check_rank,
     conjugacy_witness,
     even_to_x,
     format_word,
@@ -99,10 +101,13 @@ def cmd_words_even_to_x(args) -> int:
 
 def _aut_context(args) -> GroupContext:
     if args.ctx:
-        return parse_context(args.ctx)
-    if args.n is None:
+        ctx = parse_context(args.ctx)
+    elif args.n is None:
         raise WordError("give --n or --ctx")
-    return free_context(args.n)
+    else:
+        ctx = free_context(args.n)
+    check_rank(ctx.rank, MAX_EVAL_RANK, "automorphism images")
+    return ctx
 
 
 def cmd_symaut_eval(args) -> int:
@@ -247,6 +252,7 @@ def cmd_complex_quotient_check(args) -> int:
 
 
 def cmd_complex_tree(args) -> int:
+    check_rank(args.n, complexes.MAX_TREE_RANK, "trees")
     tree = (
         _parse_tree(args.tree, args.n)
         if args.tree

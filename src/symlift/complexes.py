@@ -41,6 +41,7 @@ from .words import (
     GroupContext,
     Word,
     WordError,
+    check_rank,
     format_word,
     free_context,
     generator_conjugate_shape,
@@ -72,11 +73,20 @@ def _label_components(labels: Iterable[int], sets: Iterable[frozenset]) -> list[
 def _encode(units: Sequence[frozenset[int]], name: Callable[[int], str]) -> str:
     """Minimal rooted encoding over unlabelled roots, labels written by
     ``name``.  Codes are built leaves first along a breadth-first order, so
-    deep trees need no recursion."""
+    deep trees need no recursion.
+
+    A unit's code is ``(`` and its sorted label branches, each starting with
+    its label's name, so its second character is the smallest first
+    character of its labels' names.  Only the units holding a label whose
+    name starts with the smallest first character of all can give the
+    minimum, and only they are tried as roots (with ``str`` up to rank 9,
+    the units holding label 1; with one name for every label, all units).
+    """
     label_units: dict[int, list[int]] = {}
     for u, labels in enumerate(units):
         for l in labels:
             label_units.setdefault(l, []).append(u)
+    names = {l: name(l) for l in label_units}
 
     def rooted(root: int) -> str:
         # (is_label, vertex, parent), each vertex listed before its children
@@ -87,11 +97,13 @@ def _encode(units: Sequence[frozenset[int]], name: Callable[[int], str]) -> str:
         kids: dict[tuple[bool, int], list[str]] = {}
         for is_label, v, parent in reversed(order):
             inner = ",".join(sorted(kids.pop((is_label, v), ())))
-            code = (name(v) + (f"[{inner}]" if inner else "")) if is_label else f"({inner})"
+            code = (names[v] + (f"[{inner}]" if inner else "")) if is_label else f"({inner})"
             kids.setdefault((not is_label, parent), []).append(code)
         return code
 
-    return min(rooted(u) for u in range(len(units)))
+    first = min(text[:1] for text in names.values())
+    roots = {u for l, text in names.items() if text[:1] == first for u in label_units[l]}
+    return min(rooted(u) for u in roots)
 
 
 @dataclass(frozen=True)
@@ -164,6 +176,11 @@ class LabelledBipartiteTree:
             lines.append(f"  b{l} -- u{u};")
         lines.append("}")
         return "\n".join(lines)
+
+
+# The canonical code tries up to n - 1 roots at O(n log n) each: a star
+# with 499 arms takes about 1 s through `complex tree`.
+MAX_TREE_RANK = 500
 
 
 def trivial_tree(n: int) -> LabelledBipartiteTree:
@@ -248,23 +265,37 @@ class WhiteheadPoset:
             raise WordError("tree not in poset") from None
 
     @cached_property
+    def _up_sets(self) -> tuple[tuple[int, ...], ...]:
+        """For each i, the ascending indices j != i with elements[i] <= elements[j]."""
+        up = []
+        for i, row in enumerate(self.leq):
+            flags = bytes(row)  # a row has few True entries: find them by memchr
+            above = []
+            j = flags.find(1)
+            while j >= 0:
+                if j != i:
+                    above.append(j)
+                j = flags.find(1, j + 1)
+            up.append(tuple(above))
+        return tuple(up)
+
+    @cached_property
     def _covers(self) -> tuple[tuple[int, int], ...]:
-        above = _strict_up_sets(self)
+        up = self._up_sets
+        bits = [sum(1 << j for j in above) for above in up]
         pairs = []
-        for i, up in enumerate(above):
-            # a larger element has a smaller up-set, so everything between i
-            # and j is seen before j, and j is minimal iff no earlier cover is below it
-            minimal: list[int] = []
-            for j in sorted(up, key=lambda j: (-len(above[j]), j)):
-                if not any(self.leq[m][j] for m in minimal):
-                    minimal.append(j)
-            pairs.extend((i, j) for j in minimal)
-        return tuple(sorted(pairs))
+        for i, above in enumerate(up):
+            # j covers i iff no m strictly between them, i.e. j is in no up(m)
+            between = 0
+            for m in above:
+                between |= bits[m]
+            pairs.extend((i, j) for j in above if not between >> j & 1)
+        return tuple(pairs)
 
     def covers(self) -> list[tuple[int, int]]:
         """Sorted pairs (i, j) with elements[i] covered by elements[j]: the
-        minimal elements j of the strict up-set of i, read from ``leq`` once
-        per poset.  The list is the caller's own."""
+        minimal elements j of the strict up-set of i, read off the up-sets
+        as bitsets once per poset.  The list is the caller's own."""
         return list(self._covers)
 
     def max_chain_cardinality(self) -> int:
@@ -302,15 +333,6 @@ def _longest_cover_path(size: int, covers: Sequence[tuple[int, int]]) -> int:
         return 1 + max((height(j) for j in up[i]), default=0)
 
     return max((height(i) for i in range(size)), default=0)
-
-
-def _strict_up_sets(poset: WhiteheadPoset) -> list[list[int]]:
-    """For each i, the ascending indices j != i with elements[i] <= elements[j]."""
-    indices = range(len(poset.elements))
-    return [
-        [j for j in itertools.compress(indices, row) if j != i]
-        for i, row in enumerate(poset.leq)
-    ]
 
 
 def proper_part(poset: WhiteheadPoset) -> WhiteheadPoset:
@@ -381,7 +403,7 @@ def enumerate_whitehead_poset(n: int) -> WhiteheadPoset:
 
 def _chains(poset: WhiteheadPoset) -> list[list[tuple[int, ...]]]:
     """Chains by dimension: chains[d] lists (d+1)-element chains."""
-    above = _strict_up_sets(poset)
+    above = poset._up_sets
     by_dim: list[list[tuple[int, ...]]] = [[(i,) for i in range(len(above))]]
     current = by_dim[0]
     while current:
@@ -396,52 +418,70 @@ def _chains(poset: WhiteheadPoset) -> list[list[tuple[int, ...]]]:
     return by_dim
 
 
-def _smith_rank_divisors(rows: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
-    """Rank and elementary divisors of a sparse integer matrix.
+def _smith_rank_divisors(rows: dict[int, dict[int, int]]) -> tuple[int, list[int], list[int]]:
+    """Rank, elementary divisors and unit pivot rows of a sparse integer
+    matrix.
 
     Walks the columns once, pivoting each on a +-1 entry in its shortest row
     (a unimodular step, so rank and divisors are unchanged), then runs a
     dense Smith reduction on whatever survives, unit entries made by fill
-    included.
+    included.  A unit pivot row, as it stands when it is pivoted, is zero at
+    every earlier pivot column and +-1 at its own, and it differs from its
+    input row by multiples of earlier pivot rows.  So the input's block on
+    the unit pivot rows and their columns is unimodular: that is what lets
+    ``order_complex_homology`` clear the returned rows.  The dense phase's
+    pivots have no such block and are not returned.
     """
     cols: dict[int, set[int]] = {}
     for r, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
-    unit_pivots = 0
+    pivot_rows = []
     for c0 in sorted(cols):
-        units = [r for r in cols[c0] if rows[r][c0] in (1, -1)]
-        if not units:
+        # the +-1 entry in the shortest row, ties to the smallest row id
+        r0 = -1
+        shortest = 0
+        for r in cols[c0]:
+            row = rows[r]
+            v = row[c0]
+            if (v == 1 or v == -1) and (
+                r0 < 0 or len(row) < shortest or (len(row) == shortest and r < r0)
+            ):
+                r0, shortest = r, len(row)
+        if r0 < 0:
             continue
-        r0 = min(units, key=lambda r: (len(rows[r]), r))
-        v0 = rows[r0][c0]
         prow = rows.pop(r0)
+        v0 = prow.pop(c0)
+        targets = cols.pop(c0)
+        targets.discard(r0)
         for c in prow:
             cols[c].discard(r0)
-        for r in list(cols[c0]):
+        for r in targets:
             row = rows[r]
-            factor = row[c0] * v0  # v0 in {1,-1}: row -= factor * prow
+            factor = row.pop(c0) * v0  # v0 in {1,-1}: row -= factor * prow
             for c, v in prow.items():
-                new = row.get(c, 0) - factor * v
-                if new == 0:
+                old = row.get(c)
+                if old is None:
+                    row[c] = -factor * v
+                    cols[c].add(r)
+                elif old == factor * v:
                     del row[c]
                     cols[c].discard(r)
                 else:
-                    row[c] = new
-                    cols[c].add(r)
+                    row[c] = old - factor * v
             if not row:
                 del rows[r]
-        del cols[c0]
-        unit_pivots += 1
+        pivot_rows.append(r0)
+    unit_pivots = len(pivot_rows)
     if not rows:
-        return unit_pivots, [1] * unit_pivots
+        return unit_pivots, [1] * unit_pivots, pivot_rows
     # dense Smith normal form on the small leftover core
     row_ids = sorted(rows)
     col_ids = sorted({c for row in rows.values() for c in row})
     a = [[rows[r].get(c, 0) for c in col_ids] for r in row_ids]
     divisors = _dense_smith(a)
     rank = unit_pivots + len(divisors)
-    return rank, [1] * unit_pivots + divisors
+    return rank, [1] * unit_pivots + divisors, pivot_rows
 
 
 def _dense_smith(a: list[list[int]]) -> list[int]:
@@ -517,29 +557,47 @@ class HomologyReport:
 
 
 def order_complex_homology(poset: WhiteheadPoset) -> HomologyReport:
-    """Reduced integral homology of the poset's order complex."""
+    """Reduced integral homology of the poset's order complex.
+
+    The boundaries are reduced from the top dimension down, with clearing
+    (Chen and Kerber, "Persistent homology computation with a twist",
+    EuroCG 2011): the boundary of the d-chains is built without the d-chains
+    that were unit pivot rows of the boundary one dimension up.  This is
+    exact over Z.  On those rows P and their pivot columns Q the block
+    B[P, Q] of the boundary B above is unimodular (see
+    ``_smith_rank_divisors``), and the boundary A below has A B = 0, so
+    A[:, P] = -A[:, rest] B[rest, Q] B[P, Q]^-1: the columns P are integer
+    combinations of the others.  Dropping them leaves the column lattice,
+    and with it the rank and the elementary divisors, unchanged.  Rows
+    pivoted in the dense Smith phase have no unimodular block and are never
+    cleared.
+    """
     chains = _chains(poset)
     counts = tuple(len(c) for c in chains)
     chi = sum((-1) ** d * c for d, c in enumerate(counts))
     dims = len(chains)
-    index: list[dict[tuple[int, ...], int]] = [
-        {chain: i for i, chain in enumerate(level)} for level in chains
-    ]
     ranks = [0] * (dims + 1)
     divisors: list[list[int]] = [[] for _ in range(dims + 1)]
     # augmentation: rank of the map C_0 -> Z
     ranks[0] = 1 if counts[0] else 0
-    for d in range(1, dims):
+    cleared: set[int] = set()
+    for d in range(dims - 1, 0, -1):
+        index = {chain: i for i, chain in enumerate(chains[d - 1])}
+        skips = [(skip, 1 - 2 * (skip & 1)) for skip in range(d + 1)]
+        # a chain's faces are distinct, so no two of its entries share a row
         rows: dict[int, dict[int, int]] = {}
         for col, chain in enumerate(chains[d]):
-            for skip in range(d + 1):
-                face = chain[:skip] + chain[skip + 1 :]
-                r = index[d - 1][face]
-                row = rows.setdefault(r, {})
-                row[col] = row.get(col, 0) + (-1) ** skip
-                if row[col] == 0:
-                    del row[col]
-        ranks[d], divisors[d] = _smith_rank_divisors(rows)
+            if col in cleared:
+                continue
+            for skip, sign in skips:
+                r = index[chain[:skip] + chain[skip + 1 :]]
+                row = rows.get(r)
+                if row is None:
+                    rows[r] = {col: sign}
+                else:
+                    row[col] = sign
+        ranks[d], divisors[d], pivot_rows = _smith_rank_divisors(rows)
+        cleared = set(pivot_rows)
     betti = []
     torsion = []
     for d in range(dims):
@@ -616,8 +674,7 @@ MAX_SYMMETRY_RANK = 8  # the scan tries all n! relabellings
 
 def check_symmetry_rank(n: int) -> None:
     """Refuse a rank over :data:`MAX_SYMMETRY_RANK` before any tree is built."""
-    if n > MAX_SYMMETRY_RANK:
-        raise WordError(f"tree symmetries are limited to rank <= {MAX_SYMMETRY_RANK}, not {n}")
+    check_rank(n, MAX_SYMMETRY_RANK, "tree symmetries")
 
 
 def tree_symmetries(t: LabelledBipartiteTree) -> list[tuple[int, ...]]:

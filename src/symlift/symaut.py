@@ -40,6 +40,7 @@ from .words import (
     GroupContext,
     Word,
     WordError,
+    check_rank,
     coset_intersection,
     cyclic_reduce,  # perfbench/tests/test_tracing.py asserts this binding
     format_word,
@@ -665,10 +666,15 @@ class RelationReport:
         return {"rank": self.rank, "all_pass": self.all_pass, "families": families}
 
 
+MAX_RELATIONS_RANK = 12  # the instances grow as n^4: rank 12 takes 1 to 2 s
+MAX_EVAL_RANK = 1000  # `symaut eval` and `outer-equal` print or compare n images
+
+
 def check_relations(n: int) -> RelationReport:
     """Evaluate every defining-relation instance at rank ``n`` (exact)."""
     if n < 2:
         raise WordError("check_relations needs rank >= 2")
+    check_rank(n, MAX_RELATIONS_RANK, "relation checks")
     ctx = free_context(n)
     checks: list[RelationCheck] = []
     for family in RELATION_FAMILIES:

@@ -58,6 +58,12 @@ class GroupContext:
         return f"H:{self.rank}:{self.torsion}"
 
 
+def check_rank(n: int, limit: int, what: str) -> None:
+    """Refuse a rank over ``limit`` before anything rank-sized is built."""
+    if n > limit:
+        raise WordError(f"{what} are limited to rank <= {limit}, not {n}")
+
+
 def free_context(rank: int, letter: str = "y") -> GroupContext:
     return GroupContext(rank, None, letter)
 

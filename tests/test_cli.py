@@ -208,6 +208,9 @@ def test_complex_outputs_are_pinned(capsys):
             "38c14784299695945b82210d332d48b6e4f26233fcbccec76c71f8f83213dd29",
         ("tree", "--n", "4", "--tree", "4,1,2;4,3"):
             "fcc0a8478adfaaa36b49c58def19e219b245aab26a6a2f618a9d49412f1d4c1c",
+        # fixed before the homology cleared boundary columns
+        ("homology", "--n", "5"):
+            "fbac284f0df05855b948de15ae84523d0818b6b8fbf442b731d6956fc0f4653e",
     }
     for argv, digest in pinned.items():
         assert main(["complex", *argv]) == 0
@@ -253,6 +256,41 @@ def test_complex_stabilizer_refuses_big_ranks_before_building_a_tree(capsys, mon
         code, payload = run(capsys, "complex", "stabilizer", "--n", "1000000", *extra)
         assert code == 2
         assert payload["error"]["message"] == "tree symmetries are limited to rank <= 8, not 1000000"
+    assert time.perf_counter() - start < 0.5
+
+
+def test_rank_sized_commands_refuse_huge_ranks_before_any_work(capsys, monkeypatch):
+    import symlift.cli as cli_mod
+    import symlift.complexes as complexes_mod
+    import symlift.symaut as symaut_mod
+
+    def no_work(*args):
+        raise AssertionError("rank-sized work started")
+
+    for module, name in (
+        (complexes_mod, "trivial_tree"),
+        (complexes_mod, "tree_from_units"),
+        (cli_mod, "parse_generator_word"),
+        (cli_mod, "eval_generator_word"),
+    ):
+        monkeypatch.setattr(module, name, no_work)
+    monkeypatch.setattr(symaut_mod, "RELATION_FAMILIES", (no_work,))
+    refusals = {
+        ("complex", "tree", "--n", "200000"): "trees are limited to rank <= 500, not 200000",
+        ("complex", "tree", "--n", "501", "--tree", "1,2"):
+            "trees are limited to rank <= 500, not 501",
+        ("symaut", "eval", "--n", "200000", "--word", "e"):
+            "automorphism images are limited to rank <= 1000, not 200000",
+        ("symaut", "eval", "--ctx", "H:1001:2", "--word", "e"):
+            "automorphism images are limited to rank <= 1000, not 1001",
+        ("symaut", "outer-equal", "--n", "5000", "--left", "e", "--right", "e"):
+            "automorphism images are limited to rank <= 1000, not 5000",
+        ("symaut", "relations", "--n", "13"): "relation checks are limited to rank <= 12, not 13",
+    }
+    start = time.perf_counter()
+    for argv, message in refusals.items():
+        code, payload = run(capsys, *argv)
+        assert code == 2 and payload["error"]["message"] == message, argv
     assert time.perf_counter() - start < 0.5
 
 

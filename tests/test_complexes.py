@@ -95,13 +95,30 @@ def recursive_encode(units, name):
     return min(enc_unit(u, None) for u in range(len(units)))
 
 
+def random_hypertree(n, rng):
+    """A seeded random tree at rank ``n``: each unit joins one label already
+    placed to one or more new labels, in a shuffled label order."""
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    placed, units = labels[:1], []
+    while len(placed) < n:
+        new = labels[len(placed) : len(placed) + rng.randint(1, min(3, n - len(placed)))]
+        units.append(frozenset([rng.choice(placed), *new]))
+        placed += new
+    return LabelledBipartiteTree(n, tuple(units))
+
+
 def test_encoding_matches_the_recursive_reference():
-    for n in (2, 3, 4, 5):
-        for t in enumerate_whitehead_poset(n).elements:
-            s = LabelledBipartiteTree(n, t.units[::-1])
-            for tree in (t, s):
-                assert tree.canonical() == recursive_encode(tree.units, str)
-                assert tree.type_encoding() == recursive_encode(tree.units, lambda l: "*")
+    trees = [t for n in (2, 3, 4, 5) for t in enumerate_whitehead_poset(n).elements]
+    # from rank 10 on, label 1 is a prefix of labels 10.., so the minimal code
+    # can be rooted at a unit without label 1
+    rng = random.Random(15)
+    trees += [random_hypertree(n, rng) for n in (10, 11, 12, 13) for _ in range(60)]
+    for t in trees:
+        s = LabelledBipartiteTree(t.rank, t.units[::-1])
+        for tree in (t, s):
+            assert tree.canonical() == recursive_encode(tree.units, str)
+            assert tree.type_encoding() == recursive_encode(tree.units, lambda l: "*")
 
 
 def test_tree_canonical_identifies_isomorphic_labelings():
@@ -327,30 +344,95 @@ def test_sparse_smith_matches_dense_smith():
         rows = {r: {c: v for c, v in enumerate(row) if v} for r, row in enumerate(dense)}
         rows = {r: row for r, row in rows.items() if row}
         expected = _dense_smith([list(row) for row in dense])
-        assert _smith_rank_divisors(rows) == (len(expected), expected)
+        rank, divisors, pivot_rows = _smith_rank_divisors(rows)
+        assert (rank, divisors) == (len(expected), expected)
+        # the unit pivot rows are distinct and span a unimodular block
+        assert len(set(pivot_rows)) == len(pivot_rows) <= divisors.count(1)
+        if pivot_rows:
+            assert _dense_smith([list(dense[r]) for r in pivot_rows]) == [1] * len(pivot_rows)
         nonunit_pivots += any(d > 1 for d in expected)
     assert nonunit_pivots > 20
-    assert _smith_rank_divisors({0: {0: 2}, 1: {1: 3}}) == (2, [1, 6])
+    assert _smith_rank_divisors({0: {0: 2}, 1: {1: 3}}) == (2, [1, 6], [])
 
 
-def test_homology_finds_torsion_of_the_projective_plane():
-    # the face poset of the 6-vertex real projective plane: its order
-    # complex is the barycentric subdivision, with H_1 = Z/2
+def projective_plane_faces():
+    """The face poset of the 6-vertex real projective plane: its order
+    complex is the barycentric subdivision, with H_1 = Z/2."""
     triangles = [
         (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
         (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
     ]
-    faces = sorted(
+    return sorted(
         {frozenset(f) for t in triangles for k in (1, 2, 3) for f in itertools.combinations(t, k)},
         key=lambda f: (len(f), sorted(f)),
     )
+
+
+def order_poset(elements, leq):
+    # the homology reads only the order, so any elements can stand in for trees
+    order = tuple(tuple(leq(a, b) for b in elements) for a in elements)
+    return WhiteheadPoset(2, tuple(elements), order)
+
+
+def test_homology_finds_torsion_of_the_projective_plane():
+    faces = projective_plane_faces()
     assert len(faces) == 31
-    leq = tuple(tuple(f <= g for g in faces) for f in faces)
-    # the homology reads only the order, so the faces can stand in for trees
-    report = order_complex_homology(WhiteheadPoset(2, tuple(faces), leq))
+    report = order_complex_homology(order_poset(faces, frozenset.__le__))
     assert report.simplex_counts == (31, 90, 60)
     assert report.reduced_betti == (0, 0, 0)
     assert report.torsion == ((), (2,), ())
+
+
+def suspended_projective_plane():
+    """Two incomparable elements above every face: the order complex is the
+    suspension, with H_2 = Z/2 one degree below the top."""
+    return order_poset(
+        projective_plane_faces() + ["north", "south"],
+        lambda a, b: a == b if isinstance(a, str) else isinstance(b, str) or a <= b,
+    )
+
+
+def homology_without_clearing(poset):
+    """Reference: reduced homology from every full boundary, each reduced
+    by ``_smith_rank_divisors`` on its own."""
+    size = len(poset.elements)
+    chains = [[(i,) for i in range(size)]]
+    while True:
+        longer = [
+            c + (j,) for c in chains[-1] for j in range(size) if j != c[-1] and poset.leq[c[-1]][j]
+        ]
+        if not longer:
+            break
+        chains.append(longer)
+    counts = [len(level) for level in chains]
+    ranks = [1 if size else 0] + [0] * len(chains)
+    divisors = [[] for _ in range(len(chains) + 1)]
+    for d in range(1, len(chains)):
+        index = {chain: i for i, chain in enumerate(chains[d - 1])}
+        rows = {}
+        for col, chain in enumerate(chains[d]):
+            for skip in range(d + 1):
+                rows.setdefault(index[chain[:skip] + chain[skip + 1 :]], {})[col] = (-1) ** skip
+        ranks[d], divisors[d], _ = _smith_rank_divisors(rows)
+    betti = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(len(chains)))
+    torsion = tuple(tuple(v for v in divisors[d + 1] if v > 1) for d in range(len(chains)))
+    return tuple(counts), betti, torsion
+
+
+def test_clearing_matches_the_homology_of_the_full_boundaries():
+    posets = [order_poset(projective_plane_faces(), frozenset.__le__), suspended_projective_plane()]
+    for n in (2, 3, 4, 5):
+        posets += [enumerate_whitehead_poset(n), proper_part(enumerate_whitehead_poset(n))]
+    for poset in posets:
+        report = order_complex_homology(poset)
+        expected = homology_without_clearing(poset)
+        assert (report.simplex_counts, report.reduced_betti, report.torsion) == expected
+    assert expected[1:] == ((0, 0, 64), ((), (), ()))  # the rank-5 proper part
+    # the top boundary's non-unit pivot leaves 20 rows to the dense phase:
+    # clearing them too reads reduced betti (0, 19, 19, 0)
+    suspended = order_complex_homology(posets[1])
+    assert suspended.reduced_betti == (0, 0, 0, 0)
+    assert suspended.torsion == ((), (), (2,), ())
 
 
 # -- vertex automorphisms ---------------------------------------------------------
