@@ -18,7 +18,7 @@ import sys
 
 from . import braid as braid_mod
 from . import complexes, kernel as kernel_mod, selftest as selftest_mod
-from .lift import kernel_verdict, lift_restrict, reduce_aut
+from .lift import kernel_verdict, lift_restrict
 from .symaut import (
     MAX_EVAL_RANK,
     check_relations,
@@ -145,8 +145,9 @@ def cmd_symaut_outer_equal(args) -> int:
 
 
 def cmd_lift_eval(args) -> int:
-    ctx = free_context(args.n)
-    h = reduce_aut(eval_generator_word(parse_generator_word(args.word, args.n), ctx))
+    check_rank(args.n, MAX_EVAL_RANK, "automorphism images")
+    ctx = torsion_context(args.n, 2)
+    h = eval_generator_word(parse_generator_word(args.word, args.n), ctx)
     restriction = lift_restrict(h)
     return _emit({"restriction": restriction.to_json()})
 
@@ -277,11 +278,13 @@ def cmd_complex_tree(args) -> int:
 
 
 def cmd_braid_act(args) -> int:
+    check_rank(args.n, MAX_EVAL_RANK, "automorphism images")
     aut = braid_mod.artin_action(braid_mod.parse_braid(args.word, args.n))
     return _emit({"images": aut.to_json()})
 
 
 def cmd_braid_eta(args) -> int:
+    check_rank(args.n, MAX_EVAL_RANK, "automorphism images")
     aut = braid_mod.eta_image(braid_mod.parse_braid(args.word, args.n), args.k)
     return _emit({"images": aut.to_json()})
 

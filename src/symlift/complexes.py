@@ -875,16 +875,25 @@ def _canonicalize_factors(factors: Sequence[Factor], ctx: GroupContext) -> tuple
     move goes from x to x s, with s the first syllable of some stripped
     x^{-1} c_i: only these neighbours step towards a vertex, so a
     non-minimal x always has a strictly cheaper move, the minimizers are
-    connected by moves, and the search stays in the finite hull of the
-    seeds and the vertices.  Single-letter moves would not do: the cost can
-    be flat along a ray x g^k.  Each candidate is conjugated and costed
-    once, when it is popped; one above the best cost so far is dropped, as
-    the best only falls.  Among minimizers the lexicographically least
-    sorted factor tuple wins.
+    connected by moves, and the search stays in the finite hull of e and
+    the vertices.  Single-letter moves would not do: the cost can be flat
+    along a ray x g^k.  Each candidate is conjugated and costed once, when
+    it is popped; one above the best cost so far is dropped, as the best
+    only falls.  Among minimizers the lexicographically least sorted factor
+    tuple wins.
+
+    The search starts from e alone.  Suppose it ended with the best cost
+    above the minimum m.  The node that set the final best was expanded,
+    and being non-minimal it had a strictly cheaper move y, which was
+    either visited before or pushed; either way y was costed, and its cost,
+    below the final best, would have lowered the best.  So the best ends at
+    m.  A node of cost m is never dropped, so every minimizer popped is
+    expanded, and as the minimizers are connected by moves all of them are
+    reached from the first.
     """
     e = identity_word(ctx)
     factors = _conjugated(e, factors)
-    frontier = [e] + [conj for conj, _ in factors]
+    frontier = [e]
     best = math.inf
     visited: set = set()
     minimizers: list[list[Factor]] = []

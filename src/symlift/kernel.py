@@ -27,6 +27,7 @@ from .symaut import (
     Letter,
     all_letters,
     eval_generator_word,
+    inner_relator,
     is_inner,
     letter_inverse,
     parse_generator_word,
@@ -170,7 +171,7 @@ def _inner_relators(rank: int) -> list[GeneratorWord]:
     """Each word acting as conjugation by a generator, then its inverse."""
     out = []
     for j in range(1, rank + 1):
-        rel = GeneratorWord(rank, tuple(("a", i, j, 1) for i in range(1, rank + 1) if i != j))
+        rel = inner_relator(rank, j)
         out += [rel, rel.inverse()]
     return out
 
@@ -212,9 +213,10 @@ def certify(gw: GeneratorWord) -> Optional[Certificate]:
     reduced = nf.pure.free_cancel()
     level = [nf.pure] if reduced.letters == nf.pure.letters else [nf.pure, reduced]
     seen = {pure.letters for pure in level}
-    relators = _inner_relators(n)
+    relators: list[GeneratorWord] = []  # n^2 letters: built once level 0 fails
     for depth in range(SEARCH_DEPTH + 1):
         if depth:
+            relators = relators or _inner_relators(n)
             level = _relator_level(level, relators, seen)
         for pure in level:
             blocks = parse_semipalindrome_product(pure)

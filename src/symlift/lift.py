@@ -2,9 +2,11 @@
 
 Three maps are chained here:
 
-* ``reduce_aut``: push a symmetric automorphism of the free group down to the
-  order-2 free product by reducing every conjugator mod 2 (signs die because
-  the generators become involutions);
+* ``reduce_mod``: push a symmetric automorphism of the free group down to
+  the order-k free product by reducing every conjugator mod k (at k = 2
+  signs die because the generators become involutions).  Evaluation commutes
+  with it, so the pipelines evaluate words directly in the order-2 product
+  and ``reduce_mod`` stays the reference they are checked against;
 * ``lift_restrict``: restrict an automorphism of the order-2 free product to
   its even-word subgroup, a free group of rank ``n-1`` with basis
   ``x_i = z_i z_n``;
@@ -64,11 +66,6 @@ def reduce_mod(f: SymmetricAut, k: int) -> SymmetricAut:
         canonical_image(project_mod_k(conj, k), target, 1) for conj, target, _sign in f.images
     )
     return SymmetricAut(ctx, images)
-
-
-def reduce_aut(f: SymmetricAut) -> SymmetricAut:
-    """The mod-2 reduction of a symmetric automorphism of the free group."""
-    return reduce_mod(f, 2)
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,14 @@ def test_complex_outputs_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+def test_relations_output_is_pinned(capsys):
+    # sha256 of stdout, fixed while each relation family was its own function
+    assert main(["symaut", "relations", "--n", "5"]) == 0
+    out = capsys.readouterr().out
+    digest = "8c8de6d7abc87c882db36563dbd666021680487d1d7f2dfdeea0eae1974a1b22"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["lift", "kernel", "--n", "3"]) == 2  # missing --word
     capsys.readouterr()
@@ -260,6 +268,7 @@ def test_complex_stabilizer_refuses_big_ranks_before_building_a_tree(capsys, mon
 
 
 def test_rank_sized_commands_refuse_huge_ranks_before_any_work(capsys, monkeypatch):
+    import symlift.braid as braid_mod
     import symlift.cli as cli_mod
     import symlift.complexes as complexes_mod
     import symlift.symaut as symaut_mod
@@ -272,9 +281,11 @@ def test_rank_sized_commands_refuse_huge_ranks_before_any_work(capsys, monkeypat
         (complexes_mod, "tree_from_units"),
         (cli_mod, "parse_generator_word"),
         (cli_mod, "eval_generator_word"),
+        (cli_mod, "torsion_context"),
+        (braid_mod, "parse_braid"),
+        (symaut_mod, "_relations"),
     ):
         monkeypatch.setattr(module, name, no_work)
-    monkeypatch.setattr(symaut_mod, "RELATION_FAMILIES", (no_work,))
     refusals = {
         ("complex", "tree", "--n", "200000"): "trees are limited to rank <= 500, not 200000",
         ("complex", "tree", "--n", "501", "--tree", "1,2"):
@@ -286,6 +297,12 @@ def test_rank_sized_commands_refuse_huge_ranks_before_any_work(capsys, monkeypat
         ("symaut", "outer-equal", "--n", "5000", "--left", "e", "--right", "e"):
             "automorphism images are limited to rank <= 1000, not 5000",
         ("symaut", "relations", "--n", "13"): "relation checks are limited to rank <= 12, not 13",
+        ("lift", "eval", "--n", "200000", "--word", "e"):
+            "automorphism images are limited to rank <= 1000, not 200000",
+        ("braid", "act", "--n", "1001", "--word", "1"):
+            "automorphism images are limited to rank <= 1000, not 1001",
+        ("braid", "eta", "--n", "200000", "--k", "2", "--word", "1"):
+            "automorphism images are limited to rank <= 1000, not 200000",
     }
     start = time.perf_counter()
     for argv, message in refusals.items():
@@ -317,17 +334,16 @@ def test_repeated_calls_in_one_process_match_fresh_processes(capsys):
 
 
 def test_selftest_fault_injection(capsys, monkeypatch):
-    # corrupt one relation family and expect the named check to fail
+    # append a false relation to the table and expect the named check to fail
     import symlift.symaut as symaut_mod
 
-    def broken(n, ctx):
-        from symlift.symaut import RelationCheck
+    relations = symaut_mod._relations
 
-        yield RelationCheck("injected_fault", (0,), False)
+    def broken(n):
+        yield from relations(n)
+        yield "injected_fault", (0,), (), (("r", 1),)
 
-    monkeypatch.setattr(
-        symaut_mod, "RELATION_FAMILIES", symaut_mod.RELATION_FAMILIES + (broken,)
-    )
+    monkeypatch.setattr(symaut_mod, "_relations", broken)
     code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "3")
     assert code == 1
     failing = [c for c in payload["checks"] if not c["passed"]]

@@ -688,8 +688,9 @@ def test_nuclear_vertex_free_conjugates_share_one_form():
 
 
 def _reference_canonicalize(factors, ctx):
-    """The search as first written: every seed and every neighbour costed
-    before it is pushed, and only those no dearer than the best kept."""
+    """The search as first written: started from all n + 1 seeds (e and
+    each conjugator), with every seed and every neighbour costed before it
+    is pushed, and only those no dearer than the best kept."""
 
     def cost(x):
         return sum(len(w) for w, _ in _conjugated(x.inverse(), factors))
@@ -724,8 +725,11 @@ def _reference_canonicalize(factors, ctx):
 
 
 def test_canonical_factors_match_the_reference_search():
-    # seeded random conjugators, and the images of seeded automorphisms
-    contexts = (F3, free_context(4), H3, torsion_context(4, 2), torsion_context(4, 5))
+    # seeded random conjugators, and the images of seeded automorphisms; the
+    # seeds of the reference check that a search from e alone loses no minimizer
+    contexts = (
+        F3, free_context(4), H3, torsion_context(4, 2), torsion_context(3, 3), torsion_context(4, 5)
+    )
     for ctx in contexts:
         n = ctx.rank
         rng = random.Random(f"factors:{ctx.describe()}")

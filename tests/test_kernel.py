@@ -244,6 +244,29 @@ def test_certify_outer_trivial_fallback():
     assert verify_certificate(cert, inner_word)
 
 
+def test_certify_builds_relators_only_when_level_0_finds_no_parse(monkeypatch):
+    import symlift.kernel as kernel_mod
+
+    depth2 = gw("a[1,2]^-1 a[3,2] a[2,1]^-1 a[3,1]^-1")
+    cert = certify(depth2)
+    assert [str(c) for c in cert.conjugators] == [
+        "a[3,2]^-1 a[1,2]^-1", "a[3,2]^-1", "a[2,1]^-1 a[3,1]^-1", "e"
+    ]
+
+    def no_relators(rank):
+        raise AssertionError("relators built")
+
+    monkeypatch.setattr(kernel_mod, "_inner_relators", no_relators)
+    assert certify(GeneratorWord(2000)) == Certificate(2000, ())
+    rng = random.Random(654)
+    for n in (3, 4, 6):
+        for _ in range(60):
+            target = random_rho_conjugate_product(rng, n)
+            assert verify_certificate(certify(target), target)
+    with pytest.raises(AssertionError, match="relators built"):
+        certify(depth2)
+
+
 def test_certify_rejects_wrong_invariants():
     assert certify(gw("s[1,2]")) is None  # nontrivial permutation part
     assert certify(gw("r[1]")) is None  # mixed inversion vector

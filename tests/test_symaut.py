@@ -357,6 +357,17 @@ def test_relations_rank_3_and_4():
         assert report.all_pass, report.failures()
 
 
+def test_no_relation_holds_vacuously():
+    # two equal letter tuples would pass whatever the evaluation did
+    import symlift.symaut as symaut_mod
+
+    for n in range(2, 7):
+        relations = list(symaut_mod._relations(n))
+        assert len(relations) == len(check_relations(n).checks)
+        for family, instance, left, right in relations:
+            assert left and left != right, (family, instance)
+
+
 def test_outer_product_relation_pins_the_inner_witness(monkeypatch):
     # a[1,j] ... a[n,j] is conjugation by y_j itself, so a witness off by an
     # inverse must fail every instance
