@@ -5,15 +5,13 @@ diagnostics on stderr.  Exit codes: 0 for success or a positive verdict, 1
 for a negative verdict (out of kernel, certificate mismatch, failed checks,
 nonempty flag list), 2 for usage errors, reported as a machine-readable
 error object, and 3 for no answer within a stated bound (``kernel certify``
-on a kernel element its bounded search cannot certify).  The default seed
-comes from ``SYMLIFT_SEED`` when set.
+on a kernel element its bounded search cannot certify).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import braid as braid_mod
@@ -43,10 +41,6 @@ from .words import (
 )
 
 SCHEMA = "symlift/1"
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("SYMLIFT_SEED", selftest_mod.DEFAULT_SEED))
 
 
 def _emit(payload: dict, code: int = 0) -> int:
@@ -153,6 +147,7 @@ def cmd_lift_eval(args) -> int:
 
 
 def cmd_lift_kernel(args) -> int:
+    check_rank(args.n, MAX_EVAL_RANK, "automorphism images")
     verdict = kernel_verdict(parse_generator_word(args.word, args.n), args.route)
     return _emit(verdict.to_json(), 0 if verdict.verdict == "in" else 1)
 
@@ -419,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = cplx.add_parser("quotient-check")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=selftest_mod.DEFAULT_SEED)
     p.set_defaults(fn=cmd_complex_quotient_check)
     p = cplx.add_parser("tree")
     p.add_argument("--n", type=int, required=True)
@@ -447,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="deterministic check suite")
     p.add_argument("--level", choices=["quick", "full"], default="quick")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=selftest_mod.DEFAULT_SEED)
     p.set_defaults(fn=cmd_selftest)
 
     return parser
@@ -457,15 +452,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.fn(args)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
-    except WordError as exc:
-        return _emit_error(str(exc))
-    if getattr(args, "seed", "missing") is None:
-        args.seed = _default_seed()
-    try:
-        return args.fn(args)
-    except (WordError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         return _emit_error(str(exc))
 
 

@@ -166,8 +166,8 @@ class LabelledBipartiteTree:
     def __hash__(self) -> int:
         return hash((self.rank, self.label_sets))
 
-    def to_dot(self, name: str = "tree") -> str:
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["graph tree {"]
         for l in range(1, self.rank + 1):
             lines.append(f'  b{l} [label="b{l}", shape=circle];')
         for u in range(len(self.units)):

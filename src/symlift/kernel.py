@@ -34,6 +34,7 @@ from .symaut import (
     rho,
     semidirect_normal_form,
 )
+from .lift import kernel_verdict
 from .words import WordError, free_context
 
 # rounds of multiplying the pure part by inner relators before giving up
@@ -216,7 +217,11 @@ def certify(gw: GeneratorWord) -> Optional[Certificate]:
     relators: list[GeneratorWord] = []  # n^2 letters: built once level 0 fails
     for depth in range(SEARCH_DEPTH + 1):
         if depth:
-            relators = relators or _inner_relators(n)
+            if not relators:
+                # every certificate verifies, so none exists outside the kernel
+                if kernel_verdict(gw).verdict != "in":
+                    return None
+                relators = _inner_relators(n)
             level = _relator_level(level, relators, seen)
         for pure in level:
             blocks = parse_semipalindrome_product(pure)

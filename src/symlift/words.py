@@ -69,10 +69,10 @@ def free_context(rank: int, letter: str = "y") -> GroupContext:
 
 
 @lru_cache(maxsize=None)
-def torsion_context(rank: int, modulus: int, letter: str = "z") -> GroupContext:
+def torsion_context(rank: int, modulus: int) -> GroupContext:
     # one object per context: words projected into it pass the ``is`` check
     # in ``_require_same_ctx`` instead of falling back to the dataclass ``__eq__``
-    return GroupContext(rank, modulus, letter)
+    return GroupContext(rank, modulus)
 
 
 def parse_context(text: str) -> GroupContext:
@@ -287,57 +287,47 @@ def primitive_root(core: Word) -> Word:
     return core
 
 
-def _rotation_matches(cu: tuple[Syllable, ...], cv: tuple[Syllable, ...]) -> list[int]:
-    return [j for j in range(len(cu)) if cu[j:] + cu[:j] == cv]
-
-
 def conjugacy_witness(u: Word, v: Word) -> Optional[Word]:
-    """Conjugator g with g u g^{-1} = v, or None.
+    """The shortest g with g u g^{-1} = v (ties broken by syllables), or None.
 
-    Deterministic: among all valid conjugators the shortest is returned, ties
-    broken by the syllable tuple.
+    With ``u = p cu p^{-1}`` and ``v = q cv q^{-1}`` (:func:`cyclic_reduce`)
+    the conjugators are ``q h p^{-1}`` with ``h cu h^{-1} = cv``.  Cores of
+    at most one syllable must be equal; ``h`` is then a power ``g^t`` of the
+    core's generator, which ``p`` and ``q`` end off, so ``q g^t p^{-1}`` is
+    one syllable longer than ``q p^{-1}`` when ``g^t != e``.  Longer cores
+    are cyclic permutations ``cu = s r``, ``cv = r s`` (Lyndon-Schupp, Thm
+    IV.1.4), so the conjugators are one coset ``g0 a^t`` with
+    ``g0 = q s^{-1} p^{-1}`` and ``a = p root p^{-1}``.  Syllable length is
+    half the distance from the base vertex ``o`` in the Bass-Serre tree
+    (Serre, Trees), where ``a`` is hyperbolic: ``|g0 a^t|`` falls and then
+    rises in ``t``, by at least one syllable per step away from its minimum,
+    which at most two adjacent ``t`` reach (the one ``t`` where the axis
+    projections of ``g0^{-1} o`` and ``a^t o`` coincide is that minimum).
+    The first matching rotation has ``|s| < |root|``, so for ``t < 0`` the
+    word ``q (root^{-t} s)^{-1} p^{-1}`` loses at most one syllable at each
+    junction and is longer than ``g0``: the walk goes up from ``t = 0``
+    while the sort key strictly falls.
     """
     _require_same_ctx(u.ctx, v.ctx)
     ctx = u.ctx
-    if ctx.rank == 1:
-        # rank-1 groups are abelian: conjugacy is equality
-        return identity(ctx) if u == v else None
     p, cu = cyclic_reduce(u)
     q, cv = cyclic_reduce(v)
-    if len(cu) != len(cv):
-        return None
-    base: list[Word] = []
-    if len(cu) <= 1:
+    if len(cu) <= 1 or len(cv) <= 1:
         if cu != cv:
             return None
-        base.append(q * p.inverse())
+        best = q * p.inverse()
     else:
-        rotations = _rotation_matches(cu.syllables, cv.syllables)
-        if not rotations:
+        c, d = cu.syllables, cv.syllables
+        j = next((j for j in range(len(c)) if c[j:] + c[:j] == d), None)
+        if j is None:
             return None
-        for j in rotations:
-            s = Word(ctx, cu.syllables[:j])
-            base.append(q * s.inverse() * p.inverse())
-    root = primitive_root(cu) if cu else identity(ctx)
-    best: Optional[Word] = None
-    for g0 in base:
-        candidates = [g0]
-        if root:
-            # beyond this range |g0 p root^t p^{-1}| grows monotonically
-            span = len(g0) + 2 * len(p) + len(root) + 2
-            axis = p * root * p.inverse()
-            axis_inv = axis.inverse()
-            if ctx.torsion is not None and len(root) == 1:
-                span = min(span, ctx.torsion - 1)
-            up = down = identity(ctx)
-            for _ in range(span):
-                up = up * axis
-                down = down * axis_inv
-                candidates.append(g0 * up)
-                candidates.append(g0 * down)
-        for g in candidates:
-            if u.conjugated_by(g) == v and (best is None or g.sort_key() < best.sort_key()):
-                best = g
+        best = q * Word(ctx, c[:j]).inverse() * p.inverse()
+        axis = p * primitive_root(cu) * p.inverse()
+        g = best * axis
+        while g.sort_key() < best.sort_key():
+            best, g = g, g * axis
+    if u.conjugated_by(best) != v:
+        raise RuntimeError(f"internal: {best} does not conjugate {u} to {v}")
     return best
 
 

@@ -110,6 +110,22 @@ def test_kernel_certify_refuses_honestly_inside_the_kernel(capsys):
     assert code == 1 and payload == {"schema": "symlift/1", "status": "absent"}
 
 
+def test_kernel_certify_outside_the_kernel_searches_nothing(capsys, monkeypatch):
+    # no certificate exists outside the kernel, so a word that level 0
+    # cannot parse gets the verdict before any relator is built
+    import symlift.kernel as kernel_mod
+
+    def no_relators(rank):
+        raise AssertionError("relator search started")
+
+    monkeypatch.setattr(kernel_mod, "_inner_relators", no_relators)
+    for n in ("80", "500"):
+        start = time.perf_counter()
+        code, payload = run(capsys, "kernel", "certify", "--n", n, "--word", "a[1,2] a[2,3]")
+        assert code == 1 and payload == {"schema": "symlift/1", "status": "absent"}, n
+        assert time.perf_counter() - start < 0.5, n
+
+
 def test_complex_commands(capsys):
     code, payload = run(capsys, "complex", "poset", "--n", "3")
     assert code == 0 and payload["poset"]["size"] == 4
@@ -282,6 +298,7 @@ def test_rank_sized_commands_refuse_huge_ranks_before_any_work(capsys, monkeypat
         (cli_mod, "parse_generator_word"),
         (cli_mod, "eval_generator_word"),
         (cli_mod, "torsion_context"),
+        (cli_mod, "kernel_verdict"),
         (braid_mod, "parse_braid"),
         (symaut_mod, "_relations"),
     ):
@@ -298,6 +315,8 @@ def test_rank_sized_commands_refuse_huge_ranks_before_any_work(capsys, monkeypat
             "automorphism images are limited to rank <= 1000, not 5000",
         ("symaut", "relations", "--n", "13"): "relation checks are limited to rank <= 12, not 13",
         ("lift", "eval", "--n", "200000", "--word", "e"):
+            "automorphism images are limited to rank <= 1000, not 200000",
+        ("lift", "kernel", "--n", "200000", "--word", "e"):
             "automorphism images are limited to rank <= 1000, not 200000",
         ("braid", "act", "--n", "1001", "--word", "1"):
             "automorphism images are limited to rank <= 1000, not 1001",
@@ -416,3 +435,12 @@ def test_selftest_braid_coverage_fault_injection(capsys, monkeypatch):
     failing = [c for c in payload["checks"] if not c["passed"]]
     assert [c["name"] for c in failing] == ["braid_injectivity_evidence"]
     assert all(not search["flagged"] for search in failing[0]["runs"].values())
+
+
+def test_selftest_default_seed_ignores_the_environment(capsys, monkeypatch):
+    # the seed comes from --seed alone; no environment variable is read
+    code, seeded = run(capsys, "selftest", "--seed", "1729")
+    assert code == 0
+    assert run(capsys, "selftest") == (code, seeded)
+    monkeypatch.setenv("SYMLIFT_SEED", "abc")
+    assert run(capsys, "selftest") == (code, seeded)

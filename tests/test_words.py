@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symlift.words import (
+    Word,
     WordError,
     conjugacy_witness,
     coset_intersection,
@@ -152,6 +153,94 @@ def test_conjugacy_symmetric_with_inverse_witness(raw_u, raw_g):
     assert u.conjugated_by(fwd) == v and v.conjugated_by(back) == u
     # the inverse of any valid witness is a valid witness the other way
     assert v.conjugated_by(fwd.inverse()) == u
+
+
+def _span_reference(u, v):
+    """The windowed search that conjugacy_witness ran before it walked the one
+    coset: a guessed span around every matching rotation, each candidate
+    checked by conjugating."""
+    ctx = u.ctx
+    if ctx.rank == 1:
+        return identity(ctx) if u == v else None
+    p, cu = cyclic_reduce(u)
+    q, cv = cyclic_reduce(v)
+    if len(cu) != len(cv):
+        return None
+    base = []
+    if len(cu) <= 1:
+        if cu != cv:
+            return None
+        base.append(q * p.inverse())
+    else:
+        c = cu.syllables
+        for j in range(len(c)):
+            if c[j:] + c[:j] == cv.syllables:
+                base.append(q * Word(ctx, c[:j]).inverse() * p.inverse())
+        if not base:
+            return None
+    root = primitive_root(cu) if cu else identity(ctx)
+    best = None
+    for g0 in base:
+        candidates = [g0]
+        if root:
+            span = len(g0) + 2 * len(p) + len(root) + 2
+            axis = p * root * p.inverse()
+            if ctx.torsion is not None and len(root) == 1:
+                span = min(span, ctx.torsion - 1)
+            up = down = identity(ctx)
+            for _ in range(span):
+                up, down = up * axis, down * axis.inverse()
+                candidates += [g0 * up, g0 * down]
+        for g in candidates:
+            if u.conjugated_by(g) == v and (best is None or g.sort_key() < best.sort_key()):
+                best = g
+    return best
+
+
+def _all_words(ctx, max_sylls, max_exp):
+    """Every reduced word of at most ``max_sylls`` syllables, exponents up to
+    ``max_exp`` in absolute value (all of them mod k), in sort-key order."""
+    if ctx.torsion:
+        exps = range(1, ctx.torsion)
+    else:
+        exps = [e for e in range(-max_exp, max_exp + 1) if e]
+    level, out = [()], [()]
+    for _ in range(max_sylls):
+        level = [
+            s + ((g, e),)
+            for s in level
+            for g in range(1, ctx.rank + 1)
+            if not s or s[-1][0] != g
+            for e in exps
+        ]
+        out += level
+    return [Word(ctx, s) for s in sorted(out, key=lambda s: (len(s), s))]
+
+
+def test_conjugacy_witness_is_the_least_conjugator():
+    # brute force over every short conjugator: the witness is the least one,
+    # and the old windowed search agrees; powers w^d and deep conjugators
+    # put the minimum away from the first matching rotation, on either side
+    rng = random.Random(1729)
+    for text, max_sylls in (("F:2", 4), ("H:2:3", 6), ("H:3:2", 5), ("H:2:4", 4)):
+        ctx = parse_context(text)
+        pool = _all_words(ctx, max_sylls, 2)
+        members = set(pool)
+        for _ in range(150):
+            raw = [(rng.randint(1, ctx.rank), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(0, 4))]
+            u = normalize(raw, ctx).pow(rng.choice((1, 1, 2, 3)))
+            if rng.random() < 0.85:
+                g = pool[rng.randrange(len(pool))]
+                v = u.conjugated_by(g)
+            else:
+                v = normalize([(s[0], -s[1]) for s in raw], ctx)
+            w = conjugacy_witness(u, v)
+            assert w == _span_reference(u, v), (text, str(u), str(v))
+            least = next((c for c in pool if u.conjugated_by(c) == v), None)
+            if w in members or w is None:
+                assert least == w, (text, str(u), str(v))
+            else:
+                assert least is None or least.sort_key() > w.sort_key(), (text, str(u), str(v))
 
 
 def test_cyclic_reduce_merges_across_torsion():
