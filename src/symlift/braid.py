@@ -45,9 +45,10 @@ from .words import WordError, free_context, torsion_context
 # Most freely reduced braid words one bounded_kernel_search may enumerate;
 # larger searches are refused before they start.  At 3 strands, the slowest,
 # a search at the limit (length 12, 1,062,880 words) takes about 32 s on one
-# core of a 2-core x86-64 host.  At 2 strands the images grow with the word,
-# each doubling of max_length costs about six times as long (length 600,
-# 1,200 words: about 15 s), and the limit does not bound the time.
+# core of a 2-core x86-64 host.  At 2 strands the images grow with the word
+# and each word costs time linear in them, so each doubling of max_length
+# costs about three times as long (length 1,200, 2,400 words: about 2.4 s),
+# and the limit does not bound the time.
 MAX_SEARCH_WORDS = 2_000_000
 
 
@@ -113,9 +114,18 @@ def _generator_word(b: BraidWord) -> GeneratorWord:
     return GeneratorWord(b.strands, tuple(letters))
 
 
-def artin_action(b: BraidWord) -> SymmetricAut:
-    """The braid as a symmetric automorphism of the free group."""
-    return eval_generator_word(_generator_word(b), free_context(b.strands))
+def artin_action(b: BraidWord, prefix: Optional[SymmetricAut] = None) -> SymmetricAut:
+    """The braid as a symmetric automorphism of the free group.
+
+    ``prefix``, when given, must be the action of ``b`` without its last two
+    letters: only those two are applied to its images, so the cost is linear
+    in the images rather than in the whole word's evaluation.
+    """
+    if prefix is None:
+        return eval_generator_word(_generator_word(b), free_context(b.strands))
+    images = list(prefix.images)
+    act_letters(images, _generator_word(BraidWord(b.strands, b.letters[-2:])).letters, prefix.ctx)
+    return SymmetricAut(prefix.ctx, tuple(images))
 
 
 def eta_image(b: BraidWord, k: int) -> SymmetricAut:
@@ -241,14 +251,20 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
     evaluates only the words that can still reach a pure braid within
     ``max_length`` and counts every other subtree without walking it;
     ``words_checked`` is the tally of both.  Only pure words get the mod-k
-    inner test, and the free action is evaluated, from scratch, only for
-    words that are inner mod k.  Raises ``WordError`` for malformed
-    parameters and for searches over :data:`MAX_SEARCH_WORDS` words.
+    inner test, and the free action is evaluated only for words that are
+    inner mod k: advanced by the last two letters from the word two letters
+    shorter when that word was evaluated too (at 2 strands every even power
+    of s1 is, so each costs one step linear in its images), else from
+    scratch.  Raises ``WordError`` for malformed parameters and for searches
+    over :data:`MAX_SEARCH_WORDS` words.
     """
     check_search(strands, modulus, max_length)
     flagged: list[str] = []
     checked = 0
     trivial = 0
+    # free actions of the evaluated words, each kept until a word two
+    # letters longer advances it
+    free_actions: dict[tuple[int, ...], SymmetricAut] = {}
     for word, inversions, reduced in _search_tree(strands, modulus, max_length):
         if reduced is None:
             checked += _subtree_words(strands, max_length - len(word))
@@ -256,7 +272,8 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
         checked += 1
         if inversions or inner_witness_of(reduced) is None:
             continue
-        free = artin_action(BraidWord(strands, word))
+        free = artin_action(BraidWord(strands, word), free_actions.pop(word[:-2], None))
+        free_actions[word] = free
         if free.is_identity():
             trivial += 1
         elif inner_witness_of(free) is None:

@@ -156,12 +156,11 @@ def cmd_lift_kernel(args) -> int:
 
 
 def cmd_kernel_certify(args) -> int:
-    gw = parse_generator_word(args.word, args.n)
-    cert = kernel_mod.certify(gw)
+    status, cert = kernel_mod.certify_status(parse_generator_word(args.word, args.n))
     if cert is not None:
-        return _emit({"status": "certified", "certificate": cert.to_json()})
-    if kernel_verdict(gw).verdict != "in":
-        return _emit({"status": "absent"}, 1)
+        return _emit({"status": status, "certificate": cert.to_json()})
+    if status == "absent":
+        return _emit({"status": status}, 1)
     # in the kernel, but the bounded search found no certificate
     bound = {
         "search_depth": kernel_mod.SEARCH_DEPTH,

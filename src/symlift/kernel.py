@@ -207,20 +207,42 @@ def certify(gw: GeneratorWord) -> Optional[Certificate]:
     outer-trivial pure part of at most ``EVAL_GATE_LETTERS`` letters gets the
     empty certificate; beyond these bounds the absence is reported as None.
     """
+    return _certify(gw)[0]
+
+
+def certify_status(gw: GeneratorWord) -> tuple[str, Optional[Certificate]]:
+    """``("certified", cert)``, ``("absent", None)`` outside the kernel,
+    where no certificate exists, or ``("unproven", None)`` for a kernel
+    element the bounded search of :func:`certify` does not certify.  The
+    kernel verdict is computed at most once: the search's own, when it
+    asked one."""
+    cert, verdict = _certify(gw)
+    if cert is not None:
+        return "certified", cert
+    if verdict is None:
+        verdict = kernel_verdict(gw).verdict
+    return ("unproven" if verdict == "in" else "absent"), None
+
+
+def _certify(gw: GeneratorWord) -> tuple[Optional[Certificate], Optional[str]]:
+    """:func:`certify`'s search: the certificate or None, and the kernel
+    verdict the search asked for, or None when it asked none."""
     n = gw.rank
     nf = semidirect_normal_form(gw, cancel=False)
     if nf.perm != tuple(range(1, n + 1)) or set(nf.rho) not in ({0}, {1}, set()):
-        return None
+        return None, None
     reduced = nf.pure.free_cancel()
     level = [nf.pure] if reduced.letters == nf.pure.letters else [nf.pure, reduced]
     seen = {pure.letters for pure in level}
     relators: list[GeneratorWord] = []  # n^2 letters: built once level 0 fails
+    verdict = None
     for depth in range(SEARCH_DEPTH + 1):
         if depth:
             if not relators:
                 # every certificate verifies, so none exists outside the kernel
-                if kernel_verdict(gw).verdict != "in":
-                    return None
+                verdict = kernel_verdict(gw).verdict
+                if verdict != "in":
+                    return None, verdict
                 relators = _inner_relators(n)
             level = _relator_level(level, relators, seen)
         for pure in level:
@@ -234,10 +256,10 @@ def certify(gw: GeneratorWord) -> Optional[Certificate]:
                 cert = Certificate(n, tuple(conjugators))
                 if not verify_certificate(cert, gw):
                     raise RuntimeError(f"internal: certificate for {gw} does not verify")
-                return cert
+                return cert, verdict
     if len(reduced) <= EVAL_GATE_LETTERS and verify_certificate(Certificate(n, ()), gw):
-        return Certificate(n, ())
-    return None
+        return Certificate(n, ()), verdict
+    return None, verdict
 
 
 def verify_certificate(cert: Certificate, target: GeneratorWord) -> bool:

@@ -121,6 +121,9 @@ class Word:
 
     def inverse(self) -> "Word":
         k = self.ctx.torsion
+        if k == 2:
+            # every exponent is 1 = -1 mod 2: the inverse is the reversal
+            return Word(self.ctx, self.syllables[::-1])
         inv = [(g, -e if k is None else (-e) % k) for g, e in reversed(self.syllables)]
         return Word(self.ctx, tuple(inv))
 
@@ -318,9 +321,15 @@ def conjugacy_witness(u: Word, v: Word) -> Optional[Word]:
         best = q * p.inverse()
     else:
         c, d = cu.syllables, cv.syllables
-        j = next((j for j in range(len(c)) if c[j:] + c[:j] == d), None)
-        if j is None:
+        # the first rotation c[j:] + c[:j] equal to d is the first match of
+        # d in c + c, found by one linear-time str.find on the printed
+        # tuples: each syllable prints as "(g, e)", so a match starts and
+        # ends on syllable boundaries, and the "(" before it number j + 1
+        doubled = str(c + c)
+        at = doubled.find(str(d)[1:-1]) if len(c) == len(d) else -1
+        if at < 0:
             return None
+        j = doubled.count("(", 0, at) - 1
         best = q * Word(ctx, c[:j]).inverse() * p.inverse()
         axis = p * primitive_root(cu) * p.inverse()
         g = best * axis
@@ -479,6 +488,16 @@ def even_to_x(w: Word) -> Word:
     The input pairs up as ``(z_a z_b)(z_c z_d)...`` and each pair ``z_a z_b``
     expands to ``z_a z_n . z_n z_b = x_a x_b^{-1}``.  Exact inverse of
     :func:`expand_x` after reduction.
+
+    The rewrite is one pass over the pairs that only ever merges, and its
+    output is reduced as built.  In a reduced z-word ``a != b`` inside a
+    pair, so ``x_a x_b^{-1}`` is reduced; across pairs ``b != c``, so
+    ``x_b^{-1} x_c`` is too.  The only interaction is where ``z_n`` is
+    skipped: ``x_a`` after a pair ``z_a z_n`` (as in ``z_a z_n z_a z_b ->
+    x_a^2 x_b^{-1}``), or ``x_b^{-1}`` after a pair ``z_a z_b`` when the next
+    pair is ``z_n z_b``.  Both are same-sign merges, so no syllable ever
+    cancels.  A pair ``z_a z_a``, and any other cancellation an unreduced
+    input would need, raises ``WordError``.
     """
     ctx = w.ctx
     if ctx.is_free or ctx.torsion != 2:
@@ -488,16 +507,31 @@ def even_to_x(w: Word) -> Word:
     if len(w) % 2:
         raise WordError(f"odd-length word: {w}")
     n = ctx.rank
-    target = free_context(n - 1, letter="x")
-    raw: list[Syllable] = []
-    sylls = w.syllables
-    for t in range(0, len(sylls), 2):
-        a, b = sylls[t][0], sylls[t + 1][0]
+    out: list[Syllable] = []
+    last = 0  # the generator of out[-1], 0 while out is empty
+    pairs = iter(w.syllables)
+    for (a, _), (b, _) in zip(pairs, pairs):
+        if a == b:
+            raise WordError(f"unreduced pair z{a} z{b} in {w}")
         if a != n:
-            raw.append((a, 1))
+            if a == last:
+                exp = out[-1][1] + 1
+                if not exp:
+                    raise WordError(f"unreduced word: {w}")
+                out[-1] = (a, exp)
+            else:
+                out.append((a, 1))
+            last = a
         if b != n:
-            raw.append((b, -1))
-    return normalize(raw, target)
+            if b == last:
+                exp = out[-1][1] - 1
+                if not exp:
+                    raise WordError(f"unreduced word: {w}")
+                out[-1] = (b, exp)
+            else:
+                out.append((b, -1))
+            last = b
+    return Word(free_context(n - 1, letter="x"), tuple(out))
 
 
 def expand_x(w: Word, n: int) -> Word:

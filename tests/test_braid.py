@@ -16,7 +16,14 @@ from symlift.braid import (
     search_word_count,
 )
 from symlift.lift import reduce_mod
-from symlift.symaut import SymmetricAut, act_letters, compose, identity_aut, inner_witness_of
+from symlift.symaut import (
+    SymmetricAut,
+    act_letters,
+    compose,
+    eval_generator_word,
+    identity_aut,
+    inner_witness_of,
+)
 from symlift.words import WordError, free_context, identity, parse_word, torsion_context
 
 F3 = free_context(3)
@@ -242,9 +249,9 @@ def test_mod_k_inner_test_runs_only_on_pure_words(monkeypatch):
 def test_free_action_evaluated_only_for_words_inner_mod_k(monkeypatch):
     calls = []
 
-    def counted(b):
+    def counted(b, *prefix):
         calls.append(b.letters)
-        return artin_action(b)
+        return artin_action(b, *prefix)
 
     monkeypatch.setattr(braid, "artin_action", counted)
     for strands, modulus, max_length in ((2, 3, 6), (3, 2, 6), (3, 3, 6), (4, 2, 4)):
@@ -256,6 +263,37 @@ def test_free_action_evaluated_only_for_words_inner_mod_k(monkeypatch):
             if inner_witness_of(eta_image(BraidWord(strands, word), modulus)) is not None
         ]
         assert sorted(calls) == sorted(inner) and inner
+
+
+def test_artin_action_from_a_prefix_matches_the_full_evaluation():
+    rng = random.Random(18)
+    for strands in (2, 3, 4):
+        pool = [i for i in range(1, strands)] + [-i for i in range(1, strands)]
+        for _ in range(60):
+            b = BraidWord(strands, tuple(rng.choice(pool) for _ in range(rng.randint(2, 12))))
+            if len(b.letters) < 2:
+                continue
+            prefix = artin_action(BraidWord(strands, b.letters[:-2]))
+            assert artin_action(b, prefix) == artin_action(b), b
+
+
+def test_two_strand_search_steps_each_power_from_the_last(monkeypatch):
+    # every even power of s1 is inner mod k; only s1^2 and s1^-2 are
+    # evaluated from scratch, each later power is its predecessor's action
+    # advanced by two letters
+    evaluated = []
+
+    def counted(gw, ctx):
+        if ctx.is_free:
+            evaluated.append(gw.letters)
+        return eval_generator_word(gw, ctx)
+
+    monkeypatch.setattr(braid, "eval_generator_word", counted)
+    for modulus in (2, 3):
+        evaluated.clear()
+        report = bounded_kernel_search(2, modulus, 40)
+        assert sorted(len(letters) for letters in evaluated) == [4, 4]
+        assert report == reference_search(2, modulus, 40)
 
 
 def test_lossy_mod_k_test_flags_the_same_braids_in_both_searches(monkeypatch):

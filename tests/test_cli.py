@@ -126,6 +126,33 @@ def test_kernel_certify_outside_the_kernel_searches_nothing(capsys, monkeypatch)
         assert time.perf_counter() - start < 0.5, n
 
 
+def test_kernel_certify_computes_one_verdict(capsys, monkeypatch):
+    # level 0 cannot parse this word, so the search asks the verdict, and
+    # the command reuses it to tell absent from unproven
+    import symlift.cli as cli_mod
+    import symlift.kernel as kernel_mod
+
+    verdicts = []
+
+    def counted(gw, *route):
+        verdicts.append(gw.rank)
+        return kernel_verdict(gw, *route)
+
+    kernel_verdict = kernel_mod.kernel_verdict
+    monkeypatch.setattr(kernel_mod, "kernel_verdict", counted)
+    monkeypatch.setattr(cli_mod, "kernel_verdict", counted)
+    for n in ("3", "1000"):
+        verdicts.clear()
+        code, payload = run(capsys, "kernel", "certify", "--n", n, "--word", "a[1,2] a[2,3]")
+        assert code == 1 and payload == {"schema": "symlift/1", "status": "absent"}, n
+        assert verdicts == [int(n)]
+    # a mixed inversion vector fails before the search: one verdict, from
+    # the command, and it reads unproven inside the kernel
+    verdicts.clear()
+    code, payload = run(capsys, "kernel", "certify", "--n", "3", "--word", "r[1]")
+    assert code == 3 and payload["status"] == "unproven" and verdicts == [3]
+
+
 def test_complex_commands(capsys):
     code, payload = run(capsys, "complex", "poset", "--n", "3")
     assert code == 0 and payload["poset"]["size"] == 4

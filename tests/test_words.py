@@ -1,9 +1,12 @@
+import inspect
 import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import checked_even_to_x, even_to_x_reference
+from symlift import lift, symaut, words
 from symlift.words import (
     Word,
     WordError,
@@ -303,6 +306,27 @@ def test_cyclic_reduce_is_linear_on_deep_conjugates():
     assert elapsed < 2.0, f"cyclic_reduce took {elapsed:.2f} s on |p| = 10^5"
 
 
+def test_conjugacy_witness_finds_the_rotation_in_linear_time():
+    # a search that compares every rotation takes quadratic time: seconds here
+    rng = random.Random(17)
+    seq = [1]
+    while len(seq) < 40_000:
+        g = rng.randint(1, 3)
+        if g != seq[-1]:
+            seq.append(g)
+    if seq[-1] == 1:
+        seq.pop()
+    for ctx in (F3, H3):
+        c = Word(ctx, tuple((g, 1) for g in seq))
+        half = len(c) // 2
+        d = Word(ctx, c.syllables[half:] + c.syllables[:half])
+        t0 = time.perf_counter()
+        g = conjugacy_witness(c, d)
+        elapsed = time.perf_counter() - t0
+        assert c.conjugated_by(g) == d and len(g) == half
+        assert elapsed < 2.0, f"conjugacy_witness took {elapsed:.2f} s on |c| = {len(c)}"
+
+
 @given(
     st.sampled_from([F3, H3, H33]),
     raw_syllables(3, max_len=6),
@@ -456,3 +480,81 @@ def test_even_to_x_roundtrip_exhaustive():
             count += 1
             assert expand_x(even_to_x(w), 3) == w
     assert count > 3000
+
+
+def random_even_word(rng, n):
+    """A reduced even word of ``H_n(2)``, drawn so that about half its
+    syllables are ``z_n``: runs like ``z_a z_n z_a`` are the merge case."""
+    length = 2 * rng.randint(0, 20)
+    seq: list[int] = []
+    while len(seq) < length:
+        g = n if rng.random() < 0.5 else rng.randint(1, n)
+        if not seq or seq[-1] != g:
+            seq.append(g)
+    return Word(torsion_context(n, 2), tuple((g, 1) for g in seq))
+
+
+def test_even_to_x_matches_the_normalize_reference():
+    rng = random.Random(18)
+    merged = 0
+    for n in range(2, 7):
+        for _ in range(400):
+            w = random_even_word(rng, n)
+            got = even_to_x(w)
+            assert got == even_to_x_reference(w) and got.ctx.letter == "x", w
+            assert expand_x(got, n) == w
+            merged += any(abs(e) > 1 for _, e in got.syllables)
+    # at rank 2 every pair holds z_2, so every run of x_1 merges
+    assert merged > 500
+    assert format_word(even_to_x(parse_word("z1 z3 z1 z2", H3))) == "x1^2 x2^-1"
+    assert format_word(even_to_x(parse_word("z1 z2 z3 z2", H3))) == "x1 x2^-2"
+    assert format_word(even_to_x(parse_word("z1 z2 z1 z2", torsion_context(2, 2)))) == "x1^2"
+
+
+def test_order_2_inverse_is_the_reversal():
+    rng = random.Random(19)
+    for n in range(1, 6):
+        ctx = torsion_context(n, 2)
+        for _ in range(200):
+            w = normalize([(rng.randint(1, n), 1) for _ in range(rng.randint(0, 30))], ctx)
+            generic = tuple((g, (-e) % 2) for g, e in reversed(w.syllables))
+            assert w.inverse().syllables == generic
+            assert w * w.inverse() == identity(ctx)
+
+
+def test_even_to_x_refuses_unreduced_words():
+    for sylls in (
+        ((1, 1), (1, 1)),  # a pair z_a z_a
+        ((3, 1), (3, 1)),  # a pair z_n z_n
+        ((1, 1), (2, 1), (2, 1), (3, 1)),  # x_2^-1 x_2 across two pairs
+        ((1, 1), (3, 1), (3, 1), (1, 1)),  # x_1 x_1^-1 across z_n z_n
+    ):
+        with pytest.raises(WordError):
+            even_to_x(Word(H3, sylls))
+
+
+def drop_a_merge(fast):
+    """``fast`` (``words.even_to_x``) with its first merge branch removed:
+    an ``x_a`` after a pair ``z_a z_n`` is appended instead of merged."""
+    source = inspect.getsource(inspect.unwrap(fast))
+    mutated = source.replace("if a == last:", "if False:", 1)
+    assert mutated != source
+    namespace = dict(vars(words))
+    exec(mutated, namespace)
+    return namespace["even_to_x"]
+
+
+def test_checked_even_to_x_catches_a_dropped_merge(monkeypatch):
+    mutant = drop_a_merge(words.even_to_x)
+    w = parse_word("z1 z3 z1 z2", H3)
+    assert mutant(w).syllables == ((1, 1), (1, 1), (2, -1))  # unreduced
+    with pytest.raises(AssertionError):
+        checked_even_to_x(mutant)(w)
+    # on the verdict route, as the suite-wide check wraps it
+    monkeypatch.setattr(lift, "even_to_x", checked_even_to_x(mutant))
+    chain = symaut.parse_generator_word("a[1,2] a[2,3] a[3,1] a[1,2] a[2,3] a[3,1]", 3)
+    with pytest.raises(AssertionError):
+        lift.kernel_verdict(chain)
+    # and the check passes the real fast path on the same route
+    monkeypatch.setattr(lift, "even_to_x", checked_even_to_x(inspect.unwrap(words.even_to_x)))
+    assert lift.kernel_verdict(chain).verdict == "out"
