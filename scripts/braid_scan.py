@@ -2,7 +2,8 @@
 """Sweep the bounded braid kernel search over strand counts and moduli.
 
 Every row is expected to report an empty flag list; a nonempty one would be
-a counterexample to injectivity of the reduced outer action.  A sweep whose
+a counterexample to injectivity of the reduced outer action, and the sweep
+then exits 1, as ``symlift braid search`` does.  A sweep whose
 largest row is over the search budget (``symlift.braid.MAX_SEARCH_WORDS``
 words) is refused up front with exit 2.
 
@@ -10,13 +11,14 @@ Usage: python scripts/braid_scan.py [--max-strands 4] [--max-modulus 3] [--max-l
 """
 
 import argparse
+import sys
 import time
 
 from symlift.braid import bounded_kernel_search, check_search
 from symlift.words import WordError
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-strands", type=int, default=4)
     parser.add_argument("--max-modulus", type=int, default=3)
@@ -33,6 +35,7 @@ def main() -> None:
         check_search(args.max_strands, 2, args.max_len)  # the largest row
     except WordError as exc:
         parser.error(str(exc))
+    flagged = False
     print(f"{'n':>2} {'k':>2} {'L':>2} {'checked':>8} {'trivial':>8} {'flagged':>8} {'time':>7}")
     for n in range(2, args.max_strands + 1):
         for k in range(2, args.max_modulus + 1):
@@ -44,7 +47,9 @@ def main() -> None:
             )
             for word in rep.flagged:
                 print(f"   FLAGGED: {word}")
+            flagged = flagged or bool(rep.flagged)
+    return 1 if flagged else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -34,21 +34,21 @@ from typing import Iterator, Optional
 
 from .symaut import (
     GeneratorWord,
+    Image,
     SymmetricAut,
     act_letters,
     eval_generator_word,
     identity_aut,
-    inner_witness_of,
 )
-from .words import WordError, free_context, torsion_context
+from .words import WordError, free_context, inner_conjugator, torsion_context
 
 # Most freely reduced braid words one bounded_kernel_search may enumerate;
 # larger searches are refused before they start.  At 3 strands, the slowest,
-# a search at the limit (length 12, 1,062,880 words) takes about 32 s on one
+# a search at the limit (length 12, 1,062,880 words) takes about 7.8 s on one
 # core of a 2-core x86-64 host.  At 2 strands the images grow with the word
 # and each word costs time linear in them, so each doubling of max_length
-# costs about three times as long (length 1,200, 2,400 words: about 2.4 s),
-# and the limit does not bound the time.
+# costs about two and a half times as long (length 1,200, 2,400 words: about
+# 1.0 s), and the limit does not bound the time.
 MAX_SEARCH_WORDS = 2_000_000
 
 
@@ -196,20 +196,22 @@ def _subtree_words(strands: int, depth: int) -> int:
 
 def _search_tree(
     strands: int, modulus: int, max_length: int
-) -> Iterator[tuple[tuple[int, ...], int, Optional[SymmetricAut]]]:
+) -> Iterator[tuple[tuple[int, ...], int, Optional[tuple[Image, ...]]]]:
     """The freely reduced braid words of length 1..``max_length``, depth
-    first, as ``(word, inversions, mod-k image)``, where ``inversions`` is
+    first, as ``(word, inversions, mod-k images)``, where ``inversions`` is
     the inversion count of the word's permutation.
 
     Each letter swaps the targets at two adjacent positions, so it moves the
     inversion count by exactly one, read off the parent's targets.  A word
     whose count exceeds the letters still to go has no pure braid below it:
-    it is yielded with image None and its subtree (``_subtree_words`` words)
+    it is yielded with images None and its subtree (``_subtree_words`` words)
     is not walked.  Every other word's images are its parent's advanced by
     the last letter's two presentation letters (:func:`act_letters`), so a
-    word costs one step, not an evaluation from scratch; the value is built,
-    and validated, once per word.  A kept word's parent is always kept, as
-    its count differs by one and it has one more letter to go.
+    word costs one step, not an evaluation from scratch.  The images are the
+    ``(conjugator, target, sign)`` tuple that step builds, canonical by
+    construction, so no ``SymmetricAut`` is built or validated per word.  A
+    kept word's parent is always kept, as its count differs by one and it
+    has one more letter to go.
     """
     tctx = torsion_context(strands, modulus)
     letters = sorted([i for i in range(1, strands)] + [-i for i in range(1, strands)])
@@ -227,12 +229,12 @@ def _search_tree(
             if new_inversions > to_go:
                 yield new_word, new_inversions, None
                 continue
-            new_images = list(images)
-            act_letters(new_images, steps[l], tctx)
-            aut = SymmetricAut(tctx, tuple(new_images))
-            yield new_word, new_inversions, aut
+            stepped = list(images)
+            act_letters(stepped, steps[l], tctx)
+            new_images = tuple(stepped)
+            yield new_word, new_inversions, new_images
             if to_go:
-                stack.append((new_word, new_inversions, aut.images))
+                stack.append((new_word, new_inversions, new_images))
 
 
 def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> SearchReport:
@@ -259,6 +261,8 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
     over :data:`MAX_SEARCH_WORDS` words.
     """
     check_search(strands, modulus, max_length)
+    tctx = torsion_context(strands, modulus)
+    subtree_words = [_subtree_words(strands, depth) for depth in range(max_length + 1)]
     flagged: list[str] = []
     checked = 0
     trivial = 0
@@ -267,16 +271,16 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
     free_actions: dict[tuple[int, ...], SymmetricAut] = {}
     for word, inversions, reduced in _search_tree(strands, modulus, max_length):
         if reduced is None:
-            checked += _subtree_words(strands, max_length - len(word))
+            checked += subtree_words[max_length - len(word)]
             continue
         checked += 1
-        if inversions or inner_witness_of(reduced) is None:
+        if inversions or inner_conjugator(reduced, tctx) is None:
             continue
         free = artin_action(BraidWord(strands, word), free_actions.pop(word[:-2], None))
         free_actions[word] = free
         if free.is_identity():
             trivial += 1
-        elif inner_witness_of(free) is None:
+        elif inner_conjugator(free.images, free.ctx) is None:
             flagged.append(" ".join(map(str, word)))
     flagged.sort()
     return SearchReport(strands, modulus, max_length, checked, trivial, tuple(flagged))

@@ -39,6 +39,8 @@ from .words import (
     free_context,
     format_word,
     generator,
+    generator_conjugate_shape,
+    inner_conjugator,
     inner_witness,
     product,
     project_mod_k,
@@ -134,12 +136,21 @@ class LiftResult:
 
 
 def lift_route(h: SymmetricAut) -> LiftResult:
-    """Kernel test through the restriction: inner, or inner after iota."""
+    """Kernel test through the restriction: inner, or inner after iota.
+
+    Each image's shape is taken once.  ``iota`` sends every image to its
+    inverse, and the shape of ``w^{-1}`` is that of ``w`` with the sign
+    flipped, so the second test reuses the shapes with every sign flipped
+    (the same answer as ``r.compose_iota().inner_witness()``).
+    """
     r = lift_restrict(h)
-    w = r.inner_witness()
+    shapes = [generator_conjugate_shape(img) for img in r.images]
+    if any(shape is None for shape in shapes):
+        return LiftResult(r, None, False)
+    w = inner_conjugator(shapes, r.ctx)
     if w is not None:
         return LiftResult(r, w, False)
-    w = r.compose_iota().inner_witness()
+    w = inner_conjugator([(c, t, -s) for c, t, s in shapes], r.ctx)
     return LiftResult(r, w, w is not None)
 
 

@@ -378,8 +378,10 @@ def coset_intersection(constraints: Sequence[Coset], ctx: GroupContext) -> Optio
 
     ``constraints`` is a list of at least two ``(A_i, t_i, B_i)`` whose
     targets ``t_i`` are pairwise distinct (as for generator images of a
-    symmetric automorphism).  This is the one solver for inner conjugators,
-    in free contexts and in free products of cyclic groups alike.
+    symmetric automorphism).  It solves outer equality
+    (``symaut.conjugating_witness``), in free contexts and in free products
+    of cyclic groups alike; the inner test, where every ``B_i = e``, reads
+    its answer off the conjugators instead (:func:`inner_conjugator`).
 
     Writing ``w = A_1 g^m B_1^{-1}``, membership in the second coset demands
     that the middle ``g_{t_1}``-syllable of ``A_2^{-1} A_1 g^m B_1^{-1} B_2``
@@ -410,18 +412,26 @@ def _is_power_of(w: Word, gen: int) -> bool:
 
 
 def generator_conjugate_shape(w: Word) -> Optional[tuple[Word, int, int]]:
-    """Decompose ``w = c * g_t^s * c^{-1}`` with ``s = +-1``; None otherwise."""
-    p, core = cyclic_reduce(w)
-    if len(core) != 1:
+    """Decompose ``w = c * g_t^s * c^{-1}`` with ``s = +-1``; None otherwise.
+
+    In a reduced ``c g_t^s c^{-1}`` the last syllable of ``c`` is not on
+    ``t`` (it would merge), so nothing cancels and the word has exactly
+    ``2|c| + 1`` syllables: ``g_t^s`` is the middle one, ``c`` the half
+    before it, and the half after it must be ``c^{-1}``.  ``c`` is the
+    canonical conjugator (it never ends in ``g_t``).  Torsion exponents lie
+    in ``1..k-1``, so there ``s = -1`` cannot occur and ``s`` is 1.
+    """
+    sylls = w.syllables
+    if not len(sylls) % 2:
         return None
-    gen, exp = core.syllables[0]
-    if w.ctx.is_free:
-        if exp not in (1, -1):
-            return None
-        return p, gen, exp
-    if exp != 1:
+    h = len(sylls) // 2
+    gen, exp = sylls[h]
+    if exp not in (1, -1):
         return None
-    return p, gen, 1
+    c = Word(w.ctx, sylls[:h])
+    if sylls[h + 1 :] != c.inverse().syllables:
+        return None
+    return c, gen, exp
 
 
 def inner_witness(
@@ -451,16 +461,34 @@ def inner_conjugator(
     images: Sequence[tuple[Word, int, int]], ctx: GroupContext
 ) -> Optional[Word]:
     """Word ``w`` with ``w g_i w^{-1} = c_i g_{t_i}^{s_i} c_i^{-1}`` for all
-    image triples, or None: each ``t_i = i``, ``s_i = 1``, ``w`` in ``c_i <g_i>``."""
-    e = identity(ctx)
-    constraints = []
-    for i, (conj, target, sign) in enumerate(images, start=1):
+    image triples, or None.  Every ``c_i`` must be canonical (not ending in
+    ``g_{t_i}``), as in a ``SymmetricAut`` or a
+    :func:`generator_conjugate_shape`.
+
+    ``conj_w`` has each ``t_i = i`` and ``s_i = 1``, and ``c_i^{-1} w``
+    centralizes ``g_i``.  The centralizer of a generator is its cyclic
+    group, in free groups and in free products of cyclic groups, so
+    ``w = c_i g_i^m`` for some ``m``.  As ``c_i`` does not end in ``g_i``,
+    that product is reduced: ``c_i = w``, or ``c_i`` is ``w`` without its
+    last syllable and that syllable is on ``g_i``.  At rank >= 2 the last
+    syllable of ``w`` is on one generator only, so some ``c_i = w`` and
+    ``w`` is the longest conjugator.  Conversely, a longest ``w`` that
+    passes those ``n`` comparisons lies in every ``c_i <g_i>``, so it is
+    the witness, and the only one (the centre is trivial at rank >= 2).
+    """
+    for i, (_, target, sign) in enumerate(images, start=1):
         if target != i or sign != 1:
             return None
-        constraints.append((conj, target, e))
     if ctx.rank == 1:
-        return e  # rank 1: conjugation is trivial, the map must be identity
-    return coset_intersection(constraints, ctx)
+        return identity(ctx)  # rank 1: conjugation is trivial, the map must be identity
+    w = max((conj for conj, _, _ in images), key=len)
+    sylls = w.syllables
+    head = sylls[:-1]
+    last = sylls[-1][0] if sylls else 0
+    for i, (conj, _, _) in enumerate(images, start=1):
+        if conj.syllables != sylls and (last != i or conj.syllables != head):
+            return None
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,32 @@
 import pytest
 
-from reference import checked_even_to_x
-from symlift import cli, lift, words
+from reference import (
+    checked,
+    even_to_x_reference,
+    generator_conjugate_shape_reference,
+    inner_conjugator_reference,
+)
+from symlift import braid, cli, complexes, kernel, lift, selftest, symaut, words
+
+REFERENCES = {
+    "even_to_x": even_to_x_reference,
+    "inner_conjugator": inner_conjugator_reference,
+    "generator_conjugate_shape": generator_conjugate_shape_reference,
+}
 
 
 @pytest.fixture(scope="session", autouse=True)
-def even_to_x_checked_against_the_reference():
-    """Every ``even_to_x`` that the library calls during the suite, through
-    ``words``, ``lift`` (the verdicts and restrictions) or ``cli``, is
-    compared with the ``normalize``-based reference."""
+def fast_paths_checked_against_the_references():
+    """Every ``even_to_x``, ``inner_conjugator`` and
+    ``generator_conjugate_shape`` that the library calls during the suite,
+    through any module that binds the name, is compared with its reference
+    in ``reference.py``: the ``normalize``-based rewrite, the
+    ``coset_intersection`` solve and the ``cyclic_reduce`` split."""
     with pytest.MonkeyPatch.context() as mp:
-        checked = checked_even_to_x(words.even_to_x)
-        for module in (words, lift, cli):
-            mp.setattr(module, "even_to_x", checked)
+        for name, reference in REFERENCES.items():
+            fast = getattr(words, name)
+            wrapped = checked(fast, reference)
+            for module in (words, symaut, lift, kernel, complexes, braid, cli, selftest):
+                if getattr(module, name, None) is fast:
+                    mp.setattr(module, name, wrapped)
         yield

@@ -3,8 +3,18 @@
 from __future__ import annotations
 
 import functools
+from typing import Optional
 
-from symlift.words import Syllable, Word, free_context, normalize
+from symlift.words import (
+    GroupContext,
+    Syllable,
+    Word,
+    coset_intersection,
+    cyclic_reduce,
+    free_context,
+    identity,
+    normalize,
+)
 
 
 def even_to_x_reference(w: Word) -> Word:
@@ -24,17 +34,51 @@ def even_to_x_reference(w: Word) -> Word:
     return normalize(raw, free_context(n - 1, letter="x"))
 
 
-def checked_even_to_x(fast):
-    """``fast`` (an ``even_to_x``), failing with ``AssertionError`` on any
-    result that differs from :func:`even_to_x_reference`.  Errors that
-    ``fast`` raises pass through unchanged."""
+def inner_conjugator_reference(images, ctx: GroupContext) -> Optional[Word]:
+    """``inner_conjugator`` as a coset solve: each ``t_i = i`` and
+    ``s_i = 1``, and ``w`` in every ``c_i <g_i>``, intersected by
+    ``coset_intersection``."""
+    e = identity(ctx)
+    constraints = []
+    for i, (conj, target, sign) in enumerate(images, start=1):
+        if target != i or sign != 1:
+            return None
+        constraints.append((conj, target, e))
+    if ctx.rank == 1:
+        return e
+    return coset_intersection(constraints, ctx)
+
+
+def generator_conjugate_shape_reference(w: Word) -> Optional[tuple[Word, int, int]]:
+    """``generator_conjugate_shape`` through ``cyclic_reduce``: the core
+    must be one syllable ``g_t^s`` with ``s = 1``, or ``s = -1`` in a free
+    context."""
+    p, core = cyclic_reduce(w)
+    if len(core) != 1:
+        return None
+    gen, exp = core.syllables[0]
+    if exp != 1 and (exp != -1 or not w.ctx.is_free):
+        return None
+    return p, gen, exp
+
+
+def checked(fast, reference):
+    """``fast``, failing with ``AssertionError`` on any result that differs
+    from ``reference`` on the same arguments, the printed context letter of
+    every word included.  Errors that ``fast`` raises pass through
+    unchanged."""
 
     @functools.wraps(fast)
-    def even_to_x(w: Word) -> Word:
-        got = fast(w)
-        want = even_to_x_reference(w)
-        if got != want or got.ctx.letter != want.ctx.letter:
-            raise AssertionError(f"even_to_x({w}) gave {got}, the reference {want}")
+    def wrapper(*args):
+        got = fast(*args)
+        want = reference(*args)
+        if repr(got) != repr(want):
+            raise AssertionError(f"{fast.__name__}{args} gave {got}, the reference {want}")
         return got
 
-    return even_to_x
+    return wrapper
+
+
+def checked_even_to_x(fast):
+    """``fast`` (an ``even_to_x``) held to :func:`even_to_x_reference`."""
+    return checked(fast, even_to_x_reference)

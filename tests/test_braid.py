@@ -1,6 +1,10 @@
+import dataclasses
+import importlib.util
 import itertools
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +28,14 @@ from symlift.symaut import (
     identity_aut,
     inner_witness_of,
 )
-from symlift.words import WordError, free_context, identity, parse_word, torsion_context
+from symlift.words import (
+    WordError,
+    free_context,
+    identity,
+    inner_conjugator,
+    parse_word,
+    torsion_context,
+)
 
 F3 = free_context(3)
 H3 = torsion_context(3, 2)
@@ -144,7 +155,8 @@ def reference_search(strands: int, modulus: int, max_length: int) -> SearchRepor
             if new_aut.is_identity():
                 trivial += 1
             elif inner_witness_of(new_aut) is None:
-                if braid.inner_witness_of(reduce_mod(new_aut, modulus)) is not None:
+                reduced = reduce_mod(new_aut, modulus)
+                if braid.inner_conjugator(reduced.images, reduced.ctx) is not None:
                     flagged.append(" ".join(map(str, new_word)))
             stack.append((new_word, new_aut))
     flagged.sort()
@@ -187,7 +199,7 @@ def test_carried_images_are_the_reduced_free_action():
                 assert inversions > to_go, word
                 seen += braid._subtree_words(strands, to_go)
             else:
-                assert reduced == reduce_mod(free, modulus), word
+                assert reduced == reduce_mod(free, modulus).images, word
                 seen += 1
         assert seen == search_word_count(strands, max_length)
 
@@ -233,12 +245,12 @@ def test_evaluated_word_counts():
 def test_mod_k_inner_test_runs_only_on_pure_words(monkeypatch):
     tested = []
 
-    def counted(f):
-        if not f.ctx.is_free:
-            tested.append(f.permutation())
-        return inner_witness_of(f)
+    def counted(images, ctx):
+        if not ctx.is_free:
+            tested.append(tuple(target for _, target, _ in images))
+        return inner_conjugator(images, ctx)
 
-    monkeypatch.setattr(braid, "inner_witness_of", counted)
+    monkeypatch.setattr(braid, "inner_conjugator", counted)
     for params, pure in (((4, 2, 5), 116), ((3, 2, 7), 372)):
         tested.clear()
         bounded_kernel_search(*params)
@@ -299,12 +311,13 @@ def test_two_strand_search_steps_each_power_from_the_last(monkeypatch):
 def test_lossy_mod_k_test_flags_the_same_braids_in_both_searches(monkeypatch):
     # a broken mod-k inner test: every torsion automorphism with the identity
     # permutation reads as inner, so pure braids like s1^2 are flagged
-    def lossy(f):
-        if not f.ctx.is_free and f.permutation() == tuple(range(1, f.ctx.rank + 1)):
-            return identity(f.ctx)
-        return inner_witness_of(f)
+    def lossy(images, ctx):
+        pure = tuple(target for _, target, _ in images) == tuple(range(1, ctx.rank + 1))
+        if not ctx.is_free and pure:
+            return identity(ctx)
+        return inner_conjugator(images, ctx)
 
-    monkeypatch.setattr(braid, "inner_witness_of", lossy)
+    monkeypatch.setattr(braid, "inner_conjugator", lossy)
     for strands, modulus, max_length in ((3, 2, 4), (3, 3, 4), (4, 2, 3)):
         report = bounded_kernel_search(strands, modulus, max_length)
         assert report.flagged and report == reference_search(strands, modulus, max_length)
@@ -339,3 +352,22 @@ def test_search_budget(monkeypatch):
         with pytest.raises(WordError, match="over the limit"):
             bounded_kernel_search(*args)
     assert time.perf_counter() - start < 1.0
+
+
+def test_braid_scan_exits_1_on_a_flagged_row(monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "braid_scan.py"
+    spec = importlib.util.spec_from_file_location("braid_scan", path)
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    argv = ["braid_scan.py", "--max-strands", "3", "--max-modulus", "2", "--max-len", "3"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert scan.main() == 0
+    search = scan.bounded_kernel_search
+
+    def flagging(strands, modulus, max_length):
+        report = search(strands, modulus, max_length)
+        return dataclasses.replace(report, flagged=("1 1",)) if strands == 3 else report
+
+    monkeypatch.setattr(scan, "bounded_kernel_search", flagging)
+    assert scan.main() == 1
+    assert "FLAGGED: 1 1" in capsys.readouterr().out

@@ -5,8 +5,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import checked_even_to_x, even_to_x_reference
-from symlift import lift, symaut, words
+from reference import (
+    checked,
+    checked_even_to_x,
+    even_to_x_reference,
+    generator_conjugate_shape_reference,
+    inner_conjugator_reference,
+)
+from symlift import braid, complexes, lift, symaut, words
 from symlift.words import (
     Word,
     WordError,
@@ -533,19 +539,21 @@ def test_even_to_x_refuses_unreduced_words():
             even_to_x(Word(H3, sylls))
 
 
-def drop_a_merge(fast):
-    """``fast`` (``words.even_to_x``) with its first merge branch removed:
-    an ``x_a`` after a pair ``z_a z_n`` is appended instead of merged."""
+def mutate(fast, old, new):
+    """``fast``, a function of ``words``, recompiled with ``old`` in its
+    source replaced by ``new``."""
     source = inspect.getsource(inspect.unwrap(fast))
-    mutated = source.replace("if a == last:", "if False:", 1)
+    mutated = source.replace(old, new, 1)
     assert mutated != source
     namespace = dict(vars(words))
     exec(mutated, namespace)
-    return namespace["even_to_x"]
+    return namespace[fast.__name__]
 
 
 def test_checked_even_to_x_catches_a_dropped_merge(monkeypatch):
-    mutant = drop_a_merge(words.even_to_x)
+    # the first merge branch removed: an x_a after a pair z_a z_n is
+    # appended instead of merged
+    mutant = mutate(words.even_to_x, "if a == last:", "if False:")
     w = parse_word("z1 z3 z1 z2", H3)
     assert mutant(w).syllables == ((1, 1), (1, 1), (2, -1))  # unreduced
     with pytest.raises(AssertionError):
@@ -558,3 +566,154 @@ def test_checked_even_to_x_catches_a_dropped_merge(monkeypatch):
     # and the check passes the real fast path on the same route
     monkeypatch.setattr(lift, "even_to_x", checked_even_to_x(inspect.unwrap(words.even_to_x)))
     assert lift.kernel_verdict(chain).verdict == "out"
+
+
+# -- the closed-form inner test and the mirrored-halves shape ---------------
+
+
+def canonical(w: Word, target: int) -> Word:
+    """``w`` without its trailing ``target`` syllable, as ``SymmetricAut``
+    conjugators are stored."""
+    if w.syllables and w.syllables[-1][0] == target:
+        return Word(w.ctx, w.syllables[:-1])
+    return w
+
+
+def random_word(rng, ctx, length):
+    exps = (1, -1, 2) if ctx.is_free else tuple(range(1, ctx.torsion))
+    return normalize([(rng.randint(1, ctx.rank), rng.choice(exps)) for _ in range(length)], ctx)
+
+
+def near_misses(rng, ctx):
+    """Image triples of ``conj_w`` for a random ``w``, and the ways one
+    image can miss: ``c_j = w`` minus a last syllable that is not on ``j``,
+    a second longest conjugator that differs from ``w``, an extra syllable,
+    and a wrong target or sign."""
+    n = ctx.rank
+    w = random_word(rng, ctx, rng.randint(0, 4))
+    inner = [(canonical(w, i), i, 1) for i in range(1, n + 1)]
+    yield inner
+    j = rng.randint(1, n)
+    if w.syllables:
+        head = Word(ctx, w.syllables[:-1])
+        yield inner[: j - 1] + [(canonical(head, j), j, 1)] + inner[j:]
+        rival = random_word(rng, ctx, len(w))
+        yield inner[: j - 1] + [(canonical(rival, j), j, 1)] + inner[j:]
+    extra = canonical(w * random_word(rng, ctx, 1), j)
+    yield inner[: j - 1] + [(extra, j, 1)] + inner[j:]
+    yield inner[: j - 1] + [(inner[j - 1][0], j % n + 1, 1)] + inner[j:]
+    if ctx.is_free:
+        yield inner[: j - 1] + [(inner[j - 1][0], j, -1)] + inner[j:]
+
+
+CLOSED_FORM_CONTEXTS = (
+    free_context(1),
+    torsion_context(1, 3),
+    F2,
+    F3,
+    H3,
+    H33,
+    torsion_context(4, 3),
+    torsion_context(5, 4),
+)
+
+
+def test_inner_conjugator_matches_the_coset_solve_on_near_misses():
+    fast = inspect.unwrap(words.inner_conjugator)
+    rng = random.Random(19)
+    outcomes = {True: 0, False: 0}
+    for ctx in CLOSED_FORM_CONTEXTS:
+        for _ in range(300):
+            for images in near_misses(rng, ctx):
+                got = fast(images, ctx)
+                assert got == inner_conjugator_reference(images, ctx), (ctx, images)
+                outcomes[got is not None] += 1
+    assert min(outcomes.values()) > 1000, outcomes
+
+
+def test_inner_conjugator_named_near_misses():
+    def images(*conjugators):
+        return [(parse_word(c, F3), i, 1) for i, c in enumerate(conjugators, start=1)]
+
+    # w = y1 y2: image 2 may drop the last syllable, image 3 may not
+    assert words.inner_conjugator(images("y1 y2", "y1", "y1 y2"), F3) == parse_word("y1 y2", F3)
+    assert words.inner_conjugator(images("y1 y2", "y1", "y1"), F3) is None
+    # two different longest conjugators
+    assert words.inner_conjugator(images("y2 y3", "y3 y1", "y2 y3"), F3) is None
+    # rank 1: only the identity is inner
+    f1, h13 = free_context(1), torsion_context(1, 3)
+    assert words.inner_conjugator([(identity(f1), 1, 1)], f1) == identity(f1)
+    assert words.inner_conjugator([(identity(f1), 1, -1)], f1) is None
+    assert words.inner_conjugator([(identity(h13), 1, 1)], h13) == identity(h13)
+    # H:3:3: the dropped syllable may have any exponent
+    w = parse_word("z3 z2^2", H33)
+    images = [(w, 1, 1), (parse_word("z3", H33), 2, 1), (w, 3, 1)]
+    assert words.inner_conjugator(images, H33) == w
+
+
+def mirrored_or_not(rng, ctx):
+    """Words ``c g^s c^{-1}`` and the ways a word can fail that shape: a
+    wrong middle exponent, halves that do not mirror, an even length."""
+    c = random_word(rng, ctx, rng.randint(0, 5))
+    gen = rng.randint(1, ctx.rank)
+    c = canonical(c, gen)
+    exps = (1, -1, 2) if ctx.is_free else tuple(range(1, ctx.torsion))
+    yield c * generator(ctx, gen, rng.choice(exps)) * c.inverse()
+    yield c * generator(ctx, gen, 1) * random_word(rng, ctx, len(c))
+    yield random_word(rng, ctx, rng.randint(0, 9))
+
+
+def test_generator_conjugate_shape_matches_the_cyclic_reduce_split():
+    fast = inspect.unwrap(words.generator_conjugate_shape)
+    rng = random.Random(19)
+    outcomes = {True: 0, False: 0}
+    for ctx in CLOSED_FORM_CONTEXTS:
+        for _ in range(500):
+            for w in mirrored_or_not(rng, ctx):
+                got = fast(w)
+                assert repr(got) == repr(generator_conjugate_shape_reference(w)), w
+                outcomes[got is not None] += 1
+    assert min(outcomes.values()) > 1000, outcomes
+
+
+def test_checked_inner_conjugator_catches_a_dropped_target_condition(monkeypatch):
+    # without "w[-1] is on target i", c_i = w minus any last syllable passes
+    mutant = mutate(words.inner_conjugator, "last != i or ", "")
+    y = lambda text: parse_word(text, F3)
+    images = [(y("y1 y2"), 1, 1), (y("y1"), 2, 1), (y("y1"), 3, 1)]
+    assert mutant(images, F3) == y("y1 y2")
+    with pytest.raises(AssertionError):
+        checked(mutant, inner_conjugator_reference)(images, F3)
+    # on the verdict route, as the suite-wide check wraps it: a[1,2] has
+    # c_1 = z2 and c_3 = e, so the mutant reads it as conjugation by z2
+    monkeypatch.setattr(symaut, "inner_conjugator", checked(mutant, inner_conjugator_reference))
+    with pytest.raises(AssertionError):
+        lift.kernel_verdict(symaut.parse_generator_word("a[1,2]", 3))
+    fast = inspect.unwrap(words.inner_conjugator)
+    monkeypatch.setattr(symaut, "inner_conjugator", checked(fast, inner_conjugator_reference))
+    assert lift.kernel_verdict(symaut.parse_generator_word("a[1,2]", 3)).verdict == "out"
+
+
+def test_checked_shape_catches_unmirrored_halves():
+    halves = "sylls[h + 1 :] != c.inverse().syllables"
+    mutant = mutate(words.generator_conjugate_shape, halves, "False")
+    w = parse_word("y1 y2 y3", F3)
+    assert mutant(w) == (parse_word("y1", F3), 2, 1)
+    with pytest.raises(AssertionError):
+        checked(mutant, generator_conjugate_shape_reference)(w)
+
+
+def test_every_binding_of_a_checked_fast_path_is_wrapped():
+    # the session fixture in conftest.py holds each of these to its reference
+    for module, name in (
+        (words, "inner_conjugator"),
+        (symaut, "inner_conjugator"),
+        (braid, "inner_conjugator"),
+        (lift, "inner_conjugator"),
+        (words, "generator_conjugate_shape"),
+        (symaut, "generator_conjugate_shape"),
+        (complexes, "generator_conjugate_shape"),
+        (lift, "generator_conjugate_shape"),
+        (lift, "even_to_x"),
+    ):
+        assert inspect.unwrap(getattr(module, name)) is not getattr(module, name), (module, name)
