@@ -190,8 +190,11 @@ def check_search(strands: int, modulus: int, max_length: int) -> None:
 
 def _subtree_words(strands: int, depth: int) -> int:
     """Words in the search tree below and including one word with ``depth``
-    letters still to go: ``sum((2n-3)^j for j <= depth)``."""
-    return sum((2 * strands - 3) ** j for j in range(depth + 1))
+    letters still to go: ``sum((2n-3)^j for j <= depth)``, in closed form."""
+    branching = 2 * strands - 3
+    if branching == 1:
+        return depth + 1
+    return (branching ** (depth + 1) - 1) // (branching - 1)
 
 
 def _search_tree(

@@ -88,10 +88,6 @@ class Restriction:
         """Composition acting with ``self`` first."""
         return Restriction(self.ctx, tuple(other.apply(img) for img in self.images))
 
-    def compose_iota(self) -> "Restriction":
-        """Post-inversion of arguments: x_i -> image(x_i)^{-1}."""
-        return Restriction(self.ctx, tuple(img.inverse() for img in self.images))
-
     def inner_witness(self) -> Optional[Word]:
         return inner_witness(self.images, self.ctx, strict=False)
 
@@ -140,8 +136,7 @@ def lift_route(h: SymmetricAut) -> LiftResult:
 
     Each image's shape is taken once.  ``iota`` sends every image to its
     inverse, and the shape of ``w^{-1}`` is that of ``w`` with the sign
-    flipped, so the second test reuses the shapes with every sign flipped
-    (the same answer as ``r.compose_iota().inner_witness()``).
+    flipped, so the second test reuses the shapes with every sign flipped.
     """
     r = lift_restrict(h)
     shapes = [generator_conjugate_shape(img) for img in r.images]

@@ -8,6 +8,7 @@ from symlift.lift import (
     iota,
     kernel_verdict,
     lift_restrict,
+    lift_route,
     reduce_mod,
 )
 from symlift.symaut import (
@@ -194,6 +195,32 @@ def test_conjugates_of_single_inversions_are_in_kernel():
         conj = GeneratorWord(3, tuple(rng.choice(pure) for _ in range(rng.randint(0, 6))))
         gw = conj * rho_i(3, rng.randint(1, 3)) * conj.inverse()
         assert kernel_verdict(gw, "inner-in-H").verdict == "in"
+
+
+def test_lift_route_flips_shape_signs_as_iota_does():
+    # the route reuses the image shapes with flipped signs; the reference
+    # composes with iota first (x_i -> r(x_i)^-1) and solves again
+    seen = {None: 0, False: 0, True: 0}
+    for n in (2, 3, 4):
+        rng = random.Random(700 + n)
+        for t in range(120):
+            conj = random_gw(rng, n, 6)
+            j = rng.randint(1, n)
+            # conjugation by g_j (the inner relator) restricts to an inner
+            # automorphism composed with iota
+            middle = (random_gw(rng, n), rho_i(n, j), inner_relator(n, j))[t % 3]
+            h = eval_generator_word(conj * middle * conj.inverse(), torsion_context(n, 2))
+            result = lift_route(h)
+            r = lift_restrict(h)
+            expected, flipped = r.inner_witness(), False
+            if expected is None:
+                expected = iota(r.ctx).then(r).inner_witness()
+                flipped = expected is not None
+            assert result.restriction == r
+            assert result.inner_witness == expected
+            assert result.composed_with_iota is flipped
+            seen[None if expected is None else flipped] += 1
+    assert min(seen.values()) >= 60, seen
 
 
 def test_rank_two_collapses_through_the_lift_route():
