@@ -3,10 +3,17 @@
 and the time of each stage (enumeration, covers, the whole poset's homology
 and the proper part's homology).
 
+Every rank is checked against two known facts: the whole poset is a cone on
+the trivial tree, so its order complex is acyclic, and the proper part has
+reduced homology Z^((n-1)^(n-2)) in degree n-3 and none elsewhere
+(McCammond and Meier, Math. Ann. 328, 2004).  A rank that breaks either is
+flagged and the census exits 1.
+
 Usage: python scripts/poset_census.py [--max-rank 5]
 """
 
 import argparse
+import sys
 import time
 
 from symlift.complexes import (
@@ -22,7 +29,25 @@ def timed(fn, *args):
     return fn(*args), time.perf_counter() - start
 
 
-def main() -> None:
+def broken_facts(n: int, whole, part_size: int, proper) -> list[str]:
+    """The known facts that rank ``n`` breaks, given the reports of the
+    whole poset and of its proper part.  At rank 2 the proper part is
+    empty, its one class in degree -1, which a report does not list."""
+    broken = [] if whole.is_reduced_acyclic else ["the whole poset is not acyclic"]
+    if n == 2:
+        if part_size:
+            broken.append(f"the proper part has {part_size} elements, not 0")
+        return broken
+    expected = (0,) * (n - 3) + ((n - 1) ** (n - 2),)
+    if proper.reduced_betti != expected or any(proper.torsion):
+        broken.append(
+            f"the proper part has reduced betti {list(proper.reduced_betti)} and torsion "
+            f"{[list(t) for t in proper.torsion]}, not {list(expected)} and none"
+        )
+    return broken
+
+
+def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-rank", type=int, default=5)
     args = parser.parse_args()
@@ -34,11 +59,11 @@ def main() -> None:
     )
     print(header)
     print("-" * len(header))
+    flagged = False
     for n in range(2, args.max_rank + 1):
         poset, enumerate_s = timed(enumerate_whitehead_poset, n)
         covers, covers_s = timed(poset.covers)
         hom, whole_s = timed(order_complex_homology, poset)
-        # the whole poset is a cone on the trivial tree, hence acyclic
         part = proper_part(poset)
         proper, proper_s = timed(order_complex_homology, part)
         betti = str(list(proper.reduced_betti)) if part.elements else "(empty)"
@@ -53,7 +78,12 @@ def main() -> None:
             f"   seconds: enumerate {enumerate_s:.2f}, covers {covers_s:.2f}, "
             f"homology {whole_s:.2f}, proper-part homology {proper_s:.2f}"
         )
+        broken = broken_facts(n, hom, len(part.elements), proper)
+        for fact in broken:
+            print(f"   FLAGGED: {fact}")
+        flagged = flagged or bool(broken)
+    return 1 if flagged else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -53,10 +53,11 @@ from .words import (
 Edge = tuple[int, int]  # (label, unlabelled id)
 
 # An isomorphism class of trees (labels fixed, unlabelled vertices
-# interchangeable) as the set of its unlabelled vertices' label sets.  Two
-# unlabelled vertices share at most one label, as a second would close a
-# 4-cycle, so each vertex is fixed by its label set and the key is exact.
-LabelSets = frozenset[frozenset[int]]
+# interchangeable) as the set of its unlabelled vertices' label sets, each
+# set a bitmask with bit l for label l.  Two unlabelled vertices share at
+# most one label, as a second would close a 4-cycle, so each vertex is fixed
+# by its label set and the key is exact.
+LabelMasks = frozenset[int]
 
 
 def _label_components(labels: Iterable[int], sets: Iterable[frozenset]) -> list[frozenset]:
@@ -72,8 +73,9 @@ def _label_components(labels: Iterable[int], sets: Iterable[frozenset]) -> list[
 
 def _encode(units: Sequence[frozenset[int]], name: Callable[[int], str]) -> str:
     """Minimal rooted encoding over unlabelled roots, labels written by
-    ``name``.  Codes are built leaves first along a breadth-first order, so
-    deep trees need no recursion.
+    ``name``.  Codes are built leaves first along a breadth-first order of
+    the units, each writing its labels' branches, so deep trees need no
+    recursion.
 
     A unit's code is ``(`` and its sorted label branches, each starting with
     its label's name, so its second character is the smallest first
@@ -89,16 +91,29 @@ def _encode(units: Sequence[frozenset[int]], name: Callable[[int], str]) -> str:
     names = {l: name(l) for l in label_units}
 
     def rooted(root: int) -> str:
-        # (is_label, vertex, parent), each vertex listed before its children
-        order = [(False, root, -1)]
-        for is_label, v, parent in order:
-            near = label_units[v] if is_label else units[v]
-            order.extend((not is_label, w, v) for w in near if w != parent)
-        kids: dict[tuple[bool, int], list[str]] = {}
-        for is_label, v, parent in reversed(order):
-            inner = ",".join(sorted(kids.pop((is_label, v), ())))
-            code = (names[v] + (f"[{inner}]" if inner else "")) if is_label else f"({inner})"
-            kids.setdefault((not is_label, parent), []).append(code)
+        # (unit, the label it hangs from or 0), each unit listed before the
+        # units below it
+        order = [(root, 0)]
+        for u, up in order:
+            for l in units[u]:
+                if l != up:
+                    for w in label_units[l]:
+                        if w != u:
+                            order.append((w, l))
+        below: dict[int, list[str]] = {}  # label -> codes of the units it holds up
+        for u, up in reversed(order):
+            branches = []
+            for l in units[u]:
+                if l != up:
+                    kids = below.get(l)
+                    branches.append(f"{names[l]}[{','.join(sorted(kids))}]" if kids else names[l])
+            branches.sort()
+            code = f"({','.join(branches)})"
+            kids = below.get(up)
+            if kids is None:
+                below[up] = [code]
+            else:
+                kids.append(code)
         return code
 
     first = min(text[:1] for text in names.values())
@@ -128,6 +143,16 @@ class LabelledBipartiteTree:
         if len(_label_components(labels, self.units)) != 1:
             raise WordError("tree is not connected")
         object.__setattr__(self, "label_sets", frozenset(self.units))
+
+    @classmethod
+    def _trusted(cls, rank: int, units: tuple[frozenset[int], ...]) -> "LabelledBipartiteTree":
+        """A tree from label sets already known to be a hypertree on 1..rank,
+        without ``__post_init__``'s checks."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "rank", rank)
+        object.__setattr__(t, "units", units)
+        object.__setattr__(t, "label_sets", frozenset(units))
+        return t
 
     @property
     def unlabelled_count(self) -> int:
@@ -220,30 +245,24 @@ def all_folds(t: LabelledBipartiteTree) -> list[tuple[int, int, int, LabelledBip
     return out
 
 
-def _label_set_splits(key: LabelSets) -> list[LabelSets]:
-    """The classes with a fold to ``key``: split one label set E at a label
-    l in E into two sets that meet in {l}, each with at least two labels."""
-    out = []
-    for labels in key:
-        others = key - {labels}
-        for l in labels:
-            rest = sorted(labels - {l})
-            # rest[0] always stays, so each unordered split is listed once
-            for size in range(1, len(rest)):
-                for moved in itertools.combinations(rest[1:], size):
-                    moved_set = frozenset(moved)
-                    out.append(others | {labels - moved_set, moved_set | {l}})
-    return out
-
-
-def _label_set_merges(key: LabelSets) -> list[LabelSets]:
-    """The classes one fold below ``key``: merge two label sets that share
-    a label (the fold at that label)."""
-    return [
-        key - {a, b} | {a | b}
-        for a, b in itertools.combinations(key, 2)
-        if not a.isdisjoint(b)
-    ]
+def _mask_splits(key: LabelMasks) -> Iterable[LabelMasks]:
+    """The classes with a fold to ``key``, each once: split one label set E
+    at a label l in E into two sets that meet in {l}, each with at least
+    two labels."""
+    for mask in key:
+        others = key - {mask}
+        labels = mask
+        while labels:
+            bit = labels & -labels
+            labels ^= bit
+            rest = mask ^ bit
+            # the lowest label of rest always stays, so each unordered split
+            # is listed once, by the nonempty subset of the others that moves
+            free = rest & (rest - 1)
+            moved = free
+            while moved:
+                yield others | {mask ^ moved, moved | bit}
+                moved = (moved - 1) & free
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +276,22 @@ class WhiteheadPoset:
     elements: tuple[LabelledBipartiteTree, ...]
     # leq[i][j] True iff elements[i] <= elements[j] (fold-reachable from j)
     leq: tuple[tuple[bool, ...], ...]
+
+    @classmethod
+    def _trusted(
+        cls,
+        rank: int,
+        elements: tuple[LabelledBipartiteTree, ...],
+        leq: tuple[tuple[bool, ...], ...],
+        up_sets: tuple[tuple[int, ...], ...],
+        covers: tuple[tuple[int, int], ...],
+    ) -> "WhiteheadPoset":
+        """A poset whose up-sets and sorted covers are already known to be
+        the ones ``leq`` gives, so they are not read off ``leq`` again."""
+        poset = cls(rank, elements, leq)
+        object.__setattr__(poset, "_up_sets", up_sets)
+        object.__setattr__(poset, "_covers", covers)
+        return poset
 
     def index_of(self, t: LabelledBipartiteTree) -> int:
         try:
@@ -354,46 +389,61 @@ def enumerate_whitehead_poset(n: int) -> WhiteheadPoset:
     """All isomorphism classes of labelled bipartite trees at rank ``n``,
     ordered by fold-reachability.
 
-    The search runs on label sets: a class is the set of its unlabelled
-    vertices' label sets, an unfold splits one set at a label into two sets
-    that meet there, and a fold merges two sets that share a label.  Every
-    non-trivial tree has a fold, so a breadth-first search of splits from
-    the trivial tree's ``{{1..n}}`` reaches every class.  Each class is one
-    ``LabelledBipartiteTree`` with its label sets as units; the elements
-    are sorted by ``(unlabelled_count, canonical())``, the merges of each
-    element give its lower covers, and ``leq`` closes them.
+    The search runs on label sets, each an int bitmask: a class is the set
+    of its unlabelled vertices' label sets, and an unfold splits one set at
+    a label into two sets that meet there.  Every non-trivial tree has a
+    fold, so a breadth-first search of splits from the trivial tree's
+    ``{{1..n}}`` reaches every class, and each split it finds is an upper
+    cover (a fold lowers the unlabelled count by one, so nothing lies
+    between).  Each class is one ``LabelledBipartiteTree``, built without
+    re-validation; the elements are sorted by ``(unlabelled_count,
+    canonical())``.  The covers close to the up-sets, and both are handed to
+    the poset with ``leq``, so neither is read off ``leq`` again.
     """
     if n < 2:
         raise WordError("the poset needs rank >= 2 (no valid trees at rank 1)")
     if n > MAX_POSET_RANK:
         raise WordError(f"the poset is limited to rank <= {MAX_POSET_RANK}, not {n}")
-    queue: list[LabelSets] = [frozenset({frozenset(range(1, n + 1))})]
-    seen = set(queue)
-    for key in queue:
-        for split in _label_set_splits(key):
-            if split not in seen:
-                seen.add(split)
+    queue: list[LabelMasks] = [frozenset({(1 << (n + 1)) - 2})]
+    found = {queue[0]: 0}
+    pairs = []  # (class, split) as positions in the queue
+    for i, key in enumerate(queue):
+        for split in _mask_splits(key):
+            j = found.get(split)
+            if j is None:
+                j = found[split] = len(queue)
                 queue.append(split)
-    trees = {key: LabelledBipartiteTree(n, tuple(sorted(key, key=sorted))) for key in queue}
-    keys = sorted(queue, key=lambda key: (len(key), trees[key].canonical()))
-    elements = [trees[key] for key in keys]
-    index = {key: i for i, key in enumerate(keys)}
-    # every fold lowers the unlabelled count by one, so these are the covers
-    covers = sorted(
-        {(index[merged], j) for j, key in enumerate(keys) for merged in _label_set_merges(key)}
-    )
-    size = len(elements)
+            pairs.append((i, j))
+    unit_of = {}  # mask -> its labels ascending, and as a set
+    trees = []
+    for key in queue:
+        for mask in key:
+            if mask not in unit_of:
+                labels = tuple(l for l in range(1, n + 1) if mask >> l & 1)
+                unit_of[mask] = (labels, frozenset(labels))
+        units = tuple(unit for _, unit in sorted(unit_of[mask] for mask in key))
+        trees.append(LabelledBipartiteTree._trusted(n, units))
+    order = sorted(range(len(queue)), key=lambda i: (len(queue[i]), trees[i].canonical()))
+    position = [0] * len(queue)
+    for p, i in enumerate(order):
+        position[i] = p
+    covers = sorted((position[i], position[j]) for i, j in pairs)
+    size = len(order)
     # a cover (i, j) has i < j, so each up-set is complete before it is read
-    above = [{i} for i in range(size)]
+    above: list[set[int]] = [set() for _ in range(size)]
     for i, j in reversed(covers):
+        above[i].add(j)
         above[i] |= above[j]
+    up_sets = tuple(tuple(sorted(up)) for up in above)
     leq = []
-    for up in above:
+    for i, up in enumerate(up_sets):
         row = [False] * size
+        row[i] = True
         for j in up:
             row[j] = True
         leq.append(tuple(row))
-    return WhiteheadPoset(n, tuple(elements), tuple(leq))
+    elements = tuple(trees[i] for i in order)
+    return WhiteheadPoset._trusted(n, elements, tuple(leq), up_sets, tuple(covers))
 
 
 # ---------------------------------------------------------------------------
@@ -556,21 +606,68 @@ class HomologyReport:
         }
 
 
+def _collapse_free_faces(rows: dict[int, dict[int, int]], faces: dict[int, list[int]]) -> list[int]:
+    """Pivot, while any is left, a row of ``rows`` with one entry, in place,
+    and return those rows in pivot order.  ``faces[c]`` lists the rows that
+    column ``c`` was built with.
+
+    Such a row is a free face: its chain is a face of exactly one column
+    left (an elementary collapse, Kaczynski, Mischaikow and Mrozek,
+    *Computational Homology*, 2004).  Pivoting it on its +-1 entry only
+    deletes that column from the other rows, so no entry is ever added and
+    ``faces[c]`` stays a superset of the rows holding ``c``.  Each row is
+    looked at once, and again when it drops to one entry; rows left empty
+    are dropped.
+    """
+    pivot_rows = []
+    queue = list(rows)
+    while queue:
+        r0 = queue.pop()
+        row = rows.get(r0)
+        if row is None or len(row) != 1:
+            continue
+        c0 = next(iter(row))
+        del rows[r0]
+        pivot_rows.append(r0)
+        for r in faces[c0]:
+            row = rows.get(r)
+            if row is not None:
+                del row[c0]
+                if len(row) == 1:
+                    queue.append(r)
+                elif not row:
+                    del rows[r]
+    return pivot_rows
+
+
 def order_complex_homology(poset: WhiteheadPoset) -> HomologyReport:
     """Reduced integral homology of the poset's order complex.
+
+    Each boundary is first reduced by collapses, then by
+    ``_smith_rank_divisors``.  The collapse phase pivots, while any is
+    left, a row with one entry (a free face, see ``_collapse_free_faces``);
+    its entry is +-1 and it deletes only its own column, so the phase does
+    no arithmetic and makes no fill.  Listed in pivot order, the collapsed
+    rows and their columns form a lower triangular block with +-1 on the
+    diagonal: when a row is collapsed, each of its other entries lies in a
+    column collapsed before.  The rows and columns that remain hold the
+    input's own entries, and ``_smith_rank_divisors``, the only general
+    reducer, takes them as they stand.
 
     The boundaries are reduced from the top dimension down, with clearing
     (Chen and Kerber, "Persistent homology computation with a twist",
     EuroCG 2011): the boundary of the d-chains is built without the d-chains
-    that were unit pivot rows of the boundary one dimension up.  This is
-    exact over Z.  On those rows P and their pivot columns Q the block
-    B[P, Q] of the boundary B above is unimodular (see
-    ``_smith_rank_divisors``), and the boundary A below has A B = 0, so
-    A[:, P] = -A[:, rest] B[rest, Q] B[P, Q]^-1: the columns P are integer
-    combinations of the others.  Dropping them leaves the column lattice,
-    and with it the rank and the elementary divisors, unchanged.  Rows
-    pivoted in the dense Smith phase have no unimodular block and are never
-    cleared.
+    that were collapsed or unit pivot rows of the boundary one dimension up.
+    This is exact over Z.  On those rows P and their pivot columns Q, the
+    collapsed ones first, the block B[P, Q] of the boundary B above is
+    unimodular: the collapse block is triangular unimodular, a collapsed row
+    is zero at every later pivot column, and the unit pivots' block of the
+    remaining rows is unimodular (see ``_smith_rank_divisors``).  The
+    boundary A below has A B = 0, so A[:, P] = -A[:, rest] B[rest, Q]
+    B[P, Q]^-1: the columns P are integer combinations of the others.
+    Dropping them leaves the column lattice, and with it the rank and the
+    elementary divisors, unchanged.  Rows pivoted in the dense Smith phase
+    have no unimodular block and are never cleared.
     """
     chains = _chains(poset)
     counts = tuple(len(c) for c in chains)
@@ -583,21 +680,28 @@ def order_complex_homology(poset: WhiteheadPoset) -> HomologyReport:
     cleared: set[int] = set()
     for d in range(dims - 1, 0, -1):
         index = {chain: i for i, chain in enumerate(chains[d - 1])}
-        skips = [(skip, 1 - 2 * (skip & 1)) for skip in range(d + 1)]
+        skips = range(d + 1)
         # a chain's faces are distinct, so no two of its entries share a row
         rows: dict[int, dict[int, int]] = {}
+        faces: dict[int, list[int]] = {}
         for col, chain in enumerate(chains[d]):
             if col in cleared:
                 continue
-            for skip, sign in skips:
-                r = index[chain[:skip] + chain[skip + 1 :]]
+            faces[col] = column = [index[chain[:skip] + chain[skip + 1 :]] for skip in skips]
+            sign = 1
+            for r in column:
                 row = rows.get(r)
                 if row is None:
                     rows[r] = {col: sign}
                 else:
                     row[col] = sign
-        ranks[d], divisors[d], pivot_rows = _smith_rank_divisors(rows)
-        cleared = set(pivot_rows)
+                sign = -sign
+        collapsed = _collapse_free_faces(rows, faces)
+        rank, unit_and_dense, pivot_rows = _smith_rank_divisors(rows)
+        ranks[d] = len(collapsed) + rank
+        divisors[d] = [1] * len(collapsed) + unit_and_dense
+        cleared = set(collapsed)
+        cleared.update(pivot_rows)
     betti = []
     torsion = []
     for d in range(dims):

@@ -101,16 +101,25 @@ class GeneratorWord:
             if not ok:
                 raise WordError(f"bad letter {letter!r} for rank {self.rank}")
 
+    @classmethod
+    def _trusted(cls, rank: int, letters: tuple[Letter, ...]) -> "GeneratorWord":
+        """A word from letters already known to be valid at ``rank``, without
+        ``__post_init__``'s checks."""
+        gw = object.__new__(cls)
+        object.__setattr__(gw, "rank", rank)
+        object.__setattr__(gw, "letters", letters)
+        return gw
+
     def __mul__(self, other: "GeneratorWord") -> "GeneratorWord":
         if self.rank != other.rank:
             raise WordError("rank mismatch")
-        return GeneratorWord(self.rank, self.letters + other.letters)
+        return GeneratorWord._trusted(self.rank, self.letters + other.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def inverse(self) -> "GeneratorWord":
-        return GeneratorWord(
+        return GeneratorWord._trusted(
             self.rank, tuple(letter_inverse(l) for l in reversed(self.letters))
         )
 
@@ -122,7 +131,7 @@ class GeneratorWord:
                 out.pop()
             else:
                 out.append(letter)
-        return GeneratorWord(self.rank, tuple(out))
+        return GeneratorWord._trusted(self.rank, tuple(out))
 
     def __str__(self) -> str:
         return format_generator_word(self)

@@ -2,6 +2,7 @@ import pytest
 
 from reference import (
     checked,
+    checked_trusted,
     even_to_x_reference,
     generator_conjugate_shape_reference,
     inner_conjugator_reference,
@@ -29,4 +30,27 @@ def fast_paths_checked_against_the_references():
             for module in (words, symaut, lift, kernel, complexes, braid, cli, selftest):
                 if getattr(module, name, None) is fast:
                     mp.setattr(module, name, wrapped)
+        yield
+
+
+# each private constructor, with the attributes it is handed beyond the
+# public fields
+TRUSTED = {
+    complexes.LabelledBipartiteTree: (),
+    complexes.WhiteheadPoset: ("_up_sets", "_covers"),
+    symaut.GeneratorWord: (),
+}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def trusted_constructions_validated():
+    """Every value built by a private ``_trusted`` constructor during the
+    suite is built again by its public constructor, which validates it, and
+    must come out equal: every tree the enumeration builds, every
+    ``GeneratorWord`` product, inverse and free cancellation, and every
+    poset, whose handed-over up-sets and covers must equal the ones read
+    off its ``leq``."""
+    with pytest.MonkeyPatch.context() as mp:
+        for cls, derived in TRUSTED.items():
+            mp.setattr(cls, "_trusted", checked_trusted(cls, derived))
         yield

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import itertools
 from typing import Optional
 
 from symlift.words import (
     GroupContext,
     Syllable,
     Word,
+    WordError,
     coset_intersection,
     cyclic_reduce,
     free_context,
@@ -60,6 +63,58 @@ def generator_conjugate_shape_reference(w: Word) -> Optional[tuple[Word, int, in
     if exp != 1 and (exp != -1 or not w.ctx.is_free):
         return None
     return p, gen, exp
+
+
+def label_set_splits(key: frozenset[frozenset[int]]) -> list[frozenset[frozenset[int]]]:
+    """The classes with a fold to ``key``, on frozenset label sets: split
+    one label set E at a label l in E into two sets that meet in {l}, each
+    with at least two labels."""
+    out = []
+    for labels in key:
+        others = key - {labels}
+        for l in labels:
+            rest = sorted(labels - {l})
+            # rest[0] always stays, so each unordered split is listed once
+            for size in range(1, len(rest)):
+                for moved in itertools.combinations(rest[1:], size):
+                    moved_set = frozenset(moved)
+                    out.append(others | {labels - moved_set, moved_set | {l}})
+    return out
+
+
+def label_set_merges(key: frozenset[frozenset[int]]) -> list[frozenset[frozenset[int]]]:
+    """The classes one fold below ``key``: merge two label sets that share
+    a label (the fold at that label)."""
+    return [
+        key - {a, b} | {a | b}
+        for a, b in itertools.combinations(key, 2)
+        if not a.isdisjoint(b)
+    ]
+
+
+def checked_trusted(cls, derived=()):
+    """``cls._trusted``, failing with ``AssertionError`` unless the public
+    constructor accepts the same fields (which validates them), builds an
+    equal value, and reads off the same ``derived`` attributes as the
+    trusted value was handed.  Returns a classmethod to patch in."""
+    trusted = cls._trusted
+    arity = len(dataclasses.fields(cls))
+
+    def wrapper(cls, *args):
+        got = trusted(*args)
+        name = f"{cls.__name__}._trusted"
+        try:
+            want = cls(*args[:arity])
+        except WordError as exc:
+            raise AssertionError(f"{name} was handed an invalid value: {exc}") from None
+        if want != got:
+            raise AssertionError(f"{name} built {got}, the public constructor {want}")
+        for attr in derived:
+            if getattr(want, attr) != getattr(got, attr):
+                raise AssertionError(f"{name} was handed another {attr} than the fields give")
+        return got
+
+    return classmethod(wrapper)
 
 
 def checked(fast, reference):

@@ -1,10 +1,16 @@
+import importlib.util
+import inspect
 import itertools
 import random
 import re
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from reference import label_set_merges, label_set_splits
+from symlift import complexes
 from symlift.complexes import (
     LabelledBipartiteTree,
     NuclearVertex,
@@ -29,8 +35,6 @@ from symlift.complexes import (
     _dense_smith,
     _generated_subgroup,
     _tree_vertex_aut_group,
-    _label_set_merges,
-    _label_set_splits,
     _smith_rank_divisors,
 )
 from symlift.symaut import (
@@ -224,9 +228,9 @@ def test_unfolds_invert_folds_and_give_the_upper_covers():
         for i, j in poset.covers():
             above[i].add(keys[j])
         for i, key in enumerate(keys):
-            splits = _label_set_splits(key)
+            splits = label_set_splits(key)
             for split in splits:
-                assert key in _label_set_merges(split)
+                assert key in label_set_merges(split)
             assert len(splits) == len(set(splits)) and set(splits) == above[i]
 
 
@@ -243,16 +247,31 @@ def test_label_sets_and_canonical_agree_on_equality():
 
 def test_enumeration_builds_one_tree_per_class(monkeypatch):
     built = []
-    post_init = LabelledBipartiteTree.__post_init__
+    trusted = LabelledBipartiteTree._trusted
 
-    def counted(self):
-        built.append(self)
-        post_init(self)
+    def counted(cls, rank, units):
+        built.append(units)
+        return trusted(rank, units)
 
-    monkeypatch.setattr(LabelledBipartiteTree, "__post_init__", counted)
+    monkeypatch.setattr(LabelledBipartiteTree, "_trusted", classmethod(counted))
     enumerate_whitehead_poset.cache_clear()
     poset = enumerate_whitehead_poset(5)
     assert len(built) == len(poset.elements) == 311
+
+
+def test_trusted_constructions_are_revalidated():
+    # the session fixture in conftest.py re-runs every public validator
+    with pytest.raises(AssertionError, match="invalid"):
+        LabelledBipartiteTree._trusted(4, (frozenset({1, 2}), frozenset({2, 3})))  # no label 4
+    p = enumerate_whitehead_poset(4)
+    WhiteheadPoset._trusted(p.rank, p.elements, p.leq, p._up_sets, p._covers)
+    with pytest.raises(AssertionError, match="_covers"):
+        WhiteheadPoset._trusted(p.rank, p.elements, p.leq, p._up_sets, p._covers[1:])
+    with pytest.raises(AssertionError, match="_up_sets"):
+        up_sets = ((),) + p._up_sets[1:]
+        WhiteheadPoset._trusted(p.rank, p.elements, p.leq, up_sets, p._covers)
+    with pytest.raises(AssertionError, match="invalid"):
+        GeneratorWord._trusted(2, (("a", 1, 1, 1),))
 
 
 def test_poset_rank3_is_exactly_trivial_plus_paths():
@@ -433,6 +452,96 @@ def test_clearing_matches_the_homology_of_the_full_boundaries():
     suspended = order_complex_homology(posets[1])
     assert suspended.reduced_betti == (0, 0, 0, 0)
     assert suspended.torsion == ((), (), (2,), ())
+
+
+def random_posets(seed, count):
+    """Seeded random orders on 4 to 12 elements: half the transitive
+    closures of random relations i < j, half of height two, each element
+    that is not minimal above two or more minimal ones."""
+    rng = random.Random(seed)
+    posets = []
+    for k in range(count):
+        size = rng.randint(4, 12)
+        below = [{i} for i in range(size)]
+        if k % 2:
+            minimal = [0, 1]
+            for j in range(2, size):
+                if rng.random() < 0.5:
+                    minimal.append(j)
+                else:
+                    below[j].update(rng.sample(minimal, rng.randint(2, len(minimal))))
+        else:
+            for j in range(size):
+                for i in range(j):
+                    if rng.random() < 0.3:
+                        below[j] |= below[i]
+        posets.append(order_poset(range(size), lambda a, b, below=below: a in below[b]))
+    return posets
+
+
+def test_collapses_match_the_homology_of_the_full_boundaries(monkeypatch):
+    collapse = complexes._collapse_free_faces
+    collapsed = []  # the rows collapsed in each boundary, the top one first
+
+    def recorded(rows, faces):
+        pivots = collapse(rows, faces)
+        collapsed.append(len(pivots))
+        return pivots
+
+    monkeypatch.setattr(complexes, "_collapse_free_faces", recorded)
+    tops = []
+    for poset in random_posets(21, 80) + [proper_part(enumerate_whitehead_poset(5))]:
+        collapsed.clear()
+        report = order_complex_homology(poset)
+        expected = homology_without_clearing(poset)
+        assert (report.simplex_counts, report.reduced_betti, report.torsion) == expected
+        tops.append(collapsed[0] if collapsed else None)
+    # some top boundaries have free faces and some have none, among them the
+    # rank-5 proper part's
+    assert tops[-1] == 0
+    assert sum(1 for top in tops if top) >= 20 and tops.count(0) >= 5
+
+
+def test_a_collapse_of_a_row_with_two_entries_is_caught(monkeypatch):
+    source = inspect.getsource(complexes._collapse_free_faces)
+    # rows with two entries are pivoted too, on their first column
+    mutated = source.replace("len(row) != 1:", "len(row) not in (1, 2):")
+    assert mutated != source
+    namespace = dict(vars(complexes))
+    exec(mutated, namespace)
+    monkeypatch.setattr(complexes, "_collapse_free_faces", namespace["_collapse_free_faces"])
+    wrong = 0
+    for poset in random_posets(21, 80):
+        report = order_complex_homology(poset)
+        expected = homology_without_clearing(poset)
+        wrong += (report.simplex_counts, report.reduced_betti, report.torsion) != expected
+    assert wrong > 0
+
+
+def test_poset_census_exits_1_on_a_broken_fact(monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "poset_census.py"
+    spec = importlib.util.spec_from_file_location("poset_census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    monkeypatch.setattr(sys, "argv", ["poset_census.py", "--max-rank", "4"])
+    assert census.main() == 0
+    assert "FLAGGED" not in capsys.readouterr().out
+    homology = census.order_complex_homology
+    for whole in (True, False):
+
+        def tampered(poset, whole=whole):
+            # one class too many in degree 0 at rank 3, whole poset or proper part
+            report = homology(poset)
+            if poset.rank == 3 and (len(poset.elements) == 4) == whole:
+                betti = (report.reduced_betti[0] + 1,) + report.reduced_betti[1:]
+                return replace(report, reduced_betti=betti)
+            return report
+
+        monkeypatch.setattr(census, "order_complex_homology", tampered)
+        assert census.main() == 1
+        out = capsys.readouterr().out
+        assert ("FLAGGED: the whole poset is not acyclic" in out) == whole
+        assert ("FLAGGED: the proper part has reduced betti [3]" in out) != whole
 
 
 # -- vertex automorphisms ---------------------------------------------------------
