@@ -94,6 +94,8 @@ def cmd_words_even_to_x(args) -> int:
 
 
 def _aut_context(args) -> GroupContext:
+    if args.n is not None and args.ctx is not None:
+        raise WordError("give --n or --ctx, not both")
     if args.ctx:
         ctx = parse_context(args.ctx)
     elif args.n is None:

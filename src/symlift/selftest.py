@@ -126,8 +126,14 @@ def check_n2_degeneracy(params, seed) -> dict:
 
 
 def check_theorem_c(params, seed) -> dict:
+    """Seeded products of rho-conjugates are in the kernel, certified, and
+    their certificates verify.  The verifier must also refute: a certificate
+    with its last conjugator dropped has the other rho-parity, so it must
+    not verify.  The refutation counts toward ``passed`` only; the report
+    keeps its counts."""
     rng = _rng(seed, "theorem_c")
     stats = {"samples": 0, "in_kernel": 0, "certified": 0, "verified": 0}
+    refuted = True
     for n in params["theorem_c_ranks"]:
         for _ in range(params["theorem_c_samples"]):
             gw = kernel_mod.random_rho_conjugate_product(rng, n)
@@ -140,8 +146,11 @@ def check_theorem_c(params, seed) -> dict:
                 stats["certified"] += 1
                 if kernel_mod.verify_certificate(cert, gw):
                     stats["verified"] += 1
+                if cert.conjugators:
+                    shorter = kernel_mod.Certificate(n, cert.conjugators[:-1])
+                    refuted = refuted and not kernel_mod.verify_certificate(shorter, gw)
     passed = stats["samples"] == stats["in_kernel"] == stats["certified"] == stats["verified"]
-    return {"passed": passed, **stats}
+    return {"passed": passed and refuted, **stats}
 
 
 def check_corollary_d(params, seed) -> dict:

@@ -1,10 +1,6 @@
-import dataclasses
-import importlib.util
 import itertools
 import random
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -352,22 +348,3 @@ def test_search_budget(monkeypatch):
         with pytest.raises(WordError, match="over the limit"):
             bounded_kernel_search(*args)
     assert time.perf_counter() - start < 1.0
-
-
-def test_braid_scan_exits_1_on_a_flagged_row(monkeypatch, capsys):
-    path = Path(__file__).resolve().parent.parent / "scripts" / "braid_scan.py"
-    spec = importlib.util.spec_from_file_location("braid_scan", path)
-    scan = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scan)
-    argv = ["braid_scan.py", "--max-strands", "3", "--max-modulus", "2", "--max-len", "3"]
-    monkeypatch.setattr(sys, "argv", argv)
-    assert scan.main() == 0
-    search = scan.bounded_kernel_search
-
-    def flagging(strands, modulus, max_length):
-        report = search(strands, modulus, max_length)
-        return dataclasses.replace(report, flagged=("1 1",)) if strands == 3 else report
-
-    monkeypatch.setattr(scan, "bounded_kernel_search", flagging)
-    assert scan.main() == 1
-    assert "FLAGGED: 1 1" in capsys.readouterr().out

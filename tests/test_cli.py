@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -195,7 +196,9 @@ def test_malformed_input_exits_2(capsys, tmp_path):
     for argv in (("symaut", "eval", "--word", "a[1,2]"),
                  ("symaut", "outer-equal", "--left", "e", "--right", "e")):
         code, payload = run(capsys, *argv)
-        assert code == 2 and "--n or --ctx" in payload["error"]["message"]
+        assert code == 2 and payload["error"]["message"] == "give --n or --ctx"
+        code, payload = run(capsys, *argv, "--n", "3", "--ctx", "F:4")
+        assert code == 2 and payload["error"]["message"] == "give --n or --ctx, not both"
     code, payload = run(capsys, "braid", "search", "--n", "1", "--k", "2", "--max-len", "3")
     assert code == 2 and "2 strands" in payload["error"]["message"]
     for k, max_len, message in (("1", "3", "modulus"), ("2", "12", "366,210,936 words")):
@@ -462,6 +465,62 @@ def test_selftest_braid_coverage_fault_injection(capsys, monkeypatch):
     failing = [c for c in payload["checks"] if not c["passed"]]
     assert [c["name"] for c in failing] == ["braid_injectivity_evidence"]
     assert all(not search["flagged"] for search in failing[0]["runs"].values())
+
+
+def test_selftest_braid_flag_fault_injection(capsys, monkeypatch):
+    # a search that flags "1 1" at 3 strands: the command exits 1 and lists
+    # the word, and the selftest fails the braid check alone
+    import symlift.braid as braid_mod
+
+    search = braid_mod.bounded_kernel_search
+
+    def flagging(strands, modulus, max_length):
+        report = search(strands, modulus, max_length)
+        return dataclasses.replace(report, flagged=("1 1",)) if strands == 3 else report
+
+    monkeypatch.setattr(braid_mod, "bounded_kernel_search", flagging)
+    code, payload = run(capsys, "braid", "search", "--n", "3", "--k", "2", "--max-len", "3")
+    assert code == 1 and payload["search"]["flagged"] == ["1 1"]
+    code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "3")
+    assert code == 1
+    failing = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failing] == ["braid_injectivity_evidence"]
+    assert failing[0]["runs"]["3,2,4"]["flagged"] == ["1 1"]
+
+
+def test_selftest_certificate_fault_injection(capsys, monkeypatch):
+    # a verifier that accepts anything: every certificate still verifies,
+    # but one without its last conjugator is no longer refuted
+    import symlift.kernel as kernel_mod
+
+    monkeypatch.setattr(kernel_mod, "verify_certificate", lambda cert, target: True)
+    code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "3")
+    assert code == 1
+    failing = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failing] == ["theorem_c_certificates"]
+    assert failing[0]["verified"] == failing[0]["samples"]
+
+
+def test_selftest_lift_route_fault_injection(capsys, monkeypatch):
+    # a lift route that drops the "inner after iota" branch; seed 3 draws no
+    # route word that needs it, so seed 7
+    import symlift.lift as lift_mod
+
+    lift_route = lift_mod.lift_route
+
+    def no_iota(h):
+        result = lift_route(h)
+        if result.composed_with_iota:
+            return lift_mod.LiftResult(result.restriction, None, False)
+        return result
+
+    monkeypatch.setattr(lift_mod, "lift_route", no_iota)
+    code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "7")
+    assert code == 1
+    failing = {c["name"]: c for c in payload["checks"] if not c["passed"]}
+    assert list(failing) == ["route_agreement", "n2_degeneracy"]
+    assert failing["route_agreement"]["disagreements"] == 4
+    assert failing["n2_degeneracy"]["elements_in_kernel"] == 4
 
 
 def test_selftest_default_seed_ignores_the_environment(capsys, monkeypatch):
