@@ -46,9 +46,9 @@ from .words import WordError, free_context, inner_conjugator, torsion_context
 # larger searches are refused before they start.  At 3 strands, the slowest,
 # a search at the limit (length 12, 1,062,880 words) takes about 7.8 s on one
 # core of a 2-core x86-64 host.  At 2 strands the images grow with the word
-# and each word costs time linear in them, so each doubling of max_length
-# costs about two and a half times as long (length 1,200, 2,400 words: about
-# 1.0 s), and the limit does not bound the time.
+# and each word costs time linear in them, so the search costs time
+# quadratic in max_length: it is charged max_length ** 2 against the same
+# limit, which accepts length 1,414 (about 1.6 s) and refuses 1,415.
 MAX_SEARCH_WORDS = 2_000_000
 
 
@@ -166,7 +166,9 @@ def search_word_count(strands: int, max_length: int) -> int:
 
 
 def check_search(strands: int, modulus: int, max_length: int) -> None:
-    """Refuse a malformed or over-budget search before doing any work."""
+    """Refuse a malformed or over-budget search before doing any work.  The
+    budget counts words, except at 2 strands, where it counts
+    ``max_length ** 2``."""
     if strands < 2:
         raise WordError("braid groups need at least 2 strands")
     if max_length < 1:
@@ -174,8 +176,17 @@ def check_search(strands: int, modulus: int, max_length: int) -> None:
     if modulus < 2:
         raise WordError(f"modulus must be >= 2, got {modulus}")
     letters = 2 * (strands - 1)
+    if letters == 2:
+        # each power of s1 costs time linear in its length: charge the square
+        if max_length**2 <= MAX_SEARCH_WORDS:
+            return
+        raise WordError(
+            f"braid search at 2 strands up to length {max_length} costs time quadratic in "
+            f"the length: {max_length:,}^2 = {max_length**2:,}, over the limit of "
+            f"{MAX_SEARCH_WORDS:,}"
+        )
     # the count exceeds (2n-3)^max_length: past 10^30 it is not worth building
-    if letters > 2 and max_length * math.log10(letters - 1) > 30:
+    if max_length * math.log10(letters - 1) > 30:
         size = "more than 10^30"
     else:
         count = search_word_count(strands, max_length)
@@ -261,7 +272,8 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
     shorter when that word was evaluated too (at 2 strands every even power
     of s1 is, so each costs one step linear in its images), else from
     scratch.  Raises ``WordError`` for malformed parameters and for searches
-    over :data:`MAX_SEARCH_WORDS` words.
+    over :data:`MAX_SEARCH_WORDS` words, or at 2 strands over it in
+    ``max_length ** 2``.
     """
     check_search(strands, modulus, max_length)
     tctx = torsion_context(strands, modulus)

@@ -272,26 +272,14 @@ def _mask_splits(key: LabelMasks) -> Iterable[LabelMasks]:
 
 @dataclass(frozen=True)
 class WhiteheadPoset:
+    """Trees ordered by fold-reachability.  ``leq[i][j]`` is true iff
+    ``elements[i] <= elements[j]``.  The enumeration's rows are ``bytes``
+    (1 where ``i <= j``); a caller's rows may be any sequences of bools or
+    0/1.  The up-sets and covers are read off ``leq`` once per poset."""
+
     rank: int
     elements: tuple[LabelledBipartiteTree, ...]
-    # leq[i][j] True iff elements[i] <= elements[j] (fold-reachable from j)
-    leq: tuple[tuple[bool, ...], ...]
-
-    @classmethod
-    def _trusted(
-        cls,
-        rank: int,
-        elements: tuple[LabelledBipartiteTree, ...],
-        leq: tuple[tuple[bool, ...], ...],
-        up_sets: tuple[tuple[int, ...], ...],
-        covers: tuple[tuple[int, int], ...],
-    ) -> "WhiteheadPoset":
-        """A poset whose up-sets and sorted covers are already known to be
-        the ones ``leq`` gives, so they are not read off ``leq`` again."""
-        poset = cls(rank, elements, leq)
-        object.__setattr__(poset, "_up_sets", up_sets)
-        object.__setattr__(poset, "_covers", covers)
-        return poset
+    leq: tuple[Sequence[int], ...]
 
     def index_of(self, t: LabelledBipartiteTree) -> int:
         try:
@@ -304,7 +292,7 @@ class WhiteheadPoset:
         """For each i, the ascending indices j != i with elements[i] <= elements[j]."""
         up = []
         for i, row in enumerate(self.leq):
-            flags = bytes(row)  # a row has few True entries: find them by memchr
+            flags = bytes(row)  # a bytes row as it is; few entries are 1: find them by memchr
             above = []
             j = flags.find(1)
             while j >= 0:
@@ -381,7 +369,7 @@ def proper_part(poset: WhiteheadPoset) -> WhiteheadPoset:
     )
 
 
-MAX_POSET_RANK = 6  # rank 7 has 79,745 classes: a dense leq of ~6.4e9 entries
+MAX_POSET_RANK = 6  # rank 7 has 79,745 classes: a dense leq of ~6.4e9 bytes (6.4 GB)
 
 
 @lru_cache(maxsize=None)
@@ -397,8 +385,8 @@ def enumerate_whitehead_poset(n: int) -> WhiteheadPoset:
     cover (a fold lowers the unlabelled count by one, so nothing lies
     between).  Each class is one ``LabelledBipartiteTree``, built without
     re-validation; the elements are sorted by ``(unlabelled_count,
-    canonical())``.  The covers close to the up-sets, and both are handed to
-    the poset with ``leq``, so neither is read off ``leq`` again.
+    canonical())``.  The covers close to the up-sets, which set the ``leq``
+    row bits; the poset reads its up-sets and covers back off those rows.
     """
     if n < 2:
         raise WordError("the poset needs rank >= 2 (no valid trees at rank 1)")
@@ -434,16 +422,15 @@ def enumerate_whitehead_poset(n: int) -> WhiteheadPoset:
     for i, j in reversed(covers):
         above[i].add(j)
         above[i] |= above[j]
-    up_sets = tuple(tuple(sorted(up)) for up in above)
     leq = []
-    for i, up in enumerate(up_sets):
-        row = [False] * size
-        row[i] = True
+    for i, up in enumerate(above):
+        row = bytearray(size)
+        row[i] = 1
         for j in up:
-            row[j] = True
-        leq.append(tuple(row))
+            row[j] = 1
+        leq.append(bytes(row))
     elements = tuple(trees[i] for i in order)
-    return WhiteheadPoset._trusted(n, elements, tuple(leq), up_sets, tuple(covers))
+    return WhiteheadPoset(n, elements, tuple(leq))
 
 
 # ---------------------------------------------------------------------------

