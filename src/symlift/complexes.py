@@ -438,23 +438,6 @@ def enumerate_whitehead_poset(n: int) -> WhiteheadPoset:
 # ---------------------------------------------------------------------------
 
 
-def _chains(poset: WhiteheadPoset) -> list[list[tuple[int, ...]]]:
-    """Chains by dimension: chains[d] lists (d+1)-element chains."""
-    above = poset._up_sets
-    by_dim: list[list[tuple[int, ...]]] = [[(i,) for i in range(len(above))]]
-    current = by_dim[0]
-    while current:
-        nxt = []
-        for chain in current:
-            for j in above[chain[-1]]:
-                nxt.append(chain + (j,))
-        if not nxt:
-            break
-        by_dim.append(nxt)
-        current = nxt
-    return by_dim
-
-
 def _smith_rank_divisors(rows: dict[int, dict[int, int]]) -> tuple[int, list[int], list[int]]:
     """Rank, elementary divisors and unit pivot rows of a sparse integer
     matrix.
@@ -593,7 +576,9 @@ class HomologyReport:
         }
 
 
-def _collapse_free_faces(rows: dict[int, dict[int, int]], faces: dict[int, list[int]]) -> list[int]:
+def _collapse_free_faces(
+    rows: dict[int, dict[int, int]], faces: Sequence[Sequence[int]]
+) -> list[int]:
     """Pivot, while any is left, a row of ``rows`` with one entry, in place,
     and return those rows in pivot order.  ``faces[c]`` lists the rows that
     column ``c`` was built with.
@@ -627,8 +612,190 @@ def _collapse_free_faces(rows: dict[int, dict[int, int]], faces: dict[int, list[
     return pivot_rows
 
 
+def _has_minimum(s: int, up: Sequence[int], down: Sequence[int]) -> bool:
+    """Whether the bitset ``s`` has a least element, with ``up[m]`` and
+    ``down[m]`` m's strict up- and down-sets as bitsets (swap them to ask
+    for a greatest one).  The walk down inside ``s`` ends at a minimal
+    element m, the minimum iff ``s`` lies in m and its up-set."""
+    if not s:
+        return False
+    m = (s & -s).bit_length() - 1
+    below = down[m] & s
+    while below:
+        m = (below & -below).bit_length() - 1
+        below = down[m] & s
+    return s & ~up[m] == 1 << m
+
+
+def _has_beat_point(up: Sequence[Sequence[int]]) -> bool:
+    """Whether any point is a beat point, read off set sizes: in a
+    transitive relation j in up(i) is up(i)'s minimum iff ``|up(j)| =
+    |up(i)| - 1``, and i is down(j)'s maximum iff ``|down(i)| = |down(j)|
+    - 1``."""
+    up_size = [len(above) for above in up]
+    down_size = [0] * len(up)
+    for above in up:
+        for j in above:
+            down_size[j] += 1
+    for i, above in enumerate(up):
+        u = up_size[i] - 1
+        d = down_size[i] + 1
+        for j in above:
+            if up_size[j] == u or down_size[j] == d:
+                return True
+    return False
+
+
+def _beat_point_core(up: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
+    """The strict up-sets of the core of the poset with strict up-sets
+    ``up``, re-indexed in its order; ``up`` itself if it has no beat point.
+
+    Each point is tested on bitsets of what is left, so the indices need
+    not be a linear extension.  Removing a point changes only the up-sets
+    of the points below it and the down-sets of those above, so only they
+    are queued again, each for that one test.
+    """
+    if not _has_beat_point(up):
+        return up
+    size = len(up)
+    down: list[list[int]] = [[] for _ in range(size)]
+    for i, above in enumerate(up):
+        for j in above:
+            down[j].append(i)
+    up_bits = [sum(1 << j for j in above) for above in up]
+    down_bits = [sum(1 << i for i in below) for below in down]
+    left = (1 << size) - 1
+    removed = bytearray(size)
+    # the tests a queued point waits for: 1 on its up-set, 2 on its down-set
+    waiting = bytearray([3]) * size
+    queue = list(range(size - 1, -1, -1))
+    while queue:
+        x = queue.pop()
+        tests = waiting[x]
+        waiting[x] = 0
+        if not (
+            tests & 1
+            and _has_minimum(up_bits[x] & left, up_bits, down_bits)
+            or tests & 2
+            and _has_minimum(down_bits[x] & left, down_bits, up_bits)
+        ):
+            continue
+        left ^= 1 << x
+        removed[x] = 1
+        for others, test in ((down[x], 1), (up[x], 2)):
+            for y in others:
+                if not removed[y]:
+                    if not waiting[y]:
+                        queue.append(y)
+                    waiting[y] |= test
+    index = [-1] * size
+    kept = [i for i in range(size) if not removed[i]]
+    for k, i in enumerate(kept):
+        index[i] = k
+    return [tuple(index[j] for j in up[i] if not removed[j]) for i in kept]
+
+
+def _chain_counts(up: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Chains of each size, one element up, by the recursion in
+    ``order_complex_homology``."""
+    counts = [len(up)]
+    starting = [1] * len(up)
+    while True:
+        starting = [sum(map(starting.__getitem__, above)) for above in up]
+        total = sum(starting)
+        if not total:
+            return tuple(counts)
+        counts.append(total)
+
+
+def _reduced_homology(
+    up: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Chain counts, reduced Betti numbers and torsion, one entry per
+    dimension, of the order complex of the poset with strict up-sets
+    ``up``: the trie and the reduction of ``order_complex_homology``."""
+    size = len(up)
+    # faces[d] lists the d-chains' faces as (d-1)-chain indices, and lasts
+    # the top level's last elements; a point's one face is the empty chain,
+    # index 0, whose child by j is the point j
+    faces: list[list[tuple[int, ...]]] = [[(0,)] * size]
+    lasts: Sequence[int] = range(size)
+    child: Sequence[int] | dict[int, int] = range(size)
+    while True:
+        level_lasts: list[int] = []
+        level_faces: list[tuple[int, ...]] = []
+        level_child: dict[int, int] = {}
+        for p, (i, parent_faces) in enumerate(zip(lasts, faces[-1])):
+            key = p * size
+            for j in up[i]:
+                level_child[key + j] = len(level_lasts)
+                level_lasts.append(j)
+                level_faces.append((*[child[f * size + j] for f in parent_faces], p))
+        if not level_lasts:
+            break
+        faces.append(level_faces)
+        lasts = level_lasts
+        child = level_child
+    counts = tuple(map(len, faces))
+    dims = len(counts)
+    ranks = [0] * (dims + 1)
+    divisors: list[list[int]] = [[] for _ in range(dims + 1)]
+    # augmentation: rank of the map C_0 -> Z
+    ranks[0] = 1 if counts[0] else 0
+    cleared: set[int] = set()
+    for d in range(dims - 1, 0, -1):
+        columns = faces.pop()  # the d-chains' faces, needed for this boundary only
+        # a chain's faces are distinct, so no two of its entries share a row
+        rows: dict[int, dict[int, int]] = {}
+        for col, column in enumerate(columns):
+            if col in cleared:
+                continue
+            sign = 1
+            for r in column:
+                row = rows.get(r)
+                if row is None:
+                    rows[r] = {col: sign}
+                else:
+                    row[col] = sign
+                sign = -sign
+        collapsed = _collapse_free_faces(rows, columns)
+        rank, unit_and_dense, pivot_rows = _smith_rank_divisors(rows)
+        ranks[d] = len(collapsed) + rank
+        divisors[d] = [1] * len(collapsed) + unit_and_dense
+        cleared = set(collapsed)
+        cleared.update(pivot_rows)
+    betti = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(dims))
+    torsion = tuple(tuple(v for v in divisors[d + 1] if v > 1) for d in range(dims))
+    return counts, betti, torsion
+
+
 def order_complex_homology(poset: WhiteheadPoset) -> HomologyReport:
     """Reduced integral homology of the poset's order complex.
+
+    The homology is that of the poset's core.  A beat point's strict
+    up-set has a minimum or its strict down-set a maximum; removing it is
+    a strong deformation retract, so the order complex keeps its homotopy
+    type (Stong, "Finite topological spaces", Trans. AMS 123, 1966;
+    Barmak, *Algebraic Topology of Finite Topological Spaces and
+    Applications*, LNM 2032, 2011).  ``_beat_point_core`` removes beat
+    points until none is left, and the core is unique up to isomorphism
+    whatever the order (Stong).  Its reduced Betti numbers and torsion are
+    the whole complex's in every degree, zero above its dimension: the
+    lists are padded with 0 and () to the whole complex's length.  A poset
+    with a minimum is contractible (the identity lies above the constant
+    map to it), so its core is one point.
+
+    The simplex counts and the Euler characteristic are the whole
+    complex's.  When points were removed, ``_chain_counts`` counts them by
+    recursion over the up-sets, building no chain: the chains of k + 1
+    elements that start at i number the sum over j in up(i) of the chains
+    of k elements that start at j.
+
+    ``_reduced_homology`` takes the core's chains from a trie: a d-chain is
+    (parent, last), with parent the chain without its last element.  The
+    face that drops element k < d is the parent's face that drops k,
+    extended by last, so the faces in order are ``child[f * size + last]``
+    for each face f of the parent, then the parent.
 
     Each boundary is first reduced by collapses, then by
     ``_smith_rank_divisors``.  The collapse phase pivots, while any is
@@ -656,45 +823,13 @@ def order_complex_homology(poset: WhiteheadPoset) -> HomologyReport:
     elementary divisors, unchanged.  Rows pivoted in the dense Smith phase
     have no unimodular block and are never cleared.
     """
-    chains = _chains(poset)
-    counts = tuple(len(c) for c in chains)
+    up = poset._up_sets
+    core = _beat_point_core(up)
+    core_counts, betti, torsion = _reduced_homology(core)
+    counts = core_counts if core is up else _chain_counts(up)
     chi = sum((-1) ** d * c for d, c in enumerate(counts))
-    dims = len(chains)
-    ranks = [0] * (dims + 1)
-    divisors: list[list[int]] = [[] for _ in range(dims + 1)]
-    # augmentation: rank of the map C_0 -> Z
-    ranks[0] = 1 if counts[0] else 0
-    cleared: set[int] = set()
-    for d in range(dims - 1, 0, -1):
-        index = {chain: i for i, chain in enumerate(chains[d - 1])}
-        skips = range(d + 1)
-        # a chain's faces are distinct, so no two of its entries share a row
-        rows: dict[int, dict[int, int]] = {}
-        faces: dict[int, list[int]] = {}
-        for col, chain in enumerate(chains[d]):
-            if col in cleared:
-                continue
-            faces[col] = column = [index[chain[:skip] + chain[skip + 1 :]] for skip in skips]
-            sign = 1
-            for r in column:
-                row = rows.get(r)
-                if row is None:
-                    rows[r] = {col: sign}
-                else:
-                    row[col] = sign
-                sign = -sign
-        collapsed = _collapse_free_faces(rows, faces)
-        rank, unit_and_dense, pivot_rows = _smith_rank_divisors(rows)
-        ranks[d] = len(collapsed) + rank
-        divisors[d] = [1] * len(collapsed) + unit_and_dense
-        cleared = set(collapsed)
-        cleared.update(pivot_rows)
-    betti = []
-    torsion = []
-    for d in range(dims):
-        betti.append(counts[d] - ranks[d] - ranks[d + 1])
-        torsion.append(tuple(v for v in divisors[d + 1] if v > 1))
-    return HomologyReport(poset.rank, counts, chi, tuple(betti), tuple(torsion))
+    pad = len(counts) - len(betti)
+    return HomologyReport(poset.rank, counts, chi, betti + (0,) * pad, torsion + ((),) * pad)
 
 
 # ---------------------------------------------------------------------------
@@ -1077,7 +1212,7 @@ class BallReport:
 
 # Moves listed, and move applications summed over the levels (at least one
 # per level), allowed in one exploration.  F:4 at radius 2 and bound 2
-# applies 124,848 moves in about 60 s on one core of a 2-vCPU x86-64 host.
+# applies 124,848 moves in about 13 s on one core of a 2-vCPU x86-64 host.
 MAX_BALL_WORK = 150_000
 
 
@@ -1090,6 +1225,8 @@ def nuclear_ball(ctx: GroupContext, radius: int, bound: Optional[int] = None) ->
     free contexts need ``bound >= 0`` on the exponents, and the report
     carries the soundness caveat.  Each vertex keeps its automorphism's
     image list, and a move steps a copy of it with :func:`act_letters`.
+    The vertex depends only on the stepped list's ``(conjugator, target)``
+    pairs, so each distinct list is canonicalized once.
     The moves listed, and the move applications summed over the levels,
     are each refused above ``MAX_BALL_WORK`` before that work starts.
     """
@@ -1120,6 +1257,7 @@ def nuclear_ball(ctx: GroupContext, radius: int, bound: Optional[int] = None) ->
     levels: list[tuple[str, ...]] = [(start,)]
     e = identity_word(ctx)
     current = [(start, [(e, i, 1) for i in range(1, ctx.rank + 1)])]
+    seen: set = set()  # the (conjugator, target) lists stepped to so far
     work = 0
     for _ in range(radius):
         work += max(len(current) * len(moves), 1)
@@ -1135,6 +1273,11 @@ def nuclear_ball(ctx: GroupContext, radius: int, bound: Optional[int] = None) ->
                 # conjugate the standard move through the current images
                 stepped = list(images)
                 act_letters(stepped, letters, ctx)
+                # a list stepped to before has its vertex in the ball already
+                key = tuple((conj.syllables, target) for conj, target, _ in stepped)
+                if key in seen:
+                    continue
+                seen.add(key)
                 enc2 = NuclearVertex.from_aut(SymmetricAut(ctx, tuple(stepped))).encode()
                 if enc2 in witnesses:
                     continue

@@ -503,7 +503,74 @@ def random_posets(seed, count):
     return posets
 
 
+def shuffled(poset, rng):
+    """The same order with its elements listed in a random order, so that
+    the indices are no linear extension."""
+    perm = list(range(len(poset.elements)))
+    rng.shuffle(perm)
+    leq = tuple(tuple(poset.leq[a][b] for b in perm) for a in perm)
+    return WhiteheadPoset(poset.rank, tuple(poset.elements[a] for a in perm), leq)
+
+
+def core_test_posets():
+    """The random posets, the projective plane's face poset and its
+    suspension, and the posets at ranks 2-5 and their proper parts, each as
+    given and shuffled by a seeded permutation."""
+    rng = random.Random(23)
+    posets = random_posets(21, 80)
+    posets += [order_poset(projective_plane_faces(), frozenset.__le__), suspended_projective_plane()]
+    for n in (2, 3, 4, 5):
+        posets += [enumerate_whitehead_poset(n), proper_part(enumerate_whitehead_poset(n))]
+    return posets + [shuffled(poset, rng) for poset in posets]
+
+
+def test_beat_point_cores_keep_the_homology_and_the_chain_counts():
+    stripped = 0
+    for poset in core_test_posets():
+        expected = homology_without_clearing(poset)
+        report = order_complex_homology(poset)
+        assert (report.simplex_counts, report.reduced_betti, report.torsion) == expected
+        assert complexes._chain_counts(poset._up_sets) == expected[0]
+        stripped += len(complexes._beat_point_core(poset._up_sets)) < len(poset.elements)
+    assert stripped > 80
+
+
+def test_whole_posets_reduce_to_a_point_and_proper_parts_keep_every_element():
+    for n in (2, 3, 4, 5, 6):
+        assert len(complexes._beat_point_core(enumerate_whitehead_poset(n)._up_sets)) == 1
+    for n in (3, 4, 5):
+        part = proper_part(enumerate_whitehead_poset(n))
+        assert complexes._beat_point_core(part._up_sets) is part._up_sets
+
+
+@pytest.mark.parametrize(
+    "mutated_test",
+    [
+        # strip a point whose strict up-set has a minimal element, i.e. is
+        # not empty, though it may have no minimum
+        "up_bits[x] & left",
+        # test the point's strict up-set in the whole poset
+        "_has_minimum(up_bits[x], up_bits, down_bits)",
+    ],
+)
+def test_a_wrong_beat_point_test_is_caught(monkeypatch, mutated_test):
+    source = inspect.getsource(complexes._beat_point_core)
+    mutated = source.replace("_has_minimum(up_bits[x] & left, up_bits, down_bits)", mutated_test)
+    assert mutated != source
+    namespace = dict(vars(complexes))
+    exec(mutated, namespace)
+    monkeypatch.setattr(complexes, "_beat_point_core", namespace["_beat_point_core"])
+    wrong = 0
+    for poset in core_test_posets():
+        report = order_complex_homology(poset)
+        expected = homology_without_clearing(poset)
+        wrong += (report.simplex_counts, report.reduced_betti, report.torsion) != expected
+    assert wrong > 0
+
+
 def test_collapses_match_the_homology_of_the_full_boundaries(monkeypatch):
+    # the reduction of every chain, not only the core's: beat points would
+    # absorb the random posets' free faces
     collapse = complexes._collapse_free_faces
     collapsed = []  # the rows collapsed in each boundary, the top one first
 
@@ -516,9 +583,7 @@ def test_collapses_match_the_homology_of_the_full_boundaries(monkeypatch):
     tops = []
     for poset in random_posets(21, 80) + [proper_part(enumerate_whitehead_poset(5))]:
         collapsed.clear()
-        report = order_complex_homology(poset)
-        expected = homology_without_clearing(poset)
-        assert (report.simplex_counts, report.reduced_betti, report.torsion) == expected
+        assert complexes._reduced_homology(poset._up_sets) == homology_without_clearing(poset)
         tops.append(collapsed[0] if collapsed else None)
     # some top boundaries have free faces and some have none, among them the
     # rank-5 proper part's
@@ -871,6 +936,31 @@ def test_nuclear_ball_counts():
         for i, j in itertools.permutations((1, 2, 3), 2)
     ]
     assert set(ball.levels[1]) <= set(moves)
+
+
+def test_nuclear_ball_canonicalizes_each_distinct_image_list_once(monkeypatch):
+    act = complexes.act_letters
+    canonicalize = complexes._canonicalize_factors
+    stepped = []  # every (conjugator, target) list a move steps to
+    calls = []
+
+    def recorded_act(images, letters, ctx):
+        act(images, letters, ctx)
+        stepped.append(tuple((conj.syllables, target) for conj, target, _ in images))
+
+    def counted(factors, ctx):
+        calls.append(tuple((conj.syllables, target) for conj, target in factors))
+        return canonicalize(factors, ctx)
+
+    monkeypatch.setattr(complexes, "act_letters", recorded_act)
+    monkeypatch.setattr(complexes, "_canonicalize_factors", counted)
+    for ctx, bound in ((torsion_context(4, 2), None), (free_context(3), 1)):
+        stepped.clear()
+        calls.clear()
+        nuclear_ball(ctx, 2, bound)
+        # once per distinct list, and fewer times than the moves stepped
+        assert sorted(calls) == sorted(set(stepped))
+        assert len(calls) < len(stepped)
 
 
 def test_from_aut_reads_the_images_like_the_image_word_round_trip():
