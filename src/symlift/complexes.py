@@ -442,8 +442,10 @@ def _smith_rank_divisors(rows: dict[int, dict[int, int]]) -> tuple[int, list[int
     """Rank, elementary divisors and unit pivot rows of a sparse integer
     matrix.
 
-    Walks the columns once, pivoting each on a +-1 entry in its shortest row
-    (a unimodular step, so rank and divisors are unchanged), then runs a
+    Walks the columns once, in descending index order, pivoting each on a
+    +-1 entry in its shortest row (a unimodular step, so rank and divisors
+    are unchanged; the order only moves fill, and descending order makes
+    about half as much as ascending on the rank-6 top boundary), then runs a
     dense Smith reduction on whatever survives, unit entries made by fill
     included.  A unit pivot row, as it stands when it is pivoted, is zero at
     every earlier pivot column and +-1 at its own, and it differs from its
@@ -457,7 +459,7 @@ def _smith_rank_divisors(rows: dict[int, dict[int, int]]) -> tuple[int, list[int
         for c in row:
             cols.setdefault(c, set()).add(r)
     pivot_rows = []
-    for c0 in sorted(cols):
+    for c0 in sorted(cols, reverse=True):
         # the +-1 entry in the shortest row, ties to the smallest row id
         r0 = -1
         shortest = 0

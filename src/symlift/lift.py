@@ -35,6 +35,8 @@ from .words import (
     GroupContext,
     Word,
     WordError,
+    _extend_reduced,
+    conjugation_step,
     even_to_x,
     free_context,
     format_word,
@@ -107,7 +109,11 @@ def lift_restrict(h: SymmetricAut) -> Restriction:
     """Restriction of an order-2 free-product automorphism to even words.
 
     Computes ``h(x_i) = h(z_i) h(z_n)`` and rewrites it in the x-basis; exact
-    because parity is preserved (each generator image has odd length).
+    because parity is preserved (each generator image has odd length).  With
+    ``h(z_i) = c_i z_{t_i} c_i^{-1}`` the product is one
+    :func:`~symlift.words.conjugation_step` ``c_i z_{t_i} c_i^{-1} c_n``
+    followed by ``z_{t_n} c_n^{-1}``, whose junction can cancel (``c_n`` may
+    be a prefix of ``c_i``), so it goes through ``_extend_reduced``.
     """
     ctx = h.ctx
     if ctx.is_free or ctx.torsion != 2:
@@ -115,9 +121,14 @@ def lift_restrict(h: SymmetricAut) -> Restriction:
     if ctx.rank < 2:
         raise WordError("lift_restrict needs rank >= 2")
     n = ctx.rank
-    hzn = h.image_word(n)
-    images = tuple(even_to_x(h.image_word(i) * hzn) for i in range(1, n))
-    return Restriction(free_context(n - 1, letter="x"), images)
+    cn, tn, _ = h.images[n - 1]
+    tail = ((tn, 1),) + cn.syllables[::-1]
+    images = []
+    for ci, ti, _ in h.images[:-1]:
+        out = list(conjugation_step(ci.syllables, (ti, 1), cn.syllables, ctx))
+        _extend_reduced(out, tail, 2)
+        images.append(even_to_x(Word(ctx, tuple(out))))
+    return Restriction(free_context(n - 1, letter="x"), tuple(images))
 
 
 @dataclass(frozen=True)

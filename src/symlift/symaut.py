@@ -18,8 +18,9 @@ holds only its images; to invert one, evaluate the inverse word.
 
 Evaluation is letter-local: it keeps one list of images and updates it in
 place for each letter (:func:`act_letters`).  An ``a``-letter rewrites one
-conjugator, an ``s``-letter swaps two images and an ``r``-letter flips a
-sign, so a letter costs time linear in the conjugators it touches.  Every
+conjugator in one tuple pass (:func:`~symlift.words.conjugation_step`), an
+``s``-letter swaps two images and an ``r``-letter flips a sign, so a letter
+costs time linear in the conjugators it touches.  Every
 automorphism the other modules build comes from letters this way: a product
 is the concatenated letter word.
 
@@ -41,6 +42,7 @@ from .words import (
     Word,
     WordError,
     check_rank,
+    conjugation_step,
     coset_intersection,
     cyclic_reduce,  # perfbench/tests/test_tracing.py asserts this binding
     format_word,
@@ -339,22 +341,28 @@ def act_letters(images: list[Image], letters: Iterable[Letter], ctx: GroupContex
 
     * ``a[i,j]^e`` sends g_i to ``f(g_j)^e f(g_i) f(g_j)^{-e}``, so only the
       conjugator of image i changes, to ``c_j g_{t_j}^{s_j e} c_j^{-1} c_i``
-      with trailing ``t_i``-syllables dropped.  The core ``g_{t_i}^{s_i}``
-      stays, and the centralizer of a generator power is the generator's
-      cyclic group, so no cyclic reduction is needed;
+      with a trailing ``t_i``-syllable dropped.  That word is one
+      :func:`~symlift.words.conjugation_step` (``c_j`` is canonical, so it
+      does not end in ``t_j``), and it is wrapped as one ``Word``.  The core
+      ``g_{t_i}^{s_i}`` stays, and the centralizer of a generator power is
+      the generator's cyclic group, so no cyclic reduction is needed;
     * ``s[i,j]`` swaps images i and j;
     * ``r[i]`` flips the sign of image i (free contexts only).
 
     Each letter costs time linear in the two conjugators it reads.
     """
+    k = ctx.torsion
     for letter in letters:
         kind = letter[0]
         if kind == "a":
             _, i, j, exp = letter
             cj, tj, sj = images[j - 1]
             ci, ti, si = images[i - 1]
-            conj = product((cj, generator(ctx, tj, sj * exp), cj.inverse(), ci), ctx)
-            images[i - 1] = canonical_image(conj, ti, si)
+            e = sj * exp if k is None else exp % k
+            sylls = conjugation_step(cj.syllables, (tj, e), ci.syllables, ctx)
+            if sylls and sylls[-1][0] == ti:
+                sylls = sylls[:-1]
+            images[i - 1] = (Word(ctx, sylls), ti, si)
         elif kind == "r":
             if ctx.is_free:
                 ci, ti, si = images[letter[1] - 1]

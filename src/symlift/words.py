@@ -169,6 +169,43 @@ def _extend_reduced(
             out.append((gen, merged))
 
 
+def conjugation_step(
+    c: tuple[Syllable, ...], g: Syllable, d: tuple[Syllable, ...], ctx: GroupContext
+) -> tuple[Syllable, ...]:
+    """The reduced syllables of ``c g c^{-1} d``, for reduced ``c`` and ``d``
+    and a syllable ``g`` on a generator that ``c`` does not end in.
+
+    ``c g c^{-1}`` is reduced as written, and its ``c^{-1}`` meets ``d``
+    only across their common prefix ``c[:m]``, which cancels whole.  When
+    ``c`` is longer than ``m`` the rest is ``c g c[m:]^{-1} d[m:]``, and
+    only the junction can merge: ``c[m]`` and ``d[m]`` differ, so on a shared
+    generator they leave one nonzero syllable, whose neighbours are on other
+    generators.  When ``c`` is a prefix of ``d``, ``g`` meets ``d[m:]`` and a
+    cancellation there can run back into ``c``, so :func:`_extend_reduced`
+    takes that case.
+    """
+    k = ctx.torsion
+    m = 0
+    for a, b in zip(c, d):
+        if a != b:
+            break
+        m += 1
+    if m == len(c):
+        out = list(c)
+        out.append(g)
+        _extend_reduced(out, d[m:], k)
+        return tuple(out)
+    rest = c[: m - 1 : -1] if m else c[::-1]  # c[m:]^{-1}: at torsion 2 a reversal
+    if k != 2:
+        rest = tuple((h, -e if k is None else k - e) for h, e in rest)
+    if m < len(d) and c[m][0] == d[m][0]:
+        merged = d[m][1] - c[m][1]
+        if k is not None:
+            merged %= k
+        return c + (g,) + rest[:-1] + ((d[m][0], merged),) + d[m + 1 :]
+    return c + (g,) + rest + d[m:]
+
+
 def product(words: Iterable[Word], ctx: GroupContext) -> Word:
     """The reduced product of ``words`` in order, in one list.
 

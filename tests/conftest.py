@@ -3,6 +3,7 @@ import pytest
 from reference import (
     checked,
     checked_trusted,
+    conjugation_step_reference,
     even_to_x_reference,
     generator_conjugate_shape_reference,
     inner_conjugator_reference,
@@ -10,6 +11,7 @@ from reference import (
 from symlift import braid, cli, complexes, kernel, lift, selftest, symaut, words
 
 REFERENCES = {
+    "conjugation_step": conjugation_step_reference,
     "even_to_x": even_to_x_reference,
     "inner_conjugator": inner_conjugator_reference,
     "generator_conjugate_shape": generator_conjugate_shape_reference,
@@ -18,11 +20,12 @@ REFERENCES = {
 
 @pytest.fixture(scope="session", autouse=True)
 def fast_paths_checked_against_the_references():
-    """Every ``even_to_x``, ``inner_conjugator`` and
+    """Every ``conjugation_step``, ``even_to_x``, ``inner_conjugator`` and
     ``generator_conjugate_shape`` that the library calls during the suite,
     through any module that binds the name, is compared with its reference
-    in ``reference.py``: the ``normalize``-based rewrite, the
-    ``coset_intersection`` solve and the ``cyclic_reduce`` split."""
+    in ``reference.py``: the four-factor ``product``, the
+    ``normalize``-based rewrite, the ``coset_intersection`` solve and the
+    ``cyclic_reduce`` split."""
     with pytest.MonkeyPatch.context() as mp:
         for name, reference in REFERENCES.items():
             fast = getattr(words, name)

@@ -16,6 +16,7 @@ from symlift.words import (
     free_context,
     identity,
     normalize,
+    product,
 )
 
 
@@ -34,6 +35,13 @@ def even_to_x_reference(w: Word) -> Word:
         if b != n:
             raw.append((b, -1))
     return normalize(raw, free_context(n - 1, letter="x"))
+
+
+def conjugation_step_reference(c, g, d, ctx: GroupContext) -> tuple[Syllable, ...]:
+    """``conjugation_step`` as the ``product`` of ``c``, ``g``, ``c^{-1}``
+    and ``d``, each wrapped as a ``Word``."""
+    conj = Word(ctx, c)
+    return product((conj, Word(ctx, (g,)), conj.inverse(), Word(ctx, d)), ctx).syllables
 
 
 def inner_conjugator_reference(images, ctx: GroupContext) -> Optional[Word]:

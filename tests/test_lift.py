@@ -23,7 +23,10 @@ from symlift.symaut import (
     rho_i,
 )
 from symlift.words import (
+    Word,
     WordError,
+    conjugation_step,
+    even_to_x,
     free_context,
     identity,
     inner_witness,
@@ -95,6 +98,21 @@ def test_restriction_examples():
     assert [str(w) for w in r_id.images] == ["x1", "x2"]
     r_a = lift_restrict(eval_generator_word(alpha(3, 1, 2), H3))
     assert [str(w) for w in r_a.images] == ["x2 x1^-1 x2", "x2"]
+
+
+def test_restriction_tail_junction_cascades():
+    # c_3 = z2 z1 z2 is a prefix of c_1 = z2 z1 z2 z3 z2, so the step
+    # c_1 z1 c_1^-1 c_3 ends in c_1[3:]^-1 = z3 z2, and z3 c_3^-1 cancels
+    # four syllables into it
+    h = eval_generator_word(parse_generator_word("a[1,2] a[3,1] a[1,3]", 3), H3)
+    (c1, t1, _), _, (c3, t3, _) = h.images
+    step = conjugation_step(c1.syllables, (t1, 1), c3.syllables, H3)
+    assert Word(H3, step) == parse_word("z2 z1 z2 z3 z2 z1 z2 z3", H3)
+    with pytest.raises(WordError):
+        even_to_x(Word(H3, step + ((t3, 1),) + c3.syllables[::-1]))
+    x1 = lift_restrict(h).images[0]
+    assert x1 == even_to_x(h.image_word(1) * h.image_word(3))
+    assert str(x1) == "x2 x1^-1 x2"
 
 
 def test_restriction_is_homomorphism():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from reference import (
     checked,
     checked_even_to_x,
+    conjugation_step_reference,
     even_to_x_reference,
     generator_conjugate_shape_reference,
     inner_conjugator_reference,
@@ -17,6 +18,7 @@ from symlift.words import (
     Word,
     WordError,
     conjugacy_witness,
+    conjugation_step,
     coset_intersection,
     cyclic_reduce,
     even_to_x,
@@ -568,6 +570,83 @@ def test_checked_even_to_x_catches_a_dropped_merge(monkeypatch):
     assert lift.kernel_verdict(chain).verdict == "out"
 
 
+# -- the one-pass conjugation step c g c^-1 d --------------------------------
+
+H33 = torsion_context(3, 3)
+
+# (context, c, g, d, c g c^-1 d), one row per junction case
+CONJUGATION_STEP_CASES = [
+    # c a prefix of d: g cancels into d, and the cancellation runs into c
+    (F3, "y1", (2, 1), "y1 y2^-1 y1^-1 y3", "y3"),
+    (H3, "z1", (2, 1), "z1 z2 z1 z3", "z3"),
+    (H33, "z1", (2, 1), "z1 z2^2 z1^2 z3", "z3"),
+    # d a proper prefix of c: c[len(d):]^-1 is left
+    (F3, "y1 y2 y3", (1, 1), "y1 y2", "y1 y2 y3 y1 y3^-1"),
+    (H3, "z1 z2 z3", (1, 1), "z1 z2", "z1 z2 z3 z1 z3"),
+    (H33, "z1 z2 z3", (1, 1), "z1 z2", "z1 z2 z3 z1 z3^2"),
+    # c == d: c g
+    (F3, "y1 y2", (3, -1), "y1 y2", "y1 y2 y3^-1"),
+    (H3, "z1 z2", (3, 1), "z1 z2", "z1 z2 z3"),
+    (H33, "z1 z2", (3, 2), "z1 z2", "z1 z2 z3^2"),
+    # c[m] and d[m] on one generator with different exponents: one merge
+    (F3, "y1 y2", (3, -1), "y1 y2^-1 y3", "y1 y2 y3^-1 y2^-2 y3"),
+    (H33, "z1 z2", (3, 1), "z1 z2^2 z3", "z1 z2 z3 z2 z3"),
+    # c[m] and d[m] on two generators: plain concatenation
+    (H3, "z1 z2", (3, 1), "z1 z3", "z1 z2 z3 z2 z3"),
+]
+
+
+@pytest.mark.parametrize("ctx, c, g, d, want", CONJUGATION_STEP_CASES)
+def test_conjugation_step_junction_cases(ctx, c, g, d, want):
+    c, d = parse_word(c, ctx).syllables, parse_word(d, ctx).syllables
+    got = conjugation_step(c, g, d, ctx)
+    assert got == parse_word(want, ctx).syllables
+    assert got == conjugation_step_reference(c, g, d, ctx)
+
+
+def test_conjugation_step_matches_the_product_on_seeded_words():
+    rng = random.Random(24)
+    cases = {"c prefix of d": 0, "d prefix of c": 0, "merge": 0, "neither": 0}
+    for ctx in (F3, H3, H33):
+        for _ in range(1500):
+            shared = random_word(rng, ctx, 3).syllables
+            c = (Word(ctx, shared) * random_word(rng, ctx, 3)).syllables
+            d = (Word(ctx, shared) * random_word(rng, ctx, 4)).syllables
+            gen = rng.randint(1, ctx.rank)
+            if c and c[-1][0] == gen:
+                continue
+            exp = rng.randint(1, ctx.torsion - 1) if ctx.torsion else rng.choice((1, -1))
+            got = conjugation_step(c, (gen, exp), d, ctx)
+            assert got == conjugation_step_reference(c, (gen, exp), d, ctx), (ctx, c, d)
+            m = next((t for t, (a, b) in enumerate(zip(c, d)) if a != b), min(len(c), len(d)))
+            if m == len(c):
+                cases["c prefix of d"] += 1
+            elif m == len(d):
+                cases["d prefix of c"] += 1
+            else:
+                cases["merge" if c[m][0] == d[m][0] else "neither"] += 1
+    assert min(cases.values()) > 100, cases
+
+
+def test_checked_conjugation_step_catches_a_skipped_prefix_fallback(monkeypatch):
+    # c a prefix of d, concatenated without the cascade through _extend_reduced
+    mutant = mutate(words.conjugation_step, "_extend_reduced(out, d[m:], k)", "out.extend(d[m:])")
+    checked_mutant = checked(mutant, conjugation_step_reference)
+    c, d = parse_word("z1", H3).syllables, parse_word("z1 z2 z1 z3", H3).syllables
+    assert mutant(c, (2, 1), d, H3) == ((1, 1), (2, 1), (2, 1), (1, 1), (3, 1))  # unreduced
+    with pytest.raises(AssertionError):
+        checked_mutant(c, (2, 1), d, H3)
+    # on the evaluation route, as the suite-wide check wraps it: the second
+    # letter's g = y2^-1 meets the first letter's conjugator y2
+    cancelling = symaut.parse_generator_word("a[1,2] a[1,2]^-1", 3)
+    monkeypatch.setattr(symaut, "conjugation_step", checked_mutant)
+    with pytest.raises(AssertionError):
+        symaut.eval_generator_word(cancelling, F3)
+    fast = inspect.unwrap(words.conjugation_step)
+    monkeypatch.setattr(symaut, "conjugation_step", checked(fast, conjugation_step_reference))
+    assert symaut.eval_generator_word(cancelling, F3).is_identity()
+
+
 # -- the closed-form inner test and the mirrored-halves shape ---------------
 
 
@@ -706,6 +785,8 @@ def test_checked_shape_catches_unmirrored_halves():
 def test_every_binding_of_a_checked_fast_path_is_wrapped():
     # the session fixture in conftest.py holds each of these to its reference
     for module, name in (
+        (symaut, "conjugation_step"),
+        (lift, "conjugation_step"),
         (words, "inner_conjugator"),
         (symaut, "inner_conjugator"),
         (braid, "inner_conjugator"),
