@@ -44,7 +44,6 @@ from .words import (
     check_rank,
     format_word,
     free_context,
-    generator_conjugate_shape,
     identity as identity_word,
     project_mod_k,
     torsion_context,
@@ -275,7 +274,9 @@ class WhiteheadPoset:
     """Trees ordered by fold-reachability.  ``leq[i][j]`` is true iff
     ``elements[i] <= elements[j]``.  The enumeration's rows are ``bytes``
     (1 where ``i <= j``); a caller's rows may be any sequences of bools or
-    0/1.  The up-sets and covers are read off ``leq`` once per poset."""
+    0/1.  The up-sets, covers and chain counts are read off ``leq`` once
+    per poset, and the first read raises ``WordError`` unless ``leq`` is a
+    square table of a partial order on the elements."""
 
     rank: int
     elements: tuple[LabelledBipartiteTree, ...]
@@ -288,11 +289,22 @@ class WhiteheadPoset:
             raise WordError("tree not in poset") from None
 
     @cached_property
-    def _up_sets(self) -> tuple[tuple[int, ...], ...]:
-        """For each i, the ascending indices j != i with elements[i] <= elements[j]."""
+    def _order(self) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+        """For each i, the ascending indices j != i with elements[i] <=
+        elements[j], and the bitset of the points strictly above some such j.
+
+        ``leq`` must be square and reflexive.  Transitivity and
+        antisymmetry are one test on the bitsets: no point strictly above a
+        point of i's strict up-set lies outside that up-set, i itself
+        included."""
+        size = len(self.elements)
+        if len(self.leq) != size:
+            raise WordError(f"leq has {len(self.leq)} rows for {size} elements")
         up = []
         for i, row in enumerate(self.leq):
             flags = bytes(row)  # a bytes row as it is; few entries are 1: find them by memchr
+            if len(flags) != size or flags[i] != 1:
+                raise WordError(f"leq row {i} is not a reflexive row of {size} entries")
             above = []
             j = flags.find(1)
             while j >= 0:
@@ -300,20 +312,32 @@ class WhiteheadPoset:
                     above.append(j)
                 j = flags.find(1, j + 1)
             up.append(tuple(above))
-        return tuple(up)
+        bits = [sum(1 << j for j in above) for above in up]
+        between = []
+        for i, above in enumerate(up):
+            mask = 0
+            for m in above:
+                mask |= bits[m]
+            if mask & ~bits[i]:
+                raise WordError(f"leq is not a partial order: it fails at row {i}")
+            between.append(mask)
+        return tuple(up), between
+
+    @property
+    def _up_sets(self) -> tuple[tuple[int, ...], ...]:
+        return self._order[0]
 
     @cached_property
     def _covers(self) -> tuple[tuple[int, int], ...]:
-        up = self._up_sets
-        bits = [sum(1 << j for j in above) for above in up]
-        pairs = []
-        for i, above in enumerate(up):
-            # j covers i iff no m strictly between them, i.e. j is in no up(m)
-            between = 0
-            for m in above:
-                between |= bits[m]
-            pairs.extend((i, j) for j in above if not between >> j & 1)
-        return tuple(pairs)
+        up, between = self._order
+        # j covers i iff no m strictly between them, i.e. j is in no up(m)
+        return tuple(
+            (i, j) for i, above in enumerate(up) for j in above if not between[i] >> j & 1
+        )
+
+    @cached_property
+    def _simplex_counts(self) -> tuple[int, ...]:
+        return _chain_counts(self._up_sets)
 
     def covers(self) -> list[tuple[int, int]]:
         """Sorted pairs (i, j) with elements[i] covered by elements[j]: the
@@ -323,7 +347,7 @@ class WhiteheadPoset:
 
     def max_chain_cardinality(self) -> int:
         """Elements in a longest chain."""
-        return _longest_cover_path(len(self.elements), self._covers)
+        return len(self._simplex_counts) if self.elements else 0
 
     def to_dot(self) -> str:
         lines = ["digraph poset {", "  rankdir=BT;"]
@@ -342,20 +366,6 @@ class WhiteheadPoset:
             "covers": self.covers(),
             "max_chain_cardinality": self.max_chain_cardinality(),
         }
-
-
-def _longest_cover_path(size: int, covers: Sequence[tuple[int, int]]) -> int:
-    """Elements in a longest chain.  Every chain refines to a chain of
-    covers, so this is the longest path up the covers."""
-    up: list[list[int]] = [[] for _ in range(size)]
-    for i, j in covers:
-        up[i].append(j)
-
-    @lru_cache(maxsize=None)
-    def height(i: int) -> int:
-        return 1 + max((height(j) for j in up[i]), default=0)
-
-    return max((height(i) for i in range(size)), default=0)
 
 
 def proper_part(poset: WhiteheadPoset) -> WhiteheadPoset:
@@ -562,12 +572,6 @@ class HomologyReport:
     reduced_betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
 
-    @property
-    def is_reduced_acyclic(self) -> bool:
-        return all(b == 0 for b in self.reduced_betti) and all(
-            not t for t in self.torsion
-        )
-
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
@@ -576,42 +580,6 @@ class HomologyReport:
             "reduced_betti": list(self.reduced_betti),
             "torsion": [list(t) for t in self.torsion],
         }
-
-
-def _collapse_free_faces(
-    rows: dict[int, dict[int, int]], faces: Sequence[Sequence[int]]
-) -> list[int]:
-    """Pivot, while any is left, a row of ``rows`` with one entry, in place,
-    and return those rows in pivot order.  ``faces[c]`` lists the rows that
-    column ``c`` was built with.
-
-    Such a row is a free face: its chain is a face of exactly one column
-    left (an elementary collapse, Kaczynski, Mischaikow and Mrozek,
-    *Computational Homology*, 2004).  Pivoting it on its +-1 entry only
-    deletes that column from the other rows, so no entry is ever added and
-    ``faces[c]`` stays a superset of the rows holding ``c``.  Each row is
-    looked at once, and again when it drops to one entry; rows left empty
-    are dropped.
-    """
-    pivot_rows = []
-    queue = list(rows)
-    while queue:
-        r0 = queue.pop()
-        row = rows.get(r0)
-        if row is None or len(row) != 1:
-            continue
-        c0 = next(iter(row))
-        del rows[r0]
-        pivot_rows.append(r0)
-        for r in faces[c0]:
-            row = rows.get(r)
-            if row is not None:
-                del row[c0]
-                if len(row) == 1:
-                    queue.append(r)
-                elif not row:
-                    del rows[r]
-    return pivot_rows
 
 
 def _has_minimum(s: int, up: Sequence[int], down: Sequence[int]) -> bool:
@@ -746,10 +714,10 @@ def _reduced_homology(
     ranks[0] = 1 if counts[0] else 0
     cleared: set[int] = set()
     for d in range(dims - 1, 0, -1):
-        columns = faces.pop()  # the d-chains' faces, needed for this boundary only
-        # a chain's faces are distinct, so no two of its entries share a row
+        # the d-chains' faces, popped as they are needed for this boundary
+        # only; a chain's faces are distinct, so no two entries share a row
         rows: dict[int, dict[int, int]] = {}
-        for col, column in enumerate(columns):
+        for col, column in enumerate(faces.pop()):
             if col in cleared:
                 continue
             sign = 1
@@ -760,12 +728,8 @@ def _reduced_homology(
                 else:
                     row[col] = sign
                 sign = -sign
-        collapsed = _collapse_free_faces(rows, columns)
-        rank, unit_and_dense, pivot_rows = _smith_rank_divisors(rows)
-        ranks[d] = len(collapsed) + rank
-        divisors[d] = [1] * len(collapsed) + unit_and_dense
-        cleared = set(collapsed)
-        cleared.update(pivot_rows)
+        ranks[d], divisors[d], pivot_rows = _smith_rank_divisors(rows)
+        cleared = set(pivot_rows)
     betti = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(dims))
     torsion = tuple(tuple(v for v in divisors[d + 1] if v > 1) for d in range(dims))
     return counts, betti, torsion
@@ -788,10 +752,10 @@ def order_complex_homology(poset: WhiteheadPoset) -> HomologyReport:
     map to it), so its core is one point.
 
     The simplex counts and the Euler characteristic are the whole
-    complex's.  When points were removed, ``_chain_counts`` counts them by
-    recursion over the up-sets, building no chain: the chains of k + 1
-    elements that start at i number the sum over j in up(i) of the chains
-    of k elements that start at j.
+    complex's: ``_chain_counts`` of the up-sets, cached on the poset, a
+    recursion that builds no chain.  The chains of k + 1 elements that start
+    at i number the sum over j in up(i) of the chains of k elements that
+    start at j.
 
     ``_reduced_homology`` takes the core's chains from a trie: a d-chain is
     (parent, last), with parent the chain without its last element.  The
@@ -799,36 +763,21 @@ def order_complex_homology(poset: WhiteheadPoset) -> HomologyReport:
     extended by last, so the faces in order are ``child[f * size + last]``
     for each face f of the parent, then the parent.
 
-    Each boundary is first reduced by collapses, then by
-    ``_smith_rank_divisors``.  The collapse phase pivots, while any is
-    left, a row with one entry (a free face, see ``_collapse_free_faces``);
-    its entry is +-1 and it deletes only its own column, so the phase does
-    no arithmetic and makes no fill.  Listed in pivot order, the collapsed
-    rows and their columns form a lower triangular block with +-1 on the
-    diagonal: when a row is collapsed, each of its other entries lies in a
-    column collapsed before.  The rows and columns that remain hold the
-    input's own entries, and ``_smith_rank_divisors``, the only general
-    reducer, takes them as they stand.
-
-    The boundaries are reduced from the top dimension down, with clearing
-    (Chen and Kerber, "Persistent homology computation with a twist",
-    EuroCG 2011): the boundary of the d-chains is built without the d-chains
-    that were collapsed or unit pivot rows of the boundary one dimension up.
-    This is exact over Z.  On those rows P and their pivot columns Q, the
-    collapsed ones first, the block B[P, Q] of the boundary B above is
-    unimodular: the collapse block is triangular unimodular, a collapsed row
-    is zero at every later pivot column, and the unit pivots' block of the
-    remaining rows is unimodular (see ``_smith_rank_divisors``).  The
-    boundary A below has A B = 0, so A[:, P] = -A[:, rest] B[rest, Q]
-    B[P, Q]^-1: the columns P are integer combinations of the others.
-    Dropping them leaves the column lattice, and with it the rank and the
-    elementary divisors, unchanged.  Rows pivoted in the dense Smith phase
-    have no unimodular block and are never cleared.
+    Each boundary is reduced by ``_smith_rank_divisors``, from the top
+    dimension down, with clearing (Chen and Kerber, "Persistent homology
+    computation with a twist", EuroCG 2011): the boundary of the d-chains
+    is built without the d-chains that were unit pivot rows of the
+    boundary one dimension up.  This is exact over Z.  On those rows P and
+    their pivot columns Q, the block B[P, Q] of the boundary B above is
+    unimodular (see ``_smith_rank_divisors``).  The boundary A below has
+    A B = 0, so A[:, P] = -A[:, rest] B[rest, Q] B[P, Q]^-1: the columns P
+    are integer combinations of the others.  Dropping them leaves the
+    column lattice, and with it the rank and the elementary divisors,
+    unchanged.  Rows pivoted in the dense Smith phase have no unimodular
+    block and are never cleared.
     """
-    up = poset._up_sets
-    core = _beat_point_core(up)
-    core_counts, betti, torsion = _reduced_homology(core)
-    counts = core_counts if core is up else _chain_counts(up)
+    _, betti, torsion = _reduced_homology(_beat_point_core(poset._up_sets))
+    counts = poset._simplex_counts
     chi = sum((-1) ** d * c for d, c in enumerate(counts))
     pad = len(counts) - len(betti)
     return HomologyReport(poset.rank, counts, chi, betti + (0,) * pad, torsion + ((),) * pad)
@@ -1038,20 +987,6 @@ def stabilizer_soundness(gens: StabilizerGenerators) -> list[tuple[str, bool]]:
 Factor = tuple[Word, int]  # (conjugator, target index)
 
 
-def _basis_factors(basis: Sequence[Word], ctx: GroupContext) -> list[Factor]:
-    factors = []
-    for w in basis:
-        shape = generator_conjugate_shape(w)
-        if shape is None:
-            raise WordError(f"basis word is not a conjugate of a generator: {w}")
-        conj, target, _sign = shape
-        factors.append((conj, target))
-    targets = sorted(t for _, t in factors)
-    if targets != list(range(1, ctx.rank + 1)):
-        raise WordError("basis factors do not hit every generator class")
-    return factors
-
-
 @dataclass(frozen=True)
 class NuclearVertex:
     """Basis-up-to-inner-and-reordering, with generator signs dropped.
@@ -1062,10 +997,6 @@ class NuclearVertex:
 
     ctx: GroupContext
     factors: tuple[Factor, ...]
-
-    @classmethod
-    def from_basis(cls, basis: Sequence[Word], ctx: GroupContext) -> "NuclearVertex":
-        return cls(ctx, _canonicalize_factors(_basis_factors(basis, ctx), ctx))
 
     @classmethod
     def standard(cls, ctx: GroupContext) -> "NuclearVertex":

@@ -24,10 +24,10 @@ costs time linear in the conjugators it touches.  Every
 automorphism the other modules build comes from letters this way: a product
 is the concatenated letter word.
 
-:func:`compose`, :meth:`SymmetricAut.apply` and :func:`act_letter` stay on
-the general substitute-and-decompose path.  Nothing outside this module
-calls them: they are the independent reference the tests check letter
-evaluation against.
+:func:`compose` and :meth:`SymmetricAut.apply` stay on the general
+substitute-and-decompose path.  Nothing outside this module calls them:
+they are the independent reference the tests check letter evaluation
+against.
 """
 
 from __future__ import annotations
@@ -251,9 +251,6 @@ class SymmetricAut:
         conj, target, sign = self.images[i - 1]
         return conj * generator(self.ctx, target, sign) * conj.inverse()
 
-    def image_words(self) -> tuple[Word, ...]:
-        return tuple(self.image_word(i) for i in range(1, self.ctx.rank + 1))
-
     def permutation(self) -> tuple[int, ...]:
         """One-line permutation: generator i maps into the class of t(i)."""
         return tuple(t for _, t, _ in self.images)
@@ -297,26 +294,6 @@ class SymmetricAut:
 def identity_aut(ctx: GroupContext) -> SymmetricAut:
     e = identity_word(ctx)
     return SymmetricAut(ctx, tuple((e, i, 1) for i in range(1, ctx.rank + 1)))
-
-
-def act_letter(letter: Letter, ctx: GroupContext) -> SymmetricAut:
-    n = ctx.rank
-    e = identity_word(ctx)
-    images: list[Image] = [(e, i, 1) for i in range(1, n + 1)]
-    kind = letter[0]
-    if kind == "a":
-        _, i, j, exp = letter
-        images[i - 1] = (generator(ctx, j, exp), i, 1)
-    elif kind == "r":
-        i = letter[1]
-        if ctx.is_free:
-            images[i - 1] = (e, i, -1)
-        # in torsion contexts generators are involutions: r[i] acts trivially
-    else:
-        _, i, j = letter
-        images[i - 1] = (e, j, 1)
-        images[j - 1] = (e, i, 1)
-    return SymmetricAut(ctx, tuple(images))
 
 
 def compose(f: SymmetricAut, g: SymmetricAut) -> SymmetricAut:

@@ -6,6 +6,8 @@ import functools
 import itertools
 from typing import Optional
 
+from symlift.complexes import HomologyReport, NuclearVertex, _canonicalize_factors
+from symlift.symaut import Letter, SymmetricAut
 from symlift.words import (
     GroupContext,
     Syllable,
@@ -14,6 +16,7 @@ from symlift.words import (
     coset_intersection,
     cyclic_reduce,
     free_context,
+    generator,
     identity,
     normalize,
     product,
@@ -70,6 +73,53 @@ def generator_conjugate_shape_reference(w: Word) -> Optional[tuple[Word, int, in
     if exp != 1 and (exp != -1 or not w.ctx.is_free):
         return None
     return p, gen, exp
+
+
+def image_words(f: SymmetricAut) -> tuple[Word, ...]:
+    """The images ``f(g_1), ..., f(g_n)`` as words."""
+    return tuple(f.image_word(i) for i in range(1, f.ctx.rank + 1))
+
+
+def act_letter(letter: Letter, ctx: GroupContext) -> SymmetricAut:
+    """One presentation letter as an automorphism, its images written out
+    by hand, for ``compose`` to fold letter by letter."""
+    n = ctx.rank
+    e = identity(ctx)
+    images = [(e, i, 1) for i in range(1, n + 1)]
+    kind = letter[0]
+    if kind == "a":
+        _, i, j, exp = letter
+        images[i - 1] = (generator(ctx, j, exp), i, 1)
+    elif kind == "r":
+        i = letter[1]
+        if ctx.is_free:
+            images[i - 1] = (e, i, -1)
+        # in torsion contexts generators are involutions: r[i] acts trivially
+    else:
+        _, i, j = letter
+        images[i - 1] = (e, j, 1)
+        images[j - 1] = (e, i, 1)
+    return SymmetricAut(ctx, tuple(images))
+
+
+def nuclear_vertex_from_basis(basis, ctx: GroupContext) -> NuclearVertex:
+    """The nuclear vertex of a basis given as words, each of which must be
+    a conjugate of a generator, with every generator class hit once."""
+    factors = []
+    for w in basis:
+        shape = generator_conjugate_shape_reference(w)
+        if shape is None:
+            raise WordError(f"basis word is not a conjugate of a generator: {w}")
+        conj, target, _sign = shape
+        factors.append((conj, target))
+    if sorted(t for _, t in factors) != list(range(1, ctx.rank + 1)):
+        raise WordError("basis factors do not hit every generator class")
+    return NuclearVertex(ctx, _canonicalize_factors(factors, ctx))
+
+
+def is_reduced_acyclic(report: HomologyReport) -> bool:
+    """Whether every reduced Betti number is 0 and no torsion is left."""
+    return not any(report.reduced_betti) and not any(report.torsion)
 
 
 def label_set_splits(key: frozenset[frozenset[int]]) -> list[frozenset[frozenset[int]]]:

@@ -10,7 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from reference import label_set_merges, label_set_splits
+from reference import (
+    image_words,
+    is_reduced_acyclic,
+    label_set_merges,
+    label_set_splits,
+    nuclear_vertex_from_basis,
+)
 from symlift import complexes
 from symlift.complexes import (
     LabelledBipartiteTree,
@@ -354,14 +360,14 @@ def test_trivial_tree_is_unique_minimum():
 
 def test_homology_point():
     report = order_complex_homology(enumerate_whitehead_poset(2))
-    assert report.euler_characteristic == 1 and report.is_reduced_acyclic
+    assert report.euler_characteristic == 1 and is_reduced_acyclic(report)
 
 
 def test_homology_rank_3_star():
     poset = enumerate_whitehead_poset(3)
     report = order_complex_homology(poset)
     assert report.simplex_counts == (4, 3)
-    assert report.euler_characteristic == 1 and report.is_reduced_acyclic
+    assert report.euler_characteristic == 1 and is_reduced_acyclic(report)
     # the proper part is three points
     proper = order_complex_homology(proper_part(poset))
     assert proper.reduced_betti == (2,) and proper.torsion == ((),)
@@ -370,7 +376,7 @@ def test_homology_rank_3_star():
 def test_homology_rank_4():
     poset = enumerate_whitehead_poset(4)
     report = order_complex_homology(poset)
-    assert report.euler_characteristic == 1 and report.is_reduced_acyclic
+    assert report.euler_characteristic == 1 and is_reduced_acyclic(report)
     proper = order_complex_homology(proper_part(poset))
     assert proper.reduced_betti == (0, 9) and proper.torsion == ((), ())
 
@@ -568,43 +574,33 @@ def test_a_wrong_beat_point_test_is_caught(monkeypatch, mutated_test):
     assert wrong > 0
 
 
-def test_collapses_match_the_homology_of_the_full_boundaries(monkeypatch):
+def test_collapses_match_the_homology_of_the_full_boundaries():
     # the reduction of every chain, not only the core's: beat points would
     # absorb the random posets' free faces
-    collapse = complexes._collapse_free_faces
-    collapsed = []  # the rows collapsed in each boundary, the top one first
-
-    def recorded(rows, faces):
-        pivots = collapse(rows, faces)
-        collapsed.append(len(pivots))
-        return pivots
-
-    monkeypatch.setattr(complexes, "_collapse_free_faces", recorded)
-    tops = []
     for poset in random_posets(21, 80) + [proper_part(enumerate_whitehead_poset(5))]:
-        collapsed.clear()
         assert complexes._reduced_homology(poset._up_sets) == homology_without_clearing(poset)
-        tops.append(collapsed[0] if collapsed else None)
-    # some top boundaries have free faces and some have none, among them the
-    # rank-5 proper part's
-    assert tops[-1] == 0
-    assert sum(1 for top in tops if top) >= 20 and tops.count(0) >= 5
 
 
-def test_a_collapse_of_a_row_with_two_entries_is_caught(monkeypatch):
-    source = inspect.getsource(complexes._collapse_free_faces)
-    # rows with two entries are pivoted too, on their first column
-    mutated = source.replace("len(row) != 1:", "len(row) not in (1, 2):")
-    assert mutated != source
-    namespace = dict(vars(complexes))
-    exec(mutated, namespace)
-    monkeypatch.setattr(complexes, "_collapse_free_faces", namespace["_collapse_free_faces"])
-    wrong = 0
-    for poset in random_posets(21, 80):
-        report = order_complex_homology(poset)
-        expected = homology_without_clearing(poset)
-        wrong += (report.simplex_counts, report.reduced_betti, report.torsion) != expected
-    assert wrong > 0
+def test_max_chain_cardinality_counts_the_chain_sizes():
+    for poset in core_test_posets():
+        counts = homology_without_clearing(poset)[0]
+        assert poset.max_chain_cardinality() == sum(1 for c in counts if c)
+
+
+@pytest.mark.parametrize(
+    "leq",
+    [
+        ((1, 1), (1, 1)),  # a cycle: 0 < 1 < 0
+        ((1, 1, 0), (0, 1, 1), (0, 0, 1)),  # 0 < 1 < 2 without 0 < 2
+        ((0, 1, 1), (0, 1, 1), (0, 0, 1)),  # not reflexive
+        ((1, 1, 1), (0, 1, 1)),  # not square
+        ((1, 1), (0, 1, 1), (0, 0, 1)),  # a short row
+    ],
+)
+def test_a_table_that_is_no_partial_order_is_refused(leq):
+    for read in (WhiteheadPoset.max_chain_cardinality, order_complex_homology):
+        with pytest.raises(WordError):
+            read(WhiteheadPoset(2, ("a", "b", "c")[: len(leq)], leq))
 
 
 # -- vertex automorphisms ---------------------------------------------------------
@@ -826,10 +822,10 @@ def test_acts_without_rotations_on_chains():
 
 
 def test_nuclear_vertex_identifies_inner_translates():
-    v = NuclearVertex.from_basis(
+    v = nuclear_vertex_from_basis(
         (parse_word("z3 z1 z3", H3), parse_word("z2", H3), parse_word("z3", H3)), H3
     )
-    w = NuclearVertex.from_basis(
+    w = nuclear_vertex_from_basis(
         (parse_word("z1", H3), parse_word("z3 z2 z3", H3), parse_word("z3", H3)), H3
     )
     assert v == w
@@ -841,7 +837,7 @@ def _vertex_from_factors(*conjugators):
     for i, text in enumerate(conjugators, start=1):
         c = parse_word(text, F3)
         basis.append(c * parse_word(f"y{i}", F3) * c.inverse())
-    return NuclearVertex.from_basis(basis, F3)
+    return nuclear_vertex_from_basis(basis, F3)
 
 
 def test_nuclear_vertex_free_conjugates_share_one_form():
@@ -972,7 +968,7 @@ def test_from_aut_reads_the_images_like_the_image_word_round_trip():
             length = rng.randint(0, 12)
             gw = GeneratorWord(ctx.rank, tuple(rng.choice(letters) for _ in range(length)))
             f = eval_generator_word(gw, ctx)
-            assert NuclearVertex.from_aut(f) == NuclearVertex.from_basis(f.image_words(), ctx)
+            assert NuclearVertex.from_aut(f) == nuclear_vertex_from_basis(image_words(f), ctx)
 
 
 def test_ball_moves_are_letter_words_of_the_composed_vertex_automorphisms():

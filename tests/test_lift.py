@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from reference import image_words
 from symlift.lift import (
     Restriction,
     iota,
@@ -198,7 +199,7 @@ def test_inner_in_h_witness_matches_the_image_word_route():
             middle = (random_gw(rng, n), rho_i(n, j), inner_relator(n, j))[t % 3]
             gw = conj * middle * conj.inverse()
             h = eval_generator_word(gw, torsion_context(n, 2))
-            expected = inner_witness(h.image_words(), h.ctx, strict=False)
+            expected = inner_witness(image_words(h), h.ctx, strict=False)
             for route in ("inner-in-H", "both"):
                 assert kernel_verdict(gw, route).h_witness == expected
             nontrivial += expected is not None and len(expected) > 0

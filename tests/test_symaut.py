@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import act_letter
 from symlift.symaut import (
     GeneratorWord,
     SymmetricAut,
-    act_letter,
     all_letters,
     alpha,
     check_relations,

@@ -13,7 +13,7 @@ from reference import (
     generator_conjugate_shape_reference,
     inner_conjugator_reference,
 )
-from symlift import braid, complexes, lift, symaut, words
+from symlift import braid, lift, symaut, words
 from symlift.words import (
     Word,
     WordError,
@@ -793,7 +793,6 @@ def test_every_binding_of_a_checked_fast_path_is_wrapped():
         (lift, "inner_conjugator"),
         (words, "generator_conjugate_shape"),
         (symaut, "generator_conjugate_shape"),
-        (complexes, "generator_conjugate_shape"),
         (lift, "generator_conjugate_shape"),
         (lift, "even_to_x"),
     ):
