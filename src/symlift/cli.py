@@ -118,6 +118,7 @@ def cmd_symaut_relations(args) -> int:
 
 
 def cmd_symaut_nf(args) -> int:
+    check_rank(args.n, MAX_EVAL_RANK, "automorphism images")
     nf = semidirect_normal_form(parse_generator_word(args.word, args.n))
     return _emit(
         {
@@ -158,6 +159,7 @@ def cmd_lift_kernel(args) -> int:
 
 
 def cmd_kernel_certify(args) -> int:
+    check_rank(args.n, MAX_EVAL_RANK, "automorphism images")
     status, cert = kernel_mod.certify_status(parse_generator_word(args.word, args.n))
     if cert is not None:
         return _emit({"status": status, "certificate": cert.to_json()})
@@ -180,6 +182,7 @@ def cmd_kernel_verify(args) -> int:
     if isinstance(data, dict) and "certificate" in data:
         data = data["certificate"]
     cert = kernel_mod.Certificate.from_json(data)
+    check_rank(cert.rank, MAX_EVAL_RANK, "automorphism images")
     ok = kernel_mod.verify_certificate(cert, parse_generator_word(args.word, cert.rank))
     return _emit({"verified": ok}, 0 if ok else 1)
 

@@ -22,7 +22,7 @@ the direct route), and there the lift route reports everything in the kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Iterator, Literal, Optional
 
 from .symaut import (
     GeneratorWord,
@@ -105,35 +105,39 @@ def iota(ctx: GroupContext) -> Restriction:
     return Restriction(ctx, tuple(generator(ctx, i, -1) for i in range(1, ctx.rank + 1)))
 
 
-def lift_restrict(h: SymmetricAut) -> Restriction:
-    """Restriction of an order-2 free-product automorphism to even words.
+def _restricted_images(h: SymmetricAut) -> Iterator[Word]:
+    """The x-words ``h(x_1), ..., h(x_{n-1})``, built one at a time.
 
     Computes ``h(x_i) = h(z_i) h(z_n)`` and rewrites it in the x-basis; exact
     because parity is preserved (each generator image has odd length).  With
     ``h(z_i) = c_i z_{t_i} c_i^{-1}`` the product is one
     :func:`~symlift.words.conjugation_step` ``c_i z_{t_i} c_i^{-1} c_n``
     followed by ``z_{t_n} c_n^{-1}``, whose junction can cancel (``c_n`` may
-    be a prefix of ``c_i``), so it goes through ``_extend_reduced``.
+    be a prefix of ``c_i``), so it goes through ``_extend_reduced``.  The
+    context is checked when the first image is asked for.
     """
     ctx = h.ctx
     if ctx.is_free or ctx.torsion != 2:
         raise WordError("lift_restrict expects an order-2 free-product automorphism")
     if ctx.rank < 2:
         raise WordError("lift_restrict needs rank >= 2")
-    n = ctx.rank
-    cn, tn, _ = h.images[n - 1]
+    cn, tn, _ = h.images[-1]
     tail = ((tn, 1),) + cn.syllables[::-1]
-    images = []
     for ci, ti, _ in h.images[:-1]:
         out = list(conjugation_step(ci.syllables, (ti, 1), cn.syllables, ctx))
         _extend_reduced(out, tail, 2)
-        images.append(even_to_x(Word(ctx, tuple(out))))
-    return Restriction(free_context(n - 1, letter="x"), tuple(images))
+        yield even_to_x(Word(ctx, tuple(out)))
+
+
+def lift_restrict(h: SymmetricAut) -> Restriction:
+    """Restriction of an order-2 free-product automorphism to even words:
+    every image of :func:`_restricted_images`, in the rank ``n-1`` x-basis."""
+    images = tuple(_restricted_images(h))
+    return Restriction(free_context(h.ctx.rank - 1, letter="x"), images)
 
 
 @dataclass(frozen=True)
 class LiftResult:
-    restriction: Restriction
     inner_witness: Optional[Word]
     composed_with_iota: bool
 
@@ -145,19 +149,25 @@ class LiftResult:
 def lift_route(h: SymmetricAut) -> LiftResult:
     """Kernel test through the restriction: inner, or inner after iota.
 
-    Each image's shape is taken once.  ``iota`` sends every image to its
+    Both tests need every image to be a conjugate of an x-generator, so the
+    images are restricted one at a time and the route stops at the first
+    whose shape is not: a word whose image j fails builds j images, not
+    ``n-1``.  Each shape is taken once.  ``iota`` sends every image to its
     inverse, and the shape of ``w^{-1}`` is that of ``w`` with the sign
     flipped, so the second test reuses the shapes with every sign flipped.
     """
-    r = lift_restrict(h)
-    shapes = [generator_conjugate_shape(img) for img in r.images]
-    if any(shape is None for shape in shapes):
-        return LiftResult(r, None, False)
-    w = inner_conjugator(shapes, r.ctx)
+    shapes = []
+    for img in _restricted_images(h):
+        shape = generator_conjugate_shape(img)
+        if shape is None:
+            return LiftResult(None, False)
+        shapes.append(shape)
+    ctx = free_context(h.ctx.rank - 1, letter="x")
+    w = inner_conjugator(shapes, ctx)
     if w is not None:
-        return LiftResult(r, w, False)
-    w = inner_conjugator([(c, t, -s) for c, t, s in shapes], r.ctx)
-    return LiftResult(r, w, w is not None)
+        return LiftResult(w, False)
+    w = inner_conjugator([(c, t, -s) for c, t, s in shapes], ctx)
+    return LiftResult(w, w is not None)
 
 
 @dataclass(frozen=True)

@@ -546,6 +546,13 @@ def project_mod_k(w: Word, k: int) -> Word:
     return Word(torsion_context(w.ctx.rank, k), tuple(out))
 
 
+# the x-syllables ``(g, 1)`` and ``(g, -1)`` that every ``even_to_x`` output
+# shares, added the first time a word brings a generator: they hold only the
+# generators seen, whatever the rank
+_X_PLUS: dict[int, Syllable] = {}
+_X_MINUS: dict[int, Syllable] = {}
+
+
 def even_to_x(w: Word) -> Word:
     """Rewrite an even word of the order-2 free product in the basis
     ``x_i = z_i z_n`` (with ``x_n`` standing for the identity).
@@ -563,6 +570,10 @@ def even_to_x(w: Word) -> Word:
     pair is ``z_n z_b``.  Both are same-sign merges, so no syllable ever
     cancels.  A pair ``z_a z_a``, and any other cancellation an unreduced
     input would need, raises ``WordError``.
+
+    Every unmerged syllable is the shared tuple from ``_X_PLUS`` or
+    ``_X_MINUS``; only merged powers are new tuples.  A pass that meets a
+    generator the tables lack adds every generator of ``w`` and runs again.
     """
     ctx = w.ctx
     if ctx.is_free or ctx.torsion != 2:
@@ -572,30 +583,37 @@ def even_to_x(w: Word) -> Word:
     if len(w) % 2:
         raise WordError(f"odd-length word: {w}")
     n = ctx.rank
+    plus, minus = _X_PLUS, _X_MINUS
     out: list[Syllable] = []
     last = 0  # the generator of out[-1], 0 while out is empty
     pairs = iter(w.syllables)
-    for (a, _), (b, _) in zip(pairs, pairs):
-        if a == b:
-            raise WordError(f"unreduced pair z{a} z{b} in {w}")
-        if a != n:
-            if a == last:
-                exp = out[-1][1] + 1
-                if not exp:
-                    raise WordError(f"unreduced word: {w}")
-                out[-1] = (a, exp)
-            else:
-                out.append((a, 1))
-            last = a
-        if b != n:
-            if b == last:
-                exp = out[-1][1] - 1
-                if not exp:
-                    raise WordError(f"unreduced word: {w}")
-                out[-1] = (b, exp)
-            else:
-                out.append((b, -1))
-            last = b
+    try:
+        for (a, _), (b, _) in zip(pairs, pairs):
+            if a == b:
+                raise WordError(f"unreduced pair z{a} z{b} in {w}")
+            if a != n:
+                if a == last:
+                    exp = out[-1][1] + 1
+                    if not exp:
+                        raise WordError(f"unreduced word: {w}")
+                    out[-1] = (a, exp)
+                else:
+                    out.append(plus[a])
+                last = a
+            if b != n:
+                if b == last:
+                    exp = out[-1][1] - 1
+                    if not exp:
+                        raise WordError(f"unreduced word: {w}")
+                    out[-1] = (b, exp)
+                else:
+                    out.append(minus[b])
+                last = b
+    except KeyError:
+        for g, _ in w.syllables:
+            plus[g] = (g, 1)
+            minus[g] = (g, -1)
+        return even_to_x(w)
     return Word(free_context(n - 1, letter="x"), tuple(out))
 
 

@@ -68,6 +68,15 @@ def test_words_commands(capsys):
     assert code == 0 and payload["word"] == "x1 x2^-1"
 
 
+def test_even_to_x_has_no_table_sized_by_the_rank(capsys):
+    # the shared x-syllables grow with the generators a word brings, not
+    # with the rank it lives in
+    start = time.perf_counter()
+    code, payload = run(capsys, "words", "even-to-x", "--n", "1000000000", "--word", "z1 z2")
+    assert code == 0 and payload["word"] == "x1 x2^-1"
+    assert time.perf_counter() - start < 1
+
+
 def test_kernel_certify_and_verify(capsys, tmp_path):
     code, payload = run(capsys, "kernel", "certify", "--n", "3", "--word", "a[1,2] a[1,2]")
     assert code == 0 and payload["status"] == "certified"
@@ -316,7 +325,7 @@ def test_complex_stabilizer_refuses_big_ranks_before_building_a_tree(capsys, mon
     assert time.perf_counter() - start < 0.5
 
 
-def test_rank_sized_commands_refuse_huge_ranks_before_any_work(capsys, monkeypatch):
+def test_rank_sized_commands_refuse_huge_ranks_before_any_work(capsys, monkeypatch, tmp_path):
     import symlift.braid as braid_mod
     import symlift.cli as cli_mod
     import symlift.complexes as complexes_mod
@@ -355,7 +364,16 @@ def test_rank_sized_commands_refuse_huge_ranks_before_any_work(capsys, monkeypat
             "automorphism images are limited to rank <= 1000, not 1001",
         ("braid", "eta", "--n", "200000", "--k", "2", "--word", "1"):
             "automorphism images are limited to rank <= 1000, not 200000",
+        ("symaut", "nf", "--n", "1001", "--word", "a[1,2]"):
+            "automorphism images are limited to rank <= 1000, not 1001",
+        ("kernel", "certify", "--n", "1001", "--word", "e"):
+            "automorphism images are limited to rank <= 1000, not 1001",
     }
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps({"rank": 1001, "conjugators": ["a[1,2]"]}))
+    refusals[("kernel", "verify", "--cert", str(cert_file), "--word", "e")] = (
+        "automorphism images are limited to rank <= 1000, not 1001"
+    )
     start = time.perf_counter()
     for argv, message in refusals.items():
         code, payload = run(capsys, *argv)
@@ -514,7 +532,7 @@ def test_selftest_lift_route_fault_injection(capsys, monkeypatch):
     def no_iota(h):
         result = lift_route(h)
         if result.composed_with_iota:
-            return lift_mod.LiftResult(result.restriction, None, False)
+            return lift_mod.LiftResult(None, False)
         return result
 
     monkeypatch.setattr(lift_mod, "lift_route", no_iota)

@@ -29,6 +29,7 @@ from symlift.words import (
     conjugation_step,
     even_to_x,
     free_context,
+    generator_conjugate_shape,
     identity,
     inner_witness,
     normalize,
@@ -216,6 +217,16 @@ def test_conjugates_of_single_inversions_are_in_kernel():
         assert kernel_verdict(gw, "inner-in-H").verdict == "in"
 
 
+def eager_lift_route(r):
+    """The lift route's witness and flag from the whole restriction: inner,
+    or inner after composing with iota (x_i -> r(x_i)^-1)."""
+    expected = r.inner_witness()
+    if expected is not None:
+        return expected, False
+    expected = iota(r.ctx).then(r).inner_witness()
+    return expected, expected is not None
+
+
 def test_lift_route_flips_shape_signs_as_iota_does():
     # the route reuses the image shapes with flipped signs; the reference
     # composes with iota first (x_i -> r(x_i)^-1) and solves again
@@ -230,16 +241,72 @@ def test_lift_route_flips_shape_signs_as_iota_does():
             middle = (random_gw(rng, n), rho_i(n, j), inner_relator(n, j))[t % 3]
             h = eval_generator_word(conj * middle * conj.inverse(), torsion_context(n, 2))
             result = lift_route(h)
-            r = lift_restrict(h)
-            expected, flipped = r.inner_witness(), False
-            if expected is None:
-                expected = iota(r.ctx).then(r).inner_witness()
-                flipped = expected is not None
-            assert result.restriction == r
+            expected, flipped = eager_lift_route(lift_restrict(h))
             assert result.inner_witness == expected
             assert result.composed_with_iota is flipped
             seen[None if expected is None else flipped] += 1
     assert min(seen.values()) >= 60, seen
+
+
+def test_lift_route_stops_early_and_agrees_with_the_eager_restriction():
+    # the route stops at the first image that is no conjugate of a generator;
+    # the reference restricts every image, then tests inner and inner after
+    # iota. Words whose letters never move z1 keep x1 a generator, so their
+    # first image passes and a later one can fail
+    late_failures = 0
+    for n in (2, 3, 4, 5):
+        rng = random.Random(900 + n)
+        fixing_z1 = [l for l in all_letters(n) if l[0] == "a" and l[1] != 1]
+        for t in range(150):
+            if t % 3 == 0:
+                gw = GeneratorWord(n, tuple(rng.choice(fixing_z1) for _ in range(rng.randint(1, 8))))
+            elif t % 3 == 1:
+                gw = random_gw(rng, n)
+            else:
+                conj = random_gw(rng, n, 6)
+                gw = conj * rho_i(n, rng.randint(1, n)) * conj.inverse()
+            h = eval_generator_word(gw, torsion_context(n, 2))
+            r = lift_restrict(h)
+            expected, flipped = eager_lift_route(r)
+            result = lift_route(h)
+            assert result.inner_witness == expected, (n, str(gw))
+            assert result.composed_with_iota is flipped, (n, str(gw))
+            passes = [generator_conjugate_shape(img) is not None for img in r.images]
+            late_failures += passes[0] and not all(passes)
+    assert late_failures >= 60, late_failures
+
+
+def test_lift_route_restricts_only_the_images_it_reads(monkeypatch):
+    # counted on top of the conftest wrapper, which still checks each call
+    import symlift.lift as lift_mod
+
+    calls = []
+    checked = lift_mod.even_to_x
+
+    def counted(w):
+        calls.append(len(w))
+        return checked(w)
+
+    monkeypatch.setattr(lift_mod, "even_to_x", counted)
+    cases = (
+        (4, "a[1,2]", 1, "out"),  # x1 -> x2 x1^-1 x2 fails at once
+        (1000, "a[1,2]", 1, "out"),
+        (4, "a[2,3]", 2, "out"),  # x1 stays, x2 -> x3 x2^-1 x3 fails
+        (4, "r[1] r[2] r[3] r[4]", 3, "in"),  # every image is read
+    )
+    for n, word, expected_calls, verdict in cases:
+        calls.clear()
+        v = kernel_verdict(parse_generator_word(word, n), "lift")
+        assert v.verdict == verdict and len(calls) == expected_calls, (n, word, calls)
+
+
+def test_restricted_images_share_their_unit_syllables():
+    # every x_g^+-1 syllable of every image is one of 2(n-1) shared tuples
+    chain = " ".join(["a[1,2] a[2,3] a[3,1]"] * 6)
+    r = lift_restrict(eval_generator_word(parse_generator_word(chain, 3), H3))
+    units = [s for img in r.images for s in img.syllables if abs(s[1]) == 1]
+    assert len(units) > 100
+    assert len({id(s) for s in units}) <= 2 * (3 - 1)
 
 
 def test_rank_two_collapses_through_the_lift_route():
