@@ -582,89 +582,6 @@ class HomologyReport:
         }
 
 
-def _has_minimum(s: int, up: Sequence[int], down: Sequence[int]) -> bool:
-    """Whether the bitset ``s`` has a least element, with ``up[m]`` and
-    ``down[m]`` m's strict up- and down-sets as bitsets (swap them to ask
-    for a greatest one).  The walk down inside ``s`` ends at a minimal
-    element m, the minimum iff ``s`` lies in m and its up-set."""
-    if not s:
-        return False
-    m = (s & -s).bit_length() - 1
-    below = down[m] & s
-    while below:
-        m = (below & -below).bit_length() - 1
-        below = down[m] & s
-    return s & ~up[m] == 1 << m
-
-
-def _has_beat_point(up: Sequence[Sequence[int]]) -> bool:
-    """Whether any point is a beat point, read off set sizes: in a
-    transitive relation j in up(i) is up(i)'s minimum iff ``|up(j)| =
-    |up(i)| - 1``, and i is down(j)'s maximum iff ``|down(i)| = |down(j)|
-    - 1``."""
-    up_size = [len(above) for above in up]
-    down_size = [0] * len(up)
-    for above in up:
-        for j in above:
-            down_size[j] += 1
-    for i, above in enumerate(up):
-        u = up_size[i] - 1
-        d = down_size[i] + 1
-        for j in above:
-            if up_size[j] == u or down_size[j] == d:
-                return True
-    return False
-
-
-def _beat_point_core(up: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
-    """The strict up-sets of the core of the poset with strict up-sets
-    ``up``, re-indexed in its order; ``up`` itself if it has no beat point.
-
-    Each point is tested on bitsets of what is left, so the indices need
-    not be a linear extension.  Removing a point changes only the up-sets
-    of the points below it and the down-sets of those above, so only they
-    are queued again, each for that one test.
-    """
-    if not _has_beat_point(up):
-        return up
-    size = len(up)
-    down: list[list[int]] = [[] for _ in range(size)]
-    for i, above in enumerate(up):
-        for j in above:
-            down[j].append(i)
-    up_bits = [sum(1 << j for j in above) for above in up]
-    down_bits = [sum(1 << i for i in below) for below in down]
-    left = (1 << size) - 1
-    removed = bytearray(size)
-    # the tests a queued point waits for: 1 on its up-set, 2 on its down-set
-    waiting = bytearray([3]) * size
-    queue = list(range(size - 1, -1, -1))
-    while queue:
-        x = queue.pop()
-        tests = waiting[x]
-        waiting[x] = 0
-        if not (
-            tests & 1
-            and _has_minimum(up_bits[x] & left, up_bits, down_bits)
-            or tests & 2
-            and _has_minimum(down_bits[x] & left, down_bits, up_bits)
-        ):
-            continue
-        left ^= 1 << x
-        removed[x] = 1
-        for others, test in ((down[x], 1), (up[x], 2)):
-            for y in others:
-                if not removed[y]:
-                    if not waiting[y]:
-                        queue.append(y)
-                    waiting[y] |= test
-    index = [-1] * size
-    kept = [i for i in range(size) if not removed[i]]
-    for k, i in enumerate(kept):
-        index[i] = k
-    return [tuple(index[j] for j in up[i] if not removed[j]) for i in kept]
-
-
 def _chain_counts(up: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Chains of each size, one element up, by the recursion in
     ``order_complex_homology``."""
@@ -738,18 +655,8 @@ def _reduced_homology(
 def order_complex_homology(poset: WhiteheadPoset) -> HomologyReport:
     """Reduced integral homology of the poset's order complex.
 
-    The homology is that of the poset's core.  A beat point's strict
-    up-set has a minimum or its strict down-set a maximum; removing it is
-    a strong deformation retract, so the order complex keeps its homotopy
-    type (Stong, "Finite topological spaces", Trans. AMS 123, 1966;
-    Barmak, *Algebraic Topology of Finite Topological Spaces and
-    Applications*, LNM 2032, 2011).  ``_beat_point_core`` removes beat
-    points until none is left, and the core is unique up to isomorphism
-    whatever the order (Stong).  Its reduced Betti numbers and torsion are
-    the whole complex's in every degree, zero above its dimension: the
-    lists are padded with 0 and () to the whole complex's length.  A poset
-    with a minimum is contractible (the identity lies above the constant
-    map to it), so its core is one point.
+    A poset with a least element is a cone on it, so it is acyclic and is
+    answered at once; every other poset is reduced over all its chains.
 
     The simplex counts and the Euler characteristic are the whole
     complex's: ``_chain_counts`` of the up-sets, cached on the poset, a
@@ -757,7 +664,7 @@ def order_complex_homology(poset: WhiteheadPoset) -> HomologyReport:
     at i number the sum over j in up(i) of the chains of k elements that
     start at j.
 
-    ``_reduced_homology`` takes the core's chains from a trie: a d-chain is
+    ``_reduced_homology`` takes the chains from a trie: a d-chain is
     (parent, last), with parent the chain without its last element.  The
     face that drops element k < d is the parent's face that drops k,
     extended by last, so the faces in order are ``child[f * size + last]``
@@ -776,11 +683,13 @@ def order_complex_homology(poset: WhiteheadPoset) -> HomologyReport:
     unchanged.  Rows pivoted in the dense Smith phase have no unimodular
     block and are never cleared.
     """
-    _, betti, torsion = _reduced_homology(_beat_point_core(poset._up_sets))
     counts = poset._simplex_counts
     chi = sum((-1) ** d * c for d, c in enumerate(counts))
-    pad = len(counts) - len(betti)
-    return HomologyReport(poset.rank, counts, chi, betti + (0,) * pad, torsion + ((),) * pad)
+    up = poset._up_sets
+    if any(len(above) == len(up) - 1 for above in up):
+        return HomologyReport(poset.rank, counts, chi, (0,) * len(counts), ((),) * len(counts))
+    _, betti, torsion = _reduced_homology(up)
+    return HomologyReport(poset.rank, counts, chi, betti, torsion)
 
 
 # ---------------------------------------------------------------------------

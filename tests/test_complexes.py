@@ -17,7 +17,7 @@ from reference import (
     label_set_splits,
     nuclear_vertex_from_basis,
 )
-from symlift import complexes
+from symlift import complexes, selftest
 from symlift.complexes import (
     LabelledBipartiteTree,
     NuclearVertex,
@@ -204,15 +204,27 @@ def label_sets(t):
     return frozenset(frozenset(labels) for labels in by_unit.values())
 
 
+def test_hypertree_count_is_a030019():
+    assert [selftest.hypertree_count(n) for n in range(2, 8)] == [1, 4, 29, 311, 4447, 79745]
+
+
 def test_poset_counts():
-    # the labelled hypertree counts, OEIS A030019
-    for n, size in ((2, 1), (3, 4), (4, 29), (5, 311)):
-        assert len(enumerate_whitehead_poset(n).elements) == size
+    for n in (2, 3, 4, 5):
+        assert len(enumerate_whitehead_poset(n).elements) == selftest.hypertree_count(n)
     assert len(enumerate_whitehead_poset(3).covers()) == 3
     with pytest.raises(WordError):
         enumerate_whitehead_poset(1)
     with pytest.raises(WordError, match="rank <= 6"):
         enumerate_whitehead_poset(7)
+
+
+@pytest.mark.parametrize("wrong_rank", [2, 4])
+def test_poset_facts_check_every_size(monkeypatch, wrong_rank):
+    params = selftest.LEVELS["quick"]
+    assert selftest.check_poset_facts(params, 0)["passed"]
+    count = selftest.hypertree_count
+    monkeypatch.setattr(selftest, "hypertree_count", lambda n: count(n) + (n == wrong_rank))
+    assert not selftest.check_poset_facts(params, 0)["passed"]
 
 
 def test_unfolding_matches_subset_scan_and_fold_reachability():
@@ -530,53 +542,72 @@ def core_test_posets():
     return posets + [shuffled(poset, rng) for poset in posets]
 
 
-def test_beat_point_cores_keep_the_homology_and_the_chain_counts():
-    stripped = 0
-    for poset in core_test_posets():
+def has_least_element(poset):
+    """Whether some element lies below every element, read off ``leq``."""
+    return any(all(row) for row in poset.leq)
+
+
+def test_homology_and_chain_counts_match_the_full_boundaries():
+    cones = 0
+    posets = core_test_posets()
+    for poset in posets:
         expected = homology_without_clearing(poset)
         report = order_complex_homology(poset)
         assert (report.simplex_counts, report.reduced_betti, report.torsion) == expected
         assert complexes._chain_counts(poset._up_sets) == expected[0]
-        stripped += len(complexes._beat_point_core(poset._up_sets)) < len(poset.elements)
-    assert stripped > 80
+        cones += has_least_element(poset)
+    # both branches run: the cones are answered at once, the rest reduced
+    assert (cones, len(posets)) == (16, 180)
 
 
-def test_whole_posets_reduce_to_a_point_and_proper_parts_keep_every_element():
+def test_whole_posets_are_cones_and_proper_parts_are_reduced(monkeypatch):
+    reduced = []
+
+    def recorded(up):
+        reduced.append(up)
+        return (), (), ()
+
+    monkeypatch.setattr(complexes, "_reduced_homology", recorded)
     for n in (2, 3, 4, 5, 6):
-        assert len(complexes._beat_point_core(enumerate_whitehead_poset(n)._up_sets)) == 1
-    for n in (3, 4, 5):
+        poset = enumerate_whitehead_poset(n)
+        assert has_least_element(poset)
+        order_complex_homology(poset)
+        assert reduced == []
+    for n in (3, 4, 5, 6):
         part = proper_part(enumerate_whitehead_poset(n))
-        assert complexes._beat_point_core(part._up_sets) is part._up_sets
+        assert not has_least_element(part)
+        order_complex_homology(part)
+        assert reduced.pop() is part._up_sets
 
 
 @pytest.mark.parametrize(
     "mutated_test",
     [
-        # strip a point whose strict up-set has a minimal element, i.e. is
-        # not empty, though it may have no minimum
-        "up_bits[x] & left",
-        # test the point's strict up-set in the whole poset
-        "_has_minimum(up_bits[x], up_bits, down_bits)",
+        # also call a poset a cone when one element lies below all but one
+        ">= len(up) - 2",
+        # call a poset a cone when one element lies below all but one, and
+        # reduce the true cones
+        "== len(up) - 2",
     ],
+    ids=["below_all_but_at_most_one", "below_all_but_one"],
 )
-def test_a_wrong_beat_point_test_is_caught(monkeypatch, mutated_test):
-    source = inspect.getsource(complexes._beat_point_core)
-    mutated = source.replace("_has_minimum(up_bits[x] & left, up_bits, down_bits)", mutated_test)
+def test_a_wrong_least_element_test_is_caught(mutated_test):
+    source = inspect.getsource(complexes.order_complex_homology)
+    mutated = source.replace("== len(up) - 1", mutated_test)
     assert mutated != source
     namespace = dict(vars(complexes))
     exec(mutated, namespace)
-    monkeypatch.setattr(complexes, "_beat_point_core", namespace["_beat_point_core"])
     wrong = 0
     for poset in core_test_posets():
-        report = order_complex_homology(poset)
+        report = namespace["order_complex_homology"](poset)
         expected = homology_without_clearing(poset)
         wrong += (report.simplex_counts, report.reduced_betti, report.torsion) != expected
     assert wrong > 0
 
 
 def test_collapses_match_the_homology_of_the_full_boundaries():
-    # the reduction of every chain, not only the core's: beat points would
-    # absorb the random posets' free faces
+    # the reducer on its own: order_complex_homology answers the random
+    # posets that have a least element without it
     for poset in random_posets(21, 80) + [proper_part(enumerate_whitehead_poset(5))]:
         assert complexes._reduced_homology(poset._up_sets) == homology_without_clearing(poset)
 
