@@ -16,7 +16,7 @@ import sys
 
 from . import braid as braid_mod
 from . import complexes, kernel as kernel_mod, selftest as selftest_mod
-from .lift import kernel_verdict, lift_restrict
+from .lift import eval_in_h2, kernel_verdict, lift_restrict
 from .symaut import (
     MAX_EVAL_RANK,
     check_relations,
@@ -143,8 +143,7 @@ def cmd_symaut_outer_equal(args) -> int:
 
 def cmd_lift_eval(args) -> int:
     check_rank(args.n, MAX_EVAL_RANK, "automorphism images")
-    ctx = torsion_context(args.n, 2)
-    h = eval_generator_word(parse_generator_word(args.word, args.n), ctx)
+    h = eval_in_h2(parse_generator_word(args.word, args.n))
     restriction = lift_restrict(h)
     return _emit({"restriction": restriction.to_json()})
 

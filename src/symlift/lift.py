@@ -14,6 +14,10 @@ Three maps are chained here:
   the direct route (is the reduced automorphism inner?) and by the lift route
   (is the restriction inner, or inner after inverting every ``x_i``?).
 
+The pipelines evaluate a word only after reducing it in the letter group of
+the order-2 product (:func:`eval_in_h2`), so a conjugate ``c rho c^-1``
+builds no image at all.
+
 For rank >= 3 the two routes provably agree; at rank 2 only the lift route is
 authoritative (the generator swap restricts to the inverting map, collapsing
 the direct route), and there the lift route reports everything in the kernel.
@@ -26,6 +30,7 @@ from typing import Iterator, Literal, Optional
 
 from .symaut import (
     GeneratorWord,
+    Letter,
     SymmetricAut,
     canonical_image,
     eval_generator_word,
@@ -201,6 +206,39 @@ class KernelVerdict:
         return payload
 
 
+def _h2_reduced(gw: GeneratorWord) -> GeneratorWord:
+    """A word evaluating to the same automorphism of the order-2 product,
+    reduced in one stack pass.
+
+    There ``r[i]`` acts trivially, ``a[i,j]^-1`` acts as ``a[i,j]``, and
+    ``a[i,j]`` and ``s[i,j]`` are involutions (the partial conjugations of
+    the order-2 free product).  So every ``r`` is dropped, every ``a`` is
+    written with exponent 1, and equal neighbours cancel.
+    """
+    out: list[Letter] = []
+    for letter in gw.letters:
+        if letter[0] == "r":
+            continue
+        if letter[0] == "a" and letter[3] == -1:
+            letter = ("a", letter[1], letter[2], 1)
+        if out and out[-1] == letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return GeneratorWord._trusted(gw.rank, tuple(out))
+
+
+def eval_in_h2(gw: GeneratorWord) -> SymmetricAut:
+    """The automorphism of the order-2 product ``H_n(2)`` that ``gw``
+    evaluates to, computed from the word :func:`_h2_reduced` returns.
+
+    Equal to reducing the free evaluation (letter actions commute with the
+    projection), but immune to the exponential image growth the free side
+    can exhibit, and it builds no image that a later letter cancels.
+    """
+    return eval_generator_word(_h2_reduced(gw), torsion_context(gw.rank, 2))
+
+
 def kernel_verdict(gw: GeneratorWord, route: Route = "both") -> KernelVerdict:
     """Membership in the kernel of the mod-2 reduction, with witnesses.
 
@@ -211,10 +249,7 @@ def kernel_verdict(gw: GeneratorWord, route: Route = "both") -> KernelVerdict:
     n = gw.rank
     if n < 2:
         raise WordError("kernel_verdict needs rank >= 2")
-    # evaluate directly in the torsion context: equal to reducing the free
-    # evaluation (letter actions commute with the projection), but immune to
-    # the exponential image growth the free side can exhibit
-    h = eval_generator_word(gw, torsion_context(n, 2))
+    h = eval_in_h2(gw)
     routes: dict = {}
     h_witness = None
     lift_result = None

@@ -9,7 +9,8 @@ Automorphisms are usually built by evaluating a word in the presentation
 letters
 
 * ``a[i,j]``: conjugate generator i by generator j, fix the rest,
-* ``r[i]``: invert generator i (the identity in torsion contexts),
+* ``r[i]``: invert generator i (the identity at torsion 2, refused at
+  higher torsion),
 * ``s[i,j]``: swap generators i and j,
 
 and evaluation is a homomorphism: ``eval(uv) = eval(u) . eval(v)`` where
@@ -324,7 +325,9 @@ def act_letters(images: list[Image], letters: Iterable[Letter], ctx: GroupContex
       ``g_{t_i}^{s_i}`` stays, and the centralizer of a generator power is
       the generator's cyclic group, so no cyclic reduction is needed;
     * ``s[i,j]`` swaps images i and j;
-    * ``r[i]`` flips the sign of image i (free contexts only).
+    * ``r[i]`` flips the sign of image i in a free context, acts trivially
+      at torsion 2 and is refused at higher torsion, where ``g^{-1} = g^{k-1}``
+      is not a conjugate of a generator.
 
     Each letter costs time linear in the two conjugators it reads.
     """
@@ -344,6 +347,10 @@ def act_letters(images: list[Image], letters: Iterable[Letter], ctx: GroupContex
             if ctx.is_free:
                 ci, ti, si = images[letter[1] - 1]
                 images[letter[1] - 1] = (ci, ti, -si)
+            elif k != 2:
+                raise WordError(
+                    f"r[{letter[1]}] inverts a generator of order {k}, which has no symmetric image"
+                )
         else:
             _, i, j = letter
             images[i - 1], images[j - 1] = images[j - 1], images[i - 1]

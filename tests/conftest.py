@@ -2,6 +2,7 @@ import pytest
 
 from reference import (
     checked,
+    checked_h2_reduction,
     checked_trusted,
     conjugation_step_reference,
     even_to_x_reference,
@@ -25,7 +26,9 @@ def fast_paths_checked_against_the_references():
     through any module that binds the name, is compared with its reference
     in ``reference.py``: the four-factor ``product``, the
     ``normalize``-based rewrite, the ``coset_intersection`` solve and the
-    ``cyclic_reduce`` split."""
+    ``cyclic_reduce`` split.  Every word that ``_h2_reduced`` reduces must
+    evaluate in the order-2 product to the automorphism of its raw
+    letters."""
     with pytest.MonkeyPatch.context() as mp:
         for name, reference in REFERENCES.items():
             fast = getattr(words, name)
@@ -33,6 +36,7 @@ def fast_paths_checked_against_the_references():
             for module in (words, symaut, lift, kernel, complexes, braid, cli, selftest):
                 if getattr(module, name, None) is fast:
                     mp.setattr(module, name, wrapped)
+        mp.setattr(lift, "_h2_reduced", checked_h2_reduction(lift._h2_reduced))
         yield
 
 

@@ -7,7 +7,7 @@ import itertools
 from typing import Optional
 
 from symlift.complexes import HomologyReport, NuclearVertex, _canonicalize_factors
-from symlift.symaut import Letter, SymmetricAut
+from symlift.symaut import Letter, SymmetricAut, all_letters, eval_generator_word
 from symlift.words import (
     GroupContext,
     Syllable,
@@ -20,6 +20,7 @@ from symlift.words import (
     identity,
     normalize,
     product,
+    torsion_context,
 )
 
 
@@ -78,6 +79,14 @@ def generator_conjugate_shape_reference(w: Word) -> Optional[tuple[Word, int, in
 def image_words(f: SymmetricAut) -> tuple[Word, ...]:
     """The images ``f(g_1), ..., f(g_n)`` as words."""
     return tuple(f.image_word(i) for i in range(1, f.ctx.rank + 1))
+
+
+def acting_letters(ctx: GroupContext) -> list[Letter]:
+    """The presentation letters with a symmetric action on ``ctx``: all of
+    them in free and order-2 contexts, and all but ``r[i]`` at higher
+    torsion k, where ``g_i^{-1} = g_i^{k-1}`` is no conjugate of a
+    generator."""
+    return [l for l in all_letters(ctx.rank) if l[0] != "r" or ctx.torsion in (None, 2)]
 
 
 def act_letter(letter: Letter, ctx: GroupContext) -> SymmetricAut:
@@ -181,6 +190,22 @@ def checked(fast, reference):
         want = reference(*args)
         if repr(got) != repr(want):
             raise AssertionError(f"{fast.__name__}{args} gave {got}, the reference {want}")
+        return got
+
+    return wrapper
+
+
+def checked_h2_reduction(fast):
+    """``fast`` (``lift._h2_reduced``), failing with ``AssertionError``
+    unless the word it returns evaluates in the order-2 product to the same
+    automorphism as the letters it was given."""
+
+    @functools.wraps(fast)
+    def wrapper(gw):
+        got = fast(gw)
+        ctx = torsion_context(gw.rank, 2)
+        if eval_generator_word(got, ctx) != eval_generator_word(gw, ctx):
+            raise AssertionError(f"{fast.__name__} reduced {gw} to {got}, another automorphism")
         return got
 
     return wrapper

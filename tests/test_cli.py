@@ -38,6 +38,19 @@ def test_lift_eval(capsys):
     assert payload["restriction"]["images"] == {"x1": "x2 x1^-1 x2", "x2": "x2"}
 
 
+def test_r_letters_are_refused_above_torsion_two(capsys):
+    # r[1] sends z1 to z1^-1 = z1^2, which is no conjugate of a generator
+    message = "r[1] inverts a generator of order 3, which has no symmetric image"
+    for argv in (("symaut", "eval", "--ctx", "H:3:3", "--word", "r[1]"),
+                 ("symaut", "outer-equal", "--ctx", "H:3:3", "--left", "a[1,2] r[1]",
+                  "--right", "e")):
+        code, payload = run(capsys, *argv)
+        assert code == 2 and payload == {"schema": "symlift/1", "error": {"message": message}}
+    # at torsion 2 the same letter acts trivially
+    code, payload = run(capsys, "symaut", "eval", "--ctx", "H:3:2", "--word", "r[1]")
+    assert code == 0 and [img["conjugator"] for img in payload["images"]] == ["e", "e", "e"]
+
+
 def test_symaut_relations(capsys):
     code, payload = run(capsys, "symaut", "relations", "--n", "4")
     assert code == 0 and payload["relations"]["all_pass"]

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from reference import (
+    acting_letters,
     image_words,
     is_reduced_acyclic,
     label_set_merges,
@@ -46,7 +47,6 @@ from symlift.complexes import (
 )
 from symlift.symaut import (
     GeneratorWord,
-    all_letters,
     compose,
     eval_generator_word,
     is_inner,
@@ -932,7 +932,7 @@ def test_canonical_factors_match_the_reference_search():
     for ctx in contexts:
         n = ctx.rank
         rng = random.Random(f"factors:{ctx.describe()}")
-        letters = all_letters(n)
+        letters = acting_letters(ctx)
         for _ in range(120):
             if rng.random() < 0.5:
                 factors = []
@@ -994,7 +994,7 @@ def test_from_aut_reads_the_images_like_the_image_word_round_trip():
     # reference: rebuild each image word and decompose it again
     for ctx in (F3, H3, torsion_context(3, 3), torsion_context(4, 2)):
         rng = random.Random(ctx.rank * 10 + (ctx.torsion or 0))
-        letters = all_letters(ctx.rank)
+        letters = acting_letters(ctx)
         for _ in range(60):
             length = rng.randint(0, 12)
             gw = GeneratorWord(ctx.rank, tuple(rng.choice(letters) for _ in range(length)))

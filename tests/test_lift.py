@@ -1,9 +1,17 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reference import image_words
+import symlift
+from reference import checked_h2_reduction, image_words
+from symlift import cli, lift, symaut
 from symlift.lift import (
     Restriction,
     iota,
@@ -19,6 +27,7 @@ from symlift.symaut import (
     compose,
     eval_generator_word,
     inner_relator,
+    letter_inverse,
     parse_generator_word,
     rho,
     rho_i,
@@ -335,3 +344,104 @@ def test_verdict_json_shape():
     assert payload["verdict"] == "in"
     assert payload["agree"] is True
     assert set(payload["routes"]) == {"inner-in-H", "lift"}
+
+
+# -- the word reduced in H_n(2) ------------------------------------------------
+
+
+@st.composite
+def words_with_cancelling_material(draw):
+    """A random word with material spliced in that dies in H_n(2): ``c rho
+    c^-1``, ``a a``, ``a a^-1``, ``s s`` and a stray ``r[i]``."""
+    n = draw(st.integers(2, 5))
+    letters = all_letters(n)
+    pick = lambda kind: st.sampled_from([l for l in letters if l[0] == kind])
+    word = draw(st.lists(st.sampled_from(letters), max_size=8))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("conjugate", "a a", "a a^-1", "s s", "r")))
+        if kind == "conjugate":
+            c = GeneratorWord(n, tuple(draw(st.lists(st.sampled_from(letters), max_size=6))))
+            piece = (c * rho(n) * c.inverse()).letters
+        elif kind == "a a":
+            a = draw(pick("a"))
+            piece = (a, a)
+        elif kind == "a a^-1":
+            a = draw(pick("a"))
+            piece = (a, letter_inverse(a))
+        elif kind == "s s":
+            piece = (draw(pick("s")),) * 2
+        else:
+            piece = (draw(pick("r")),)
+        at = draw(st.integers(0, len(word)))
+        word[at:at] = piece
+    return GeneratorWord(n, tuple(word)), draw(st.sampled_from(("both", "lift", "inner-in-H")))
+
+
+@given(words_with_cancelling_material())
+@settings(max_examples=200)
+def test_reduced_word_gives_the_payload_of_the_raw_evaluation(case):
+    gw, route = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lift, "_h2_reduced", lambda gw: gw)
+        raw = kernel_verdict(gw, route).to_json()
+    assert kernel_verdict(gw, route).to_json() == raw
+
+
+def test_checked_h2_reduction_catches_a_wrong_cancellation():
+    # a[1,2] a[2,1] is no involution pair: cancelling it changes the automorphism
+    gw = parse_generator_word("a[1,2] a[2,1] r[3] s[1,3] s[1,3]", 3)
+    assert checked_h2_reduction(lift._h2_reduced)(gw).letters == (("a", 1, 2, 1), ("a", 2, 1, 1))
+    with pytest.raises(AssertionError, match="another automorphism"):
+        checked_h2_reduction(lambda gw: GeneratorWord(gw.rank))(gw)
+
+
+def _wrapped_chain(m: int) -> str:
+    """``c rho c^-1`` at rank 3 for ``c = (a[1,2] a[2,3] a[3,1])^m``, whose
+    images in H_3(2) grow about 4x per power."""
+    c = " ".join(["a[1,2] a[2,3] a[3,1]"] * m)
+    c_inv = " ".join(["a[3,1]^-1 a[2,3]^-1 a[1,2]^-1"] * m)
+    return f"{c} r[1] r[2] r[3] {c_inv}"
+
+
+def test_wrapped_chain_power_answers_from_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(symlift.__file__).parents[1])}
+    outputs = {}
+    for command in ("kernel", "eval"):
+        done = subprocess.run(
+            [sys.executable, "-m", "symlift.cli", "lift", command, "--n", "3",
+             "--word", _wrapped_chain(1000)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs[command] = json.loads(done.stdout)
+    assert outputs["kernel"]["verdict"] == "in"
+    assert outputs["eval"]["restriction"]["images"] == {"x1": "x1", "x2": "x2"}
+
+
+def test_wrapped_chain_power_hands_no_letter_to_act_letters(monkeypatch, capsys):
+    # only the pipelines' own evaluations are counted, not the raw one the
+    # cross-check in conftest.py makes
+    received = []
+    act = symaut.act_letters
+
+    def counted(images, letters, ctx):
+        letters = tuple(letters)
+        received.extend(letters)
+        act(images, letters, ctx)
+
+    evaluate = lift.eval_generator_word
+
+    def pipeline_eval(gw, ctx):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(symaut, "act_letters", counted)
+            return evaluate(gw, ctx)
+
+    monkeypatch.setattr(lift, "eval_generator_word", pipeline_eval)
+    word = _wrapped_chain(8)
+    assert kernel_verdict(parse_generator_word(word, 3)).verdict == "in"
+    assert cli.main(["lift", "eval", "--n", "3", "--word", word]) == 0
+    assert received == []
+    # the counter sees a word that does not cancel
+    assert cli.main(["lift", "kernel", "--n", "3", "--word", "a[1,2] a[2,3]^-1 r[1]"]) == 1
+    assert received == [("a", 1, 2, 1), ("a", 2, 3, 1)]
+    capsys.readouterr()

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import act_letter
+from reference import act_letter, acting_letters
 from symlift.symaut import (
     GeneratorWord,
     SymmetricAut,
@@ -38,8 +38,8 @@ F3 = free_context(3)
 H3 = torsion_context(3, 2)
 
 
-def random_word(rng, n, max_len=10):
-    letters = all_letters(n)
+def random_word(rng, n, max_len=10, letters=None):
+    letters = letters or all_letters(n)
     return GeneratorWord(n, tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len))))
 
 
@@ -86,7 +86,7 @@ def test_eval_is_homomorphism_bulk():
 def context_and_letters(draw):
     n = draw(st.integers(2, 5))
     ctx = draw(st.sampled_from([free_context(n), torsion_context(n, 2), torsion_context(n, 3)]))
-    letters = draw(st.lists(st.sampled_from(all_letters(n)), max_size=14))
+    letters = draw(st.lists(st.sampled_from(acting_letters(ctx)), max_size=14))
     return ctx, GeneratorWord(n, tuple(letters))
 
 
@@ -99,6 +99,13 @@ def test_letter_local_eval_matches_compose_fold(case):
         folded = compose(folded, act_letter(letter, ctx))
     f = eval_generator_word(gw, ctx)
     assert f == folded
+
+
+def test_r_letters_act_only_in_free_and_order_two_contexts():
+    assert eval_generator_word(rho_i(3, 2), H3).is_identity()
+    for k in (3, 5):
+        with pytest.raises(WordError, match=f"r\\[2\\] inverts a generator of order {k}"):
+            eval_generator_word(rho_i(3, 2), torsion_context(3, k))
 
 
 @given(st.integers(3, 5))
@@ -229,8 +236,8 @@ def test_outer_equal_matches_brute_force():
     rng = random.Random(77)
     for ctx in (F3, H3, torsion_context(3, 3)):
         for _ in range(80):
-            f = eval_generator_word(random_word(rng, 3, 4), ctx)
-            g = eval_generator_word(random_word(rng, 3, 4), ctx)
+            f = eval_generator_word(random_word(rng, 3, 4, acting_letters(ctx)), ctx)
+            g = eval_generator_word(random_word(rng, 3, 4, acting_letters(ctx)), ctx)
             got = outer_equal(f, g)
             expected = _brute_outer_equal(f, g)
             if got:
@@ -262,18 +269,19 @@ def test_outer_forms_are_equal_exactly_when_outer_equal():
     )
     for ctx in contexts:
         n = ctx.rank
+        letters = acting_letters(ctx)
         outer_equal_pairs = 0
         for trial in range(300):
-            u = random_word(rng, n, 8)
+            u = random_word(rng, n, 8, letters)
             if trial % 2:
                 # the same outer class: splice inner automorphisms into u
-                letters = list(u.letters)
+                spliced = list(u.letters)
                 for _ in range(rng.randint(1, 2)):
-                    at = rng.randint(0, len(letters))
-                    letters[at:at] = _inner_block(rng, n)
-                v = GeneratorWord(n, tuple(letters))
+                    at = rng.randint(0, len(spliced))
+                    spliced[at:at] = _inner_block(rng, n)
+                v = GeneratorWord(n, tuple(spliced))
             else:
-                v = random_word(rng, n, 8)
+                v = random_word(rng, n, 8, letters)
             f, g = eval_generator_word(u, ctx), eval_generator_word(v, ctx)
             form = outer_form(f)
             same = outer_equal(f, g)

@@ -795,5 +795,6 @@ def test_every_binding_of_a_checked_fast_path_is_wrapped():
         (symaut, "generator_conjugate_shape"),
         (lift, "generator_conjugate_shape"),
         (lift, "even_to_x"),
+        (lift, "_h2_reduced"),
     ):
         assert inspect.unwrap(getattr(module, name)) is not getattr(module, name), (module, name)
