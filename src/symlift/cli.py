@@ -19,6 +19,7 @@ from . import complexes, kernel as kernel_mod, selftest as selftest_mod
 from .lift import eval_in_h2, kernel_verdict, lift_restrict
 from .symaut import (
     MAX_EVAL_RANK,
+    SymmetricAut,
     check_relations,
     eval_generator_word,
     outer_equal,
@@ -106,9 +107,14 @@ def _aut_context(args) -> GroupContext:
     return ctx
 
 
+def _evaluate(text: str, ctx: GroupContext) -> SymmetricAut:
+    """``text``'s automorphism of ``ctx``, reduced first in ``H_n(2)`` (:func:`eval_in_h2`)."""
+    gw = parse_generator_word(text, ctx.rank)
+    return eval_in_h2(gw) if ctx.torsion == 2 else eval_generator_word(gw, ctx)
+
+
 def cmd_symaut_eval(args) -> int:
-    ctx = _aut_context(args)
-    aut = eval_generator_word(parse_generator_word(args.word, ctx.rank), ctx)
+    aut = _evaluate(args.word, _aut_context(args))
     return _emit({"images": aut.to_json()})
 
 
@@ -132,9 +138,7 @@ def cmd_symaut_nf(args) -> int:
 
 def cmd_symaut_outer_equal(args) -> int:
     ctx = _aut_context(args)
-    f = eval_generator_word(parse_generator_word(args.left, ctx.rank), ctx)
-    g = eval_generator_word(parse_generator_word(args.right, ctx.rank), ctx)
-    equal = outer_equal(f, g)
+    equal = outer_equal(_evaluate(args.left, ctx), _evaluate(args.right, ctx))
     return _emit({"outer_equal": equal}, 0 if equal else 1)
 
 
@@ -215,20 +219,17 @@ def cmd_complex_ball(args) -> int:
     return _emit({"ball": report.to_json()})
 
 
-def _parse_tree(text: str, n: int) -> complexes.LabelledBipartiteTree:
-    units = []
-    for chunk in text.split(";"):
-        units.append([int(tok) for tok in chunk.split(",") if tok.strip()])
-    return complexes.tree_from_units(n, units)
+def _read_tree(args) -> complexes.LabelledBipartiteTree:
+    """The tree ``--tree`` lists, or else the star on ``--n`` labels, after the rank check."""
+    check_rank(args.n, complexes.MAX_TREE_RANK, "trees")
+    if not args.tree:
+        return complexes.trivial_tree(args.n)
+    units = [[int(l) for l in chunk.split(",") if l.strip()] for chunk in args.tree.split(";")]
+    return complexes.tree_from_units(args.n, units)
 
 
 def cmd_complex_stabilizer(args) -> int:
-    complexes.check_symmetry_rank(args.n)
-    tree = (
-        _parse_tree(args.tree, args.n)
-        if args.tree
-        else complexes.trivial_tree(args.n)
-    )
+    tree = _read_tree(args)
     gens = complexes.stabilizer_generators(tree)
     soundness = complexes.stabilizer_soundness(gens)
     ok = all(flag for _, flag in soundness)
@@ -251,12 +252,7 @@ def cmd_complex_quotient_check(args) -> int:
 
 
 def cmd_complex_tree(args) -> int:
-    check_rank(args.n, complexes.MAX_TREE_RANK, "trees")
-    tree = (
-        _parse_tree(args.tree, args.n)
-        if args.tree
-        else complexes.trivial_tree(args.n)
-    )
+    tree = _read_tree(args)
     if args.format == "dot":
         print(tree.to_dot())
         return 0

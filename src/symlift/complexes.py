@@ -41,7 +41,6 @@ from .words import (
     GroupContext,
     Word,
     WordError,
-    check_rank,
     format_word,
     free_context,
     identity as identity_word,
@@ -755,55 +754,58 @@ def _component_power_letters(
 # ---------------------------------------------------------------------------
 
 
-MAX_SYMMETRY_RANK = 8  # the scan tries all n! relabellings
-
-
-def check_symmetry_rank(n: int) -> None:
-    """Refuse a rank over :data:`MAX_SYMMETRY_RANK` before any tree is built."""
-    check_rank(n, MAX_SYMMETRY_RANK, "tree symmetries")
-
-
-def tree_symmetries(t: LabelledBipartiteTree) -> list[tuple[int, ...]]:
-    """Label permutations preserving the tree up to isomorphism."""
-    n = t.rank
-    check_symmetry_rank(n)
-    return [
-        perm for perm in itertools.permutations(range(1, n + 1)) if t.relabelled(perm) == t
-    ]
-
-
-def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[q[i] - 1] for i in range(len(p)))
-
-
-def _generated_subgroup(gens: Iterable[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
-    ident = tuple(range(1, n + 1))
-    group = {ident}
-    frontier = [ident]
-    gens = list(gens)
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = _perm_compose(g, p)
-            if q not in group:
-                group.add(q)
-                frontier.append(q)
-    return group
-
-
 def symmetry_generators(t: LabelledBipartiteTree) -> list[tuple[int, ...]]:
-    """Small deterministic generating set, transpositions preferred."""
+    """Generators of the label permutations preserving the tree up to
+    isomorphism, read off the tree rooted at its centre, which they all fix.
+
+    There swaps of isomorphic sibling subtrees generate them (Colbourn and
+    Booth, SIAM J. Comput. 10, 1981).  Siblings sort by rooted code, then by
+    smallest label, and a subtree lists its labels in that order, so two of
+    one code pair their labels position by position.  Each sibling but the
+    last of its code swaps with the later one holding the least label where
+    it holds its own smallest; in (support size, tuple) order these are the
+    picks of a greedy pass over the listed group.
+    """
     n = t.rank
-    ident = tuple(range(1, n + 1))
-    sym = [p for p in tree_symmetries(t) if p != ident]
-    sym.sort(key=lambda p: (sum(1 for i in range(n) if p[i] != i + 1), p))
-    chosen: list[tuple[int, ...]] = []
-    generated = {ident}
-    for p in sym:
-        if p not in generated:
-            chosen.append(p)
-            generated = _generated_subgroup(chosen, n)
-    return chosen
+    adjacent: dict[int, list[int]] = {l: [] for l in range(1, n + 1)}  # unit u is -1 - u
+    for u, labels in enumerate(t.units):
+        adjacent[-1 - u] = list(labels)
+        for l in labels:
+            adjacent[l].append(-1 - u)
+    # every leaf is a label, so paths between leaves have even length and
+    # peeling leaves ends at a single vertex
+    degree = {v: len(ws) for v, ws in adjacent.items()}
+    peeled = [v for v, d in degree.items() if d == 1]
+    for v in peeled:
+        for w in adjacent[v]:
+            degree[w] -= 1
+            if degree[w] == 1:
+                peeled.append(w)
+    centre = peeled[-1]
+    order, parent = [centre], {centre: None}
+    for v in order:
+        for w in adjacent[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    codes: dict[tuple, int] = {}
+    code, flat = {}, {}  # flat[v]: the labels of v's subtree, in sibling order
+    swaps = []
+    for v in reversed(order):
+        kids = [w for w in adjacent[v] if parent[w] == v]
+        kids.sort(key=lambda w: (code[w], min(flat[w])))
+        code[v] = codes.setdefault((v > 0, tuple(code[w] for w in kids)), len(codes))
+        flat[v] = [v] * (v > 0) + [l for w in kids for l in flat[w]]
+        for _, group in itertools.groupby(kids, key=code.get):
+            group = [flat[w] for w in group]
+            for i, mine in enumerate(group[:-1]):
+                at = mine.index(min(mine))
+                theirs = min(group[i + 1 :], key=lambda other: other[at])
+                perm = list(range(1, n + 1))
+                for a, b in zip(mine, theirs):
+                    perm[a - 1], perm[b - 1] = b, a
+                swaps.append(tuple(perm))
+    return sorted(swaps, key=lambda p: (sum(p[i] != i + 1 for i in range(n)), p))
 
 
 @dataclass(frozen=True)
@@ -833,7 +835,7 @@ def stabilizer_generators(t: LabelledBipartiteTree) -> StabilizerGenerators:
     generator is checkable (see stabilizer_soundness).
     """
     n = t.rank
-    symmetries = tuple(symmetry_generators(t))  # first: it refuses large ranks
+    symmetries = tuple(symmetry_generators(t))
     vertex_auts = tuple(
         GeneratorWord(n, _component_power_letters(v, [comp], [1]))
         for v, comps in moving_components(t).items()

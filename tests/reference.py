@@ -6,7 +6,12 @@ import functools
 import itertools
 from typing import Optional
 
-from symlift.complexes import HomologyReport, NuclearVertex, _canonicalize_factors
+from symlift.complexes import (
+    HomologyReport,
+    LabelledBipartiteTree,
+    NuclearVertex,
+    _canonicalize_factors,
+)
 from symlift.symaut import Letter, SymmetricAut, all_letters, eval_generator_word
 from symlift.words import (
     GroupContext,
@@ -156,6 +161,49 @@ def label_set_merges(key: frozenset[frozenset[int]]) -> list[frozenset[frozenset
         for a, b in itertools.combinations(key, 2)
         if not a.isdisjoint(b)
     ]
+
+
+def tree_symmetries_reference(t: LabelledBipartiteTree) -> list[tuple[int, ...]]:
+    """The label permutations preserving ``t`` up to isomorphism, found by
+    trying all n! relabellings."""
+    return [
+        perm
+        for perm in itertools.permutations(range(1, t.rank + 1))
+        if t.relabelled(perm) == t
+    ]
+
+
+def generated_subgroup(gens, n: int) -> set[tuple[int, ...]]:
+    """The permutations of 1..n that ``gens`` generate, listed by closure."""
+    ident = tuple(range(1, n + 1))
+    group = {ident}
+    frontier = [ident]
+    gens = list(gens)
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[i - 1] for i in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+def symmetry_generators_reference(t: LabelledBipartiteTree) -> list[tuple[int, ...]]:
+    """``symmetry_generators`` as a greedy pick over the listed group: every
+    symmetry in (support size, tuple) order that the ones picked before do
+    not generate."""
+    n = t.rank
+    ident = tuple(range(1, n + 1))
+    sym = [p for p in tree_symmetries_reference(t) if p != ident]
+    sym.sort(key=lambda p: (sum(p[i] != i + 1 for i in range(n)), p))
+    chosen: list[tuple[int, ...]] = []
+    generated = {ident}
+    for p in sym:
+        if p not in generated:
+            chosen.append(p)
+            generated = generated_subgroup(chosen, n)
+    return chosen
 
 
 def checked_trusted(cls):

@@ -243,8 +243,8 @@ def test_malformed_input_exits_2(capsys, tmp_path):
     for argv in (("--ctx", "F:3", "--bound", "-1"), ("--ctx", "H:3:2", "--bound", "5")):
         code, payload = run(capsys, "complex", "ball", "--radius", "1", *argv)
         assert code == 2 and "bound" in payload["error"]["message"]
-    code, payload = run(capsys, "complex", "stabilizer", "--n", "9")
-    assert code == 2 and "rank <= 8" in payload["error"]["message"]
+    code, payload = run(capsys, "complex", "stabilizer", "--n", "501")
+    assert code == 2 and "rank <= 500" in payload["error"]["message"]
     # at rank 2 every pure word is inner mod 2, so the check would be vacuous
     for samples in ("25", "200"):
         code, payload = run(
@@ -331,10 +331,10 @@ def test_complex_stabilizer_refuses_big_ranks_before_building_a_tree(capsys, mon
     monkeypatch.setattr(complexes_mod, "trivial_tree", no_tree)
     monkeypatch.setattr(complexes_mod, "tree_from_units", no_tree)
     start = time.perf_counter()
-    for extra in ((), ("--tree", "1,2")):
-        code, payload = run(capsys, "complex", "stabilizer", "--n", "1000000", *extra)
+    for argv in (("--n", "501"), ("--n", "1000000"), ("--n", "501", "--tree", "1,2")):
+        code, payload = run(capsys, "complex", "stabilizer", *argv)
         assert code == 2
-        assert payload["error"]["message"] == "tree symmetries are limited to rank <= 8, not 1000000"
+        assert payload["error"]["message"] == f"trees are limited to rank <= 500, not {argv[1]}"
     assert time.perf_counter() - start < 0.5
 
 

@@ -12,11 +12,14 @@ import pytest
 
 from reference import (
     acting_letters,
+    generated_subgroup,
     image_words,
     is_reduced_acyclic,
     label_set_merges,
     label_set_splits,
     nuclear_vertex_from_basis,
+    symmetry_generators_reference,
+    tree_symmetries_reference,
 )
 from symlift import complexes, selftest
 from symlift.complexes import (
@@ -34,14 +37,13 @@ from symlift.complexes import (
     quotient_star_check,
     stabilizer_generators,
     stabilizer_soundness,
+    symmetry_generators,
     tree_from_units,
-    tree_symmetries,
     trivial_tree,
     vertex_automorphism,
     _canonicalize_factors,
     _conjugated,
     _dense_smith,
-    _generated_subgroup,
     _tree_vertex_aut_group,
     _smith_rank_divisors,
 )
@@ -754,13 +756,13 @@ def test_stabilizer_trivial_tree():
     gens = stabilizer_generators(trivial_tree(3))
     assert gens.vertex_auts == ()
     assert len(gens.inversions) == 3
-    assert len(_generated_subgroup(gens.symmetries, 3)) == 6
+    assert len(generated_subgroup(gens.symmetries, 3)) == 6
 
 
 def test_stabilizer_path_tree():
     gens = stabilizer_generators(PATH3)
     assert [str(gw) for gw in gens.vertex_auts] == ["a[1,3]"]
-    group = _generated_subgroup(gens.symmetries, 3)
+    group = generated_subgroup(gens.symmetries, 3)
     assert group == {(1, 2, 3), (2, 1, 3)}
 
 
@@ -768,8 +770,108 @@ def test_stabilizer_rank4_example():
     t = tree_from_units(4, [[4, 1, 2], [4, 3]])
     gens = stabilizer_generators(t)
     assert len(gens.vertex_auts) == 1
-    group = _generated_subgroup(gens.symmetries, 4)
+    group = generated_subgroup(gens.symmetries, 4)
     assert group == {(1, 2, 3, 4), (2, 1, 3, 4)}
+
+
+# the rank-6 trees on which swapping each sibling with the next one of its
+# code would print another second generator, with the generators the
+# greedy pick over the listed group chooses (one tree type, 30 labellings)
+SECOND_GENERATOR_PINS = {
+    "1,2;2,3,6;3,5;4,6": [(1, 2, 6, 5, 4, 3), (4, 6, 3, 1, 5, 2)],
+    "1,2;2,3,4;3,6;4,5": [(1, 2, 4, 3, 6, 5), (5, 4, 3, 2, 1, 6)],
+    "1,2;2,3,5;3,6;4,5": [(1, 2, 5, 6, 3, 4), (4, 5, 3, 1, 2, 6)],
+    "1,3;2,3,6;2,5;4,6": [(1, 6, 3, 5, 4, 2), (4, 2, 6, 1, 5, 3)],
+    "1,3;2,3,4;2,6;4,5": [(1, 4, 3, 2, 6, 5), (5, 2, 4, 3, 1, 6)],
+    "1,3;2,3,5;2,6;4,5": [(1, 5, 3, 6, 2, 4), (4, 2, 5, 1, 3, 6)],
+    "1,4;2,4,6;2,5;3,6": [(1, 6, 5, 4, 3, 2), (3, 2, 1, 6, 5, 4)],
+    "1,4;2,3,4;2,6;3,5": [(1, 3, 2, 4, 6, 5), (5, 2, 4, 3, 1, 6)],
+    "1,4;2,4,5;2,6;3,5": [(1, 5, 6, 4, 2, 3), (3, 2, 1, 5, 4, 6)],
+    "1,5;2,4;2,5,6;3,6": [(1, 6, 4, 3, 5, 2), (3, 2, 1, 4, 6, 5)],
+    "1,5;2,3,5;2,6;3,4": [(1, 3, 2, 6, 5, 4), (4, 2, 5, 1, 3, 6)],
+    "1,5;2,4,5;2,6;3,4": [(1, 4, 6, 2, 5, 3), (3, 2, 1, 5, 4, 6)],
+    "1,6;2,4;2,5,6;3,5": [(1, 5, 4, 3, 2, 6), (3, 2, 1, 4, 6, 5)],
+    "1,6;2,3,6;2,5;3,4": [(1, 3, 2, 5, 4, 6), (4, 2, 6, 1, 5, 3)],
+    "1,6;2,4,6;2,5;3,4": [(1, 4, 5, 2, 3, 6), (3, 2, 1, 6, 5, 4)],
+    "1,2;1,4,6;3,6;4,5": [(1, 2, 5, 6, 3, 4), (4, 5, 3, 1, 2, 6)],
+    "1,2;1,4,5;3,5;4,6": [(1, 2, 6, 5, 4, 3), (4, 6, 3, 1, 5, 2)],
+    "1,2;1,5,6;3,6;4,5": [(1, 2, 4, 3, 6, 5), (5, 4, 3, 2, 1, 6)],
+    "1,3;1,4,6;2,6;4,5": [(1, 5, 3, 6, 2, 4), (4, 2, 5, 1, 3, 6)],
+    "1,3;1,4,5;2,5;4,6": [(1, 6, 3, 5, 4, 2), (4, 2, 6, 1, 5, 3)],
+    "1,3;1,5,6;2,6;4,5": [(1, 4, 3, 2, 6, 5), (5, 2, 4, 3, 1, 6)],
+    "1,3,5;1,6;2,5;3,4": [(1, 4, 5, 2, 3, 6), (3, 2, 1, 6, 5, 4)],
+    "1,3,6;1,5;2,6;3,4": [(1, 4, 6, 2, 5, 3), (3, 2, 1, 5, 4, 6)],
+    "1,3,4;1,6;2,4;3,5": [(1, 5, 4, 3, 2, 6), (3, 2, 1, 4, 6, 5)],
+    "1,3,6;1,4;2,6;3,5": [(1, 5, 6, 4, 2, 3), (3, 2, 1, 5, 4, 6)],
+    "1,3,4;1,5;2,4;3,6": [(1, 6, 4, 3, 5, 2), (3, 2, 1, 4, 6, 5)],
+    "1,3,5;1,4;2,5;3,6": [(1, 6, 5, 4, 3, 2), (3, 2, 1, 6, 5, 4)],
+    "1,4;1,5,6;2,6;3,5": [(1, 3, 2, 4, 6, 5), (5, 2, 4, 3, 1, 6)],
+    "1,4,5;1,6;2,5;3,4": [(1, 3, 2, 5, 4, 6), (4, 2, 6, 1, 5, 3)],
+    "1,4,6;1,5;2,6;3,4": [(1, 3, 2, 6, 5, 4), (4, 2, 5, 1, 3, 6)],
+}
+
+
+def _pinned_tree(spec: str) -> LabelledBipartiteTree:
+    return tree_from_units(6, [[int(l) for l in unit.split(",")] for unit in spec.split(";")])
+
+
+@pytest.fixture(scope="module")
+def listed_symmetries():
+    """Every tree of ranks 2 to 5 with its symmetries from the n! scan and
+    the generators the greedy pick over them chooses."""
+    return [
+        (t, tree_symmetries_reference(t), symmetry_generators_reference(t))
+        for n in range(2, 6)
+        for t in enumerate_whitehead_poset(n).elements
+    ]
+
+
+def _generator_misses(generators, listed_symmetries) -> list:
+    """The trees on which ``generators`` differs from the greedy reference
+    (ranks 2 to 5) or from the pinned rank-6 generators."""
+    misses = [t for t, _, want in listed_symmetries if generators(t) != want]
+    for spec, want in SECOND_GENERATOR_PINS.items():
+        if generators(_pinned_tree(spec)) != want:
+            misses.append(spec)
+    return misses
+
+
+def test_symmetry_generators_are_the_greedy_picks(listed_symmetries):
+    assert _generator_misses(symmetry_generators, listed_symmetries) == []
+
+
+def test_symmetry_generators_generate_every_symmetry(listed_symmetries):
+    for t, symmetries, _ in listed_symmetries:
+        assert generated_subgroup(symmetry_generators(t), t.rank) == set(symmetries), t
+
+
+@pytest.mark.parametrize("n", [9, 50])
+def test_star_symmetries_are_n_minus_1_sound_transpositions(n):
+    gens = stabilizer_generators(trivial_tree(n))
+    assert len(gens.symmetries) == n - 1
+    assert all(ok for _, ok in stabilizer_soundness(gens))
+    moved = [[l for l in range(1, n + 1) if p[l - 1] != l] for p in gens.symmetries]
+    assert all(len(pair) == 2 for pair in moved)
+    # n - 1 transpositions generate the symmetric group when their pairs
+    # connect 1..n, which is when they form a tree
+    tree_from_units(n, moved)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("theirs = min(group[i + 1 :], key=lambda other: other[at])", "theirs = group[i + 1]"),
+        ("centre = peeled[-1]", "centre = -1"),
+    ],
+    ids=["next_sibling_only", "rooted_at_unit_0"],
+)
+def test_a_wrong_symmetry_pass_is_caught(listed_symmetries, old, new):
+    source = inspect.getsource(complexes.symmetry_generators)
+    mutated = source.replace(old, new)
+    assert mutated != source
+    namespace = dict(vars(complexes))
+    exec(mutated, namespace)
+    assert _generator_misses(namespace["symmetry_generators"], listed_symmetries)
 
 
 def test_stabilizer_soundness_across_rank_4():
@@ -842,7 +944,7 @@ def test_acts_without_rotations_on_chains():
         ]
         for i, j in pairs:
             a, b = poset.elements[i], poset.elements[j]
-            for perm in tree_symmetries(a):
+            for perm in tree_symmetries_reference(a):
                 image_pair = {a.relabelled(perm).canonical(), b.relabelled(perm).canonical()}
                 if image_pair == {a.canonical(), b.canonical()}:
                     assert a.relabelled(perm).canonical() == a.canonical()

@@ -28,6 +28,7 @@ from symlift.symaut import (
     eval_generator_word,
     inner_relator,
     letter_inverse,
+    outer_equal,
     parse_generator_word,
     rho,
     rho_i,
@@ -437,11 +438,37 @@ def test_wrapped_chain_power_hands_no_letter_to_act_letters(monkeypatch, capsys)
             return evaluate(gw, ctx)
 
     monkeypatch.setattr(lift, "eval_generator_word", pipeline_eval)
+    monkeypatch.setattr(cli, "eval_generator_word", pipeline_eval)
     word = _wrapped_chain(8)
     assert kernel_verdict(parse_generator_word(word, 3)).verdict == "in"
     assert cli.main(["lift", "eval", "--n", "3", "--word", word]) == 0
+    assert cli.main(["symaut", "eval", "--ctx", "H:3:2", "--word", word]) == 0
+    assert cli.main(
+        ["symaut", "outer-equal", "--ctx", "H:3:2", "--left", word, "--right", "e"]
+    ) == 0
     assert received == []
     # the counter sees a word that does not cancel
     assert cli.main(["lift", "kernel", "--n", "3", "--word", "a[1,2] a[2,3]^-1 r[1]"]) == 1
     assert received == [("a", 1, 2, 1), ("a", 2, 3, 1)]
     capsys.readouterr()
+
+
+def test_symaut_commands_at_torsion_2_print_the_raw_evaluation(capsys):
+    # in H_n(2) the letters are reduced before they are evaluated; the
+    # payloads must be those of the raw letters
+    rng = random.Random(29)
+    for n in (3, 4):
+        ctx = torsion_context(n, 2)
+        for t in range(30):
+            head, tail, c = random_gw(rng, n), random_gw(rng, n), random_gw(rng, n, 6)
+            u = head * c * rho(n) * c.inverse() * tail
+            v = head * tail if t % 2 else random_gw(rng, n)
+            f, g = (eval_generator_word(gw, ctx) for gw in (u, v))
+            assert cli.main(["symaut", "eval", "--ctx", f"H:{n}:2", "--word", str(u)]) == 0
+            printed = json.loads(capsys.readouterr().out)["images"]
+            assert printed == json.loads(json.dumps(f.to_json()))
+            equal = outer_equal(f, g)
+            argv = ["--ctx", f"H:{n}:2", "--left", str(u), "--right", str(v)]
+            assert cli.main(["symaut", "outer-equal", *argv]) == (0 if equal else 1)
+            assert json.loads(capsys.readouterr().out)["outer_equal"] is equal
+
