@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import braid as braid_mod
@@ -454,6 +455,14 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
+    except BrokenPipeError:
+        # the reader closed stdout: what is left, the error object and the
+        # interpreter's last flush go to the null device instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         return _emit_error(str(exc))
 

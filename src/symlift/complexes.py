@@ -60,13 +60,29 @@ LabelMasks = frozenset[int]
 
 def _label_components(labels: Iterable[int], sets: Iterable[frozenset]) -> list[frozenset]:
     """The components of ``labels``, each set joining its labels, sorted by
-    smallest label.  Every label in a set must be listed."""
-    component = {l: frozenset((l,)) for l in labels}
+    smallest label.  Every label in a set must be listed.
+
+    Union-find with path halving, each root the smallest label of its
+    component, so the roots in ascending order give the sorted components.
+    """
+    parent = {l: l for l in labels}
+
+    def root(l: int) -> int:
+        while parent[l] != l:
+            parent[l] = parent[parent[l]]
+            l = parent[l]
+        return l
+
     for s in sets:
-        merged = frozenset().union(*(component[l] for l in s))
-        for l in merged:
-            component[l] = merged
-    return sorted(set(component.values()), key=min)
+        roots = {root(l) for l in s}
+        if len(roots) > 1:
+            low = min(roots)
+            for r in roots:
+                parent[r] = low
+    members: dict[int, list[int]] = {}
+    for l in parent:
+        members.setdefault(root(l), []).append(l)
+    return [frozenset(members[r]) for r in sorted(members)]
 
 
 def _encode(units: Sequence[frozenset[int]], name: Callable[[int], str]) -> str:

@@ -29,7 +29,7 @@ from .symaut import (
     eval_generator_word,
     inner_relator,
     is_inner,
-    letter_inverse,
+    letter_inverses,
     parse_generator_word,
     rho,
     semidirect_normal_form,
@@ -59,15 +59,17 @@ def _sp_table(letters: tuple[Letter, ...]):
     single recurrence suffices: first and last letters agree up to sign and
     the interior is a semipalindrome.  Unrolled, letters[i:j] has even length
     and its mirrored pairs agree up to sign; ``radius[c]`` counts the pairs
-    that agree outwards from the gap before letters[c].
+    that agree outwards from the gap before letters[c].  The letters are
+    ``a``-letters, which agree up to sign when their indices agree.
     """
     n = len(letters)
     radius = []
     for c in range(n + 1):
         r = 0
-        while r < c and c + r < n and letters[c + r] in (
-            letters[c - 1 - r], letter_inverse(letters[c - 1 - r])
-        ):
+        while r < c and c + r < n:
+            left, right = letters[c - 1 - r], letters[c + r]
+            if left[1] != right[1] or left[2] != right[2]:
+                break
             r += 1
         radius.append(r)
 
@@ -102,7 +104,7 @@ def parse_semipalindrome_product(gw: GeneratorWord) -> Optional[tuple[Block, ...
     blocks = []
     i = 0
     while i < n:
-        j = min(j for j in range(i + 2, n + 1, 2) if splittable[j] and sp(i, j))
+        j = next(j for j in range(i + 2, n + 1, 2) if splittable[j] and sp(i, j))
         blocks.append(letters[i:j])
         i = j
     return tuple(blocks)
@@ -143,12 +145,15 @@ class Certificate:
 
     def product_word(self) -> GeneratorWord:
         r = rho(self.rank).letters
+        if any(c.rank != self.rank for c in self.conjugators):
+            raise WordError(f"certificate conjugators must have rank {self.rank}")
+        inv = letter_inverses(l for c in self.conjugators for l in c.letters)
         letters: list[Letter] = []
         for c in self.conjugators:
             letters += c.letters
             letters += r
-            letters += (letter_inverse(l) for l in reversed(c.letters))
-        return GeneratorWord(self.rank, tuple(letters))
+            letters += map(inv.__getitem__, reversed(c.letters))
+        return GeneratorWord._trusted(self.rank, tuple(letters))
 
     def to_json(self) -> dict:
         return {
@@ -249,7 +254,9 @@ def _certify(gw: GeneratorWord) -> tuple[Optional[Certificate], Optional[str]]:
             blocks = parse_semipalindrome_product(pure)
             if blocks is not None:
                 conjugators = [
-                    GeneratorWord(n, c) for block in blocks for c in block_conjugators(block)
+                    GeneratorWord._trusted(n, c)
+                    for block in blocks
+                    for c in block_conjugators(block)
                 ]
                 if nf.rho and nf.rho[0] == 1:
                     conjugators.append(GeneratorWord(n))
@@ -267,10 +274,12 @@ def verify_certificate(cert: Certificate, target: GeneratorWord) -> bool:
 
     Compares semidirect normal forms, which are exact in the automorphism
     group.  Permutation part and inversion vector are outer invariants, so a
-    mismatch refutes immediately; equal pure parts (after free cancellation)
-    confirm.  Only a nonzero pure residue falls back to evaluating images,
-    which is exact but can be expensive: image words of long compositions
-    grow exponentially, which is why the letter-level route comes first.
+    mismatch refutes immediately.  Both pure parts are freely reduced, so
+    they are equal in the free group exactly when their letters are equal,
+    which confirms.  Only unequal pure parts fall back to evaluating their
+    residue, which is exact but can be expensive: image words of long
+    compositions grow exponentially, which is why the letter-level route
+    comes first.
     """
     if cert.rank != target.rank:
         raise WordError("certificate / target rank mismatch")
@@ -278,9 +287,9 @@ def verify_certificate(cert: Certificate, target: GeneratorWord) -> bool:
     nf_t = semidirect_normal_form(target, cancel=True)
     if nf_w.perm != nf_t.perm or nf_w.rho != nf_t.rho:
         return False
-    residue = (nf_t.pure.inverse() * nf_w.pure).free_cancel()
-    if not residue.letters:
+    if nf_w.pure.letters == nf_t.pure.letters:
         return True
+    residue = (nf_t.pure.inverse() * nf_w.pure).free_cancel()
     return is_inner(eval_generator_word(residue, free_context(cert.rank)))
 
 

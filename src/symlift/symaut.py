@@ -67,6 +67,12 @@ def letter_inverse(letter: Letter) -> Letter:
     return letter
 
 
+def letter_inverses(letters: Iterable[Letter]) -> dict[Letter, Letter]:
+    """Each distinct letter of ``letters`` mapped to its inverse, built once
+    per letter rather than once per occurrence."""
+    return {l: letter_inverse(l) for l in set(letters)}
+
+
 def letter_str(letter: Letter) -> str:
     if letter[0] == "a":
         _, i, j, e = letter
@@ -122,15 +128,16 @@ class GeneratorWord:
         return len(self.letters)
 
     def inverse(self) -> "GeneratorWord":
-        return GeneratorWord._trusted(
-            self.rank, tuple(letter_inverse(l) for l in reversed(self.letters))
-        )
+        inv = letter_inverses(self.letters)
+        letters = tuple(map(inv.__getitem__, reversed(self.letters)))
+        return GeneratorWord._trusted(self.rank, letters)
 
     def free_cancel(self) -> "GeneratorWord":
         """Cancel adjacent exactly-inverse letters (valid in any quotient)."""
+        inv = letter_inverses(self.letters)
         out: list[Letter] = []
         for letter in self.letters:
-            if out and out[-1] == letter_inverse(letter):
+            if out and out[-1] == inv[letter]:
                 out.pop()
             else:
                 out.append(letter)
@@ -515,25 +522,25 @@ def semidirect_normal_form(gw: GeneratorWord, cancel: bool = True) -> NormalForm
     pure: list[Letter] = []
     rho_bits = [0] * n
     perm = list(range(1, n + 1))  # perm[i-1] = sigma(i)
-
-    def emit(letter: Letter) -> None:
-        if cancel and pure and pure[-1] == letter_inverse(letter):
-            pure.pop()
-        else:
-            pure.append(letter)
-
     for letter in gw.letters:
         kind = letter[0]
         if kind == "a":
             _, i, j, e = letter
             si, sj = perm[i - 1], perm[j - 1]
-            emit(("a", si, sj, e * (-1 if rho_bits[sj - 1] else 1)))
+            if rho_bits[sj - 1]:
+                e = -e
+            if cancel and pure:
+                last = pure[-1]
+                if last[1] == si and last[2] == sj and last[3] == -e:
+                    pure.pop()
+                    continue
+            pure.append(("a", si, sj, e))
         elif kind == "r":
             rho_bits[perm[letter[1] - 1] - 1] ^= 1
         else:
             _, i, j = letter
             perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-    return NormalForm(GeneratorWord(n, tuple(pure)), tuple(rho_bits), tuple(perm))
+    return NormalForm(GeneratorWord._trusted(n, tuple(pure)), tuple(rho_bits), tuple(perm))
 
 
 # ---------------------------------------------------------------------------

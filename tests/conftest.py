@@ -8,30 +8,37 @@ from reference import (
     even_to_x_reference,
     generator_conjugate_shape_reference,
     inner_conjugator_reference,
+    parse_semipalindrome_product_reference,
+    semidirect_normal_form_reference,
 )
 from symlift import braid, cli, complexes, kernel, lift, selftest, symaut, words
 
+# (defining module, name): reference
 REFERENCES = {
-    "conjugation_step": conjugation_step_reference,
-    "even_to_x": even_to_x_reference,
-    "inner_conjugator": inner_conjugator_reference,
-    "generator_conjugate_shape": generator_conjugate_shape_reference,
+    (words, "conjugation_step"): conjugation_step_reference,
+    (words, "even_to_x"): even_to_x_reference,
+    (words, "inner_conjugator"): inner_conjugator_reference,
+    (words, "generator_conjugate_shape"): generator_conjugate_shape_reference,
+    (symaut, "semidirect_normal_form"): semidirect_normal_form_reference,
+    (kernel, "parse_semipalindrome_product"): parse_semipalindrome_product_reference,
 }
 
 
 @pytest.fixture(scope="session", autouse=True)
 def fast_paths_checked_against_the_references():
-    """Every ``conjugation_step``, ``even_to_x``, ``inner_conjugator`` and
-    ``generator_conjugate_shape`` that the library calls during the suite,
-    through any module that binds the name, is compared with its reference
-    in ``reference.py``: the four-factor ``product``, the
-    ``normalize``-based rewrite, the ``coset_intersection`` solve and the
-    ``cyclic_reduce`` split.  Every word that ``_h2_reduced`` reduces must
-    evaluate in the order-2 product to the automorphism of its raw
-    letters."""
+    """Every call the library makes during the suite to a name in
+    ``REFERENCES``, through any module that binds the name, is compared with
+    its reference in ``reference.py``: ``conjugation_step`` with the
+    four-factor ``product``, ``even_to_x`` with the ``normalize``-based
+    rewrite, ``inner_conjugator`` with the ``coset_intersection`` solve,
+    ``generator_conjugate_shape`` with the ``cyclic_reduce`` split,
+    and ``semidirect_normal_form`` and ``parse_semipalindrome_product``
+    with their per-letter ``letter_inverse`` forms.  Every word that
+    ``_h2_reduced`` reduces must evaluate in the order-2 product to the
+    automorphism of its raw letters."""
     with pytest.MonkeyPatch.context() as mp:
-        for name, reference in REFERENCES.items():
-            fast = getattr(words, name)
+        for (home, name), reference in REFERENCES.items():
+            fast = getattr(home, name)
             wrapped = checked(fast, reference)
             for module in (words, symaut, lift, kernel, complexes, braid, cli, selftest):
                 if getattr(module, name, None) is fast:

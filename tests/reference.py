@@ -12,7 +12,16 @@ from symlift.complexes import (
     NuclearVertex,
     _canonicalize_factors,
 )
-from symlift.symaut import Letter, SymmetricAut, all_letters, eval_generator_word
+from symlift.kernel import _require_pure
+from symlift.symaut import (
+    GeneratorWord,
+    Letter,
+    NormalForm,
+    SymmetricAut,
+    all_letters,
+    eval_generator_word,
+    letter_inverse,
+)
 from symlift.words import (
     GroupContext,
     Syllable,
@@ -79,6 +88,81 @@ def generator_conjugate_shape_reference(w: Word) -> Optional[tuple[Word, int, in
     if exp != 1 and (exp != -1 or not w.ctx.is_free):
         return None
     return p, gen, exp
+
+
+def semidirect_normal_form_reference(gw: GeneratorWord, cancel: bool = True) -> NormalForm:
+    """``semidirect_normal_form`` with an ``emit`` closure that tests
+    cancellation against ``letter_inverse`` and a pure part built by the
+    public constructor."""
+    n = gw.rank
+    pure: list[Letter] = []
+    rho_bits = [0] * n
+    perm = list(range(1, n + 1))  # perm[i-1] = sigma(i)
+
+    def emit(letter: Letter) -> None:
+        if cancel and pure and pure[-1] == letter_inverse(letter):
+            pure.pop()
+        else:
+            pure.append(letter)
+
+    for letter in gw.letters:
+        kind = letter[0]
+        if kind == "a":
+            _, i, j, e = letter
+            si, sj = perm[i - 1], perm[j - 1]
+            emit(("a", si, sj, e * (-1 if rho_bits[sj - 1] else 1)))
+        elif kind == "r":
+            rho_bits[perm[letter[1] - 1] - 1] ^= 1
+        else:
+            _, i, j = letter
+            perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
+    return NormalForm(GeneratorWord(n, tuple(pure)), tuple(rho_bits), tuple(perm))
+
+
+def parse_semipalindrome_product_reference(gw: GeneratorWord) -> Optional[tuple[tuple, ...]]:
+    """``parse_semipalindrome_product`` with mirrored letters matched
+    through ``letter_inverse`` and each block end taken as the ``min`` of
+    every end that works."""
+    _require_pure(gw)
+    letters = gw.letters
+    n = len(letters)
+    if n % 2:
+        return None
+    radius = []
+    for c in range(n + 1):
+        r = 0
+        while r < c and c + r < n and letters[c + r] in (
+            letters[c - 1 - r], letter_inverse(letters[c - 1 - r])
+        ):
+            r += 1
+        radius.append(r)
+
+    def sp(i: int, j: int) -> bool:
+        return (j - i) % 2 == 0 and radius[(i + j) // 2] >= (j - i) // 2
+
+    splittable = [False] * n + [True]
+    for i in range(n - 2, -1, -2):
+        splittable[i] = any(splittable[j] and sp(i, j) for j in range(i + 2, n + 1, 2))
+    if not splittable[0]:
+        return None
+    blocks = []
+    i = 0
+    while i < n:
+        j = min(j for j in range(i + 2, n + 1, 2) if splittable[j] and sp(i, j))
+        blocks.append(letters[i:j])
+        i = j
+    return tuple(blocks)
+
+
+def label_components_reference(labels, sets) -> list[frozenset]:
+    """``_label_components`` by merging: every label maps to its component,
+    and each set replaces the components of its labels by their union."""
+    component = {l: frozenset((l,)) for l in labels}
+    for s in sets:
+        merged = frozenset().union(*(component[l] for l in s))
+        for l in merged:
+            component[l] = merged
+    return sorted(set(component.values()), key=min)
 
 
 def image_words(f: SymmetricAut) -> tuple[Word, ...]:
@@ -233,11 +317,11 @@ def checked(fast, reference):
     unchanged."""
 
     @functools.wraps(fast)
-    def wrapper(*args):
-        got = fast(*args)
-        want = reference(*args)
+    def wrapper(*args, **kwargs):
+        got = fast(*args, **kwargs)
+        want = reference(*args, **kwargs)
         if repr(got) != repr(want):
-            raise AssertionError(f"{fast.__name__}{args} gave {got}, the reference {want}")
+            raise AssertionError(f"{fast.__name__}{args}{kwargs} gave {got}, the reference {want}")
         return got
 
     return wrapper

@@ -416,6 +416,25 @@ def test_repeated_calls_in_one_process_match_fresh_processes(capsys):
         assert (fresh.stdout, fresh.returncode) == expected, argv
 
 
+def test_a_closed_stdout_exits_2_without_a_traceback():
+    # the reader takes 50 bytes of a 300 KB output and closes the pipe, so
+    # the command's next write fails
+    env = {**os.environ, "PYTHONPATH": str(Path(symlift.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symlift.cli", "complex", "poset", "--n", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert err == "error: stdout was closed before the output was written\n"
+
+
 def test_selftest_fault_injection(capsys, monkeypatch):
     # append a false relation to the table and expect the named check to fail
     import symlift.symaut as symaut_mod

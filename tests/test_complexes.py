@@ -15,6 +15,7 @@ from reference import (
     generated_subgroup,
     image_words,
     is_reduced_acyclic,
+    label_components_reference,
     label_set_merges,
     label_set_splits,
     nuclear_vertex_from_basis,
@@ -643,6 +644,28 @@ def test_components_and_valences():
     comps = components_without(PATH3, 3)
     assert [sorted(c) for c in comps] == [[1], [2]]
     assert len(components_without(trivial_tree(3), 1)) == 1
+
+
+def test_label_components_match_the_frozenset_merge():
+    rng = random.Random(41)
+    trees = [random_hypertree(n, rng) for n in (2, 5, 9, 17, 40) for _ in range(30)]
+    trees += enumerate_whitehead_poset(5).elements
+    for t in trees:
+        labels = range(1, t.rank + 1)
+        got = complexes._label_components(labels, t.units)
+        assert got == label_components_reference(labels, t.units) == [frozenset(labels)]
+        for v in labels:
+            others = [l for l in labels if l != v]
+            split = [unit - {v} for unit in t.units]
+            want = label_components_reference(others, split)
+            assert complexes._label_components(others, split) == want
+            assert components_without(t, v) == want
+    # sets that leave labels apart, in an order that joins roots late
+    sets = [frozenset({5, 6}), frozenset({3, 4}), frozenset({4, 6}), frozenset({8, 9})]
+    labels = range(1, 10)
+    want = label_components_reference(labels, sets)
+    assert complexes._label_components(labels, sets) == want
+    assert want == [{1}, {2}, {3, 4, 5, 6}, {7}, {8, 9}]
 
 
 def test_moving_components_keep_the_largest_label_still():

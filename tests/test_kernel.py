@@ -201,6 +201,25 @@ def test_verify_examples():
         verify_certificate(Certificate(4, ()), gw("a[1,2]"))
 
 
+def test_verify_refutes_equal_invariants_with_unequal_pure_parts():
+    # both sides have the trivial permutation and invert every generator,
+    # but their pure parts e and a[1,2] differ by a[1,2], which is no inner
+    # automorphism
+    cert = Certificate(3, (GeneratorWord(3),))
+    assert not verify_certificate(cert, gw("a[1,2] r[1] r[2] r[3]"))
+    # a[2,1] a[3,1] acts as conjugation by g_1, so that residue confirms
+    assert verify_certificate(cert, gw("a[2,1] a[3,1] r[1] r[2] r[3]"))
+
+
+def test_product_word_refuses_a_conjugator_of_another_rank():
+    for conjugator in (gw("a[4,1]", 4), gw("a[1,2]", 2)):
+        cert = Certificate(3, (conjugator,))
+        with pytest.raises(WordError, match="rank"):
+            cert.product_word()
+        with pytest.raises(WordError, match="rank"):
+            verify_certificate(cert, rho(3))
+
+
 def test_certify_raises_when_its_certificate_fails_to_verify(monkeypatch):
     import symlift.kernel
 
