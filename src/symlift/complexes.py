@@ -58,33 +58,6 @@ Edge = tuple[int, int]  # (label, unlabelled id)
 LabelMasks = frozenset[int]
 
 
-def _label_components(labels: Iterable[int], sets: Iterable[frozenset]) -> list[frozenset]:
-    """The components of ``labels``, each set joining its labels, sorted by
-    smallest label.  Every label in a set must be listed.
-
-    Union-find with path halving, each root the smallest label of its
-    component, so the roots in ascending order give the sorted components.
-    """
-    parent = {l: l for l in labels}
-
-    def root(l: int) -> int:
-        while parent[l] != l:
-            parent[l] = parent[parent[l]]
-            l = parent[l]
-        return l
-
-    for s in sets:
-        roots = {root(l) for l in s}
-        if len(roots) > 1:
-            low = min(roots)
-            for r in roots:
-                parent[r] = low
-    members: dict[int, list[int]] = {}
-    for l in parent:
-        members.setdefault(root(l), []).append(l)
-    return [frozenset(members[r]) for r in sorted(members)]
-
-
 def _encode(units: Sequence[frozenset[int]], name: Callable[[int], str]) -> str:
     """Minimal rooted encoding over unlabelled roots, labels written by
     ``name``.  Codes are built leaves first along a breadth-first order of
@@ -154,7 +127,10 @@ class LabelledBipartiteTree:
                 raise WordError(f"unlabelled vertex {u} has valence < 2")
         if sum(len(unit) - 1 for unit in self.units) != n - 1:
             raise WordError(f"label sets are no tree: sum(|E| - 1) must be {n - 1}")
-        if len(_label_components(labels, self.units)) != 1:
+        # n + |units| vertices and one edge fewer: some component is a tree,
+        # so there is a leaf to peel, and the walk from the last one peeled
+        # reaches every vertex exactly when the sets connect the labels
+        if len(_centre_walk(self)[0]) != n + len(self.units):
             raise WordError("tree is not connected")
         object.__setattr__(self, "label_sets", frozenset(self.units))
 
@@ -712,27 +688,62 @@ def order_complex_homology(poset: WhiteheadPoset) -> HomologyReport:
 # ---------------------------------------------------------------------------
 
 
-def components_without(t: LabelledBipartiteTree, label: int) -> list[frozenset[int]]:
-    """Label sets of the components of the tree minus one labelled vertex,
-    sorted by smallest contained label."""
-    others = [l for l in range(1, t.rank + 1) if l != label]
-    return _label_components(others, (unit - {label} for unit in t.units))
+def _centre_walk(t: LabelledBipartiteTree) -> tuple[list[int], dict[int, list[int]]]:
+    """The tree's vertices in breadth-first order from its centre, label l as
+    vertex l and unit u as vertex -1 - u, and each vertex's children.
 
-
-def _moving_at(t: LabelledBipartiteTree, v: int) -> list[frozenset[int]]:
-    """The components of the tree minus vertex ``v`` which a vertex
-    automorphism there may move: all but the one holding the largest label,
-    which stays at power 0.  Empty when ``v`` leaves a single component."""
-    comps = components_without(t, v)
-    kept = max(comps, key=max)
-    return [comp for comp in comps if comp != kept]
+    Every leaf is a label, so paths between leaves have even length and
+    peeling leaves ends at a single vertex, the centre.  On label sets that
+    do not connect the labels the order misses a vertex.
+    """
+    adjacent: dict[int, list[int]] = {l: [] for l in range(1, t.rank + 1)}
+    for u, labels in enumerate(t.units):
+        adjacent[-1 - u] = list(labels)
+        for l in labels:
+            adjacent[l].append(-1 - u)
+    degree = {v: len(ws) for v, ws in adjacent.items()}
+    peeled = [v for v, d in degree.items() if d == 1]
+    for v in peeled:
+        for w in adjacent[v]:
+            degree[w] -= 1
+            if degree[w] == 1:
+                peeled.append(w)
+    centre = peeled[-1]
+    order, kids = [centre], {centre: []}
+    for v in order:
+        for w in adjacent[v]:
+            if w not in kids:
+                kids[w] = []
+                kids[v].append(w)
+                order.append(w)
+    return order, kids
 
 
 def moving_components(t: LabelledBipartiteTree) -> dict[int, list[frozenset[int]]]:
-    """Per labelled vertex, in ascending order, its moving components
-    (:func:`_moving_at`).  Vertices with nothing to move are left out."""
-    moving = {v: _moving_at(t, v) for v in range(1, t.rank + 1)}
-    return {v: comps for v, comps in moving.items() if comps}
+    """Per labelled vertex, in ascending order, the components of the tree
+    minus that vertex which a vertex automorphism there may move, sorted by
+    smallest label: all but the one holding the largest label, which stays
+    at power 0.  Vertices that leave a single component are left out.
+
+    The components at a label are the label sets of the subtrees hanging
+    off it in the centre-rooted walk, one per child unit, and the labels
+    outside its own subtree, across its parent.
+    """
+    order, kids = _centre_walk(t)
+    everything = frozenset(range(1, t.rank + 1))
+    below: dict[int, frozenset[int]] = {}  # the labels of each subtree not yet joined
+    moving = {}
+    for v in reversed(order):
+        comps = [below.pop(w) for w in kids[v]]
+        below[v] = frozenset([v] * (v > 0)).union(*comps)
+        if v < 0:
+            continue
+        if v != order[0]:
+            comps.append(everything - below[v])
+        if len(comps) > 1:
+            kept = max(comps, key=max)
+            moving[v] = sorted((comp for comp in comps if comp is not kept), key=min)
+    return dict(sorted(moving.items()))
 
 
 def vertex_automorphism(
@@ -745,7 +756,7 @@ def vertex_automorphism(
     in ascending order.  One power per component makes the powers constant
     on components by construction; the inverse negates them.
     """
-    comps = _moving_at(t, vertex)
+    comps = moving_components(t).get(vertex)
     if not comps:
         raise WordError(f"vertex {vertex} has no moving components")
     if len(powers) != len(comps):
@@ -783,36 +794,15 @@ def symmetry_generators(t: LabelledBipartiteTree) -> list[tuple[int, ...]]:
     picks of a greedy pass over the listed group.
     """
     n = t.rank
-    adjacent: dict[int, list[int]] = {l: [] for l in range(1, n + 1)}  # unit u is -1 - u
-    for u, labels in enumerate(t.units):
-        adjacent[-1 - u] = list(labels)
-        for l in labels:
-            adjacent[l].append(-1 - u)
-    # every leaf is a label, so paths between leaves have even length and
-    # peeling leaves ends at a single vertex
-    degree = {v: len(ws) for v, ws in adjacent.items()}
-    peeled = [v for v, d in degree.items() if d == 1]
-    for v in peeled:
-        for w in adjacent[v]:
-            degree[w] -= 1
-            if degree[w] == 1:
-                peeled.append(w)
-    centre = peeled[-1]
-    order, parent = [centre], {centre: None}
-    for v in order:
-        for w in adjacent[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
+    order, kids = _centre_walk(t)
     codes: dict[tuple, int] = {}
     code, flat = {}, {}  # flat[v]: the labels of v's subtree, in sibling order
     swaps = []
     for v in reversed(order):
-        kids = [w for w in adjacent[v] if parent[w] == v]
-        kids.sort(key=lambda w: (code[w], min(flat[w])))
-        code[v] = codes.setdefault((v > 0, tuple(code[w] for w in kids)), len(codes))
-        flat[v] = [v] * (v > 0) + [l for w in kids for l in flat[w]]
-        for _, group in itertools.groupby(kids, key=code.get):
+        kids[v].sort(key=lambda w: (code[w], min(flat[w])))
+        code[v] = codes.setdefault((v > 0, tuple(code[w] for w in kids[v])), len(codes))
+        flat[v] = [v] * (v > 0) + [l for w in kids[v] for l in flat[w]]
+        for _, group in itertools.groupby(kids[v], key=code.get):
             group = [flat[w] for w in group]
             for i, mine in enumerate(group[:-1]):
                 at = mine.index(min(mine))
@@ -864,7 +854,11 @@ def stabilizer_generators(t: LabelledBipartiteTree) -> StabilizerGenerators:
 def _is_vertex_automorphism(t: LabelledBipartiteTree, f: SymmetricAut) -> bool:
     """Whether every image of f is ``(g_v^p_l, l, +1)`` for one vertex v,
     with p constant on each component of the tree minus v.  A canonical
-    conjugator never ends in its target, so p_v = 0 holds by form."""
+    conjugator never ends in its target, so p_v = 0 holds by form.
+
+    The sets ``unit - {v}`` lie each in one component and join into the
+    components through the labels they share, so p is constant on the
+    components exactly when it is constant on each of those sets."""
     syllables = {}
     for l, (conj, target, sign) in enumerate(f.images, start=1):
         if target != l or sign != 1 or len(conj) > 1:
@@ -878,7 +872,7 @@ def _is_vertex_automorphism(t: LabelledBipartiteTree, f: SymmetricAut) -> bool:
         return False
     (v,) = bases
     powers = {l: p for l, (_, p) in syllables.items()}
-    return all(len({powers.get(l, 0) for l in comp}) == 1 for comp in components_without(t, v))
+    return all(len({powers.get(l, 0) for l in unit if l != v}) == 1 for unit in t.units)
 
 
 def stabilizer_soundness(gens: StabilizerGenerators) -> list[tuple[str, bool]]:
@@ -1011,14 +1005,15 @@ def _canonicalize_factors(factors: Sequence[Factor], ctx: GroupContext) -> tuple
 
 
 def _tree_vertex_aut_group(
-    t: LabelledBipartiteTree, ctx: GroupContext, bound: Optional[int]
+    moving: dict[int, list[frozenset[int]]], ctx: GroupContext, bound: Optional[int]
 ) -> list[tuple[tuple[Letter, ...], str]]:
-    """All products of vertex automorphisms carried by ``t`` over the
-    standard basis, each as the letters of its factors in vertex order with
-    its tag; exponents bounded in free contexts, exact otherwise."""
+    """All products of vertex automorphisms carried by a tree over the
+    standard basis, given its :func:`moving_components`, each as the letters
+    of its factors in vertex order with its tag; exponents bounded in free
+    contexts, exact otherwise."""
     powers = range(-bound, bound + 1) if ctx.is_free else range(ctx.torsion)
     per_vertex = []
-    for v, comps in moving_components(t).items():
+    for v, comps in moving.items():
         options = []
         for combo in itertools.product(powers, repeat=len(comps)):
             letters = _component_power_letters(v, comps, combo)
@@ -1096,20 +1091,18 @@ def nuclear_ball(ctx: GroupContext, radius: int, bound: Optional[int] = None) ->
         raise WordError(f"free-context exploration needs an exponent bound >= 0, not {bound}")
     if not ctx.is_free and bound is not None:
         raise WordError("torsion contexts are explored exactly and take no exponent bound")
-    poset = enumerate_whitehead_poset(ctx.rank)
+    trees = [(t, moving_components(t)) for t in enumerate_whitehead_poset(ctx.rank).elements]
     choices = 2 * bound + 1 if ctx.is_free else ctx.torsion
     # every exponent choice but all-zero is a move, so this is len(moves)
-    candidates = sum(
-        choices ** sum(map(len, moving_components(t).values())) - 1 for t in poset.elements
-    )
+    candidates = sum(choices ** sum(map(len, moving.values())) - 1 for _, moving in trees)
     if candidates > MAX_BALL_WORK:
         raise WordError(
             f"the ball would list {candidates:,} moves, over the limit of {MAX_BALL_WORK:,}"
         )
     moves = [
         (letters, f"{t.canonical()}|{tag}")
-        for t in poset.elements
-        for letters, tag in _tree_vertex_aut_group(t, ctx, bound)
+        for t, moving in trees
+        for letters, tag in _tree_vertex_aut_group(moving, ctx, bound)
         if letters
     ]
     start = NuclearVertex.standard(ctx).encode()

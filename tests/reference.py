@@ -155,14 +155,22 @@ def parse_semipalindrome_product_reference(gw: GeneratorWord) -> Optional[tuple[
 
 
 def label_components_reference(labels, sets) -> list[frozenset]:
-    """``_label_components`` by merging: every label maps to its component,
-    and each set replaces the components of its labels by their union."""
+    """The components of ``labels``, each set joining its labels, sorted by
+    smallest label, by merging: every label maps to its component, and each
+    set replaces the components of its labels by their union."""
     component = {l: frozenset((l,)) for l in labels}
     for s in sets:
         merged = frozenset().union(*(component[l] for l in s))
         for l in merged:
             component[l] = merged
     return sorted(set(component.values()), key=min)
+
+
+def components_without(t: LabelledBipartiteTree, label: int) -> list[frozenset[int]]:
+    """Label sets of the components of the tree minus one labelled vertex,
+    sorted by smallest label, by the merge above."""
+    others = [l for l in range(1, t.rank + 1) if l != label]
+    return label_components_reference(others, [unit - {label} for unit in t.units])
 
 
 def image_words(f: SymmetricAut) -> tuple[Word, ...]:

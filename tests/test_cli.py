@@ -245,6 +245,10 @@ def test_malformed_input_exits_2(capsys, tmp_path):
         assert code == 2 and "bound" in payload["error"]["message"]
     code, payload = run(capsys, "complex", "stabilizer", "--n", "501")
     assert code == 2 and "rank <= 500" in payload["error"]["message"]
+    # the counts hold (labels 1..4, sum(|E| - 1) = 3), but two units join
+    # b1 and b2 twice and leave {3, 4} apart
+    code, payload = run(capsys, "complex", "stabilizer", "--n", "4", "--tree", "1,2;1,2;3,4")
+    assert code == 2 and payload["error"]["message"] == "tree is not connected"
     # at rank 2 every pure word is inner mod 2, so the check would be vacuous
     for samples in ("25", "200"):
         code, payload = run(

@@ -12,6 +12,7 @@ import pytest
 
 from reference import (
     acting_letters,
+    components_without,
     generated_subgroup,
     image_words,
     is_reduced_acyclic,
@@ -28,7 +29,6 @@ from symlift.complexes import (
     NuclearVertex,
     WhiteheadPoset,
     all_folds,
-    components_without,
     enumerate_whitehead_poset,
     fold_apply,
     moving_components,
@@ -36,6 +36,7 @@ from symlift.complexes import (
     order_complex_homology,
     proper_part,
     quotient_star_check,
+    StabilizerGenerators,
     stabilizer_generators,
     stabilizer_soundness,
     symmetry_generators,
@@ -71,6 +72,17 @@ from symlift.words import (
 F3 = free_context(3)
 H3 = torsion_context(3, 2)
 PATH3 = tree_from_units(3, [[1, 3], [3, 2]])  # b1 - u - b3 - u' - b2
+
+
+def _mutated(functions, old: str, new: str) -> dict:
+    """The module's namespace with ``functions`` compiled again from their
+    source with ``old`` replaced by ``new``."""
+    source = "".join(inspect.getsource(f) for f in functions)
+    mutated = source.replace(old, new)
+    assert mutated != source
+    namespace = dict(vars(complexes))
+    exec(mutated, namespace)
+    return namespace
 
 
 # -- trees and validation -------------------------------------------------------
@@ -595,11 +607,7 @@ def test_whole_posets_are_cones_and_proper_parts_are_reduced(monkeypatch):
     ids=["below_all_but_at_most_one", "below_all_but_one"],
 )
 def test_a_wrong_least_element_test_is_caught(mutated_test):
-    source = inspect.getsource(complexes.order_complex_homology)
-    mutated = source.replace("== len(up) - 1", mutated_test)
-    assert mutated != source
-    namespace = dict(vars(complexes))
-    exec(mutated, namespace)
+    namespace = _mutated([complexes.order_complex_homology], "== len(up) - 1", mutated_test)
     wrong = 0
     for poset in core_test_posets():
         report = namespace["order_complex_homology"](poset)
@@ -646,26 +654,52 @@ def test_components_and_valences():
     assert len(components_without(trivial_tree(3), 1)) == 1
 
 
-def test_label_components_match_the_frozenset_merge():
+def _component_test_trees() -> list[LabelledBipartiteTree]:
+    """Every tree of ranks 2 to 5, seeded random hypertrees up to rank 40
+    and the 500-label path."""
     rng = random.Random(41)
-    trees = [random_hypertree(n, rng) for n in (2, 5, 9, 17, 40) for _ in range(30)]
-    trees += enumerate_whitehead_poset(5).elements
+    trees = [t for n in range(2, 6) for t in enumerate_whitehead_poset(n).elements]
+    trees += [random_hypertree(n, rng) for n in (2, 5, 9, 17, 40) for _ in range(30)]
+    trees.append(tree_from_units(500, [[l, l + 1] for l in range(1, 500)]))
+    return trees
+
+
+def _component_misses(moving_components, trees) -> list[tuple[LabelledBipartiteTree, int]]:
+    """The (tree, label) pairs at which ``moving_components`` differs from
+    the frozenset merge's components less the one holding the largest
+    label, or lists a label that leaves one component."""
+    misses = []
+    for t in trees:
+        moving = moving_components(t)
+        assert list(moving) == sorted(moving)
+        for v in range(1, t.rank + 1):
+            comps = components_without(t, v)
+            kept = max(comps, key=max)
+            if moving.get(v) != ([comp for comp in comps if comp != kept] or None):
+                misses.append((t, v))
+    return misses
+
+
+def test_label_components_match_the_frozenset_merge():
+    trees = _component_test_trees()
     for t in trees:
         labels = range(1, t.rank + 1)
-        got = complexes._label_components(labels, t.units)
-        assert got == label_components_reference(labels, t.units) == [frozenset(labels)]
-        for v in labels:
-            others = [l for l in labels if l != v]
-            split = [unit - {v} for unit in t.units]
-            want = label_components_reference(others, split)
-            assert complexes._label_components(others, split) == want
-            assert components_without(t, v) == want
-    # sets that leave labels apart, in an order that joins roots late
-    sets = [frozenset({5, 6}), frozenset({3, 4}), frozenset({4, 6}), frozenset({8, 9})]
-    labels = range(1, 10)
-    want = label_components_reference(labels, sets)
-    assert complexes._label_components(labels, sets) == want
-    assert want == [{1}, {2}, {3, 4, 5, 6}, {7}, {8, 9}]
+        assert label_components_reference(labels, t.units) == [frozenset(labels)]
+        assert LabelledBipartiteTree(t.rank, t.units) == t
+    assert _component_misses(moving_components, trees) == []
+    # the counts hold, but a 4-cycle leaves {3, 4, 5, 6} apart, in an order
+    # that joins the merge's components late
+    sets = [{5, 6}, {3, 4}, {4, 6}, {8, 9}, {1, 2, 7}, {1, 8}, {3, 5}]
+    assert label_components_reference(range(1, 10), sets) == [{1, 2, 7, 8, 9}, {3, 4, 5, 6}]
+    with pytest.raises(WordError, match="tree is not connected"):
+        tree_from_units(9, sets)
+
+
+def test_components_without_the_one_across_the_parent_are_caught():
+    namespace = _mutated(
+        [complexes.moving_components], "comps.append(everything - below[v])", "pass"
+    )
+    assert _component_misses(namespace["moving_components"], _component_test_trees()[:-1])
 
 
 def test_moving_components_keep_the_largest_label_still():
@@ -889,11 +923,7 @@ def test_star_symmetries_are_n_minus_1_sound_transpositions(n):
     ids=["next_sibling_only", "rooted_at_unit_0"],
 )
 def test_a_wrong_symmetry_pass_is_caught(listed_symmetries, old, new):
-    source = inspect.getsource(complexes.symmetry_generators)
-    mutated = source.replace(old, new)
-    assert mutated != source
-    namespace = dict(vars(complexes))
-    exec(mutated, namespace)
+    namespace = _mutated([complexes._centre_walk, complexes.symmetry_generators], old, new)
     assert _generator_misses(namespace["symmetry_generators"], listed_symmetries)
 
 
@@ -925,6 +955,43 @@ def test_stabilizer_soundness_checks_the_generators_it_is_given():
     gw = vertex_automorphism(star, 2, [2, -1])
     only = replace(gens, tree=star, vertex_auts=(gw,), inversions=(), symmetries=())
     assert stabilizer_soundness(only) == [("vertex_aut a[1,2] a[1,2] a[3,2]^-1", True)]
+
+
+def test_soundness_refuses_powers_that_differ_across_a_unit():
+    # a[l,v]^p on one label of unit - {v} but not on another: the check
+    # reads each unit alone and must refuse it
+    forged = 0
+    for t in enumerate_whitehead_poset(4).elements:
+        for v, unit in itertools.product(range(1, 5), t.units):
+            rest = sorted(unit - {v})
+            if len(rest) < 2:
+                continue
+            for p in (1, -2):
+                gw = GeneratorWord(4, (("a", rest[0], v, p // abs(p)),) * abs(p))
+                only = StabilizerGenerators(t, (gw,), (), ())
+                assert stabilizer_soundness(only) == [(f"vertex_aut {gw}", False)]
+                forged += 1
+    assert forged > 100
+    # seeded power maps, each label at its component's power half the
+    # time: the unit-local check answers as the components do
+    rng = random.Random(59)
+    ctx = free_context(5)
+    verdicts = set()
+    for t in rng.sample(enumerate_whitehead_poset(5).elements, 100):
+        v = rng.randint(1, 5)
+        comps = components_without(t, v)
+        powers = {}
+        for comp in comps:
+            p = rng.randint(-2, 2)
+            powers.update({l: p if rng.random() < 0.5 else rng.randint(-1, 1) for l in comp})
+        letters = tuple(
+            ("a", l, v, 1 if p > 0 else -1) for l, p in sorted(powers.items()) for _ in range(abs(p))
+        )
+        want = all(len({powers[l] for l in comp}) == 1 for comp in comps)
+        f = eval_generator_word(GeneratorWord(5, letters), ctx)
+        assert complexes._is_vertex_automorphism(t, f) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def _swapped_indices(letters):
@@ -1131,7 +1198,7 @@ def test_ball_moves_are_letter_words_of_the_composed_vertex_automorphisms():
     # reference: compose the evaluated vertex automorphisms one by one
     for ctx, bound in ((F3, 1), (torsion_context(4, 2), None), (torsion_context(4, 3), None)):
         for t in enumerate_whitehead_poset(ctx.rank).elements:
-            for letters, tag in _tree_vertex_aut_group(t, ctx, bound):
+            for letters, tag in _tree_vertex_aut_group(moving_components(t), ctx, bound):
                 expected = eval_generator_word(GeneratorWord(ctx.rank), ctx)
                 for v, combo in re.findall(r"v(\d+):\(([^)]*)\)", tag):
                     combo = [int(p) for p in combo.split(",") if p.strip()]
