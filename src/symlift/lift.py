@@ -8,7 +8,7 @@ Three maps are chained here:
   with it, so the pipelines evaluate words directly in the order-2 product
   and ``reduce_mod`` stays the reference they are checked against;
 * ``lift_restrict``: restrict an automorphism of the order-2 free product to
-  its even-word subgroup, a free group of rank ``n-1`` with basis
+  its even-word subgroup E, a free group of rank ``n-1`` with basis
   ``x_i = z_i z_n``;
 * ``kernel_verdict``: decide membership in the kernel of the reduction, by
   the direct route (is the reduced automorphism inner?) and by the lift route
@@ -17,6 +17,18 @@ Three maps are chained here:
 The pipelines evaluate a word only after reducing it in the letter group of
 the order-2 product (:func:`eval_in_h2`), so a conjugate ``c rho c^-1``
 builds no image at all.
+
+Before it evaluates anything, ``kernel_verdict`` reads the word's action on
+``H_1(E) = Z^{n-1}`` (:func:`_h1_refutes`), one sparse vector step per
+letter.  An inner automorphism of the order-2 product restricts to E as an
+inner automorphism, possibly composed with inverting every ``x_i``, so it
+acts there as ``I`` or ``-I``: any other matrix proves the word out of the
+kernel, and the verdict says so without building an image.  The test is
+exact one way only.  At rank 2 it never refutes (``GL(1, Z) = {+-1}``).  At
+rank 3 it decides the lift route both ways, since the kernel of
+``Aut(F_2) -> GL(2, Z)`` is ``Inn(F_2)`` (Nielsen); the routes still run on
+a ``+-I`` word to produce the witnesses.  From rank 4 up, ``+-I`` proves
+nothing, and the routes decide.
 
 For rank >= 3 the two routes provably agree; at rank 2 only the lift route is
 authoritative (the generator swap restricts to the inverting map, collapsing
@@ -45,11 +57,9 @@ from .words import (
     even_to_x,
     free_context,
     format_word,
-    generator,
     generator_conjugate_shape,
     inner_conjugator,
     inner_witness,
-    product,
     project_mod_k,
     torsion_context,
 )
@@ -84,17 +94,6 @@ class Restriction:
     ctx: GroupContext
     images: tuple[Word, ...]
 
-    def apply(self, w: Word) -> Word:
-        factors: list[Word] = []
-        for gen, exp in w.syllables:
-            img = self.images[gen - 1]
-            factors += [img if exp > 0 else img.inverse()] * abs(exp)
-        return product(factors, self.ctx)
-
-    def then(self, other: "Restriction") -> "Restriction":
-        """Composition acting with ``self`` first."""
-        return Restriction(self.ctx, tuple(other.apply(img) for img in self.images))
-
     def inner_witness(self) -> Optional[Word]:
         return inner_witness(self.images, self.ctx, strict=False)
 
@@ -103,11 +102,6 @@ class Restriction:
             "rank": self.ctx.rank,
             "images": {f"x{i}": format_word(w) for i, w in enumerate(self.images, 1)},
         }
-
-
-def iota(ctx: GroupContext) -> Restriction:
-    """The automorphism inverting every x-generator."""
-    return Restriction(ctx, tuple(generator(ctx, i, -1) for i in range(1, ctx.rank + 1)))
 
 
 def _restricted_images(h: SymmetricAut) -> Iterator[Word]:
@@ -157,9 +151,10 @@ def lift_route(h: SymmetricAut) -> LiftResult:
     Both tests need every image to be a conjugate of an x-generator, so the
     images are restricted one at a time and the route stops at the first
     whose shape is not: a word whose image j fails builds j images, not
-    ``n-1``.  Each shape is taken once.  ``iota`` sends every image to its
-    inverse, and the shape of ``w^{-1}`` is that of ``w`` with the sign
-    flipped, so the second test reuses the shapes with every sign flipped.
+    ``n-1``.  Each shape is taken once.  Inverting every ``x_i`` (iota)
+    sends every image to its inverse, and the shape of ``w^{-1}`` is that of
+    ``w`` with the sign flipped, so the second test reuses the shapes with
+    every sign flipped.
     """
     shapes = []
     for img in _restricted_images(h):
@@ -239,9 +234,66 @@ def eval_in_h2(gw: GeneratorWord) -> SymmetricAut:
     return eval_generator_word(_h2_reduced(gw), torsion_context(gw.rank, 2))
 
 
+def _combine(p: int, u: dict[int, int], q: int, v: dict[int, int]) -> dict[int, int]:
+    """The sparse vector ``p u + q v``, with no zero entries."""
+    out = {k: p * c for k, c in u.items()}
+    for k, c in v.items():
+        c = out.get(k, 0) + q * c
+        if c:
+            out[k] = c
+        else:
+            del out[k]
+    return out
+
+
+def _h1_refutes(gw: GeneratorWord) -> bool:
+    """Whether ``gw`` acts on ``H_1(E) = Z^{n-1}`` as neither ``I`` nor
+    ``-I``, which proves it out of the kernel.
+
+    With f the automorphism of the order-2 product, ``v_a`` is the class of
+    ``f(z_a) z_n``: ``e_a`` for a < n and 0 for a = n at the empty word.
+    Column a of the matrix is ``v_a - v_n``, the class of ``f(x_a) =
+    (f(z_a) z_n) (f(z_n) z_n)^{-1}``.  Words right-multiply, as in
+    :func:`~symlift.symaut.act_letters`: ``a[i,j]^{+-1}`` sends ``f(z_i)`` to
+    ``f(z_j) f(z_i) f(z_j)``, so ``v_i <- 2 v_j - v_i``; ``s[i,j]`` swaps
+    ``v_i`` and ``v_j``; ``r[i]`` acts trivially.  Only the vectors a letter
+    has moved are stored, each a sparse ``{index: coefficient}`` dict, so a
+    letter costs the sizes of the two vectors it reads, whatever the rank.
+    """
+    n = gw.rank
+    moved: dict[int, dict[int, int]] = {}
+
+    def vector(a: int) -> dict[int, int]:
+        v = moved.get(a)
+        if v is None:
+            return {} if a == n else {a: 1}
+        return v
+
+    for letter in gw.letters:
+        if letter[0] == "a":
+            moved[letter[1]] = _combine(2, vector(letter[2]), -1, vector(letter[1]))
+        elif letter[0] == "s":
+            i, j = letter[1], letter[2]
+            moved[i], moved[j] = vector(j), vector(i)
+    vn = vector(n)
+    # while v_n = 0 an unmoved column is e_a, so only the moved ones are read
+    columns = range(1, n) if vn else [a for a in moved if a != n]
+    signs = {1} if len(columns) < n - 1 else set()
+    for a in columns:
+        column = _combine(1, vector(a), -1, vn)
+        sign = column.get(a)
+        if len(column) != 1 or sign not in (1, -1):
+            return True
+        signs.add(sign)
+    return len(signs) > 1
+
+
 def kernel_verdict(gw: GeneratorWord, route: Route = "both") -> KernelVerdict:
     """Membership in the kernel of the mod-2 reduction, with witnesses.
 
+    The word is reduced in ``H_n(2)`` once.  If its action on ``H_1(E)``
+    refutes it (:func:`_h1_refutes`), every asked route reads false and
+    nothing is evaluated; otherwise the routes run on its automorphism.
     At rank 2 the ``both`` route still reports agreement, but the verdict
     follows the lift route alone.  The solvers are exact, so the ``unknown``
     verdict is never produced here; it remains in the schema for callers.
@@ -249,15 +301,16 @@ def kernel_verdict(gw: GeneratorWord, route: Route = "both") -> KernelVerdict:
     n = gw.rank
     if n < 2:
         raise WordError("kernel_verdict needs rank >= 2")
-    h = eval_in_h2(gw)
+    reduced = _h2_reduced(gw)
+    h = None if _h1_refutes(reduced) else eval_generator_word(reduced, torsion_context(n, 2))
     routes: dict = {}
     h_witness = None
     lift_result = None
     if route in ("inner-in-H", "both"):
-        h_witness = inner_witness_of(h)
+        h_witness = None if h is None else inner_witness_of(h)
         routes["inner-in-H"] = h_witness is not None
     if route in ("lift", "both"):
-        lift_result = lift_route(h)
+        lift_result = LiftResult(None, False) if h is None else lift_route(h)
         routes["lift"] = lift_result.in_kernel
     if route == "both":
         agree = routes["inner-in-H"] == routes["lift"]

@@ -13,7 +13,7 @@ import random
 from typing import Callable
 
 from . import braid as braid_mod
-from . import complexes, kernel as kernel_mod
+from . import complexes, kernel as kernel_mod, lift
 from .lift import kernel_verdict
 from .symaut import (
     GeneratorWord,
@@ -22,6 +22,7 @@ from .symaut import (
     check_relations,
     eval_generator_word,
     find_outer_relation,
+    inner_witness_of,
     outer_equal,
     rho_i,
 )
@@ -79,6 +80,9 @@ def check_presentation(params, seed) -> dict:
 
 
 def check_route_agreement(params, seed) -> dict:
+    """Both routes, run unfiltered on every word, must agree with each other
+    and with the verdict's routes, so a word the verdict refutes by its
+    action on H_1(E) still has both routes checked on it."""
     rng = _rng(seed, "route_agreement")
     total = 0
     disagreements = 0
@@ -88,10 +92,12 @@ def check_route_agreement(params, seed) -> dict:
         for _ in range(params["route_words"]):
             gw = GeneratorWord(n, tuple(rng.choice(letters) for _ in range(rng.randint(0, 20))))
             v = kernel_verdict(gw, "both")
+            h = lift.eval_in_h2(gw)
+            routes = {"inner-in-H": inner_witness_of(h) is not None, "lift": lift.lift_route(h).in_kernel}
             total += 1
             if v.verdict == "unknown":
                 unknown += 1
-            if not v.agree:
+            if routes["inner-in-H"] != routes["lift"] or v.routes != routes:
                 disagreements += 1
     return {
         "passed": disagreements == 0 and unknown == 0,

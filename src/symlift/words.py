@@ -559,7 +559,7 @@ def even_to_x(w: Word) -> Word:
 
     The input pairs up as ``(z_a z_b)(z_c z_d)...`` and each pair ``z_a z_b``
     expands to ``z_a z_n . z_n z_b = x_a x_b^{-1}``.  Exact inverse of
-    :func:`expand_x` after reduction.
+    substituting ``x_i -> z_i z_n`` and reducing.
 
     The rewrite is one pass over the pairs that only ever merges, and its
     output is reduced as built.  In a reduced z-word ``a != b`` inside a
@@ -615,16 +615,3 @@ def even_to_x(w: Word) -> Word:
             minus[g] = (g, -1)
         return even_to_x(w)
     return Word(free_context(n - 1, letter="x"), tuple(out))
-
-
-def expand_x(w: Word, n: int) -> Word:
-    """Substitute ``x_i -> z_i z_n`` into a rank ``n-1`` x-word."""
-    if not w.ctx.is_free or w.ctx.rank != n - 1:
-        raise WordError(f"expected a free word of rank {n - 1}")
-    target = torsion_context(n, 2)
-    raw: list[Syllable] = []
-    for gen, exp in w.syllables:
-        step = [(gen, 1), (n, 1)] if exp > 0 else [(n, 1), (gen, 1)]
-        for _ in range(abs(exp)):
-            raw.extend(step)
-    return normalize(raw, target)

@@ -2,6 +2,7 @@ import pytest
 
 from reference import (
     checked,
+    checked_h1_refutation,
     checked_h2_reduction,
     checked_trusted,
     conjugation_step_reference,
@@ -35,7 +36,8 @@ def fast_paths_checked_against_the_references():
     and ``semidirect_normal_form`` and ``parse_semipalindrome_product``
     with their per-letter ``letter_inverse`` forms.  Every word that
     ``_h2_reduced`` reduces must evaluate in the order-2 product to the
-    automorphism of its raw letters."""
+    automorphism of its raw letters, and every word that ``_h1_refutes``
+    refutes must be out of the kernel by both routes, run unfiltered."""
     with pytest.MonkeyPatch.context() as mp:
         for (home, name), reference in REFERENCES.items():
             fast = getattr(home, name)
@@ -44,6 +46,7 @@ def fast_paths_checked_against_the_references():
                 if getattr(module, name, None) is fast:
                     mp.setattr(module, name, wrapped)
         mp.setattr(lift, "_h2_reduced", checked_h2_reduction(lift._h2_reduced))
+        mp.setattr(lift, "_h1_refutes", checked_h1_refutation(lift._h1_refutes))
         yield
 
 

@@ -13,6 +13,7 @@ from symlift.complexes import (
     _canonicalize_factors,
 )
 from symlift.kernel import _require_pure
+from symlift.lift import Restriction, eval_in_h2, lift_route
 from symlift.symaut import (
     GeneratorWord,
     Letter,
@@ -20,6 +21,7 @@ from symlift.symaut import (
     SymmetricAut,
     all_letters,
     eval_generator_word,
+    inner_witness_of,
     letter_inverse,
 )
 from symlift.words import (
@@ -171,6 +173,37 @@ def components_without(t: LabelledBipartiteTree, label: int) -> list[frozenset[i
     sorted by smallest label, by the merge above."""
     others = [l for l in range(1, t.rank + 1) if l != label]
     return label_components_reference(others, [unit - {label} for unit in t.units])
+
+
+def restriction_apply(r: Restriction, w: Word) -> Word:
+    """The x-word ``w`` with every ``x_i`` replaced by ``r``'s image of it."""
+    factors: list[Word] = []
+    for gen, exp in w.syllables:
+        img = r.images[gen - 1]
+        factors += [img if exp > 0 else img.inverse()] * abs(exp)
+    return product(factors, r.ctx)
+
+
+def restriction_then(r: Restriction, other: Restriction) -> Restriction:
+    """The composition acting with ``r`` first."""
+    return Restriction(r.ctx, tuple(restriction_apply(other, img) for img in r.images))
+
+
+def iota(ctx: GroupContext) -> Restriction:
+    """The automorphism inverting every x-generator."""
+    return Restriction(ctx, tuple(generator(ctx, i, -1) for i in range(1, ctx.rank + 1)))
+
+
+def expand_x(w: Word, n: int) -> Word:
+    """Substitute ``x_i -> z_i z_n`` into a rank ``n-1`` x-word."""
+    if not w.ctx.is_free or w.ctx.rank != n - 1:
+        raise WordError(f"expected a free word of rank {n - 1}")
+    raw: list[Syllable] = []
+    for gen, exp in w.syllables:
+        step = [(gen, 1), (n, 1)] if exp > 0 else [(n, 1), (gen, 1)]
+        for _ in range(abs(exp)):
+            raw.extend(step)
+    return normalize(raw, torsion_context(n, 2))
 
 
 def image_words(f: SymmetricAut) -> tuple[Word, ...]:
@@ -347,6 +380,23 @@ def checked_h2_reduction(fast):
         if eval_generator_word(got, ctx) != eval_generator_word(gw, ctx):
             raise AssertionError(f"{fast.__name__} reduced {gw} to {got}, another automorphism")
         return got
+
+    return wrapper
+
+
+def checked_h1_refutation(fast):
+    """``fast`` (``lift._h1_refutes``), failing with ``AssertionError`` when
+    it refutes a word that either route, run unfiltered on the word's
+    automorphism of the order-2 product, puts in the kernel."""
+
+    @functools.wraps(fast)
+    def wrapper(gw):
+        refuted = fast(gw)
+        if refuted:
+            h = eval_in_h2(gw)
+            if inner_witness_of(h) is not None or lift_route(h).in_kernel:
+                raise AssertionError(f"{fast.__name__} refuted {gw}, which is in the kernel")
+        return refuted
 
     return wrapper
 

@@ -1,20 +1,31 @@
+import functools
+import inspect
 import itertools
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import symlift
-from reference import checked_h2_reduction, image_words
+from reference import (
+    checked_h1_refutation,
+    checked_h2_reduction,
+    image_words,
+    iota,
+    restriction_apply,
+    restriction_then,
+)
 from symlift import cli, lift, symaut
 from symlift.lift import (
     Restriction,
-    iota,
+    eval_in_h2,
     kernel_verdict,
     lift_restrict,
     lift_route,
@@ -27,6 +38,7 @@ from symlift.symaut import (
     compose,
     eval_generator_word,
     inner_relator,
+    inner_witness_of,
     letter_inverse,
     outer_equal,
     parse_generator_word,
@@ -133,7 +145,7 @@ def test_restriction_is_homomorphism():
         h1 = eval_generator_word(random_gw(rng, 3), H3)
         h2 = eval_generator_word(random_gw(rng, 3), H3)
         composed = lift_restrict(compose(h1, h2))
-        stacked = lift_restrict(h2).then(lift_restrict(h1))
+        stacked = restriction_then(lift_restrict(h2), lift_restrict(h1))
         assert composed.images == stacked.images
 
 
@@ -147,7 +159,7 @@ def test_restriction_apply_matches_product_of_image_powers():
         expected = identity(ctx)
         for gen, exp in w.syllables:
             expected = expected * r.images[gen - 1].pow(exp)
-        assert r.apply(w) == expected
+        assert restriction_apply(r, w) == expected
 
 
 def test_inverting_generators_commutator_is_inner():
@@ -163,7 +175,7 @@ def test_inverting_generators_commutator_is_inner():
         ),
     )
     inv = iota(ctx)
-    comm = sigma.then(inv).then(sigma).then(inv)
+    comm = restriction_then(restriction_then(restriction_then(sigma, inv), sigma), inv)
     assert comm.inner_witness() is not None
 
 
@@ -233,7 +245,7 @@ def eager_lift_route(r):
     expected = r.inner_witness()
     if expected is not None:
         return expected, False
-    expected = iota(r.ctx).then(r).inner_witness()
+    expected = restriction_then(iota(r.ctx), r).inner_witness()
     return expected, expected is not None
 
 
@@ -287,7 +299,9 @@ def test_lift_route_stops_early_and_agrees_with_the_eager_restriction():
 
 
 def test_lift_route_restricts_only_the_images_it_reads(monkeypatch):
-    # counted on top of the conftest wrapper, which still checks each call
+    # counted on top of the conftest wrapper, which still checks each call;
+    # the route runs unfiltered, since a verdict refutes the "out" cases by
+    # their action on H_1(E) before it restricts anything
     import symlift.lift as lift_mod
 
     calls = []
@@ -299,15 +313,19 @@ def test_lift_route_restricts_only_the_images_it_reads(monkeypatch):
 
     monkeypatch.setattr(lift_mod, "even_to_x", counted)
     cases = (
-        (4, "a[1,2]", 1, "out"),  # x1 -> x2 x1^-1 x2 fails at once
-        (1000, "a[1,2]", 1, "out"),
-        (4, "a[2,3]", 2, "out"),  # x1 stays, x2 -> x3 x2^-1 x3 fails
-        (4, "r[1] r[2] r[3] r[4]", 3, "in"),  # every image is read
+        (4, "a[1,2]", 1, False),  # x1 -> x2 x1^-1 x2 fails at once
+        (1000, "a[1,2]", 1, False),
+        (4, "a[2,3]", 2, False),  # x1 stays, x2 -> x3 x2^-1 x3 fails
+        (4, "r[1] r[2] r[3] r[4]", 3, True),  # every image is read
     )
-    for n, word, expected_calls, verdict in cases:
+    for n, word, expected_calls, in_kernel in cases:
         calls.clear()
-        v = kernel_verdict(parse_generator_word(word, n), "lift")
-        assert v.verdict == verdict and len(calls) == expected_calls, (n, word, calls)
+        result = lift_route(eval_in_h2(parse_generator_word(word, n)))
+        assert result.in_kernel is in_kernel and len(calls) == expected_calls, (n, word, calls)
+    # a verdict that is not refuted restricts the same images
+    calls.clear()
+    assert kernel_verdict(parse_generator_word("r[1] r[2] r[3] r[4]", 4), "lift").verdict == "in"
+    assert len(calls) == 3
 
 
 def test_restricted_images_share_their_unit_syllables():
@@ -345,6 +363,155 @@ def test_verdict_json_shape():
     assert payload["verdict"] == "in"
     assert payload["agree"] is True
     assert set(payload["routes"]) == {"inner-in-H", "lift"}
+
+
+# -- refutation by the action on H_1(E) ----------------------------------------
+
+
+def abelianized_restriction_is_pm_identity(gw) -> bool:
+    """Whether the restriction of ``gw``'s automorphism, with each x-image
+    read as its exponent sums, is the identity or minus the identity."""
+    h = eval_in_h2(gw)
+    matrix = []
+    for img in lift_restrict(h).images:
+        column = [0] * (gw.rank - 1)
+        for gen, exp in img.syllables:
+            column[gen - 1] += exp
+        matrix.append(column)
+    unit = [[int(a == b) for b in range(gw.rank - 1)] for a in range(gw.rank - 1)]
+    return matrix in (unit, [[-c for c in row] for row in unit])
+
+
+def kernel_corpus(rng, n, count):
+    """Seeded words at rank n: a third random of length 0-24, a third
+    conjugates ``c g c^-1`` of conjugation g by a generator, a third products
+    ``g' u^-1 g' u`` of two conjugates of such a ``g'`` (both inner in
+    H_n(2), though their letters need not cancel there)."""
+    words = []
+    for t in range(count):
+        conj = random_gw(rng, n, 8)
+        inner = conj * inner_relator(n, rng.randint(1, n)) * conj.inverse()
+        if t % 3 == 0:
+            words.append(random_gw(rng, n, 24))
+        elif t % 3 == 1:
+            words.append(inner)
+        else:
+            words.append(inner * random_gw(rng, n, 4).inverse() * inner * random_gw(rng, n, 4))
+    return words
+
+
+def test_refutation_reads_the_abelianized_restriction():
+    # the letter rule against the restriction itself, image by image
+    refuted = 0
+    for n in (2, 3, 4, 5):
+        rng = random.Random(1000 + n)
+        for gw in kernel_corpus(rng, n, 200):
+            expected = not abelianized_restriction_is_pm_identity(gw)
+            assert lift._h1_refutes(gw) is expected, (n, str(gw))
+            assert lift._h1_refutes(lift._h2_reduced(gw)) is expected, (n, str(gw))
+            refuted += expected
+    assert refuted >= 300, refuted
+
+
+@functools.cache
+def rank_three_corpus() -> tuple:
+    """A seeded rank-3 corpus, each word reduced in H_3(2) and paired with
+    whether the unfiltered routes (which agree) put it in the kernel."""
+    corpus = []
+    for gw in kernel_corpus(random.Random(1103), 3, 600):
+        h = eval_in_h2(gw)
+        inside = inner_witness_of(h) is not None
+        assert lift_route(h).in_kernel is inside
+        corpus.append((lift._h2_reduced(gw), inside))
+    return tuple(corpus)
+
+
+def rank_three_mismatches(refutes) -> int:
+    """Words of the rank-3 corpus that ``refutes`` answers wrongly."""
+    return sum(refutes(reduced) is inside for reduced, inside in rank_three_corpus())
+
+
+def test_rank_three_refutation_decides_the_kernel():
+    # Aut(F_2) -> GL(2, Z) has kernel Inn(F_2) (Nielsen): at rank 3 a word is
+    # refuted exactly when the unfiltered routes put it out
+    in_kernel = sum(inside for _, inside in rank_three_corpus())
+    assert in_kernel >= 150 and len(rank_three_corpus()) - in_kernel >= 150, in_kernel
+    assert rank_three_mismatches(lift._h1_refutes) == 0
+
+
+def test_rank_two_never_refutes():
+    # GL(1, Z) = {1, -1}
+    letters = all_letters(2)
+    for length in range(5):
+        for word in itertools.product(letters, repeat=length):
+            assert not lift._h1_refutes(GeneratorWord(2, word))
+    rng = random.Random(1102)
+    for _ in range(300):
+        assert not lift._h1_refutes(random_gw(rng, 2, 30))
+
+
+def mutant_letter_rule(old: str, new: str):
+    """``lift._h1_refutes`` recompiled with ``old`` in its source replaced by
+    ``new``."""
+    source = inspect.getsource(inspect.unwrap(lift._h1_refutes))
+    mutated = source.replace(old, new, 1)
+    assert mutated != source
+    namespace = dict(vars(lift))
+    exec(mutated, namespace)
+    return namespace["_h1_refutes"]
+
+
+def test_rank_three_refutation_catches_mutant_letter_rules():
+    # v_j - v_i for 2 v_j - v_i refutes words in the kernel, which the
+    # suite-wide check also rejects; a swap skipped on an index n misses
+    # words that are out
+    halved = mutant_letter_rule("_combine(2, vector(letter[2])", "_combine(1, vector(letter[2])")
+    no_swap_on_n = mutant_letter_rule(
+        "moved[i], moved[j] = vector(j), vector(i)",
+        "if n not in (i, j):\n                moved[i], moved[j] = vector(j), vector(i)",
+    )
+    for mutant in (halved, no_swap_on_n):
+        assert rank_three_mismatches(mutant) > 0
+    conjugation_by_z1 = inner_relator(3, 1)
+    assert halved(conjugation_by_z1)
+    with pytest.raises(AssertionError, match="in the kernel"):
+        checked_h1_refutation(halved)(conjugation_by_z1)
+
+
+def test_rank_1000_refutation_stays_sparse(monkeypatch):
+    # a dense (n-1)^2 matrix at rank 1000 holds 998,001 entries, 8 MB of
+    # pointers alone; the suite-wide checks, which evaluate, are taken off
+    monkeypatch.setattr(lift, "_h2_reduced", inspect.unwrap(lift._h2_reduced))
+    monkeypatch.setattr(lift, "_h1_refutes", inspect.unwrap(lift._h1_refutes))
+    n = 1000
+    path = " ".join(f"a[{i},{i + 1}]" for i in range(1, n))
+    for word in ("a[1,2]", f"s[1,{n}]", " ".join([path] * 3)):
+        gw = parse_generator_word(word, n)
+        tracemalloc.start()
+        try:
+            v = kernel_verdict(gw, "both")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.verdict == "out" and v.routes == {"inner-in-H": False, "lift": False}
+        assert peak < 1_000_000, (word[:20], peak)
+
+
+def test_unwrapped_chain_power_answers_out_from_the_cli():
+    # (a[1,2] a[2,3] a[3,1])^1000, whose images no memory holds, is refuted
+    # by its action on H_1(E); the child's address space is capped at 1 GiB,
+    # so a build that evaluates the chain fails here instead of filling memory
+    env = {**os.environ, "PYTHONPATH": str(Path(symlift.__file__).parents[1])}
+    chain = " ".join(["a[1,2] a[2,3] a[3,1]"] * 1000)
+    done = subprocess.run(
+        [sys.executable, "-m", "symlift.cli", "lift", "kernel", "--n", "3", "--word", chain],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert done.returncode == 1, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["verdict"] == "out" and payload["routes"] == {"inner-in-H": False, "lift": False}
+    assert payload["agree"] is True and payload["witnesses"] == {}
 
 
 # -- the word reduced in H_n(2) ------------------------------------------------
@@ -394,6 +561,10 @@ def test_checked_h2_reduction_catches_a_wrong_cancellation():
     assert checked_h2_reduction(lift._h2_reduced)(gw).letters == (("a", 1, 2, 1), ("a", 2, 1, 1))
     with pytest.raises(AssertionError, match="another automorphism"):
         checked_h2_reduction(lambda gw: GeneratorWord(gw.rank))(gw)
+
+
+# out of the kernel, but acting on H_1(E) as the identity
+T_RANK_4 = "a[1,2] a[1,3] a[1,2] a[1,4] a[1,3]^-1 a[1,2]^-1 a[1,4]^-1 a[1,2]^-1"
 
 
 def _wrapped_chain(m: int) -> str:
@@ -447,9 +618,10 @@ def test_wrapped_chain_power_hands_no_letter_to_act_letters(monkeypatch, capsys)
         ["symaut", "outer-equal", "--ctx", "H:3:2", "--left", word, "--right", "e"]
     ) == 0
     assert received == []
-    # the counter sees a word that does not cancel
-    assert cli.main(["lift", "kernel", "--n", "3", "--word", "a[1,2] a[2,3]^-1 r[1]"]) == 1
-    assert received == [("a", 1, 2, 1), ("a", 2, 3, 1)]
+    # the counter sees a word that does not cancel and that its action on
+    # H_1(E) cannot refute
+    assert cli.main(["lift", "kernel", "--n", "4", "--word", f"{T_RANK_4} r[1]"]) == 1
+    assert received == [("a", 1, j, 1) for j in (2, 3, 2, 4, 3, 2, 4, 2)]
     capsys.readouterr()
 
 

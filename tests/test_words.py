@@ -10,6 +10,7 @@ from reference import (
     checked_even_to_x,
     conjugation_step_reference,
     even_to_x_reference,
+    expand_x,
     generator_conjugate_shape_reference,
     inner_conjugator_reference,
 )
@@ -22,7 +23,6 @@ from symlift.words import (
     coset_intersection,
     cyclic_reduce,
     even_to_x,
-    expand_x,
     format_word,
     free_context,
     generator,
@@ -560,14 +560,15 @@ def test_checked_even_to_x_catches_a_dropped_merge(monkeypatch):
     assert mutant(w).syllables == ((1, 1), (1, 1), (2, -1))  # unreduced
     with pytest.raises(AssertionError):
         checked_even_to_x(mutant)(w)
-    # on the verdict route, as the suite-wide check wraps it
+    # on the lift route, as the suite-wide check wraps it (run unfiltered: a
+    # verdict refutes this chain by its action on H_1(E) before restricting)
     monkeypatch.setattr(lift, "even_to_x", checked_even_to_x(mutant))
     chain = symaut.parse_generator_word("a[1,2] a[2,3] a[3,1] a[1,2] a[2,3] a[3,1]", 3)
     with pytest.raises(AssertionError):
-        lift.kernel_verdict(chain)
+        lift.lift_route(lift.eval_in_h2(chain))
     # and the check passes the real fast path on the same route
     monkeypatch.setattr(lift, "even_to_x", checked_even_to_x(inspect.unwrap(words.even_to_x)))
-    assert lift.kernel_verdict(chain).verdict == "out"
+    assert not lift.lift_route(lift.eval_in_h2(chain)).in_kernel
 
 
 # -- the one-pass conjugation step c g c^-1 d --------------------------------
@@ -763,14 +764,16 @@ def test_checked_inner_conjugator_catches_a_dropped_target_condition(monkeypatch
     assert mutant(images, F3) == y("y1 y2")
     with pytest.raises(AssertionError):
         checked(mutant, inner_conjugator_reference)(images, F3)
-    # on the verdict route, as the suite-wide check wraps it: a[1,2] has
-    # c_1 = z2 and c_3 = e, so the mutant reads it as conjugation by z2
+    # on the inner-in-H route, as the suite-wide check wraps it (run
+    # unfiltered: a verdict refutes a[1,2] by its action on H_1(E)): a[1,2]
+    # has c_1 = z2 and c_3 = e, so the mutant reads it as conjugation by z2
     monkeypatch.setattr(symaut, "inner_conjugator", checked(mutant, inner_conjugator_reference))
+    h = lift.eval_in_h2(symaut.parse_generator_word("a[1,2]", 3))
     with pytest.raises(AssertionError):
-        lift.kernel_verdict(symaut.parse_generator_word("a[1,2]", 3))
+        symaut.inner_witness_of(h)
     fast = inspect.unwrap(words.inner_conjugator)
     monkeypatch.setattr(symaut, "inner_conjugator", checked(fast, inner_conjugator_reference))
-    assert lift.kernel_verdict(symaut.parse_generator_word("a[1,2]", 3)).verdict == "out"
+    assert symaut.inner_witness_of(h) is None
 
 
 def test_checked_shape_catches_unmirrored_halves():
