@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .symaut import (
+    MAX_EVAL_RANK,
     GeneratorWord,
     Image,
     SymmetricAut,
@@ -40,7 +41,7 @@ from .symaut import (
     eval_generator_word,
     identity_aut,
 )
-from .words import WordError, free_context, inner_conjugator, torsion_context
+from .words import WordError, check_rank, free_context, inner_conjugator, torsion_context
 
 # Most freely reduced braid words one bounded_kernel_search may enumerate;
 # larger searches are refused before they start.  At 3 strands, the slowest,
@@ -93,6 +94,10 @@ def _free_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def parse_braid(text: str, strands: int) -> BraidWord:
+    """The braid word ``text`` spells on ``strands`` strands; more than
+    :data:`~symlift.symaut.MAX_EVAL_RANK` strands are refused before any
+    token is read."""
+    check_rank(strands, MAX_EVAL_RANK, "automorphism images")
     text = text.strip()
     if text in ("", "e"):
         return BraidWord(strands)
@@ -114,18 +119,9 @@ def _generator_word(b: BraidWord) -> GeneratorWord:
     return GeneratorWord(b.strands, tuple(letters))
 
 
-def artin_action(b: BraidWord, prefix: Optional[SymmetricAut] = None) -> SymmetricAut:
-    """The braid as a symmetric automorphism of the free group.
-
-    ``prefix``, when given, must be the action of ``b`` without its last two
-    letters: only those two are applied to its images, so the cost is linear
-    in the images rather than in the whole word's evaluation.
-    """
-    if prefix is None:
-        return eval_generator_word(_generator_word(b), free_context(b.strands))
-    images = list(prefix.images)
-    act_letters(images, _generator_word(BraidWord(b.strands, b.letters[-2:])).letters, prefix.ctx)
-    return SymmetricAut(prefix.ctx, tuple(images))
+def artin_action(b: BraidWord) -> SymmetricAut:
+    """The braid as a symmetric automorphism of the free group."""
+    return eval_generator_word(_generator_word(b), free_context(b.strands))
 
 
 def eta_image(b: BraidWord, k: int) -> SymmetricAut:
@@ -157,12 +153,9 @@ class SearchReport:
 
 
 def search_word_count(strands: int, max_length: int) -> int:
-    """Freely reduced braid words of length 1..``max_length``:
-    ``2(n-1) * sum((2n-3)^j for j < max_length)``."""
-    letters = 2 * (strands - 1)
-    if letters == 2:
-        return 2 * max_length
-    return letters * ((letters - 1) ** max_length - 1) // (letters - 2)
+    """Freely reduced braid words of length 1..``max_length``: each of the
+    ``2(n-1)`` first letters roots a subtree of :func:`_subtree_words`."""
+    return 2 * (strands - 1) * _subtree_words(strands, max_length - 1)
 
 
 def check_search(strands: int, modulus: int, max_length: int) -> None:
@@ -268,22 +261,25 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
     ``max_length`` and counts every other subtree without walking it;
     ``words_checked`` is the tally of both.  Only pure words get the mod-k
     inner test, and the free action is evaluated only for words that are
-    inner mod k: advanced by the last two letters from the word two letters
-    shorter when that word was evaluated too (at 2 strands every even power
-    of s1 is, so each costs one step linear in its images), else from
-    scratch.  Raises ``WordError`` for malformed parameters and for searches
+    inner mod k.  Its free images are those of the word two letters
+    shorter, advanced in place by the last two letters (:func:`act_letters`),
+    when that word was evaluated too (at 2 strands every even power of s1
+    is, so each costs one step linear in its images), else they are
+    evaluated from scratch.  Raises ``WordError`` for malformed parameters and for searches
     over :data:`MAX_SEARCH_WORDS` words, or at 2 strands over it in
     ``max_length ** 2``.
     """
     check_search(strands, modulus, max_length)
     tctx = torsion_context(strands, modulus)
+    fctx = free_context(strands)
+    identity = list(identity_aut(fctx).images)
     subtree_words = [_subtree_words(strands, depth) for depth in range(max_length + 1)]
     flagged: list[str] = []
     checked = 0
     trivial = 0
-    # free actions of the evaluated words, each kept until a word two
+    # free images of the evaluated words, each list kept until a word two
     # letters longer advances it
-    free_actions: dict[tuple[int, ...], SymmetricAut] = {}
+    free_images: dict[tuple[int, ...], list[Image]] = {}
     for word, inversions, reduced in _search_tree(strands, modulus, max_length):
         if reduced is None:
             checked += subtree_words[max_length - len(word)]
@@ -291,11 +287,15 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
         checked += 1
         if inversions or inner_conjugator(reduced, tctx) is None:
             continue
-        free = artin_action(BraidWord(strands, word), free_actions.pop(word[:-2], None))
-        free_actions[word] = free
-        if free.is_identity():
+        images = free_images.pop(word[:-2], None)
+        if images is None:
+            images = list(artin_action(BraidWord(strands, word)).images)
+        else:
+            act_letters(images, _generator_word(BraidWord(strands, word[-2:])).letters, fctx)
+        free_images[word] = images
+        if images == identity:
             trivial += 1
-        elif inner_conjugator(free.images, free.ctx) is None:
+        elif inner_conjugator(images, fctx) is None:
             flagged.append(" ".join(map(str, word)))
     flagged.sort()
     return SearchReport(strands, modulus, max_length, checked, trivial, tuple(flagged))

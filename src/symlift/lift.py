@@ -14,9 +14,9 @@ Three maps are chained here:
   the direct route (is the reduced automorphism inner?) and by the lift route
   (is the restriction inner, or inner after inverting every ``x_i``?).
 
-The pipelines evaluate a word only after reducing it in the letter group of
-the order-2 product (:func:`eval_in_h2`), so a conjugate ``c rho c^-1``
-builds no image at all.
+Evaluation in the order-2 product reduces a word in its letter group first
+(:func:`~symlift.symaut.eval_generator_word`), so a conjugate
+``c rho c^-1`` builds no image at all.
 
 Before it evaluates anything, ``kernel_verdict`` reads the word's action on
 ``H_1(E) = Z^{n-1}`` (:func:`_h1_refutes`), one sparse vector step per
@@ -42,8 +42,8 @@ from typing import Iterator, Literal, Optional
 
 from .symaut import (
     GeneratorWord,
-    Letter,
     SymmetricAut,
+    _h2_reduced,
     canonical_image,
     eval_generator_word,
     inner_witness_of,
@@ -201,39 +201,6 @@ class KernelVerdict:
         return payload
 
 
-def _h2_reduced(gw: GeneratorWord) -> GeneratorWord:
-    """A word evaluating to the same automorphism of the order-2 product,
-    reduced in one stack pass.
-
-    There ``r[i]`` acts trivially, ``a[i,j]^-1`` acts as ``a[i,j]``, and
-    ``a[i,j]`` and ``s[i,j]`` are involutions (the partial conjugations of
-    the order-2 free product).  So every ``r`` is dropped, every ``a`` is
-    written with exponent 1, and equal neighbours cancel.
-    """
-    out: list[Letter] = []
-    for letter in gw.letters:
-        if letter[0] == "r":
-            continue
-        if letter[0] == "a" and letter[3] == -1:
-            letter = ("a", letter[1], letter[2], 1)
-        if out and out[-1] == letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return GeneratorWord._trusted(gw.rank, tuple(out))
-
-
-def eval_in_h2(gw: GeneratorWord) -> SymmetricAut:
-    """The automorphism of the order-2 product ``H_n(2)`` that ``gw``
-    evaluates to, computed from the word :func:`_h2_reduced` returns.
-
-    Equal to reducing the free evaluation (letter actions commute with the
-    projection), but immune to the exponential image growth the free side
-    can exhibit, and it builds no image that a later letter cancels.
-    """
-    return eval_generator_word(_h2_reduced(gw), torsion_context(gw.rank, 2))
-
-
 def _combine(p: int, u: dict[int, int], q: int, v: dict[int, int]) -> dict[int, int]:
     """The sparse vector ``p u + q v``, with no zero entries."""
     out = {k: p * c for k, c in u.items()}
@@ -291,7 +258,8 @@ def _h1_refutes(gw: GeneratorWord) -> bool:
 def kernel_verdict(gw: GeneratorWord, route: Route = "both") -> KernelVerdict:
     """Membership in the kernel of the mod-2 reduction, with witnesses.
 
-    The word is reduced in ``H_n(2)`` once.  If its action on ``H_1(E)``
+    The word is reduced in ``H_n(2)`` once, and the refutation and the
+    evaluation both read the reduced word.  If its action on ``H_1(E)``
     refutes it (:func:`_h1_refutes`), every asked route reads false and
     nothing is evaluated; otherwise the routes run on its automorphism.
     At rank 2 the ``both`` route still reports agreement, but the verdict

@@ -92,7 +92,7 @@ def check_route_agreement(params, seed) -> dict:
         for _ in range(params["route_words"]):
             gw = GeneratorWord(n, tuple(rng.choice(letters) for _ in range(rng.randint(0, 20))))
             v = kernel_verdict(gw, "both")
-            h = lift.eval_in_h2(gw)
+            h = eval_generator_word(gw, torsion_context(n, 2))
             routes = {"inner-in-H": inner_witness_of(h) is not None, "lift": lift.lift_route(h).in_kernel}
             total += 1
             if v.verdict == "unknown":

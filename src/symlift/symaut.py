@@ -82,6 +82,10 @@ def letter_str(letter: Letter) -> str:
     return f"s[{letter[1]},{letter[2]}]"
 
 
+# the word parsers refuse a higher rank before they read a token, so no
+# command that reads a word builds n images, relators or letters past it
+MAX_EVAL_RANK = 1000
+
 _LETTER_RE = re.compile(r"^([ars])\[(\d+),?(\d+)?\](?:\^(-?1))?$")
 
 
@@ -148,6 +152,9 @@ class GeneratorWord:
 
 
 def parse_generator_word(text: str, rank: int) -> GeneratorWord:
+    """The word ``text`` spells at ``rank``; a rank over :data:`MAX_EVAL_RANK`
+    is refused before any token is read."""
+    check_rank(rank, MAX_EVAL_RANK, "automorphism images")
     text = text.strip()
     if text in ("", "e"):
         return GeneratorWord(rank)
@@ -363,15 +370,43 @@ def act_letters(images: list[Image], letters: Iterable[Letter], ctx: GroupContex
             images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
 
 
+def _h2_reduced(gw: GeneratorWord) -> GeneratorWord:
+    """A word evaluating to the same automorphism of the order-2 product,
+    reduced in one stack pass.
+
+    There ``r[i]`` acts trivially, ``a[i,j]^-1`` acts as ``a[i,j]``, and
+    ``a[i,j]`` and ``s[i,j]`` are involutions (the partial conjugations of
+    the order-2 free product).  So every ``r`` is dropped, every ``a`` is
+    written with exponent 1, and equal neighbours cancel.
+    """
+    out: list[Letter] = []
+    for letter in gw.letters:
+        if letter[0] == "r":
+            continue
+        if letter[0] == "a" and letter[3] == -1:
+            letter = ("a", letter[1], letter[2], 1)
+        if out and out[-1] == letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return GeneratorWord._trusted(gw.rank, tuple(out))
+
+
 def eval_generator_word(gw: GeneratorWord, ctx: GroupContext) -> SymmetricAut:
     """The automorphism a presentation word evaluates to.
 
     Starts from the identity images and applies each letter in place with
     :func:`act_letters`, so the cost per letter is linear in the conjugators
-    it touches; the value is built (and validated) once at the end.
+    it touches; the value is built (and validated) once at the end.  In the
+    order-2 product ``H_n(2)`` the letters applied are those of
+    :func:`_h2_reduced`: a conjugate ``c rho c^-1`` builds no image at all,
+    and no image is built that a later letter cancels.  Images are
+    canonical, so the value is that of the raw letters.
     """
     if gw.rank != ctx.rank:
         raise WordError(f"rank mismatch: word has {gw.rank}, context {ctx.rank}")
+    if ctx.torsion == 2:
+        gw = _h2_reduced(gw)
     e = identity_word(ctx)
     images: list[Image] = [(e, i, 1) for i in range(1, ctx.rank + 1)]
     act_letters(images, gw.letters, ctx)
@@ -629,7 +664,6 @@ class RelationReport:
 
 
 MAX_RELATIONS_RANK = 12  # the instances grow as n^4: rank 12 takes 1 to 2 s
-MAX_EVAL_RANK = 1000  # `symaut eval` and `outer-equal` print or compare n images
 
 
 def check_relations(n: int) -> RelationReport:

@@ -102,7 +102,9 @@ def _push(out: list[Syllable], gen: int, exp: int, modulus: Optional[int]) -> No
 
 @dataclass(frozen=True)
 class Word:
-    """Reduced word.  Construct through :func:`normalize` or ``Word.of``."""
+    """Reduced word.  Construct through :func:`normalize`, :func:`generator`
+    or :func:`parse_word`; ``Word(ctx, syllables)`` itself does not reduce,
+    so it takes only syllables already in normal form."""
 
     ctx: GroupContext
     syllables: tuple[Syllable, ...]

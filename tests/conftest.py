@@ -35,7 +35,8 @@ def fast_paths_checked_against_the_references():
     ``generator_conjugate_shape`` with the ``cyclic_reduce`` split,
     and ``semidirect_normal_form`` and ``parse_semipalindrome_product``
     with their per-letter ``letter_inverse`` forms.  Every word that
-    ``_h2_reduced`` reduces must evaluate in the order-2 product to the
+    ``_h2_reduced`` reduces, in ``eval_generator_word`` or in
+    ``kernel_verdict``, must evaluate in the order-2 product to the
     automorphism of its raw letters, and every word that ``_h1_refutes``
     refutes must be out of the kernel by both routes, run unfiltered."""
     with pytest.MonkeyPatch.context() as mp:
@@ -45,7 +46,9 @@ def fast_paths_checked_against_the_references():
             for module in (words, symaut, lift, kernel, complexes, braid, cli, selftest):
                 if getattr(module, name, None) is fast:
                     mp.setattr(module, name, wrapped)
-        mp.setattr(lift, "_h2_reduced", checked_h2_reduction(lift._h2_reduced))
+        wrapped = checked_h2_reduction(symaut._h2_reduced)
+        for module in (symaut, lift):
+            mp.setattr(module, "_h2_reduced", wrapped)
         mp.setattr(lift, "_h1_refutes", checked_h1_refutation(lift._h1_refutes))
         yield
 

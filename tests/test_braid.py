@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -200,6 +201,12 @@ def test_carried_images_are_the_reduced_free_action():
         assert seen == search_word_count(strands, max_length)
 
 
+def test_search_word_count_counts_every_freely_reduced_word():
+    # one closed form for every strand count, 2 strands included
+    for strands, max_length in ((2, 1), (2, 9), (3, 1), (3, 6), (4, 4), (5, 3)):
+        assert search_word_count(strands, max_length) == len(all_words(strands, max_length))
+
+
 def test_evaluated_words_are_those_that_can_still_reach_a_pure_braid():
     for strands, modulus, max_length in ((2, 2, 7), (3, 3, 5), (4, 2, 4)):
         reachable = set()
@@ -255,34 +262,33 @@ def test_mod_k_inner_test_runs_only_on_pure_words(monkeypatch):
 
 
 def test_free_action_evaluated_only_for_words_inner_mod_k(monkeypatch):
-    calls = []
+    # every free action the search builds: from scratch through
+    # artin_action, or stepped in place from the word two letters shorter
+    built = []
+    act = braid.act_letters
 
-    def counted(b, *prefix):
-        calls.append(b.letters)
-        return artin_action(b, *prefix)
+    def stepped(images, letters, ctx):
+        act(images, letters, ctx)
+        if ctx.is_free:
+            built.append(tuple(images))
 
-    monkeypatch.setattr(braid, "artin_action", counted)
+    def scratch(b):
+        f = artin_action(b)
+        built.append(f.images)
+        return f
+
+    monkeypatch.setattr(braid, "act_letters", stepped)
+    monkeypatch.setattr(braid, "artin_action", scratch)
     for strands, modulus, max_length in ((2, 3, 6), (3, 2, 6), (3, 3, 6), (4, 2, 4)):
-        calls.clear()
+        built.clear()
         bounded_kernel_search(strands, modulus, max_length)
         inner = [
             word
             for word in all_words(strands, max_length)
             if inner_witness_of(eta_image(BraidWord(strands, word), modulus)) is not None
         ]
-        assert sorted(calls) == sorted(inner) and inner
-
-
-def test_artin_action_from_a_prefix_matches_the_full_evaluation():
-    rng = random.Random(18)
-    for strands in (2, 3, 4):
-        pool = [i for i in range(1, strands)] + [-i for i in range(1, strands)]
-        for _ in range(60):
-            b = BraidWord(strands, tuple(rng.choice(pool) for _ in range(rng.randint(2, 12))))
-            if len(b.letters) < 2:
-                continue
-            prefix = artin_action(BraidWord(strands, b.letters[:-2]))
-            assert artin_action(b, prefix) == artin_action(b), b
+        expected = [artin_action(BraidWord(strands, word)).images for word in inner]
+        assert collections.Counter(built) == collections.Counter(expected) and inner
 
 
 def test_two_strand_search_steps_each_power_from_the_last(monkeypatch):

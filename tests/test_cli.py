@@ -351,14 +351,16 @@ def test_rank_sized_commands_refuse_huge_ranks_before_any_work(capsys, monkeypat
     def no_work(*args):
         raise AssertionError("rank-sized work started")
 
+    # the word parsers check the rank first: what they build after the
+    # check, and everything the commands do after parsing, must not start
     for module, name in (
         (complexes_mod, "trivial_tree"),
         (complexes_mod, "tree_from_units"),
-        (cli_mod, "parse_generator_word"),
+        (symaut_mod, "GeneratorWord"),
+        (braid_mod, "BraidWord"),
         (cli_mod, "eval_generator_word"),
         (cli_mod, "torsion_context"),
         (cli_mod, "kernel_verdict"),
-        (braid_mod, "parse_braid"),
         (symaut_mod, "_relations"),
     ):
         monkeypatch.setattr(module, name, no_work)
@@ -383,14 +385,22 @@ def test_rank_sized_commands_refuse_huge_ranks_before_any_work(capsys, monkeypat
             "automorphism images are limited to rank <= 1000, not 200000",
         ("symaut", "nf", "--n", "1001", "--word", "a[1,2]"):
             "automorphism images are limited to rank <= 1000, not 1001",
+        # a malformed word at an over-limit rank: the rank is read first
+        ("symaut", "nf", "--n", "1001", "--word", "q[1]"):
+            "automorphism images are limited to rank <= 1000, not 1001",
+        ("braid", "act", "--n", "1001", "--word", "x"):
+            "automorphism images are limited to rank <= 1000, not 1001",
         ("kernel", "certify", "--n", "1001", "--word", "e"):
             "automorphism images are limited to rank <= 1000, not 1001",
     }
-    cert_file = tmp_path / "cert.json"
-    cert_file.write_text(json.dumps({"rank": 1001, "conjugators": ["a[1,2]"]}))
-    refusals[("kernel", "verify", "--cert", str(cert_file), "--word", "e")] = (
-        "automorphism images are limited to rank <= 1000, not 1001"
-    )
+    # a conjugator is parsed when the certificate is read; with none, the
+    # --word parse refuses
+    for conjugators in (["a[1,2]"], []):
+        cert_file = tmp_path / f"cert{len(conjugators)}.json"
+        cert_file.write_text(json.dumps({"rank": 1001, "conjugators": conjugators}))
+        refusals[("kernel", "verify", "--cert", str(cert_file), "--word", "e")] = (
+            "automorphism images are limited to rank <= 1000, not 1001"
+        )
     start = time.perf_counter()
     for argv, message in refusals.items():
         code, payload = run(capsys, *argv)

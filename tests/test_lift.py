@@ -19,13 +19,13 @@ from reference import (
     checked_h2_reduction,
     image_words,
     iota,
+    raw_evaluation,
     restriction_apply,
     restriction_then,
 )
 from symlift import cli, lift, symaut
 from symlift.lift import (
     Restriction,
-    eval_in_h2,
     kernel_verdict,
     lift_restrict,
     lift_route,
@@ -320,7 +320,7 @@ def test_lift_route_restricts_only_the_images_it_reads(monkeypatch):
     )
     for n, word, expected_calls, in_kernel in cases:
         calls.clear()
-        result = lift_route(eval_in_h2(parse_generator_word(word, n)))
+        result = lift_route(eval_generator_word(parse_generator_word(word, n), torsion_context(n, 2)))
         assert result.in_kernel is in_kernel and len(calls) == expected_calls, (n, word, calls)
     # a verdict that is not refuted restricts the same images
     calls.clear()
@@ -371,7 +371,7 @@ def test_verdict_json_shape():
 def abelianized_restriction_is_pm_identity(gw) -> bool:
     """Whether the restriction of ``gw``'s automorphism, with each x-image
     read as its exponent sums, is the identity or minus the identity."""
-    h = eval_in_h2(gw)
+    h = eval_generator_word(gw, torsion_context(gw.rank, 2))
     matrix = []
     for img in lift_restrict(h).images:
         column = [0] * (gw.rank - 1)
@@ -419,7 +419,7 @@ def rank_three_corpus() -> tuple:
     whether the unfiltered routes (which agree) put it in the kernel."""
     corpus = []
     for gw in kernel_corpus(random.Random(1103), 3, 600):
-        h = eval_in_h2(gw)
+        h = eval_generator_word(gw, H3)
         inside = inner_witness_of(h) is not None
         assert lift_route(h).in_kernel is inside
         corpus.append((lift._h2_reduced(gw), inside))
@@ -550,7 +550,8 @@ def words_with_cancelling_material(draw):
 def test_reduced_word_gives_the_payload_of_the_raw_evaluation(case):
     gw, route = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lift, "_h2_reduced", lambda gw: gw)
+        for module in (symaut, lift):
+            mp.setattr(module, "_h2_reduced", lambda gw: gw)
         raw = kernel_verdict(gw, route).to_json()
     assert kernel_verdict(gw, route).to_json() == raw
 
@@ -558,7 +559,7 @@ def test_reduced_word_gives_the_payload_of_the_raw_evaluation(case):
 def test_checked_h2_reduction_catches_a_wrong_cancellation():
     # a[1,2] a[2,1] is no involution pair: cancelling it changes the automorphism
     gw = parse_generator_word("a[1,2] a[2,1] r[3] s[1,3] s[1,3]", 3)
-    assert checked_h2_reduction(lift._h2_reduced)(gw).letters == (("a", 1, 2, 1), ("a", 2, 1, 1))
+    assert checked_h2_reduction(symaut._h2_reduced)(gw).letters == (("a", 1, 2, 1), ("a", 2, 1, 1))
     with pytest.raises(AssertionError, match="another automorphism"):
         checked_h2_reduction(lambda gw: GeneratorWord(gw.rank))(gw)
 
@@ -591,8 +592,8 @@ def test_wrapped_chain_power_answers_from_the_cli():
 
 
 def test_wrapped_chain_power_hands_no_letter_to_act_letters(monkeypatch, capsys):
-    # only the pipelines' own evaluations are counted, not the raw one the
-    # cross-check in conftest.py makes
+    # every library evaluation is counted; the raw ones that the checks in
+    # conftest.py make go through reference.py's own act_letters binding
     received = []
     act = symaut.act_letters
 
@@ -601,23 +602,27 @@ def test_wrapped_chain_power_hands_no_letter_to_act_letters(monkeypatch, capsys)
         received.extend(letters)
         act(images, letters, ctx)
 
-    evaluate = lift.eval_generator_word
-
-    def pipeline_eval(gw, ctx):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(symaut, "act_letters", counted)
-            return evaluate(gw, ctx)
-
-    monkeypatch.setattr(lift, "eval_generator_word", pipeline_eval)
-    monkeypatch.setattr(cli, "eval_generator_word", pipeline_eval)
+    monkeypatch.setattr(symaut, "act_letters", counted)
     word = _wrapped_chain(8)
-    assert kernel_verdict(parse_generator_word(word, 3)).verdict == "in"
+    gw = parse_generator_word(word, 3)
+    assert eval_generator_word(gw, torsion_context(3, 2)).is_identity()
+    assert kernel_verdict(gw).verdict == "in"
     assert cli.main(["lift", "eval", "--n", "3", "--word", word]) == 0
     assert cli.main(["symaut", "eval", "--ctx", "H:3:2", "--word", word]) == 0
     assert cli.main(
         ["symaut", "outer-equal", "--ctx", "H:3:2", "--left", word, "--right", "e"]
     ) == 0
     assert received == []
+    # a copy of eval_generator_word that skips the reduction hands over
+    # every raw letter
+    source = inspect.getsource(symaut.eval_generator_word)
+    unreduced = source.replace("gw = _h2_reduced(gw)", "pass", 1)
+    assert unreduced != source
+    namespace = dict(vars(symaut))
+    exec(unreduced, namespace)
+    assert namespace["eval_generator_word"](gw, torsion_context(3, 2)).is_identity()
+    assert received == list(gw.letters)
+    received.clear()
     # the counter sees a word that does not cancel and that its action on
     # H_1(E) cannot refute
     assert cli.main(["lift", "kernel", "--n", "4", "--word", f"{T_RANK_4} r[1]"]) == 1
@@ -635,7 +640,7 @@ def test_symaut_commands_at_torsion_2_print_the_raw_evaluation(capsys):
             head, tail, c = random_gw(rng, n), random_gw(rng, n), random_gw(rng, n, 6)
             u = head * c * rho(n) * c.inverse() * tail
             v = head * tail if t % 2 else random_gw(rng, n)
-            f, g = (eval_generator_word(gw, ctx) for gw in (u, v))
+            f, g = (raw_evaluation(gw, ctx) for gw in (u, v))
             assert cli.main(["symaut", "eval", "--ctx", f"H:{n}:2", "--word", str(u)]) == 0
             printed = json.loads(capsys.readouterr().out)["images"]
             assert printed == json.loads(json.dumps(f.to_json()))

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import act_letter, acting_letters
+from symlift.braid import parse_braid
 from symlift.symaut import (
+    MAX_EVAL_RANK,
     GeneratorWord,
     SymmetricAut,
     all_letters,
@@ -181,6 +183,20 @@ def test_generator_word_parse_roundtrip():
         parse_generator_word("r[1,2]", 3)
     gw = parse_generator_word("a[1,2] r[1] s[2,3]", 3)
     assert str(gw.inverse()) == "s[2,3] r[1] a[1,2]^-1"
+
+
+def test_word_parsers_refuse_ranks_over_the_limit_before_reading_a_token():
+    # the one rank gate of every command that reads a word: a malformed
+    # word over the limit gets the rank message, not the token's
+    over = MAX_EVAL_RANK + 1
+    message = f"automorphism images are limited to rank <= {MAX_EVAL_RANK}, not {over}"
+    for parse, text in ((parse_generator_word, "q[1]"), (parse_generator_word, "e"),
+                        (parse_braid, "x"), (parse_braid, "e")):
+        with pytest.raises(WordError) as exc:
+            parse(text, over)
+        assert str(exc.value) == message, (parse, text)
+    assert parse_generator_word(f"a[1,{MAX_EVAL_RANK}]", MAX_EVAL_RANK).rank == MAX_EVAL_RANK
+    assert parse_braid(str(MAX_EVAL_RANK - 1), MAX_EVAL_RANK).letters == (MAX_EVAL_RANK - 1,)
 
 
 # -- outer equality -----------------------------------------------------------

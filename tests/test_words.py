@@ -565,10 +565,10 @@ def test_checked_even_to_x_catches_a_dropped_merge(monkeypatch):
     monkeypatch.setattr(lift, "even_to_x", checked_even_to_x(mutant))
     chain = symaut.parse_generator_word("a[1,2] a[2,3] a[3,1] a[1,2] a[2,3] a[3,1]", 3)
     with pytest.raises(AssertionError):
-        lift.lift_route(lift.eval_in_h2(chain))
+        lift.lift_route(symaut.eval_generator_word(chain, H3))
     # and the check passes the real fast path on the same route
     monkeypatch.setattr(lift, "even_to_x", checked_even_to_x(inspect.unwrap(words.even_to_x)))
-    assert not lift.lift_route(lift.eval_in_h2(chain)).in_kernel
+    assert not lift.lift_route(symaut.eval_generator_word(chain, H3)).in_kernel
 
 
 # -- the one-pass conjugation step c g c^-1 d --------------------------------
@@ -768,7 +768,7 @@ def test_checked_inner_conjugator_catches_a_dropped_target_condition(monkeypatch
     # unfiltered: a verdict refutes a[1,2] by its action on H_1(E)): a[1,2]
     # has c_1 = z2 and c_3 = e, so the mutant reads it as conjugation by z2
     monkeypatch.setattr(symaut, "inner_conjugator", checked(mutant, inner_conjugator_reference))
-    h = lift.eval_in_h2(symaut.parse_generator_word("a[1,2]", 3))
+    h = symaut.eval_generator_word(symaut.parse_generator_word("a[1,2]", 3), H3)
     with pytest.raises(AssertionError):
         symaut.inner_witness_of(h)
     fast = inspect.unwrap(words.inner_conjugator)
@@ -798,6 +798,7 @@ def test_every_binding_of_a_checked_fast_path_is_wrapped():
         (symaut, "generator_conjugate_shape"),
         (lift, "generator_conjugate_shape"),
         (lift, "even_to_x"),
+        (symaut, "_h2_reduced"),
         (lift, "_h2_reduced"),
     ):
         assert inspect.unwrap(getattr(module, name)) is not getattr(module, name), (module, name)
