@@ -36,6 +36,7 @@ from .symaut import (
     MAX_EVAL_RANK,
     GeneratorWord,
     Image,
+    Letter,
     SymmetricAut,
     act_letters,
     eval_generator_word,
@@ -108,15 +109,17 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     return BraidWord(strands, letters)
 
 
+def _step(l: int) -> tuple[Letter, Letter]:
+    """The presentation letters of braid letter ``l``: s_i is
+    ``s[i,i+1] a[i,i+1]`` and s_i^-1 is ``a[i,i+1]^-1 s[i,i+1]``."""
+    i = abs(l)
+    if l > 0:
+        return ("s", i, i + 1), ("a", i, i + 1, 1)
+    return ("a", i, i + 1, -1), ("s", i, i + 1)
+
+
 def _generator_word(b: BraidWord) -> GeneratorWord:
-    letters = []
-    for l in b.letters:
-        i = abs(l)
-        if l > 0:
-            letters.extend([("s", i, i + 1), ("a", i, i + 1, 1)])
-        else:
-            letters.extend([("a", i, i + 1, -1), ("s", i, i + 1)])
-    return GeneratorWord(b.strands, tuple(letters))
+    return GeneratorWord(b.strands, tuple(x for l in b.letters for x in _step(l)))
 
 
 def artin_action(b: BraidWord) -> SymmetricAut:
@@ -213,16 +216,15 @@ def _search_tree(
     whose count exceeds the letters still to go has no pure braid below it:
     it is yielded with images None and its subtree (``_subtree_words`` words)
     is not walked.  Every other word's images are its parent's advanced by
-    the last letter's two presentation letters (:func:`act_letters`), so a
-    word costs one step, not an evaluation from scratch.  The images are the
-    ``(conjugator, target, sign)`` tuple that step builds, canonical by
-    construction, so no ``SymmetricAut`` is built or validated per word.  A
-    kept word's parent is always kept, as its count differs by one and it
-    has one more letter to go.
+    the last letter's two presentation letters (:func:`_step`) through
+    :func:`act_letters`, so a word costs one step, not an evaluation.  The
+    images are the ``(conjugator, target, sign)`` tuple that step builds,
+    canonical by construction, so no ``SymmetricAut`` is built or validated
+    per word.  A kept word's parent is always kept, as its count differs by
+    one and it has one more letter to go.
     """
     tctx = torsion_context(strands, modulus)
     letters = sorted([i for i in range(1, strands)] + [-i for i in range(1, strands)])
-    steps = {l: _generator_word(BraidWord(strands, (l,))).letters for l in letters}
     stack: list[tuple[tuple[int, ...], int, tuple]] = [((), 0, identity_aut(tctx).images)]
     while stack:
         word, inversions, images = stack.pop()
@@ -237,7 +239,7 @@ def _search_tree(
                 yield new_word, new_inversions, None
                 continue
             stepped = list(images)
-            act_letters(stepped, steps[l], tctx)
+            act_letters(stepped, _step(l), tctx)
             new_images = tuple(stepped)
             yield new_word, new_inversions, new_images
             if to_go:
@@ -261,12 +263,14 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
     ``max_length`` and counts every other subtree without walking it;
     ``words_checked`` is the tally of both.  Only pure words get the mod-k
     inner test, and the free action is evaluated only for words that are
-    inner mod k.  Its free images are those of the word two letters
-    shorter, advanced in place by the last two letters (:func:`act_letters`),
-    when that word was evaluated too (at 2 strands every even power of s1
-    is, so each costs one step linear in its images), else they are
-    evaluated from scratch.  Raises ``WordError`` for malformed parameters and for searches
-    over :data:`MAX_SEARCH_WORDS` words, or at 2 strands over it in
+    inner mod k.  One :func:`act_letters` call builds its free images from
+    the letter table :func:`_step`: it steps those of the word two letters
+    shorter by the last two letters when that word was evaluated too (at 2
+    strands every even power of s1 is, so each costs one step linear in its
+    images), else a copy of the identity images by all of the word's
+    letters; no ``BraidWord`` or ``SymmetricAut`` is built.  Raises
+    ``WordError`` for malformed parameters and for searches over
+    :data:`MAX_SEARCH_WORDS` words, or at 2 strands over it in
     ``max_length ** 2``.
     """
     check_search(strands, modulus, max_length)
@@ -287,11 +291,9 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
         checked += 1
         if inversions or inner_conjugator(reduced, tctx) is None:
             continue
-        images = free_images.pop(word[:-2], None)
-        if images is None:
-            images = list(artin_action(BraidWord(strands, word)).images)
-        else:
-            act_letters(images, _generator_word(BraidWord(strands, word[-2:])).letters, fctx)
+        stored = free_images.pop(word[:-2], None)
+        images, tail = (list(identity), word) if stored is None else (stored, word[-2:])
+        act_letters(images, [x for l in tail for x in _step(l)], fctx)
         free_images[word] = images
         if images == identity:
             trivial += 1

@@ -882,8 +882,8 @@ def stabilizer_soundness(gens: StabilizerGenerators) -> list[tuple[str, bool]]:
     A vertex automorphism must conjugate each label l by a power of one
     vertex's generator, constant on the components of the tree minus that
     vertex; an inversion must fix every label's factor (conjugator e, target
-    l), hence the literal tree; a symmetry must relabel the tree to an
-    isomorphic copy.
+    l), hence the literal tree; a symmetry must map the label sets onto
+    themselves.
     """
     t = gens.tree
     ctx = free_context(t.rank)
@@ -896,7 +896,8 @@ def stabilizer_soundness(gens: StabilizerGenerators) -> list[tuple[str, bool]]:
         fixed = all(not conj and target == l for l, (conj, target, _) in enumerate(f.images, 1))
         results.append((f"inversion {gw}", fixed))
     for p in gens.symmetries:
-        results.append((f"symmetry {p}", t.relabelled(p) == t))
+        relabelled = frozenset(frozenset(p[l - 1] for l in unit) for unit in t.units)
+        results.append((f"symmetry {p}", relabelled == t.label_sets))
     return results
 
 
@@ -1082,8 +1083,9 @@ def nuclear_ball(ctx: GroupContext, radius: int, bound: Optional[int] = None) ->
     image list, and a move steps a copy of it with :func:`act_letters`.
     The vertex depends only on the stepped list's ``(conjugator, target)``
     pairs, so each distinct list is canonicalized once.
-    The moves listed, and the move applications summed over the levels,
-    are each refused above ``MAX_BALL_WORK`` before that work starts.
+    From radius 1 on, the moves listed and the move applications summed
+    over the levels are each refused above ``MAX_BALL_WORK`` before that
+    work starts; radius 0 applies no move, so it lists none.
     """
     if radius < 0:
         raise WordError("radius must be >= 0")
@@ -1091,7 +1093,9 @@ def nuclear_ball(ctx: GroupContext, radius: int, bound: Optional[int] = None) ->
         raise WordError(f"free-context exploration needs an exponent bound >= 0, not {bound}")
     if not ctx.is_free and bound is not None:
         raise WordError("torsion contexts are explored exactly and take no exponent bound")
-    trees = [(t, moving_components(t)) for t in enumerate_whitehead_poset(ctx.rank).elements]
+    # enumerated at radius 0 too: the poset's rank limit bounds the start vertex
+    elements = enumerate_whitehead_poset(ctx.rank).elements
+    trees = [(t, moving_components(t)) for t in elements] if radius else []
     choices = 2 * bound + 1 if ctx.is_free else ctx.torsion
     # every exponent choice but all-zero is a move, so this is len(moves)
     candidates = sum(choices ** sum(map(len, moving.values())) - 1 for _, moving in trees)

@@ -84,22 +84,6 @@ def parse_context(text: str) -> GroupContext:
     raise WordError(f"bad context {text!r}; expected F:n or H:n:k")
 
 
-def _push(out: list[Syllable], gen: int, exp: int, modulus: Optional[int]) -> None:
-    if modulus is not None:
-        exp %= modulus
-    if exp == 0:
-        return
-    if out and out[-1][0] == gen:
-        merged = out[-1][1] + exp
-        if modulus is not None:
-            merged %= modulus
-        out.pop()
-        if merged != 0:
-            out.append((gen, merged))
-        return
-    out.append((gen, exp))
-
-
 @dataclass(frozen=True)
 class Word:
     """Reduced word.  Construct through :func:`normalize`, :func:`generator`
@@ -228,13 +212,25 @@ def normalize(raw: Iterable[Syllable], ctx: GroupContext) -> Word:
     Idempotent, and a monoid homomorphism from raw sequences to the group:
     interleaving normalization with concatenation never changes the result.
     """
+    modulus = ctx.torsion
     out: list[Syllable] = []
     for gen, exp in raw:
         if not 1 <= gen <= ctx.rank:
             raise WordError(f"generator index {gen} out of range 1..{ctx.rank}")
         if not isinstance(exp, int):
             raise WordError(f"exponent {exp!r} is not an integer")
-        _push(out, gen, exp, ctx.torsion)
+        if modulus is not None:
+            exp %= modulus
+        if exp == 0:
+            continue
+        if out and out[-1][0] == gen:
+            merged = out.pop()[1] + exp
+            if modulus is not None:
+                merged %= modulus
+            if merged != 0:
+                out.append((gen, merged))
+        else:
+            out.append((gen, exp))
     return Word(ctx, tuple(out))
 
 
@@ -541,11 +537,7 @@ def project_mod_k(w: Word, k: int) -> Word:
         raise WordError("project_mod_k expects a free-context word")
     if k < 2:
         raise WordError(f"modulus must be >= 2, got {k}")
-    # w is already reduced: fold its syllables without re-validating them
-    out: list[Syllable] = []
-    for gen, exp in w.syllables:
-        _push(out, gen, exp, k)
-    return Word(torsion_context(w.ctx.rank, k), tuple(out))
+    return normalize(w.syllables, torsion_context(w.ctx.rank, k))
 
 
 # the x-syllables ``(g, 1)`` and ``(g, -1)`` that every ``even_to_x`` output

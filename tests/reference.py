@@ -58,6 +58,23 @@ def even_to_x_reference(w: Word) -> Word:
     return normalize(raw, free_context(n - 1, letter="x"))
 
 
+def project_mod_k_reference(w: Word, k: int) -> Word:
+    """``project_mod_k``'s own fold before it went through ``normalize``:
+    each exponent reduced mod ``k`` and merged into the last syllable."""
+    out: list[Syllable] = []
+    for gen, exp in w.syllables:
+        exp %= k
+        if not exp:
+            continue
+        if out and out[-1][0] == gen:
+            merged = (out.pop()[1] + exp) % k
+            if merged:
+                out.append((gen, merged))
+        else:
+            out.append((gen, exp))
+    return Word(torsion_context(w.ctx.rank, k), tuple(out))
+
+
 def conjugation_step_reference(c, g, d, ctx: GroupContext) -> tuple[Syllable, ...]:
     """``conjugation_step`` as the ``product`` of ``c``, ``g``, ``c^{-1}``
     and ``d``, each wrapped as a ``Word``."""

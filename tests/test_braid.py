@@ -21,7 +21,6 @@ from symlift.symaut import (
     SymmetricAut,
     act_letters,
     compose,
-    eval_generator_word,
     identity_aut,
     inner_witness_of,
 )
@@ -262,8 +261,8 @@ def test_mod_k_inner_test_runs_only_on_pure_words(monkeypatch):
 
 
 def test_free_action_evaluated_only_for_words_inner_mod_k(monkeypatch):
-    # every free action the search builds: from scratch through
-    # artin_action, or stepped in place from the word two letters shorter
+    # every free action the search builds is one act_letters call, stepped
+    # from the identity or from the word two letters shorter
     built = []
     act = braid.act_letters
 
@@ -272,13 +271,7 @@ def test_free_action_evaluated_only_for_words_inner_mod_k(monkeypatch):
         if ctx.is_free:
             built.append(tuple(images))
 
-    def scratch(b):
-        f = artin_action(b)
-        built.append(f.images)
-        return f
-
     monkeypatch.setattr(braid, "act_letters", stepped)
-    monkeypatch.setattr(braid, "artin_action", scratch)
     for strands, modulus, max_length in ((2, 3, 6), (3, 2, 6), (3, 3, 6), (4, 2, 4)):
         built.clear()
         bounded_kernel_search(strands, modulus, max_length)
@@ -293,21 +286,38 @@ def test_free_action_evaluated_only_for_words_inner_mod_k(monkeypatch):
 
 def test_two_strand_search_steps_each_power_from_the_last(monkeypatch):
     # every even power of s1 is inner mod k; only s1^2 and s1^-2 are
-    # evaluated from scratch, each later power is its predecessor's action
-    # advanced by two letters
-    evaluated = []
+    # stepped from the identity, each later power from its predecessor's
+    # images by two braid letters
+    from_identity = []
+    act = braid.act_letters
 
-    def counted(gw, ctx):
-        if ctx.is_free:
-            evaluated.append(gw.letters)
-        return eval_generator_word(gw, ctx)
+    def counted(images, letters, ctx):
+        letters = list(letters)
+        if ctx.is_free and images == list(identity_aut(ctx).images):
+            from_identity.append(len(letters))
+        act(images, letters, ctx)
 
-    monkeypatch.setattr(braid, "eval_generator_word", counted)
+    monkeypatch.setattr(braid, "act_letters", counted)
     for modulus in (2, 3):
-        evaluated.clear()
+        from_identity.clear()
         report = bounded_kernel_search(2, modulus, 40)
-        assert sorted(len(letters) for letters in evaluated) == [4, 4]
+        assert sorted(from_identity) == [4, 4]
         assert report == reference_search(2, modulus, 40)
+
+
+@pytest.mark.parametrize("strands,modulus,max_length", [(2, 2, 8), (3, 2, 6), (4, 2, 4)])
+def test_search_builds_no_braid_word_or_scratch_evaluation(monkeypatch, strands, modulus, max_length):
+    # every image list comes from the letter table and act_letters alone
+    expected = reference_search(strands, modulus, max_length)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the search built a braid word or evaluated one from scratch")
+
+    for name in ("artin_action", "_generator_word", "BraidWord", "eval_generator_word"):
+        monkeypatch.setattr(braid, name, forbidden)
+    report = bounded_kernel_search(strands, modulus, max_length)
+    monkeypatch.undo()
+    assert report == expected
 
 
 def test_lossy_mod_k_test_flags_the_same_braids_in_both_searches(monkeypatch):

@@ -957,6 +957,21 @@ def test_stabilizer_soundness_checks_the_generators_it_is_given():
     assert stabilizer_soundness(only) == [("vertex_aut a[1,2] a[1,2] a[3,2]^-1", True)]
 
 
+def test_stabilizer_soundness_builds_no_tree(monkeypatch):
+    # symmetries are checked on the label sets: no relabelled tree is built
+    star = tree_from_units(6, [[1, 2, 3], [3, 4, 5, 6]])
+    gens = stabilizer_generators(star)
+    added = replace(gens, symmetries=gens.symmetries + ((2, 1, 4, 3, 5, 6),))
+    expected = [(name, not name.endswith("(2, 1, 4, 3, 5, 6)")) for name, _ in stabilizer_soundness(added)]
+
+    def forbidden(*args):
+        raise AssertionError("stabilizer_soundness built a tree")
+
+    monkeypatch.setattr(LabelledBipartiteTree, "__post_init__", forbidden)
+    monkeypatch.setattr(LabelledBipartiteTree, "_trusted", classmethod(forbidden))
+    assert gens.symmetries and stabilizer_soundness(added) == expected
+
+
 def test_soundness_refuses_powers_that_differ_across_a_unit():
     # a[l,v]^p on one label of unit - {v} but not on another: the check
     # reads each unit alone and must refuse it
@@ -1223,7 +1238,7 @@ def test_nuclear_ball_work_budget(monkeypatch):
     H42 = torsion_context(4, 2)
     monkeypatch.setattr(complexes_mod, "MAX_BALL_WORK", 59)
     with pytest.raises(WordError, match="list 60 moves"):
-        nuclear_ball(H42, 0)
+        nuclear_ball(H42, 1)
     # H:4:2 lists 60 moves and applies 60 + 60 * 24 = 1,500 by radius 2
     monkeypatch.setattr(complexes_mod, "MAX_BALL_WORK", 1_499)
     with pytest.raises(WordError, match="1,500 moves by distance 2"):
@@ -1235,6 +1250,18 @@ def test_nuclear_ball_work_budget(monkeypatch):
     assert nuclear_ball(torsion_context(2, 2), 10).counts() == [1] + [0] * 10
     with pytest.raises(WordError, match="by distance 11"):
         nuclear_ball(torsion_context(2, 2), 11)
+
+
+def test_nuclear_ball_at_radius_0_lists_no_moves(monkeypatch):
+    import symlift.complexes as complexes_mod
+
+    # radius 0 applies no move, so no move count can refuse it
+    monkeypatch.setattr(complexes_mod, "MAX_BALL_WORK", 5)
+    for ctx, bound in ((torsion_context(4, 2), None), (free_context(5), 5)):
+        ball = nuclear_ball(ctx, 0, bound)
+        assert ball.levels == ((NuclearVertex.standard(ctx).encode(),),)
+        with pytest.raises(WordError, match="moves, over the limit of 5$"):
+            nuclear_ball(ctx, 1, bound)
 
 
 def test_nuclear_ball_free_context_flagged():

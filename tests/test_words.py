@@ -13,6 +13,7 @@ from reference import (
     expand_x,
     generator_conjugate_shape_reference,
     inner_conjugator_reference,
+    project_mod_k_reference,
 )
 from symlift import braid, lift, symaut, words
 from symlift.words import (
@@ -456,6 +457,16 @@ def test_project_is_homomorphism_bulk():
         v = normalize([s for s in raw_v if s[1]], F3)
         k = rng.choice((2, 3))
         assert project_mod_k(u * v, k) == project_mod_k(u, k) * project_mod_k(v, k)
+
+
+def test_project_mod_k_matches_the_old_fold():
+    rng = random.Random(34)
+    for _ in range(2000):
+        ctx = free_context(rng.randint(1, 4))
+        raw = [(rng.randint(1, ctx.rank), rng.randint(-7, 7)) for _ in range(rng.randint(0, 12))]
+        w = normalize([s for s in raw if s[1]], ctx)
+        for k in (2, 3, 4, 5):
+            assert project_mod_k(w, k) == project_mod_k_reference(w, k), (w, k)
 
 
 @given(raw_syllables(3))
