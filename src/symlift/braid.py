@@ -130,8 +130,6 @@ def artin_action(b: BraidWord) -> SymmetricAut:
 def eta_image(b: BraidWord, k: int) -> SymmetricAut:
     """The braid's action after reducing every generator mod ``k``,
     evaluated directly in the free product of cyclic groups of order ``k``."""
-    if k < 2:
-        raise WordError(f"modulus must be >= 2, got {k}")
     return eval_generator_word(_generator_word(b), torsion_context(b.strands, k))
 
 

@@ -41,6 +41,7 @@ from .words import (
     GroupContext,
     Word,
     WordError,
+    check_rank,
     format_word,
     free_context,
     identity as identity_word,
@@ -119,6 +120,8 @@ class LabelledBipartiteTree:
 
     def __post_init__(self) -> None:
         n = self.rank
+        if n < 2:
+            raise WordError(f"trees need rank >= 2, not {n}")
         labels = frozenset().union(*self.units)
         if labels != set(range(1, n + 1)):
             raise WordError(f"labels {sorted(labels)} must be exactly 1..{n}")
@@ -391,8 +394,7 @@ def enumerate_whitehead_poset(n: int) -> WhiteheadPoset:
     """
     if n < 2:
         raise WordError("the poset needs rank >= 2 (no valid trees at rank 1)")
-    if n > MAX_POSET_RANK:
-        raise WordError(f"the poset is limited to rank <= {MAX_POSET_RANK}, not {n}")
+    check_rank(n, MAX_POSET_RANK, "posets")
     queue: list[LabelMasks] = [frozenset({(1 << (n + 1)) - 2})]
     found = {queue[0]: 0}
     pairs = []  # (class, split) as positions in the queue

@@ -76,8 +76,6 @@ def reduce_mod(f: SymmetricAut, k: int) -> SymmetricAut:
     """
     if not f.ctx.is_free:
         raise WordError("reduce_mod expects a free-context automorphism")
-    if k < 2:
-        raise WordError(f"modulus must be >= 2, got {k}")
     if k > 2 and any(s != 1 for s in f.signs()):
         raise WordError("cannot reduce a generator-inverting automorphism mod k > 2")
     ctx = torsion_context(f.ctx.rank, k)

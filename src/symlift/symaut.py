@@ -148,7 +148,7 @@ class GeneratorWord:
         return GeneratorWord._trusted(self.rank, tuple(out))
 
     def __str__(self) -> str:
-        return format_generator_word(self)
+        return " ".join(map(letter_str, self.letters)) or "e"
 
 
 def parse_generator_word(text: str, rank: int) -> GeneratorWord:
@@ -177,12 +177,6 @@ def parse_generator_word(text: str, rank: int) -> GeneratorWord:
                 raise WordError(f"bad s-letter {token!r}")
             letters.append(("s", i, int(j)))
     return GeneratorWord(rank, tuple(letters))
-
-
-def format_generator_word(gw: GeneratorWord) -> str:
-    if not gw.letters:
-        return "e"
-    return " ".join(letter_str(l) for l in gw.letters)
 
 
 def alpha(rank: int, i: int, j: int, exp: int = 1) -> GeneratorWord:
@@ -264,7 +258,7 @@ class SymmetricAut:
 
     def image_word(self, i: int) -> Word:
         conj, target, sign = self.images[i - 1]
-        return conj * generator(self.ctx, target, sign) * conj.inverse()
+        return generator(self.ctx, target, sign).conjugated_by(conj)
 
     def permutation(self) -> tuple[int, ...]:
         """One-line permutation: generator i maps into the class of t(i)."""

@@ -107,9 +107,6 @@ class Word:
 
     def inverse(self) -> "Word":
         k = self.ctx.torsion
-        if k == 2:
-            # every exponent is 1 = -1 mod 2: the inverse is the reversal
-            return Word(self.ctx, self.syllables[::-1])
         inv = [(g, -e if k is None else (-e) % k) for g, e in reversed(self.syllables)]
         return Word(self.ctx, tuple(inv))
 
@@ -239,11 +236,7 @@ def identity(ctx: GroupContext) -> Word:
 
 
 def generator(ctx: GroupContext, i: int, exp: int = 1) -> Word:
-    if not 1 <= i <= ctx.rank:
-        raise WordError(f"generator index {i} out of range 1..{ctx.rank}")
-    if ctx.torsion is not None:
-        exp %= ctx.torsion
-    return Word(ctx, ((i, exp),) if exp else ())
+    return normalize(((i, exp),), ctx)
 
 
 _SYLLABLE_RE = re.compile(r"^([xyz])(\d+)(?:\^(-?\d+))?$")
@@ -535,8 +528,6 @@ def project_mod_k(w: Word, k: int) -> Word:
     """Homomorphic image under generator-wise reduction mod ``k``."""
     if not w.ctx.is_free:
         raise WordError("project_mod_k expects a free-context word")
-    if k < 2:
-        raise WordError(f"modulus must be >= 2, got {k}")
     return normalize(w.syllables, torsion_context(w.ctx.rank, k))
 
 
@@ -566,8 +557,8 @@ def even_to_x(w: Word) -> Word:
     input would need, raises ``WordError``.
 
     Every unmerged syllable is the shared tuple from ``_X_PLUS`` or
-    ``_X_MINUS``; only merged powers are new tuples.  A pass that meets a
-    generator the tables lack adds every generator of ``w`` and runs again.
+    ``_X_MINUS``, added there the first time a word brings its generator;
+    only merged powers are new tuples.
     """
     ctx = w.ctx
     if ctx.is_free or ctx.torsion != 2:
@@ -581,31 +572,25 @@ def even_to_x(w: Word) -> Word:
     out: list[Syllable] = []
     last = 0  # the generator of out[-1], 0 while out is empty
     pairs = iter(w.syllables)
-    try:
-        for (a, _), (b, _) in zip(pairs, pairs):
-            if a == b:
-                raise WordError(f"unreduced pair z{a} z{b} in {w}")
-            if a != n:
-                if a == last:
-                    exp = out[-1][1] + 1
-                    if not exp:
-                        raise WordError(f"unreduced word: {w}")
-                    out[-1] = (a, exp)
-                else:
-                    out.append(plus[a])
-                last = a
-            if b != n:
-                if b == last:
-                    exp = out[-1][1] - 1
-                    if not exp:
-                        raise WordError(f"unreduced word: {w}")
-                    out[-1] = (b, exp)
-                else:
-                    out.append(minus[b])
-                last = b
-    except KeyError:
-        for g, _ in w.syllables:
-            plus[g] = (g, 1)
-            minus[g] = (g, -1)
-        return even_to_x(w)
+    for (a, _), (b, _) in zip(pairs, pairs):
+        if a == b:
+            raise WordError(f"unreduced pair z{a} z{b} in {w}")
+        if a != n:
+            if a == last:
+                exp = out[-1][1] + 1
+                if not exp:
+                    raise WordError(f"unreduced word: {w}")
+                out[-1] = (a, exp)
+            else:
+                out.append(plus.get(a) or plus.setdefault(a, (a, 1)))
+            last = a
+        if b != n:
+            if b == last:
+                exp = out[-1][1] - 1
+                if not exp:
+                    raise WordError(f"unreduced word: {w}")
+                out[-1] = (b, exp)
+            else:
+                out.append(minus.get(b) or minus.setdefault(b, (b, -1)))
+            last = b
     return Word(free_context(n - 1, letter="x"), tuple(out))

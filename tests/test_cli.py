@@ -237,6 +237,15 @@ def test_malformed_input_exits_2(capsys, tmp_path):
     for command in ("poset", "homology"):
         code, payload = run(capsys, "complex", command, "--n", "7")
         assert code == 2 and "rank <= 6" in payload["error"]["message"]
+    # the torsion context refuses a modulus below 2, whichever command builds it
+    for argv in (("words", "project", "--word", "y1"), ("braid", "eta", "--word", "1")):
+        code, payload = run(capsys, *argv, "--n", "3", "--k", "1")
+        assert code == 2
+        assert payload["error"]["message"] == "torsion modulus must be >= 2, got 1"
+    # no tree has rank 1: the refusal names the rank, not a vertex of the star
+    for command in ("tree", "stabilizer"):
+        code, payload = run(capsys, "complex", command, "--n", "1")
+        assert code == 2 and payload["error"]["message"] == "trees need rank >= 2, not 1"
     for tree in ("1,2;;2,3", "1,2,2;2,3"):  # an empty chunk, a repeated label
         code, payload = run(capsys, "complex", "tree", "--n", "3", "--tree", tree)
         assert code == 2 and "unlabelled vertex" in payload["error"]["message"]

@@ -97,6 +97,9 @@ def test_tree_conditions_enforced():
         tree_from_units(3, [[1, 2], [2, 3], [3, 1]])  # cycle
     with pytest.raises(WordError):
         tree_from_units(3, [[1, 2], [], [2, 3]])  # an empty unlabelled vertex
+    for n in (1, 0):  # refused by rank, before the units are read
+        with pytest.raises(WordError, match=f"^trees need rank >= 2, not {n}$"):
+            tree_from_units(n, [list(range(1, n + 1))])
     with pytest.raises(WordError, match="twice"):
         tree_from_units(3, [[1, 2, 2], [2, 3]])
     with pytest.raises(WordError, match="connected"):
@@ -229,7 +232,7 @@ def test_poset_counts():
     assert len(enumerate_whitehead_poset(3).covers()) == 3
     with pytest.raises(WordError):
         enumerate_whitehead_poset(1)
-    with pytest.raises(WordError, match="rank <= 6"):
+    with pytest.raises(WordError, match="^posets are limited to rank <= 6, not 7$"):
         enumerate_whitehead_poset(7)
 
 

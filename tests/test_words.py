@@ -69,13 +69,15 @@ def test_normalize_rejects_bad_index():
 
 def test_generator_matches_normalize():
     for ctx in (F3, H3, H33):
-        k = ctx.torsion or 2
         for i in (1, 3):
-            for exp in (0, 1, -1, k, -k, k + 1):
+            for exp in range(-4, 5):
                 assert generator(ctx, i, exp) == normalize([(i, exp)], ctx)
         for i in (0, 4):
-            with pytest.raises(WordError):
+            with pytest.raises(WordError) as from_generator:
                 generator(ctx, i)
+            with pytest.raises(WordError) as from_normalize:
+                normalize([(i, 1)], ctx)
+            assert str(from_generator.value) == str(from_normalize.value)
 
 
 @given(raw_syllables(3))
@@ -536,9 +538,25 @@ def test_order_2_inverse_is_the_reversal():
         ctx = torsion_context(n, 2)
         for _ in range(200):
             w = normalize([(rng.randint(1, n), 1) for _ in range(rng.randint(0, 30))], ctx)
-            generic = tuple((g, (-e) % 2) for g, e in reversed(w.syllables))
-            assert w.inverse().syllables == generic
+            assert w.inverse().syllables == w.syllables[::-1]
             assert w * w.inverse() == identity(ctx)
+
+
+def test_even_to_x_fills_its_shared_syllables_in_one_pass(monkeypatch):
+    # z_999983 is a generator no other word brings, so the shared tables
+    # lack it when the rewrite meets it
+    calls = []
+    fast = words.even_to_x
+
+    def counted(w):
+        calls.append(w)
+        return fast(w)
+
+    monkeypatch.setattr(words, "even_to_x", counted)
+    w = parse_word("z999983 z1000000", torsion_context(1_000_000, 2))
+    assert format_word(words.even_to_x(w)) == "x999983"
+    assert len(calls) == 1
+    assert words._X_PLUS[999983] == (999983, 1)
 
 
 def test_even_to_x_refuses_unreduced_words():
