@@ -24,13 +24,29 @@ that subtree in closed form instead of walking it.  Braid triviality itself
 is decided through the faithfulness of the free-group action, so
 braid-relation ghosts (freely reduced words representing the trivial braid)
 are never miscounted.
+
+Two letter maps let the search walk one first letter per orbit.  The flip
+``phi(s_i) = s_{n-i}`` is conjugation by the half twist D, since
+``D s_i D^-1 = s_{n-i}``: the action of ``phi(b)`` is that of b conjugated
+by that of D, in the free group and mod k alike.  The map
+``s_i -> s_{n-i}^-1`` acts as conjugation by ``theta: y_j -> y_{n+1-j}^-1``
+(``theta A(s_i) theta^-1 = A(s_{n-i}^-1)``), and theta keeps the normal
+closure of the k-th powers, so it induces the same conjugation mod k.  The
+mirror ``mu(s_i) = s_i^-1`` is that map after ``phi``, so it acts by
+conjugation too.  A conjugate of an automorphism is the identity, or inner,
+exactly when the automorphism is, so ``mu`` and ``phi`` keep every
+predicate the search tests.  ``mu`` keeps a word's permutation and ``phi``
+conjugates it by the reversal, so every prefix keeps its inversion count
+and the pruning treats both words alike.  Both maps carry the freely
+reduced words that begin with one letter onto those, of the same lengths,
+that begin with its image.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .symaut import (
     MAX_EVAL_RANK,
@@ -46,11 +62,11 @@ from .words import WordError, check_rank, free_context, inner_conjugator, torsio
 
 # Most freely reduced braid words one bounded_kernel_search may enumerate;
 # larger searches are refused before they start.  At 3 strands, the slowest,
-# a search at the limit (length 12, 1,062,880 words) takes about 7.8 s on one
-# core of a 2-core x86-64 host.  At 2 strands the images grow with the word
+# a search at the limit (length 12, 1,062,880 words) takes about 1.1-1.2 s on
+# one core of a 2-core x86-64 host.  At 2 strands the images grow with the word
 # and each word costs time linear in them, so the search costs time
 # quadratic in max_length: it is charged max_length ** 2 against the same
-# limit, which accepts length 1,414 (about 1.6 s) and refuses 1,415.
+# limit, which accepts length 1,414 (about 0.2 s) and refuses 1,415.
 MAX_SEARCH_WORDS = 2_000_000
 
 
@@ -203,11 +219,12 @@ def _subtree_words(strands: int, depth: int) -> int:
 
 
 def _search_tree(
-    strands: int, modulus: int, max_length: int
+    strands: int, modulus: int, max_length: int, first_letters: Iterable[int]
 ) -> Iterator[tuple[tuple[int, ...], int, Optional[tuple[Image, ...]]]]:
-    """The freely reduced braid words of length 1..``max_length``, depth
-    first, as ``(word, inversions, mod-k images)``, where ``inversions`` is
-    the inversion count of the word's permutation.
+    """The freely reduced braid words of length 1..``max_length`` that begin
+    with one of ``first_letters``, depth first, as ``(word, inversions,
+    mod-k images)``, where ``inversions`` is the inversion count of the
+    word's permutation.
 
     Each letter swaps the targets at two adjacent positions, so it moves the
     inversion count by exactly one, read off the parent's targets.  A word
@@ -227,7 +244,7 @@ def _search_tree(
     while stack:
         word, inversions, images = stack.pop()
         to_go = max_length - len(word) - 1
-        for l in letters:
+        for l in letters if word else first_letters:
             if word and word[-1] == -l:
                 continue
             i = abs(l)
@@ -244,6 +261,22 @@ def _search_tree(
                 stack.append((new_word, new_inversions, new_images))
 
 
+def _first_letter_orbits(strands: int) -> dict[int, dict[int, dict[int, int]]]:
+    """For each orbit of first letters under the mirror ``l -> -l`` and the
+    flip ``l -> sgn(l)(n - |l|)``, its smallest positive letter, mapped to
+    one letter map per letter of the orbit that carries the representative
+    there.  The orbit of i is ``{+-i, +-(n - i)}``: 4 letters, or 2 when
+    ``i = n - i``."""
+    flip = {l: (strands - abs(l)) * (1 if l > 0 else -1) for l in range(1 - strands, strands) if l}
+    symmetries = ({l: l for l in flip}, {l: -l for l in flip}, flip, {l: -m for l, m in flip.items()})
+    orbits: dict[int, dict[int, dict[int, int]]] = {}
+    for root in range(1, strands // 2 + 1):
+        orbits[root] = {}
+        for g in symmetries:
+            orbits[root].setdefault(g[root], g)
+    return orbits
+
+
 def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> SearchReport:
     """Search for outer-kernel elements of the reduced braid action.
 
@@ -252,6 +285,13 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
     central braids like the full twist act innerly and are excluded) while
     its mod-k image acts innerly.  Injectivity of the reduced action predicts
     an empty flag list.
+
+    The mirror and the flip (module docstring) carry the subtree of one
+    first letter onto that of every letter of its orbit, keeping each word's
+    length and every predicate the search tests.  So only the subtree of
+    each orbit's representative is walked (:func:`_first_letter_orbits`):
+    each of its words counts once per letter of the orbit, and each flagged
+    word is reported through every map of the orbit.
 
     Only the mod-k images are carried from word to word.  Reduction maps
     the identity to the identity and inner automorphisms to inner ones, so a
@@ -276,17 +316,19 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
     fctx = free_context(strands)
     identity = list(identity_aut(fctx).images)
     subtree_words = [_subtree_words(strands, depth) for depth in range(max_length + 1)]
+    orbits = _first_letter_orbits(strands)
     flagged: list[str] = []
     checked = 0
     trivial = 0
     # free images of the evaluated words, each list kept until a word two
     # letters longer advances it
     free_images: dict[tuple[int, ...], list[Image]] = {}
-    for word, inversions, reduced in _search_tree(strands, modulus, max_length):
+    for word, inversions, reduced in _search_tree(strands, modulus, max_length, orbits):
+        orbit = orbits[word[0]]
         if reduced is None:
-            checked += subtree_words[max_length - len(word)]
+            checked += len(orbit) * subtree_words[max_length - len(word)]
             continue
-        checked += 1
+        checked += len(orbit)
         if inversions or inner_conjugator(reduced, tctx) is None:
             continue
         stored = free_images.pop(word[:-2], None)
@@ -294,8 +336,8 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
         act_letters(images, [x for l in tail for x in _step(l)], fctx)
         free_images[word] = images
         if images == identity:
-            trivial += 1
+            trivial += len(orbit)
         elif inner_conjugator(images, fctx) is None:
-            flagged.append(" ".join(map(str, word)))
+            flagged.extend(" ".join(str(g[l]) for l in word) for g in orbit.values())
     flagged.sort()
     return SearchReport(strands, modulus, max_length, checked, trivial, tuple(flagged))

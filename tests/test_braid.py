@@ -20,6 +20,7 @@ from symlift.lift import reduce_mod
 from symlift.symaut import (
     SymmetricAut,
     act_letters,
+    canonical_image,
     compose,
     identity_aut,
     inner_witness_of,
@@ -173,6 +174,10 @@ def inversion_count(perm: tuple[int, ...]) -> int:
     return sum(1 for x, y in itertools.combinations(perm, 2) if x > y)
 
 
+def braid_letters(strands: int) -> list[int]:
+    return [l for l in range(1 - strands, strands) if l]
+
+
 def all_words(strands: int, max_length: int) -> list[tuple[int, ...]]:
     """Every freely reduced braid word of length 1..max_length, by brute force."""
     pool = [i for i in range(1, strands)] + [-i for i in range(1, strands)]
@@ -187,7 +192,8 @@ def all_words(strands: int, max_length: int) -> list[tuple[int, ...]]:
 def test_carried_images_are_the_reduced_free_action():
     for strands, modulus, max_length in ((2, 3, 6), (3, 2, 5), (3, 4, 4), (4, 3, 3)):
         seen = 0
-        for word, inversions, reduced in braid._search_tree(strands, modulus, max_length):
+        walk = braid._search_tree(strands, modulus, max_length, braid_letters(strands))
+        for word, inversions, reduced in walk:
             free = artin_action(BraidWord(strands, word))
             assert inversions == inversion_count(free.permutation()), word
             to_go = max_length - len(word)
@@ -222,26 +228,39 @@ def test_evaluated_words_are_those_that_can_still_reach_a_pure_braid():
                 reachable.add(word)
             elif all(room[:-1]):
                 pruned.add(word)
-        walked = list(braid._search_tree(strands, modulus, max_length))
+        walked = list(braid._search_tree(strands, modulus, max_length, braid_letters(strands)))
         assert {w for w, _, reduced in walked if reduced is not None} == reachable
         assert {w for w, _, reduced in walked if reduced is None} == pruned
         assert len(walked) == len(reachable) + len(pruned)
 
 
 def test_evaluated_word_counts():
-    # (words evaluated, pure words among them) of the benchmark's two searches,
-    # which cover 4,686 and 4,372 words.  A word's inversion count has the
-    # parity of its length, so no word of odd length is pure: (3,2,7)
-    # evaluates what (3,2,6) does, and only an even max_length tells a prune
-    # at count >= letters to go from the exact count > letters to go
+    # (words evaluated, pure words among them) in the subtrees that the
+    # benchmark's two searches walk, of 4,686 and 4,372 words; their full
+    # trees evaluate 216 and 712 words, 116 and 372 of them pure.  A word's
+    # inversion count has the parity of its length, so no word of odd length
+    # is pure: (3,2,7) evaluates what (3,2,6) does, and only an even
+    # max_length tells a prune at count >= letters to go from the exact
+    # count > letters to go
     for params, evaluated, pure in (
-        ((4, 2, 5), 216, 116),
-        ((3, 2, 7), 712, 372),
-        ((3, 2, 6), 712, 372),
+        ((4, 2, 5), 40 + 28, 22 + 14),
+        ((3, 2, 7), 178, 93),
+        ((3, 2, 6), 178, 93),
     ):
-        walked = [(inversions, reduced) for _, inversions, reduced in braid._search_tree(*params)]
+        roots = braid._first_letter_orbits(params[0])
+        walked = [(inversions, reduced) for _, inversions, reduced in braid._search_tree(*params, roots)]
         assert sum(reduced is not None for _, reduced in walked) == evaluated
         assert sum(reduced is not None and not inversions for inversions, reduced in walked) == pure
+        # the full tree evaluates as many words below each letter of an
+        # orbit as below its representative, and as many pure words
+        full = collections.Counter()
+        for word, inversions, reduced in braid._search_tree(*params, braid_letters(params[0])):
+            if reduced is not None:
+                full[word[0], not inversions] += 1
+        for root, orbit in roots.items():
+            for letter in orbit:
+                assert full[letter, False] == full[root, False] and full[letter, True] == full[root, True]
+        assert sum(full.values()) == {(4, 2, 5): 216, (3, 2, 7): 712, (3, 2, 6): 712}[params]
 
 
 def test_mod_k_inner_test_runs_only_on_pure_words(monkeypatch):
@@ -253,7 +272,8 @@ def test_mod_k_inner_test_runs_only_on_pure_words(monkeypatch):
         return inner_conjugator(images, ctx)
 
     monkeypatch.setattr(braid, "inner_conjugator", counted)
-    for params, pure in (((4, 2, 5), 116), ((3, 2, 7), 372)):
+    # the pure words of the walked subtrees (test_evaluated_word_counts)
+    for params, pure in (((4, 2, 5), 36), ((3, 2, 7), 93)):
         tested.clear()
         bounded_kernel_search(*params)
         assert len(tested) == pure
@@ -262,7 +282,8 @@ def test_mod_k_inner_test_runs_only_on_pure_words(monkeypatch):
 
 def test_free_action_evaluated_only_for_words_inner_mod_k(monkeypatch):
     # every free action the search builds is one act_letters call, stepped
-    # from the identity or from the word two letters shorter
+    # from the identity or from the word two letters shorter; only the
+    # subtrees of the orbit representatives, 1 to n // 2, are walked
     built = []
     act = braid.act_letters
 
@@ -278,16 +299,18 @@ def test_free_action_evaluated_only_for_words_inner_mod_k(monkeypatch):
         inner = [
             word
             for word in all_words(strands, max_length)
-            if inner_witness_of(eta_image(BraidWord(strands, word), modulus)) is not None
+            if 0 < word[0] <= strands // 2
+            and inner_witness_of(eta_image(BraidWord(strands, word), modulus)) is not None
         ]
         expected = [artin_action(BraidWord(strands, word)).images for word in inner]
         assert collections.Counter(built) == collections.Counter(expected) and inner
 
 
 def test_two_strand_search_steps_each_power_from_the_last(monkeypatch):
-    # every even power of s1 is inner mod k; only s1^2 and s1^-2 are
-    # stepped from the identity, each later power from its predecessor's
-    # images by two braid letters
+    # every even power of s1 is inner mod k; only the positive powers are
+    # walked (the mirror carries them onto the negative ones), s1^2 is
+    # stepped from the identity, and each later power from its
+    # predecessor's images by two braid letters
     from_identity = []
     act = braid.act_letters
 
@@ -301,7 +324,7 @@ def test_two_strand_search_steps_each_power_from_the_last(monkeypatch):
     for modulus in (2, 3):
         from_identity.clear()
         report = bounded_kernel_search(2, modulus, 40)
-        assert sorted(from_identity) == [4, 4]
+        assert from_identity == [4]
         assert report == reference_search(2, modulus, 40)
 
 
@@ -322,7 +345,10 @@ def test_search_builds_no_braid_word_or_scratch_evaluation(monkeypatch, strands,
 
 def test_lossy_mod_k_test_flags_the_same_braids_in_both_searches(monkeypatch):
     # a broken mod-k inner test: every torsion automorphism with the identity
-    # permutation reads as inner, so pure braids like s1^2 are flagged
+    # permutation reads as inner, so pure braids like s1^2 are flagged from 3
+    # strands on (at 2 strands every pure braid is inner upstairs).  The
+    # flagged words begin with every letter, so the search must map its
+    # representatives' flagged words through orbits of 4 letters and of 2
     def lossy(images, ctx):
         pure = tuple(target for _, target, _ in images) == tuple(range(1, ctx.rank + 1))
         if not ctx.is_free and pure:
@@ -330,9 +356,74 @@ def test_lossy_mod_k_test_flags_the_same_braids_in_both_searches(monkeypatch):
         return inner_conjugator(images, ctx)
 
     monkeypatch.setattr(braid, "inner_conjugator", lossy)
-    for strands, modulus, max_length in ((3, 2, 4), (3, 3, 4), (4, 2, 3)):
+    for strands, modulus, max_length in ((2, 2, 8), (2, 3, 6), (3, 2, 4), (3, 3, 4), (4, 2, 3), (4, 4, 3)):
         report = bounded_kernel_search(strands, modulus, max_length)
-        assert report.flagged and report == reference_search(strands, modulus, max_length)
+        assert report == reference_search(strands, modulus, max_length)
+        first_letters = {int(word.split()[0]) for word in report.flagged}
+        assert first_letters == (set(braid_letters(strands)) if strands > 2 else set())
+
+
+def half_twist(strands: int) -> BraidWord:
+    """(s1 ... s_{n-1})(s1 ... s_{n-2}) ... (s1)."""
+    return BraidWord(strands, tuple(i for top in range(strands - 1, 0, -1) for i in range(1, top + 1)))
+
+
+@pytest.mark.parametrize("strands", [2, 3, 4, 5, 6])
+def test_flip_and_mirror_flip_are_conjugations_in_aut_fn(strands):
+    # the flip s_i -> s_{n-i} is conjugation by the half twist D, and
+    # s_i -> s_{n-i}^-1 is conjugation by theta: y_j -> y_{n+1-j}^-1
+    fctx = free_context(strands)
+    theta = SymmetricAut(
+        fctx, tuple(canonical_image(identity(fctx), strands + 1 - j, -1) for j in range(1, strands + 1))
+    )
+    assert compose(theta, theta).is_identity()
+    twist = artin_action(half_twist(strands))
+    twist_inverse = artin_action(half_twist(strands).inverse())
+    for i in range(1, strands):
+        s_i = artin_action(BraidWord(strands, (i,)))
+        assert compose(twist, compose(s_i, twist_inverse)) == artin_action(BraidWord(strands, (strands - i,)))
+        assert compose(theta, compose(s_i, theta)) == artin_action(BraidWord(strands, (i - strands,)))
+
+
+def test_mirror_and_flip_keep_every_search_predicate():
+    # pure, inner mod k, trivial and inner upstairs agree on w, mu(w) and
+    # phi(w) for every freely reduced word: 17,232 (word, image, k) triples
+    pairs = 0
+    for strands, max_length in ((2, 12), (3, 6), (4, 4), (5, 3)):
+        orbits = braid._first_letter_orbits(strands)
+        assert sorted(l for orbit in orbits.values() for l in orbit) == braid_letters(strands)
+        assert all(len(orbit) == (2 if 2 * root == strands else 4) for root, orbit in orbits.items())
+        words = all_words(strands, max_length)
+        upstairs = {}
+        for word in words:
+            free = artin_action(BraidWord(strands, word))
+            upstairs[word] = (free.permutation(), free.is_identity(), inner_witness_of(free) is not None)
+        for modulus in (2, 3, 4):
+            downstairs = {
+                word: inner_witness_of(eta_image(BraidWord(strands, word), modulus)) is not None
+                for word in words
+            }
+            for word in words:
+                pure = upstairs[word][0] == tuple(range(1, strands + 1))
+                for image in (
+                    tuple(-l for l in word),
+                    tuple((strands - abs(l)) * (1 if l > 0 else -1) for l in word),
+                ):
+                    image_pure = upstairs[image][0] == tuple(range(1, strands + 1))
+                    assert (pure, *upstairs[word][1:]) == (image_pure, *upstairs[image][1:]), word
+                    assert downstairs[word] == downstairs[image], (word, modulus)
+                    pairs += 1
+    assert pairs == 17_232
+
+
+@pytest.mark.parametrize(
+    "strands,max_length,words,trivial", [(3, 12, 1_062_880, 1_944), (4, 8, 585_936, 912)]
+)
+def test_largest_searches_at_the_limit(strands, max_length, words, trivial):
+    # the two largest searches the budget accepts at 3 and 4 strands, as the
+    # exhaustive walk reported them
+    report = bounded_kernel_search(strands, 2, max_length)
+    assert (report.words_checked, report.trivial_braids_skipped, report.flagged) == (words, trivial, ())
 
 
 def no_work(*args):

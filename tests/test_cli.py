@@ -439,6 +439,28 @@ def test_repeated_calls_in_one_process_match_fresh_processes(capsys):
         assert (fresh.stdout, fresh.returncode) == expected, argv
 
 
+def test_two_calls_in_one_process_share_no_parsed_state(capsys):
+    # a refused lift kernel that sets --route and an over-limit --n leaves
+    # nothing for the next call to read: the braid search (its own --n) and a
+    # lift kernel on the default route print, in either order, what each
+    # prints alone in a fresh process
+    refused = ("lift", "kernel", "--n", "1001", "--route", "both", "--word", "e")
+    search = ("braid", "search", "--n", "3", "--k", "2", "--max-len", "5")
+    default_route = ("lift", "kernel", "--n", "3", "--word", "r[1] r[2] r[3]")
+    env = {**os.environ, "PYTHONPATH": str(Path(symlift.__file__).parents[1])}
+    alone = {}
+    for argv in (refused, search, default_route):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "symlift.cli", *argv], capture_output=True, text=True, env=env
+        )
+        alone[argv] = (fresh.stdout, fresh.returncode)
+    assert [code for _, code in alone.values()] == [2, 0, 0]
+    for order in ((refused, search, default_route), (search, default_route, refused)):
+        for argv in order:
+            code = main(list(argv))
+            assert (capsys.readouterr().out, code) == alone[argv], (order, argv)
+
+
 def test_a_closed_stdout_exits_2_without_a_traceback():
     # the reader takes 50 bytes of a 300 KB output and closes the pipe, so
     # the command's next write fails
