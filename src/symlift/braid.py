@@ -88,17 +88,6 @@ class BraidWord:
         if reduced != self.letters:
             object.__setattr__(self, "letters", reduced)
 
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.strands != other.strands:
-            raise WordError("strand count mismatch")
-        return BraidWord(self.strands, self.letters + other.letters)
-
-    def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-l for l in reversed(self.letters)))
-
-    def __str__(self) -> str:
-        return " ".join(str(l) for l in self.letters) or "e"
-
 
 def _free_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
     out: list[int] = []
@@ -178,7 +167,9 @@ def search_word_count(strands: int, max_length: int) -> int:
 def check_search(strands: int, modulus: int, max_length: int) -> None:
     """Refuse a malformed or over-budget search before doing any work.  The
     budget counts words, except at 2 strands, where it counts
-    ``max_length ** 2``."""
+    ``max_length ** 2``.  Within it, more than
+    :data:`~symlift.symaut.MAX_EVAL_RANK` strands are refused, as by every
+    command that builds n images."""
     if strands < 2:
         raise WordError("braid groups need at least 2 strands")
     if max_length < 1:
@@ -188,25 +179,25 @@ def check_search(strands: int, modulus: int, max_length: int) -> None:
     letters = 2 * (strands - 1)
     if letters == 2:
         # each power of s1 costs time linear in its length: charge the square
-        if max_length**2 <= MAX_SEARCH_WORDS:
-            return
-        raise WordError(
-            f"braid search at 2 strands up to length {max_length} costs time quadratic in "
-            f"the length: {max_length:,}^2 = {max_length**2:,}, over the limit of "
-            f"{MAX_SEARCH_WORDS:,}"
-        )
-    # the count exceeds (2n-3)^max_length: past 10^30 it is not worth building
-    if max_length * math.log10(letters - 1) > 30:
-        size = "more than 10^30"
+        if max_length**2 > MAX_SEARCH_WORDS:
+            raise WordError(
+                f"braid search at 2 strands up to length {max_length} costs time quadratic in "
+                f"the length: {max_length:,}^2 = {max_length**2:,}, over the limit of "
+                f"{MAX_SEARCH_WORDS:,}"
+            )
     else:
-        count = search_word_count(strands, max_length)
-        if count <= MAX_SEARCH_WORDS:
-            return
-        size = f"{count:,}"
-    raise WordError(
-        f"braid search at {strands} strands up to length {max_length} covers {size} words, "
-        f"over the limit of {MAX_SEARCH_WORDS:,}"
-    )
+        # the count exceeds (2n-3)^max_length: past 10^30 it is not worth building
+        if max_length * math.log10(letters - 1) > 30:
+            size = "more than 10^30"
+        else:
+            count = search_word_count(strands, max_length)
+            size = f"{count:,}" if count > MAX_SEARCH_WORDS else None
+        if size is not None:
+            raise WordError(
+                f"braid search at {strands} strands up to length {max_length} covers {size} "
+                f"words, over the limit of {MAX_SEARCH_WORDS:,}"
+            )
+    check_rank(strands, MAX_EVAL_RANK, "automorphism images")
 
 
 def _subtree_words(strands: int, depth: int) -> int:
@@ -307,9 +298,10 @@ def bounded_kernel_search(strands: int, modulus: int, max_length: int) -> Search
     strands every even power of s1 is, so each costs one step linear in its
     images), else a copy of the identity images by all of the word's
     letters; no ``BraidWord`` or ``SymmetricAut`` is built.  Raises
-    ``WordError`` for malformed parameters and for searches over
+    ``WordError`` for malformed parameters, for searches over
     :data:`MAX_SEARCH_WORDS` words, or at 2 strands over it in
-    ``max_length ** 2``.
+    ``max_length ** 2``, and for more than
+    :data:`~symlift.symaut.MAX_EVAL_RANK` strands.
     """
     check_search(strands, modulus, max_length)
     tctx = torsion_context(strands, modulus)

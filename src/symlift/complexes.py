@@ -168,12 +168,6 @@ class LabelledBipartiteTree:
         """Isomorphism class forgetting labels (the tree's type)."""
         return _encode(self.units, lambda l: "*")
 
-    def relabelled(self, perm: Sequence[int]) -> "LabelledBipartiteTree":
-        """Apply label i -> perm[i-1]."""
-        return LabelledBipartiteTree(
-            self.rank, tuple(frozenset(perm[l - 1] for l in unit) for unit in self.units)
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LabelledBipartiteTree)

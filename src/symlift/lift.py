@@ -173,7 +173,7 @@ class KernelVerdict:
     rank: int
     word: GeneratorWord
     route: Route
-    verdict: Literal["in", "out", "unknown"]
+    verdict: Literal["in", "out"]
     routes: dict
     agree: Optional[bool]
     h_witness: Optional[Word]
@@ -261,8 +261,7 @@ def kernel_verdict(gw: GeneratorWord, route: Route = "both") -> KernelVerdict:
     refutes it (:func:`_h1_refutes`), every asked route reads false and
     nothing is evaluated; otherwise the routes run on its automorphism.
     At rank 2 the ``both`` route still reports agreement, but the verdict
-    follows the lift route alone.  The solvers are exact, so the ``unknown``
-    verdict is never produced here; it remains in the schema for callers.
+    follows the lift route alone.
     """
     n = gw.rank
     if n < 2:

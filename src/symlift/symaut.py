@@ -192,10 +192,6 @@ def rho(rank: int) -> GeneratorWord:
     return GeneratorWord(rank, tuple(("r", i) for i in range(1, rank + 1)))
 
 
-def swap(rank: int, i: int, j: int) -> GeneratorWord:
-    return GeneratorWord(rank, (("s", i, j),))
-
-
 def all_letters(rank: int) -> list[Letter]:
     letters: list[Letter] = []
     for i in range(1, rank + 1):
@@ -260,18 +256,8 @@ class SymmetricAut:
         conj, target, sign = self.images[i - 1]
         return generator(self.ctx, target, sign).conjugated_by(conj)
 
-    def permutation(self) -> tuple[int, ...]:
-        """One-line permutation: generator i maps into the class of t(i)."""
-        return tuple(t for _, t, _ in self.images)
-
     def signs(self) -> tuple[int, ...]:
         return tuple(s for _, _, s in self.images)
-
-    def is_identity(self) -> bool:
-        return all(
-            not conj and t == i and s == 1
-            for i, (conj, t, s) in enumerate(self.images, start=1)
-        )
 
     def apply(self, w: Word) -> Word:
         """Image of a word (substitute generator images and reduce)."""
@@ -291,13 +277,6 @@ class SymmetricAut:
             {"conjugator": format_word(conj), "target": t, "sign": s}
             for conj, t, s in self.images
         ]
-
-    def __str__(self) -> str:
-        parts = []
-        letter = self.ctx.letter
-        for i in range(1, self.ctx.rank + 1):
-            parts.append(f"{letter}{i} -> {format_word(self.image_word(i))}")
-        return "; ".join(parts)
 
 
 def identity_aut(ctx: GroupContext) -> SymmetricAut:

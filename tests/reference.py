@@ -6,6 +6,7 @@ import functools
 import itertools
 from typing import Optional
 
+from symlift.braid import BraidWord
 from symlift.complexes import (
     HomologyReport,
     LabelledBipartiteTree,
@@ -229,6 +230,26 @@ def image_words(f: SymmetricAut) -> tuple[Word, ...]:
     return tuple(f.image_word(i) for i in range(1, f.ctx.rank + 1))
 
 
+def is_identity(f: SymmetricAut) -> bool:
+    """Whether every generator is its own image."""
+    return all(not conj and t == i and s == 1 for i, (conj, t, s) in enumerate(f.images, start=1))
+
+
+def permutation(f: SymmetricAut) -> tuple[int, ...]:
+    """One-line permutation: generator i maps into the class of t(i)."""
+    return tuple(t for _, t, _ in f.images)
+
+
+def braid_inverse(b: BraidWord) -> BraidWord:
+    """The braid word read backwards, each letter inverted."""
+    return BraidWord(b.strands, tuple(-l for l in reversed(b.letters)))
+
+
+def relabelled(t: LabelledBipartiteTree, perm) -> LabelledBipartiteTree:
+    """``t`` with label i replaced by ``perm[i-1]``."""
+    return LabelledBipartiteTree(t.rank, tuple(frozenset(perm[l - 1] for l in unit) for unit in t.units))
+
+
 def acting_letters(ctx: GroupContext) -> list[Letter]:
     """The presentation letters with a symmetric action on ``ctx``: all of
     them in free and order-2 contexts, and all but ``r[i]`` at higher
@@ -322,7 +343,7 @@ def tree_symmetries_reference(t: LabelledBipartiteTree) -> list[tuple[int, ...]]
     return [
         perm
         for perm in itertools.permutations(range(1, t.rank + 1))
-        if t.relabelled(perm) == t
+        if relabelled(t, perm) == t
     ]
 
 

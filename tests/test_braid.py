@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from reference import braid_inverse, is_identity, permutation
 from symlift import braid
 from symlift.braid import (
     MAX_SEARCH_WORDS,
@@ -54,7 +55,7 @@ def test_artin_generator_action():
     assert f.image_word(1) == parse_word("y1 y2 y1^-1", F3)
     assert f.image_word(2) == parse_word("y1", F3)
     assert f.image_word(3) == parse_word("y3", F3)
-    assert artin_action(BraidWord(3)).is_identity()
+    assert is_identity(artin_action(BraidWord(3)))
 
 
 def test_braid_relations_exhaustive():
@@ -72,14 +73,14 @@ def test_braid_relations_exhaustive():
 
 def test_inverse_braid_inverts_action():
     b = BraidWord(3, (1, -2, 1, 2))
-    assert compose(artin_action(b), artin_action(b.inverse())).is_identity()
+    assert is_identity(compose(artin_action(b), artin_action(braid_inverse(b))))
 
 
 def test_eta_examples():
     e = eta_image(BraidWord(3, (1,)), 2)
     assert e.image_word(1) == parse_word("z1 z2 z1", H3)
     assert e.image_word(2) == parse_word("z1", H3)
-    assert eta_image(BraidWord(3), 2).is_identity()
+    assert is_identity(eta_image(BraidWord(3), 2))
     # the square of a generator reduces to a non-inner automorphism
     assert inner_witness_of(eta_image(BraidWord(3, (1, 1)), 2)) is None
     with pytest.raises(WordError):
@@ -100,8 +101,9 @@ def test_eta_is_homomorphism():
     for _ in range(100):
         u = BraidWord(3, tuple(rng.choice((1, 2, -1, -2)) for _ in range(rng.randint(0, 6))))
         v = BraidWord(3, tuple(rng.choice((1, 2, -1, -2)) for _ in range(rng.randint(0, 6))))
+        uv = BraidWord(3, u.letters + v.letters)
         for k in (2, 3):
-            assert eta_image(u * v, k) == compose(eta_image(u, k), eta_image(v, k))
+            assert eta_image(uv, k) == compose(eta_image(u, k), eta_image(v, k))
 
 
 def test_central_braids_act_innerly_both_sides():
@@ -149,7 +151,7 @@ def reference_search(strands: int, modulus: int, max_length: int) -> SearchRepor
             act_letters(images, steps[l], fctx)
             new_aut = SymmetricAut(fctx, tuple(images))
             checked += 1
-            if new_aut.is_identity():
+            if is_identity(new_aut):
                 trivial += 1
             elif inner_witness_of(new_aut) is None:
                 reduced = reduce_mod(new_aut, modulus)
@@ -195,7 +197,7 @@ def test_carried_images_are_the_reduced_free_action():
         walk = braid._search_tree(strands, modulus, max_length, braid_letters(strands))
         for word, inversions, reduced in walk:
             free = artin_action(BraidWord(strands, word))
-            assert inversions == inversion_count(free.permutation()), word
+            assert inversions == inversion_count(permutation(free)), word
             to_go = max_length - len(word)
             if reduced is None:
                 assert inversions > to_go, word
@@ -220,7 +222,7 @@ def test_evaluated_words_are_those_that_can_still_reach_a_pure_braid():
             # room[d]: the prefix of d + 1 letters has at most as many
             # inversions as letters still to go
             counts = [
-                inversion_count(artin_action(BraidWord(strands, word[:d])).permutation())
+                inversion_count(permutation(artin_action(BraidWord(strands, word[:d]))))
                 for d in range(1, len(word) + 1)
             ]
             room = [counts[d] <= max_length - d - 1 for d in range(len(word))]
@@ -376,9 +378,9 @@ def test_flip_and_mirror_flip_are_conjugations_in_aut_fn(strands):
     theta = SymmetricAut(
         fctx, tuple(canonical_image(identity(fctx), strands + 1 - j, -1) for j in range(1, strands + 1))
     )
-    assert compose(theta, theta).is_identity()
+    assert is_identity(compose(theta, theta))
     twist = artin_action(half_twist(strands))
-    twist_inverse = artin_action(half_twist(strands).inverse())
+    twist_inverse = artin_action(braid_inverse(half_twist(strands)))
     for i in range(1, strands):
         s_i = artin_action(BraidWord(strands, (i,)))
         assert compose(twist, compose(s_i, twist_inverse)) == artin_action(BraidWord(strands, (strands - i,)))
@@ -397,7 +399,7 @@ def test_mirror_and_flip_keep_every_search_predicate():
         upstairs = {}
         for word in words:
             free = artin_action(BraidWord(strands, word))
-            upstairs[word] = (free.permutation(), free.is_identity(), inner_witness_of(free) is not None)
+            upstairs[word] = (permutation(free), is_identity(free), inner_witness_of(free) is not None)
         for modulus in (2, 3, 4):
             downstairs = {
                 word: inner_witness_of(eta_image(BraidWord(strands, word), modulus)) is not None
@@ -461,4 +463,10 @@ def test_search_budget(monkeypatch):
     with pytest.raises(WordError) as exc:
         bounded_kernel_search(2, 2, 1415)
     assert "length 1415" in str(exc.value) and f"{MAX_SEARCH_WORDS:,}" in str(exc.value)
+    # within the budget, strands are capped as every command that builds n
+    # images caps the rank
+    with pytest.raises(AssertionError, match="search started"):
+        bounded_kernel_search(1000, 2, 1)
+    with pytest.raises(WordError, match="limited to rank <= 1000, not 1001"):
+        bounded_kernel_search(1001, 2, 1)
     assert time.perf_counter() - start < 1.0

@@ -371,6 +371,7 @@ def test_rank_sized_commands_refuse_huge_ranks_before_any_work(capsys, monkeypat
         (cli_mod, "torsion_context"),
         (cli_mod, "kernel_verdict"),
         (symaut_mod, "_relations"),
+        (braid_mod, "_search_tree"),
     ):
         monkeypatch.setattr(module, name, no_work)
     refusals = {
@@ -400,6 +401,9 @@ def test_rank_sized_commands_refuse_huge_ranks_before_any_work(capsys, monkeypat
         ("braid", "act", "--n", "1001", "--word", "x"):
             "automorphism images are limited to rank <= 1000, not 1001",
         ("kernel", "certify", "--n", "1001", "--word", "e"):
+            "automorphism images are limited to rank <= 1000, not 1001",
+        # within the word budget, which 1,001 strands at length 1 are
+        ("braid", "search", "--n", "1001", "--k", "2", "--max-len", "1"):
             "automorphism images are limited to rank <= 1000, not 1001",
     }
     # a conjugator is parsed when the certificate is read; with none, the

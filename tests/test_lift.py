@@ -19,6 +19,7 @@ from reference import (
     checked_h2_reduction,
     image_words,
     iota,
+    is_identity,
     raw_evaluation,
     restriction_apply,
     restriction_then,
@@ -73,7 +74,7 @@ def random_gw(rng, n, max_len=12):
 
 
 def test_reduce_examples():
-    assert reduce_mod(eval_generator_word(rho(3), F3), 2).is_identity()
+    assert is_identity(reduce_mod(eval_generator_word(rho(3), F3), 2))
     h = reduce_mod(eval_generator_word(alpha(3, 1, 2), F3), 2)
     assert h.image_word(1) == parse_word("z2 z1 z2", H3)
     assert h.image_word(2) == parse_word("z2", H3)
@@ -81,7 +82,7 @@ def test_reduce_examples():
     # of a conjugation move dies
     sq = reduce_mod(eval_generator_word(parse_generator_word("a[1,2] a[1,2]", 3), F3), 2)
     assert sq == compose(h, h)
-    assert sq.is_identity()
+    assert is_identity(sq)
 
 
 def test_reduce_requires_free_context():
@@ -605,7 +606,7 @@ def test_wrapped_chain_power_hands_no_letter_to_act_letters(monkeypatch, capsys)
     monkeypatch.setattr(symaut, "act_letters", counted)
     word = _wrapped_chain(8)
     gw = parse_generator_word(word, 3)
-    assert eval_generator_word(gw, torsion_context(3, 2)).is_identity()
+    assert is_identity(eval_generator_word(gw, torsion_context(3, 2)))
     assert kernel_verdict(gw).verdict == "in"
     assert cli.main(["lift", "eval", "--n", "3", "--word", word]) == 0
     assert cli.main(["symaut", "eval", "--ctx", "H:3:2", "--word", word]) == 0
@@ -620,7 +621,7 @@ def test_wrapped_chain_power_hands_no_letter_to_act_letters(monkeypatch, capsys)
     assert unreduced != source
     namespace = dict(vars(symaut))
     exec(unreduced, namespace)
-    assert namespace["eval_generator_word"](gw, torsion_context(3, 2)).is_identity()
+    assert is_identity(namespace["eval_generator_word"](gw, torsion_context(3, 2)))
     assert received == list(gw.letters)
     received.clear()
     # the counter sees a word that does not cancel and that its action on

@@ -13,6 +13,7 @@ from reference import (
     expand_x,
     generator_conjugate_shape_reference,
     inner_conjugator_reference,
+    is_identity,
     project_mod_k_reference,
 )
 from symlift import braid, lift, symaut, words
@@ -674,7 +675,7 @@ def test_checked_conjugation_step_catches_a_skipped_prefix_fallback(monkeypatch)
         symaut.eval_generator_word(cancelling, F3)
     fast = inspect.unwrap(words.conjugation_step)
     monkeypatch.setattr(symaut, "conjugation_step", checked(fast, conjugation_step_reference))
-    assert symaut.eval_generator_word(cancelling, F3).is_identity()
+    assert is_identity(symaut.eval_generator_word(cancelling, F3))
 
 
 # -- the closed-form inner test and the mirrored-halves shape ---------------
