@@ -20,7 +20,6 @@ from .symaut import (
     NormalForm,
     parse_generator_word,
     eval_generator_word,
-    compose,
     outer_equal,
     semidirect_normal_form,
     check_relations,
@@ -41,7 +40,6 @@ __all__ = [
     "NormalForm",
     "parse_generator_word",
     "eval_generator_word",
-    "compose",
     "outer_equal",
     "semidirect_normal_form",
     "check_relations",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -113,10 +113,12 @@ def _encode(units: Sequence[frozenset[int]], name: Callable[[int], str]) -> str:
 class LabelledBipartiteTree:
     """``units[u]`` is the label set of unlabelled vertex ``u``.  Valid sets
     use labels 1..n, have two labels or more, sum to ``sum(|E| - 1) == n - 1``
-    and connect the labels.  Equality reads ``label_sets``, the sets unordered."""
+    and connect the labels.  Equality and the hash read ``rank`` and
+    ``label_sets``, the sets unordered."""
 
     rank: int
-    units: tuple[frozenset[int], ...]
+    units: tuple[frozenset[int], ...] = field(compare=False)
+    label_sets: frozenset[frozenset[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.rank
@@ -168,16 +170,6 @@ class LabelledBipartiteTree:
         """Isomorphism class forgetting labels (the tree's type)."""
         return _encode(self.units, lambda l: "*")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LabelledBipartiteTree)
-            and self.rank == other.rank
-            and self.label_sets == other.label_sets
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.label_sets))
-
     def to_dot(self) -> str:
         lines = ["graph tree {"]
         for l in range(1, self.rank + 1):
@@ -208,27 +200,18 @@ def tree_from_units(n: int, units: Sequence[Sequence[int]]) -> LabelledBipartite
     return LabelledBipartiteTree(n, sets)
 
 
-def fold_apply(
-    t: LabelledBipartiteTree, label: int, u1: int, u2: int
-) -> LabelledBipartiteTree:
-    """Identify the edges (label, u1) and (label, u2), merging u2 into u1;
-    the ids above u2 move down by one."""
-    if u1 == u2:
-        raise WordError("fold needs two distinct edges")
-    if not all(0 <= u < len(t.units) and label in t.units[u] for u in (u1, u2)):
-        raise WordError(f"edges not incident to label {label}")
-    units = list(t.units)
-    units[u1] |= units[u2]
-    del units[u2]
-    return LabelledBipartiteTree(t.rank, tuple(units))
-
-
 def all_folds(t: LabelledBipartiteTree) -> list[tuple[int, int, int, LabelledBipartiteTree]]:
+    """Every fold ``(label, u1, u2, tree)``: the edges (label, u1) and
+    (label, u2) identified, u2 merged into u1 and the ids above u2 moved
+    down by one."""
     out = []
     for label in range(1, t.rank + 1):
         units = [u for u, labels in enumerate(t.units) if label in labels]
         for u1, u2 in itertools.combinations(units, 2):
-            out.append((label, u1, u2, fold_apply(t, label, u1, u2)))
+            merged = list(t.units)
+            merged[u1] |= merged[u2]
+            del merged[u2]
+            out.append((label, u1, u2, LabelledBipartiteTree(t.rank, tuple(merged))))
     return out
 
 

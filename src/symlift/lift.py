@@ -59,7 +59,7 @@ from .words import (
     format_word,
     generator_conjugate_shape,
     inner_conjugator,
-    inner_witness,
+    inner_witness,  # unused here; perfbench/tests/test_tracing.py asserts this binding
     project_mod_k,
     torsion_context,
 )
@@ -76,7 +76,7 @@ def reduce_mod(f: SymmetricAut, k: int) -> SymmetricAut:
     """
     if not f.ctx.is_free:
         raise WordError("reduce_mod expects a free-context automorphism")
-    if k > 2 and any(s != 1 for s in f.signs()):
+    if k > 2 and any(s != 1 for _, _, s in f.images):
         raise WordError("cannot reduce a generator-inverting automorphism mod k > 2")
     ctx = torsion_context(f.ctx.rank, k)
     images = tuple(
@@ -93,7 +93,12 @@ class Restriction:
     images: tuple[Word, ...]
 
     def inner_witness(self) -> Optional[Word]:
-        return inner_witness(self.images, self.ctx, strict=False)
+        """The word conjugating every ``x_i`` to its image, or None: also
+        when some image is no conjugate of a generator."""
+        shapes = [generator_conjugate_shape(img) for img in self.images]
+        if None in shapes:
+            return None
+        return inner_conjugator(shapes, self.ctx)
 
     def to_json(self) -> dict:
         return {

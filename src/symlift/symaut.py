@@ -26,9 +26,11 @@ automorphism the other modules build comes from letters this way: a product
 is the concatenated letter word.
 
 :func:`compose` and :meth:`SymmetricAut.apply` stay on the general
-substitute-and-decompose path.  Nothing outside this module calls them:
-they are the independent reference the tests check letter evaluation
-against.
+substitute-and-decompose path: ``apply`` writes out every image's
+syllables and reduces them with one :func:`~symlift.words.normalize`, which
+shares no merge code with ``conjugation_step``.  Nothing outside this
+module calls them: they are the independent reference the tests check
+letter evaluation against.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import Iterable, Optional, Sequence
 
 from .words import (
     GroupContext,
+    Syllable,
     Word,
     WordError,
     check_rank,
@@ -52,8 +55,8 @@ from .words import (
     generator_conjugate_shape,
     identity as identity_word,
     inner_conjugator,
+    normalize,
     pinned_coset_element,
-    product,
 )
 
 # letters are ("a", i, j, exp) with exp = +-1, ("r", i) and ("s", i, j)
@@ -250,27 +253,21 @@ class SymmetricAut:
             if conj.syllables and conj.syllables[-1][0] == target:
                 raise WordError("conjugator not canonical (ends in target)")
 
-    # -- basic structure ----------------------------------------------------
-
-    def image_word(self, i: int) -> Word:
-        conj, target, sign = self.images[i - 1]
-        return generator(self.ctx, target, sign).conjugated_by(conj)
-
-    def signs(self) -> tuple[int, ...]:
-        return tuple(s for _, _, s in self.images)
-
     def apply(self, w: Word) -> Word:
-        """Image of a word (substitute generator images and reduce)."""
+        """Image of a word: each syllable ``g_i^e`` written out as
+        ``c_i g_{t_i}^{s_i e} c_i^{-1}``, and the whole reduced at once."""
         if w.ctx != self.ctx:
             raise WordError("context mismatch")
-        factors: list[Word] = []
-        inverses: dict[int, Word] = {}
+        raw: list[Syllable] = []
+        inverses: dict[int, tuple[Syllable, ...]] = {}
         for gen, exp in w.syllables:
             conj, target, sign = self.images[gen - 1]
             if gen not in inverses:
-                inverses[gen] = conj.inverse()
-            factors += (conj, generator(self.ctx, target, sign * exp), inverses[gen])
-        return product(factors, self.ctx)
+                inverses[gen] = conj.inverse().syllables
+            raw += conj.syllables
+            raw.append((target, sign * exp))
+            raw += inverses[gen]
+        return normalize(raw, self.ctx)
 
     def to_json(self) -> list[dict]:
         return [
@@ -289,8 +286,8 @@ def compose(f: SymmetricAut, g: SymmetricAut) -> SymmetricAut:
     if f.ctx != g.ctx:
         raise WordError("context mismatch")
     images = []
-    for i in range(1, f.ctx.rank + 1):
-        w = f.apply(g.image_word(i))
+    for conj, target, sign in g.images:
+        w = f.apply(generator(f.ctx, target, sign).conjugated_by(conj))
         shape = generator_conjugate_shape(w)
         if shape is None:
             raise WordError(f"image is not a conjugate of a generator: {w}")

@@ -111,9 +111,9 @@ class Word:
         return Word(self.ctx, tuple(inv))
 
     def pow(self, m: int) -> "Word":
-        """``self^m``, as one product of |m| copies of the base."""
+        """``self^m``, as one :func:`normalize` of |m| copies of the base."""
         base = self if m >= 0 else self.inverse()
-        return product([base] * abs(m), self.ctx)
+        return normalize(base.syllables * abs(m), self.ctx)
 
     def conjugated_by(self, g: "Word") -> "Word":
         """g * self * g^{-1}."""
@@ -187,20 +187,6 @@ def conjugation_step(
             merged %= k
         return c + (g,) + rest[:-1] + ((d[m][0], merged),) + d[m + 1 :]
     return c + (g,) + rest + d[m:]
-
-
-def product(words: Iterable[Word], ctx: GroupContext) -> Word:
-    """The reduced product of ``words`` in order, in one list.
-
-    Every factor is already reduced, so cancellation happens only at the
-    junctions, and the cost is linear in the total length.
-    """
-    out: list[Syllable] = []
-    for w in words:
-        _require_same_ctx(w.ctx, ctx)
-        if w.syllables:
-            _extend_reduced(out, w.syllables, ctx.torsion)
-    return Word(ctx, tuple(out))
 
 
 def normalize(raw: Iterable[Syllable], ctx: GroupContext) -> Word:
@@ -462,14 +448,11 @@ def generator_conjugate_shape(w: Word) -> Optional[tuple[Word, int, int]]:
     return c, gen, exp
 
 
-def inner_witness(
-    images: Sequence[Word], ctx: GroupContext, strict: bool = True
-) -> Optional[Word]:
+def inner_witness(images: Sequence[Word], ctx: GroupContext) -> Optional[Word]:
     """Word ``w`` with ``w g_i w^{-1} = images[i]`` for all i, or None.
 
-    With ``strict`` any image that is not a conjugate of a generator or its
-    inverse raises; otherwise such maps simply report None (not inner).  The
-    decomposed images go to :func:`inner_conjugator`.
+    Any image that is not a conjugate of a generator or its inverse raises.
+    The decomposed images go to :func:`inner_conjugator`.
     """
     if len(images) != ctx.rank:
         raise WordError(f"expected {ctx.rank} images, got {len(images)}")
@@ -478,9 +461,7 @@ def inner_witness(
         _require_same_ctx(img.ctx, ctx)
         shape = generator_conjugate_shape(img)
         if shape is None:
-            if strict:
-                raise WordError(f"image {i} is not a conjugate of a generator: {img}")
-            return None
+            raise WordError(f"image {i} is not a conjugate of a generator: {img}")
         shapes.append(shape)
     return inner_conjugator(shapes, ctx)
 

@@ -29,11 +29,11 @@ REFERENCES = {
 def fast_paths_checked_against_the_references():
     """Every call the library makes during the suite to a name in
     ``REFERENCES``, through any module that binds the name, is compared with
-    its reference in ``reference.py``: ``conjugation_step`` with the
-    four-factor ``product``, ``even_to_x`` with the ``normalize``-based
-    rewrite, ``inner_conjugator`` with the ``coset_intersection`` solve,
-    ``generator_conjugate_shape`` with the ``cyclic_reduce`` split,
-    and ``semidirect_normal_form`` and ``parse_semipalindrome_product``
+    its reference in ``reference.py``: ``conjugation_step`` with one
+    ``normalize`` of its four factors, ``even_to_x`` with the
+    ``normalize``-based rewrite, ``inner_conjugator`` with the
+    ``coset_intersection`` solve, ``generator_conjugate_shape`` with the
+    ``cyclic_reduce`` split, and ``semidirect_normal_form`` and ``parse_semipalindrome_product``
     with their per-letter ``letter_inverse`` forms.  Every word that
     ``_h2_reduced`` reduces, in ``eval_generator_word`` or in
     ``kernel_verdict``, must evaluate in the order-2 product to the

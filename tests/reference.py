@@ -37,7 +37,6 @@ from symlift.words import (
     generator,
     identity,
     normalize,
-    product,
     torsion_context,
 )
 
@@ -77,10 +76,9 @@ def project_mod_k_reference(w: Word, k: int) -> Word:
 
 
 def conjugation_step_reference(c, g, d, ctx: GroupContext) -> tuple[Syllable, ...]:
-    """``conjugation_step`` as the ``product`` of ``c``, ``g``, ``c^{-1}``
-    and ``d``, each wrapped as a ``Word``."""
-    conj = Word(ctx, c)
-    return product((conj, Word(ctx, (g,)), conj.inverse(), Word(ctx, d)), ctx).syllables
+    """``conjugation_step`` as one ``normalize`` of the syllables of ``c``,
+    ``g``, ``c^{-1}`` and ``d`` in a row."""
+    return normalize((*c, g, *Word(ctx, c).inverse().syllables, *d), ctx).syllables
 
 
 def inner_conjugator_reference(images, ctx: GroupContext) -> Optional[Word]:
@@ -195,12 +193,13 @@ def components_without(t: LabelledBipartiteTree, label: int) -> list[frozenset[i
 
 
 def restriction_apply(r: Restriction, w: Word) -> Word:
-    """The x-word ``w`` with every ``x_i`` replaced by ``r``'s image of it."""
-    factors: list[Word] = []
+    """The x-word ``w`` with every ``x_i`` replaced by ``r``'s image of it,
+    reduced by one ``normalize``."""
+    raw: list[Syllable] = []
     for gen, exp in w.syllables:
         img = r.images[gen - 1]
-        factors += [img if exp > 0 else img.inverse()] * abs(exp)
-    return product(factors, r.ctx)
+        raw += (img if exp > 0 else img.inverse()).syllables * abs(exp)
+    return normalize(raw, r.ctx)
 
 
 def restriction_then(r: Restriction, other: Restriction) -> Restriction:
@@ -225,9 +224,15 @@ def expand_x(w: Word, n: int) -> Word:
     return normalize(raw, torsion_context(n, 2))
 
 
+def image_word(f: SymmetricAut, i: int) -> Word:
+    """The image ``f(g_i) = c_i g_{t_i}^{s_i} c_i^{-1}`` as a word."""
+    conj, target, sign = f.images[i - 1]
+    return generator(f.ctx, target, sign).conjugated_by(conj)
+
+
 def image_words(f: SymmetricAut) -> tuple[Word, ...]:
     """The images ``f(g_1), ..., f(g_n)`` as words."""
-    return tuple(f.image_word(i) for i in range(1, f.ctx.rank + 1))
+    return tuple(image_word(f, i) for i in range(1, f.ctx.rank + 1))
 
 
 def is_identity(f: SymmetricAut) -> bool:

@@ -6,9 +6,9 @@ The corpus runs through ``cli.main`` in a child interpreter under
 ``sys.setprofile``, which records the file and first line of every code
 object that starts.  A child, because ``tests/conftest.py`` wraps the fast
 paths in this process, and their references call library functions
-(``words.product``, ``cyclic_reduce``, ``coset_intersection``) that no
-command reaches.  A function's code starts at its first decorator's line,
-or at its ``def`` line when it has none.
+(``normalize``, ``cyclic_reduce``, ``coset_intersection``) on inputs that
+no command hands them.  A function's code starts at its first decorator's
+line, or at its ``def`` line when it has none.
 
 The test fails on an unreached function that is not listed, on a listed
 function that the corpus reaches and on a listed name that no longer
@@ -91,16 +91,9 @@ UNREACHED = {
     "lift.reduce_mod": _TRACER,
     "lift.Restriction.inner_witness": _TRACER,
     "complexes.all_folds": _TRACER,
-    "symaut.SymmetricAut.image_word": "called only by compose, which the tracer pins",
-    "symaut.SymmetricAut.signs": "called only by reduce_mod, which the tracer pins",
-    "words.product": "called only by SymmetricAut.apply and Word.pow, which the tracer pins",
-    "complexes.fold_apply": "called only by all_folds, which the tracer pins",
     "complexes._dense_smith": (
         "the exact Smith fallback that finds torsion; Whitehead posets have none, "
         "the tests' RP^2 reaches it"
-    ),
-    "complexes.LabelledBipartiteTree.__hash__": (
-        "keeps the hash consistent with equality on label sets; no command hashes a tree"
     ),
 }
 

@@ -32,7 +32,6 @@ from symlift.complexes import (
     WhiteheadPoset,
     all_folds,
     enumerate_whitehead_poset,
-    fold_apply,
     moving_components,
     nuclear_ball,
     order_complex_homology,
@@ -152,6 +151,23 @@ def test_encoding_matches_the_recursive_reference():
             assert tree.type_encoding() == recursive_encode(tree.units, lambda l: "*")
 
 
+def test_tree_identity_reads_rank_and_label_sets_only():
+    t = tree_from_units(6, [[1, 2], [2, 3, 6], [3, 5], [4, 6]])
+    reversed_units = tree_from_units(6, [[4, 6], [3, 5], [2, 3, 6], [1, 2]])
+    permuted = tree_from_units(6, [[6, 3, 2], [6, 4], [2, 1], [5, 3]])
+    for other in (reversed_units, permuted):
+        assert other == t and hash(other) == hash(t)
+    assert len({t, reversed_units, permuted}) == 1
+    assert trivial_tree(5) != t and len({t, trivial_tree(5)}) == 2
+    assert tree_from_units(6, [[1, 2], [2, 3, 6], [3, 4], [5, 6]]) != t
+    assert t != t.units and t != t.label_sets
+    assert repr(t) == (
+        "LabelledBipartiteTree(rank=6, units=(frozenset({1, 2}), frozenset({2, 3, 6}), "
+        "frozenset({3, 5}), frozenset({4, 6})))"
+    )
+    assert repr(reversed_units).startswith("LabelledBipartiteTree(rank=6, units=(frozenset({4, 6}),")
+
+
 def test_tree_canonical_identifies_isomorphic_labelings():
     a = tree_from_units(3, [[1, 3], [3, 2]])
     b = tree_from_units(3, [[2, 3], [3, 1]])
@@ -165,14 +181,12 @@ def test_tree_canonical_identifies_isomorphic_labelings():
 
 
 def test_fold_examples():
-    assert fold_apply(PATH3, 3, 0, 1) == trivial_tree(3)
-    with pytest.raises(WordError):
-        fold_apply(trivial_tree(3), 1, 0, 0)
-    with pytest.raises(WordError):
-        fold_apply(PATH3, 1, 0, 1)  # label 1 not incident to both
+    # the one fold of PATH3 is at label 3, of units 0 and 1
+    assert all_folds(PATH3) == [(3, 0, 1, trivial_tree(3))]
+    assert all_folds(trivial_tree(3)) == []
     # a rank-4 tree whose fold at the doubly-attached label collapses it
     t4 = tree_from_units(4, [[1, 2, 3], [3, 4]])
-    assert fold_apply(t4, 3, 0, 1) == trivial_tree(4)
+    assert all_folds(t4) == [(3, 0, 1, trivial_tree(4))]
 
 
 def test_folds_reduce_unlabelled_count_by_one():

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import random
 import time
@@ -17,6 +18,7 @@ from reference import (
     project_mod_k_reference,
 )
 from symlift import braid, lift, symaut, words
+from symlift.lift import Restriction
 from symlift.words import (
     Word,
     WordError,
@@ -34,7 +36,6 @@ from symlift.words import (
     parse_context,
     parse_word,
     primitive_root,
-    product,
     project_mod_k,
     torsion_context,
 )
@@ -106,11 +107,11 @@ def test_product_reduces_only_at_junctions_like_normalize(parts):
     flat = [s for raw in parts for s in raw]
     for ctx in (F3, H3, H33):
         words = [normalize(raw, ctx) for raw in parts]
-        assert product(words, ctx) == normalize(flat, ctx)
+        assert functools.reduce(Word.__mul__, words, identity(ctx)) == normalize(flat, ctx)
         if words:
             u = words[0]
             raw = [*u.syllables, *flat, *u.inverse().syllables]
-            assert product([u, *words, u.inverse()], ctx) == normalize(raw, ctx)
+            assert functools.reduce(Word.__mul__, [u, *words, u.inverse()]) == normalize(raw, ctx)
 
 
 @given(raw_syllables(3), raw_syllables(3))
@@ -339,19 +340,16 @@ def test_conjugacy_witness_finds_the_rotation_in_linear_time():
         assert elapsed < 2.0, f"conjugacy_witness took {elapsed:.2f} s on |c| = {len(c)}"
 
 
-@given(
-    st.sampled_from([F3, H3, H33]),
-    raw_syllables(3, max_len=6),
-    st.integers(-7, 7),
-)
+@given(raw_syllables(3, max_len=6), st.integers(-7, 7))
 @settings(max_examples=200)
-def test_pow_matches_repeated_multiplication(ctx, raw, m):
-    w = normalize(raw, ctx)
-    base = w if m >= 0 else w.inverse()
-    expected = identity(ctx)
-    for _ in range(abs(m)):
-        expected = expected * base
-    assert w.pow(m) == expected
+def test_pow_matches_repeated_multiplication(raw, m):
+    # every exponent in -4..4 and one sampled in -7..7, in each context
+    for ctx in (F3, H3, H33):
+        w = normalize(raw, ctx)
+        for power in {m, *range(-4, 5)}:
+            base = w if power >= 0 else w.inverse()
+            expected = functools.reduce(Word.__mul__, [base] * abs(power), identity(ctx))
+            assert w.pow(power) == expected
 
 
 # -- inner witnesses ---------------------------------------------------------
@@ -368,7 +366,7 @@ def test_inner_witness_examples():
 def test_inner_witness_shape_errors():
     with pytest.raises(WordError):
         inner_witness([parse_word("y1 y2", F3)] * 3, F3)
-    assert inner_witness([parse_word("y1 y2", F3)] * 3, F3, strict=False) is None
+    assert Restriction(F3, (parse_word("y1 y2", F3),) * 3).inner_witness() is None
     with pytest.raises(WordError):
         inner_witness([generator(F3, 1)], F3)
 
@@ -418,7 +416,8 @@ def test_inner_witness_matches_exhaustive_search():
                 i = rng.randint(0, 2)
                 g = generator(ctx, rng.randint(1, 3))
                 images[i] = images[i].conjugated_by(g)
-            got = inner_witness(images, ctx, strict=False)
+            got = inner_witness(images, ctx)
+            assert Restriction(ctx, tuple(images)).inner_witness() == got
             expected = _brute_inner(images, ctx)
             assert (got is None) == (expected is None)
             if got is not None:
