@@ -15,6 +15,13 @@ Unrolled, every conjugator is a prefix of the block's letters (see
 :func:`block_conjugators`).  ``certify`` turns any generator word of the
 right shape (trivial permutation part, inversion vector all-0 or all-1, pure
 part a product of semipalindromes) into a verified list of conjugators.
+
+Read through the index pairs of its letters, a semipalindrome is an even
+palindrome, so recognising a product of them is recognising a palstar.
+:func:`parse_semipalindrome_product` does that in linear time: Manacher's
+algorithm (J. ACM 1975) gives the even-palindrome radius at every gap, and
+the word splits greedily into shortest even-palindrome prefixes, which by
+Knuth, Morris and Pratt (SIAM J. Comput. 1977) are its prime factors.
 """
 
 from __future__ import annotations
@@ -52,61 +59,56 @@ def _require_pure(gw: GeneratorWord) -> None:
             raise WordError(f"non-conjugation letter {letter!r} in pure word")
 
 
-def _sp_table(letters: tuple[Letter, ...]):
-    """Interval table: sp(i, j) iff letters[i:j] is a semipalindrome.
-
-    The doubled-letter base is the same-sign wrap around the empty word, so a
-    single recurrence suffices: first and last letters agree up to sign and
-    the interior is a semipalindrome.  Unrolled, letters[i:j] has even length
-    and its mirrored pairs agree up to sign; ``radius[c]`` counts the pairs
-    that agree outwards from the gap before letters[c].  The letters are
-    ``a``-letters, which agree up to sign when their indices agree.
-    """
-    n = len(letters)
-    radius = []
-    for c in range(n + 1):
-        r = 0
-        while r < c and c + r < n:
-            left, right = letters[c - 1 - r], letters[c + r]
-            if left[1] != right[1] or left[2] != right[2]:
-                break
-            r += 1
-        radius.append(r)
-
-    def sp(i: int, j: int) -> bool:
-        return (j - i) % 2 == 0 and radius[(i + j) // 2] >= (j - i) // 2
-
-    return sp
-
-
 def parse_semipalindrome_product(gw: GeneratorWord) -> Optional[tuple[Block, ...]]:
     """Split of ``gw`` into semipalindrome blocks (letter tuples), or None.
 
-    The interval table is complete, so recognition never depends on the split
-    policy.  The split itself is deterministic: each block is as short as
-    possible subject to the remainder still parsing.  Short blocks keep the
-    wrap nesting (and hence certificate conjugators) no deeper than the
-    blocks the input was assembled from; maximal blocks can fuse factors into
-    one deep nest whose conjugators evaluate to exponentially long images.
+    The letters are ``a``-letters, which agree up to sign when their index
+    pairs agree, so a semipalindrome is an even palindrome in the index pairs
+    and a product of them is a *palstar*.  ``radius[g]`` counts the mirrored
+    pairs that agree outwards from the gap before ``letters[g]``; Manacher's
+    algorithm (J. ACM 1975) fills every gap in linear time by starting each
+    gap inside the rightmost palindrome found so far at its mirror's radius.
+    ``letters[i:i+2h]`` is a semipalindrome exactly when
+    ``radius[i+h] >= h``.
+
+    The split is greedy: at position ``i`` the block is ``letters[i:i+2h]``
+    for the smallest ``h >= 1`` with ``radius[i+h] >= h``, and the word does
+    not parse when there is none.  Each search costs at most its own block,
+    or the rest of the word once, so the parse is linear.  Greedy is
+    complete: by Knuth, Morris and Pratt (SIAM J. Comput. 1977), a palstar
+    factors uniquely into prime palstars, and its shortest nonempty even
+    palindrome prefix is the first of them.  So the blocks are the prime
+    factors, each as short as possible subject to the remainder still
+    parsing.  Short blocks keep the wrap nesting (and hence certificate
+    conjugators) no deeper than the blocks the input was assembled from;
+    maximal blocks can fuse factors into one deep nest whose conjugators
+    evaluate to exponentially long images.
     """
     _require_pure(gw)
     letters = gw.letters
     n = len(letters)
     if n % 2:
         return None
-    sp = _sp_table(letters)
-    # splittable[i]: letters[i:] is a product of semipalindromes
-    splittable = [False] * n + [True]
-    for i in range(n - 2, -1, -2):
-        splittable[i] = any(splittable[j] and sp(i, j) for j in range(i + 2, n + 1, 2))
-    if not splittable[0]:
-        return None
+    pairs = [letter[1:3] for letter in letters]
+    radius = [0] * (n + 1)
+    center = reach = 0  # the palindrome around gap ``center`` ends at ``reach``
+    for g in range(1, n):
+        r = min(radius[2 * center - g], reach - g) if g < reach else 0
+        while r < g and g + r < n and pairs[g - 1 - r] == pairs[g + r]:
+            r += 1
+        radius[g] = r
+        if g + r > reach:
+            center, reach = g, g + r
     blocks = []
     i = 0
     while i < n:
-        j = next(j for j in range(i + 2, n + 1, 2) if splittable[j] and sp(i, j))
-        blocks.append(letters[i:j])
-        i = j
+        h = 1
+        while radius[i + h] < h:
+            h += 1
+            if i + 2 * h > n:
+                return None
+        blocks.append(letters[i : i + 2 * h])
+        i += 2 * h
     return tuple(blocks)
 
 
@@ -206,7 +208,8 @@ def certify(gw: GeneratorWord) -> Optional[Certificate]:
     product of semipalindromes first *without* free cancellation: cancelling
     across block boundaries can destroy parseability, while inputs built as
     products of conjugates of rho parse raw.  Level 0 of the search holds the
-    raw and the reduced pure part; each further level, up to
+    raw and then, built only when the raw one fails, the reduced pure part;
+    each further level, up to
     ``SEARCH_DEPTH``, multiplies the last one by inner relators (words
     acting by conjugation, which keep the outer class) on either side.  An
     outer-trivial pure part of at most ``EVAL_GATE_LETTERS`` letters gets the
@@ -236,37 +239,41 @@ def _certify(gw: GeneratorWord) -> tuple[Optional[Certificate], Optional[str]]:
     nf = semidirect_normal_form(gw, cancel=False)
     if nf.perm != tuple(range(1, n + 1)) or set(nf.rho) not in ({0}, {1}, set()):
         return None, None
-    reduced = nf.pure.free_cancel()
-    level = [nf.pure] if reduced.letters == nf.pure.letters else [nf.pure, reduced]
-    seen = {pure.letters for pure in level}
-    relators: list[GeneratorWord] = []  # n^2 letters: built once level 0 fails
+    level = [nf.pure]
+    reduced = nf.pure
+    blocks = parse_semipalindrome_product(nf.pure)
+    if blocks is None:
+        reduced = nf.pure.free_cancel()
+        if reduced.letters != nf.pure.letters:
+            level.append(reduced)
+            blocks = parse_semipalindrome_product(reduced)
     verdict = None
-    for depth in range(SEARCH_DEPTH + 1):
-        if depth:
-            if not relators:
-                # every certificate verifies, so none exists outside the kernel
-                verdict = kernel_verdict(gw).verdict
-                if verdict != "in":
-                    return None, verdict
-                relators = _inner_relators(n)
+    if blocks is None:
+        # every certificate verifies, so none exists outside the kernel
+        verdict = kernel_verdict(gw).verdict
+        if verdict != "in":
+            return None, verdict
+        relators = _inner_relators(n)
+        seen = {pure.letters for pure in level}
+        for _ in range(SEARCH_DEPTH):
             level = _relator_level(level, relators, seen)
-        for pure in level:
-            blocks = parse_semipalindrome_product(pure)
+            parses = map(parse_semipalindrome_product, level)
+            blocks = next((b for b in parses if b is not None), None)
             if blocks is not None:
-                conjugators = [
-                    GeneratorWord._trusted(n, c)
-                    for block in blocks
-                    for c in block_conjugators(block)
-                ]
-                if nf.rho and nf.rho[0] == 1:
-                    conjugators.append(GeneratorWord(n))
-                cert = Certificate(n, tuple(conjugators))
-                if not verify_certificate(cert, gw):
-                    raise RuntimeError(f"internal: certificate for {gw} does not verify")
-                return cert, verdict
-    if len(reduced) <= EVAL_GATE_LETTERS and verify_certificate(Certificate(n, ()), gw):
-        return Certificate(n, ()), verdict
-    return None, verdict
+                break
+    if blocks is None:
+        if len(reduced) <= EVAL_GATE_LETTERS and verify_certificate(Certificate(n, ()), gw):
+            return Certificate(n, ()), verdict
+        return None, verdict
+    conjugators = [
+        GeneratorWord._trusted(n, c) for block in blocks for c in block_conjugators(block)
+    ]
+    if nf.rho and nf.rho[0] == 1:
+        conjugators.append(GeneratorWord(n))
+    cert = Certificate(n, tuple(conjugators))
+    if not verify_certificate(cert, gw):
+        raise RuntimeError(f"internal: certificate for {gw} does not verify")
+    return cert, verdict
 
 
 def verify_certificate(cert: Certificate, target: GeneratorWord) -> bool:

@@ -64,14 +64,15 @@ def check_rank(n: int, limit: int, what: str) -> None:
         raise WordError(f"{what} are limited to rank <= {limit}, not {n}")
 
 
+# one object per context: words built in it pass the ``is`` check in
+# ``_require_same_ctx`` instead of falling back to the dataclass ``__eq__``
+@lru_cache(maxsize=None)
 def free_context(rank: int, letter: str = "y") -> GroupContext:
     return GroupContext(rank, None, letter)
 
 
 @lru_cache(maxsize=None)
 def torsion_context(rank: int, modulus: int) -> GroupContext:
-    # one object per context: words projected into it pass the ``is`` check
-    # in ``_require_same_ctx`` instead of falling back to the dataclass ``__eq__``
     return GroupContext(rank, modulus)
 
 

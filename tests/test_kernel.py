@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
+from reference import parse_semipalindrome_product_reference
 
 from symlift.kernel import (
     Certificate,
@@ -73,6 +75,32 @@ def test_blocks_recompose_letters():
     blocks = parse_semipalindrome_product(word)
     assert blocks is not None and len(blocks) == 2
     assert sum(blocks, ()) == word.letters
+
+
+def test_parse_matches_the_quadratic_reference_on_every_short_word():
+    """Every word over two index pairs up to length 12 and over three up to
+    length 8, odd lengths included, with seeded mixed signs."""
+    rng = random.Random(39)
+    parsed = 0
+    for pairs, longest in (([(1, 2), (2, 3)], 12), ([(1, 2), (2, 3), (3, 1)], 8)):
+        for length in range(1, longest + 1):
+            for indices in itertools.product(pairs, repeat=length):
+                letters = tuple(("a", i, j, rng.choice((1, -1))) for i, j in indices)
+                word = GeneratorWord(3, letters)
+                blocks = parse_semipalindrome_product(word)
+                assert blocks == parse_semipalindrome_product_reference(word), word
+                parsed += blocks is not None
+    assert parsed == 1580
+
+
+def test_parse_takes_the_shortest_first_block():
+    # v rev(v) with v = a[1,2] a[2,3]^-1 a[1,2], then a doubled letter: the
+    # whole word is no semipalindrome, and the split is the prime factors
+    word = gw("a[1,2] a[2,3]^-1 a[1,2] a[1,2]^-1 a[2,3] a[1,2] a[3,1] a[3,1]")
+    assert parse_semipalindrome_product(word) == (word.letters[:6], word.letters[6:])
+    # a[1,2]^4 parses as two doubled letters, not as one wrap
+    word = gw("a[1,2] a[1,2]^-1 a[1,2] a[1,2]")
+    assert parse_semipalindrome_product(word) == (word.letters[:2], word.letters[2:])
 
 
 # -- normal form ---------------------------------------------------------------

@@ -532,6 +532,17 @@ def test_even_to_x_matches_the_normalize_reference():
     assert format_word(even_to_x(parse_word("z1 z2 z1 z2", torsion_context(2, 2)))) == "x1^2"
 
 
+def test_free_contexts_are_one_object_per_rank_and_letter():
+    for n in (1, 3, 40):
+        for letter in ("x", "y"):
+            assert free_context(n, letter) is free_context(n, letter)
+    # the letter prints but does not compare
+    assert free_context(3, "x") == free_context(3, "y")
+    w = even_to_x(parse_word("z1 z2 z3 z2", torsion_context(4, 2)))
+    assert w.ctx is free_context(3, letter="x")
+    assert format_word(w) == "x1 x2^-1 x3 x2^-1"
+
+
 def test_order_2_inverse_is_the_reversal():
     rng = random.Random(19)
     for n in range(1, 6):
