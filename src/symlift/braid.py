@@ -5,7 +5,9 @@ The generator ``s_i`` acts by ``y_i -> y_i y_{i+1} y_i^{-1}``,
 relations, and the kernel searches below are convention-independent).  Its
 word in the presentation letters is ``s[i,i+1] a[i,i+1]``, so a braid is
 evaluated letter by letter by the symmetric automorphism machinery, in the
-free group or directly in a free product of cyclic groups.
+free group or directly in a free product of cyclic groups.  A
+:class:`BraidWord` keeps its letters as given: ``s_i s_i^-1`` evaluates to
+the identity, so free reduction would not change any action.
 
 Reducing generators mod k gives an action on the free product of cyclic
 groups.  It is evaluated in the torsion context itself: projecting
@@ -72,8 +74,9 @@ MAX_SEARCH_WORDS = 2_000_000
 
 @dataclass(frozen=True)
 class BraidWord:
-    """Freely reduced word in the braid generators; letter i is s_i,
-    letter -i is s_i^{-1}."""
+    """Word in the braid generators; letter i is s_i, letter -i is
+    s_i^{-1}.  The letters are kept as given: a word and its free reduction
+    evaluate to the same automorphism."""
 
     strands: int
     letters: tuple[int, ...] = ()
@@ -84,19 +87,6 @@ class BraidWord:
         for letter in self.letters:
             if letter == 0 or abs(letter) > self.strands - 1:
                 raise WordError(f"braid letter {letter} out of range")
-        reduced = _free_reduce(self.letters)
-        if reduced != self.letters:
-            object.__setattr__(self, "letters", reduced)
-
-
-def _free_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
-    out: list[int] = []
-    for l in letters:
-        if out and out[-1] == -l:
-            out.pop()
-        else:
-            out.append(l)
-    return tuple(out)
 
 
 def parse_braid(text: str, strands: int) -> BraidWord:

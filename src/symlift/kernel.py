@@ -36,7 +36,7 @@ from .symaut import (
     eval_generator_word,
     inner_relator,
     is_inner,
-    letter_inverses,
+    letter_inverse,
     parse_generator_word,
     rho,
     semidirect_normal_form,
@@ -149,12 +149,11 @@ class Certificate:
         r = rho(self.rank).letters
         if any(c.rank != self.rank for c in self.conjugators):
             raise WordError(f"certificate conjugators must have rank {self.rank}")
-        inv = letter_inverses(l for c in self.conjugators for l in c.letters)
         letters: list[Letter] = []
         for c in self.conjugators:
             letters += c.letters
             letters += r
-            letters += map(inv.__getitem__, reversed(c.letters))
+            letters += map(letter_inverse, reversed(c.letters))
         return GeneratorWord._trusted(self.rank, tuple(letters))
 
     def to_json(self) -> dict:
@@ -207,11 +206,11 @@ def certify(gw: GeneratorWord) -> Optional[Certificate]:
     class, so failure there is definitive).  The pure part is parsed as a
     product of semipalindromes first *without* free cancellation: cancelling
     across block boundaries can destroy parseability, while inputs built as
-    products of conjugates of rho parse raw.  Level 0 of the search holds the
-    raw and then, built only when the raw one fails, the reduced pure part;
-    each further level, up to
-    ``SEARCH_DEPTH``, multiplies the last one by inner relators (words
-    acting by conjugation, which keep the outer class) on either side.  An
+    products of conjugates of rho parse raw.  Only when the raw pure part
+    fails is the freely reduced one built and parsed.  Level 0 of the search
+    is the reduced pure part; each further level, up to ``SEARCH_DEPTH``,
+    multiplies the last one by inner relators (words acting by conjugation,
+    which keep the outer class) on either side and freely reduces.  An
     outer-trivial pure part of at most ``EVAL_GATE_LETTERS`` letters gets the
     empty certificate; beyond these bounds the absence is reported as None.
     """
@@ -234,18 +233,21 @@ def certify_status(gw: GeneratorWord) -> tuple[str, Optional[Certificate]]:
 
 def _certify(gw: GeneratorWord) -> tuple[Optional[Certificate], Optional[str]]:
     """:func:`certify`'s search: the certificate or None, and the kernel
-    verdict the search asked for, or None when it asked none."""
+    verdict the search asked for, or None when it asked none.
+
+    The relator search starts from the reduced pure part alone.  Free
+    reduction is confluent, so ``rel * raw`` and ``rel * reduced`` reduce to
+    the same candidate, and a raw level would only repeat the reduced one's
+    candidates in the same order."""
     n = gw.rank
     nf = semidirect_normal_form(gw, cancel=False)
     if nf.perm != tuple(range(1, n + 1)) or set(nf.rho) not in ({0}, {1}, set()):
         return None, None
-    level = [nf.pure]
     reduced = nf.pure
     blocks = parse_semipalindrome_product(nf.pure)
     if blocks is None:
         reduced = nf.pure.free_cancel()
         if reduced.letters != nf.pure.letters:
-            level.append(reduced)
             blocks = parse_semipalindrome_product(reduced)
     verdict = None
     if blocks is None:
@@ -254,7 +256,7 @@ def _certify(gw: GeneratorWord) -> tuple[Optional[Certificate], Optional[str]]:
         if verdict != "in":
             return None, verdict
         relators = _inner_relators(n)
-        seen = {pure.letters for pure in level}
+        level, seen = [reduced], {reduced.letters}
         for _ in range(SEARCH_DEPTH):
             level = _relator_level(level, relators, seen)
             parses = map(parse_semipalindrome_product, level)

@@ -70,12 +70,6 @@ def letter_inverse(letter: Letter) -> Letter:
     return letter
 
 
-def letter_inverses(letters: Iterable[Letter]) -> dict[Letter, Letter]:
-    """Each distinct letter of ``letters`` mapped to its inverse, built once
-    per letter rather than once per occurrence."""
-    return {l: letter_inverse(l) for l in set(letters)}
-
-
 def letter_str(letter: Letter) -> str:
     if letter[0] == "a":
         _, i, j, e = letter
@@ -135,16 +129,14 @@ class GeneratorWord:
         return len(self.letters)
 
     def inverse(self) -> "GeneratorWord":
-        inv = letter_inverses(self.letters)
-        letters = tuple(map(inv.__getitem__, reversed(self.letters)))
+        letters = tuple(map(letter_inverse, reversed(self.letters)))
         return GeneratorWord._trusted(self.rank, letters)
 
     def free_cancel(self) -> "GeneratorWord":
         """Cancel adjacent exactly-inverse letters (valid in any quotient)."""
-        inv = letter_inverses(self.letters)
         out: list[Letter] = []
         for letter in self.letters:
-            if out and out[-1] == inv[letter]:
+            if out and out[-1] == letter_inverse(letter):
                 out.pop()
             else:
                 out.append(letter)
@@ -259,14 +251,11 @@ class SymmetricAut:
         if w.ctx != self.ctx:
             raise WordError("context mismatch")
         raw: list[Syllable] = []
-        inverses: dict[int, tuple[Syllable, ...]] = {}
         for gen, exp in w.syllables:
             conj, target, sign = self.images[gen - 1]
-            if gen not in inverses:
-                inverses[gen] = conj.inverse().syllables
             raw += conj.syllables
             raw.append((target, sign * exp))
-            raw += inverses[gen]
+            raw += conj.inverse().syllables
         return normalize(raw, self.ctx)
 
     def to_json(self) -> list[dict]:

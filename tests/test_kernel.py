@@ -295,10 +295,13 @@ def test_certify_builds_relators_only_when_level_0_finds_no_parse(monkeypatch):
     import symlift.kernel as kernel_mod
 
     depth2 = gw("a[1,2]^-1 a[3,2] a[2,1]^-1 a[3,1]^-1")
-    cert = certify(depth2)
-    assert [str(c) for c in cert.conjugators] == [
-        "a[3,2]^-1 a[1,2]^-1", "a[3,2]^-1", "a[2,1]^-1 a[3,1]^-1", "e"
-    ]
+    # an unreduced raw pure part: the search starts from its reduction and
+    # finds the same certificate
+    unreduced = gw("a[1,3] a[1,3]^-1 a[1,2]^-1 a[3,2] a[2,1]^-1 a[3,1]^-1")
+    for target in (depth2, unreduced):
+        assert [str(c) for c in certify(target).conjugators] == [
+            "a[3,2]^-1 a[1,2]^-1", "a[3,2]^-1", "a[2,1]^-1 a[3,1]^-1", "e"
+        ]
 
     def no_relators(rank):
         raise AssertionError("relators built")
@@ -310,8 +313,9 @@ def test_certify_builds_relators_only_when_level_0_finds_no_parse(monkeypatch):
         for _ in range(60):
             target = random_rho_conjugate_product(rng, n)
             assert verify_certificate(certify(target), target)
-    with pytest.raises(AssertionError, match="relators built"):
-        certify(depth2)
+    for target in (depth2, unreduced):
+        with pytest.raises(AssertionError, match="relators built"):
+            certify(target)
 
 
 def test_certify_rejects_wrong_invariants():

@@ -184,6 +184,36 @@ def test_generator_word_parse_roundtrip():
     assert str(gw.inverse()) == "s[2,3] r[1] a[1,2]^-1"
 
 
+def test_free_cancel_and_inverse_over_every_letter_kind():
+    rng = random.Random(29)
+    for n in (2, 3, 4, 5):
+        letters = all_letters(n)
+        # r and s letters are involutions; a letters cancel only their
+        # opposite sign, never a letter of another index pair
+        for first in letters:
+            for second in letters:
+                if first[0] == "a":
+                    cancels = second == first[:3] + (-first[3],)
+                else:
+                    cancels = second == first
+                pair = GeneratorWord(n, (first, second))
+                assert pair.free_cancel().letters == (() if cancels else pair.letters)
+        for _ in range(200):
+            # few distinct letters, so that cancellations are frequent
+            pool = rng.sample(letters, 3)
+            pool += [letter_inverse(l) for l in pool]
+            w = random_word(rng, n, 16, pool)
+            stack = []
+            for letter in w.letters:
+                if stack and stack[-1] == letter_inverse(letter):
+                    stack.pop()
+                else:
+                    stack.append(letter)
+            assert w.free_cancel().letters == tuple(stack)
+            assert (w * w.inverse()).free_cancel().letters == ()
+            assert w.inverse().inverse() == w
+
+
 def test_word_parsers_refuse_ranks_over_the_limit_before_reading_a_token():
     # the one rank gate of every command that reads a word: a malformed
     # word over the limit gets the rank message, not the token's
