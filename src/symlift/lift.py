@@ -204,16 +204,8 @@ class KernelVerdict:
         return payload
 
 
-def _combine(p: int, u: dict[int, int], q: int, v: dict[int, int]) -> dict[int, int]:
-    """The sparse vector ``p u + q v``, with no zero entries."""
-    out = {k: p * c for k, c in u.items()}
-    for k, c in v.items():
-        c = out.get(k, 0) + q * c
-        if c:
-            out[k] = c
-        else:
-            del out[k]
-    return out
+# the lift route's answer for every word the H_1 pass refutes
+_NOT_INNER = LiftResult(None, False)
 
 
 def _h1_refutes(gw: GeneratorWord) -> bool:
@@ -227,30 +219,57 @@ def _h1_refutes(gw: GeneratorWord) -> bool:
     :func:`~symlift.symaut.act_letters`: ``a[i,j]^{+-1}`` sends ``f(z_i)`` to
     ``f(z_j) f(z_i) f(z_j)``, so ``v_i <- 2 v_j - v_i``; ``s[i,j]`` swaps
     ``v_i`` and ``v_j``; ``r[i]`` acts trivially.  Only the vectors a letter
-    has moved are stored, each a sparse ``{index: coefficient}`` dict, so a
-    letter costs the sizes of the two vectors it reads, whatever the rank.
+    has moved are stored, each a sparse ``{index: coefficient}`` dict that
+    its first move creates.  ``a[i,j]`` negates ``v_i``'s dict in place and
+    adds ``2 v_j`` to it entry by entry; ``s[i,j]`` exchanges the two dicts,
+    so no two indices share one.  A letter costs the sizes of the vectors it
+    reads, whatever the rank, and builds no dict after that first move.
     """
     n = gw.rank
     moved: dict[int, dict[int, int]] = {}
-
-    def vector(a: int) -> dict[int, int]:
-        v = moved.get(a)
-        if v is None:
-            return {} if a == n else {a: 1}
-        return v
-
     for letter in gw.letters:
-        if letter[0] == "a":
-            moved[letter[1]] = _combine(2, vector(letter[2]), -1, vector(letter[1]))
-        elif letter[0] == "s":
+        kind = letter[0]
+        if kind == "a":
             i, j = letter[1], letter[2]
-            moved[i], moved[j] = vector(j), vector(i)
-    vn = vector(n)
+            vi = moved.get(i)
+            if vi is None:
+                vi = moved[i] = {} if i == n else {i: 1}
+            for k, c in vi.items():
+                vi[k] = -c
+            vj = moved.get(j)
+            if vj is None:  # unmoved, v_j is e_j, or 0 at j = n
+                if j != n:
+                    c = vi.get(j, 0) + 2
+                    if c:
+                        vi[j] = c
+                    else:
+                        del vi[j]
+            else:
+                for k, c in vj.items():
+                    c = vi.get(k, 0) + 2 * c
+                    if c:
+                        vi[k] = c
+                    else:
+                        del vi[k]
+        elif kind == "s":
+            i, j = letter[1], letter[2]
+            vi = moved.get(i)
+            vj = moved.get(j)
+            moved[i] = ({} if j == n else {j: 1}) if vj is None else vj
+            moved[j] = ({} if i == n else {i: 1}) if vi is None else vi
+    vn = moved.get(n, {})
     # while v_n = 0 an unmoved column is e_a, so only the moved ones are read
     columns = range(1, n) if vn else [a for a in moved if a != n]
     signs = {1} if len(columns) < n - 1 else set()
     for a in columns:
-        column = _combine(1, vector(a), -1, vn)
+        va = moved.get(a)
+        column = {a: 1} if va is None else dict(va)
+        for k, c in vn.items():
+            c = column.get(k, 0) - c
+            if c:
+                column[k] = c
+            else:
+                del column[k]
         sign = column.get(a)
         if len(column) != 1 or sign not in (1, -1):
             return True
@@ -280,7 +299,7 @@ def kernel_verdict(gw: GeneratorWord, route: Route = "both") -> KernelVerdict:
         h_witness = None if h is None else inner_witness_of(h)
         routes["inner-in-H"] = h_witness is not None
     if route in ("lift", "both"):
-        lift_result = LiftResult(None, False) if h is None else lift_route(h)
+        lift_result = _NOT_INNER if h is None else lift_route(h)
         routes["lift"] = lift_result.in_kernel
     if route == "both":
         agree = routes["inner-in-H"] == routes["lift"]

@@ -510,31 +510,36 @@ def semidirect_normal_form(gw: GeneratorWord, cancel: bool = True) -> NormalForm
 
     Uses r_k a[i,j] r_k = a[i,j]^{-1 if k=j} and s a[i,j] s^{-1} =
     a[s(i),s(j)]; the result evaluates to the same automorphism exactly.
-    With ``cancel`` the accumulated pure part is freely reduced.
+    With ``cancel`` the accumulated pure part is freely reduced.  The
+    permutation and the inversion bits are indexed from 1 (slot 0 is
+    sliced off on return), and an ``a`` letter that neither changes is
+    appended as its own tuple.
     """
     n = gw.rank
     pure: list[Letter] = []
-    rho_bits = [0] * n
-    perm = list(range(1, n + 1))  # perm[i-1] = sigma(i)
+    rho_bits = [0] * (n + 1)
+    perm = list(range(n + 1))  # perm[i] = sigma(i)
     for letter in gw.letters:
         kind = letter[0]
         if kind == "a":
             _, i, j, e = letter
-            si, sj = perm[i - 1], perm[j - 1]
-            if rho_bits[sj - 1]:
+            si, sj = perm[i], perm[j]
+            if rho_bits[sj]:
                 e = -e
             if cancel and pure:
                 last = pure[-1]
                 if last[1] == si and last[2] == sj and last[3] == -e:
                     pure.pop()
                     continue
-            pure.append(("a", si, sj, e))
+            if si != i or sj != j or e != letter[3]:
+                letter = ("a", si, sj, e)
+            pure.append(letter)
         elif kind == "r":
-            rho_bits[perm[letter[1] - 1] - 1] ^= 1
+            rho_bits[perm[letter[1]]] ^= 1
         else:
             _, i, j = letter
-            perm[i - 1], perm[j - 1] = perm[j - 1], perm[i - 1]
-    return NormalForm(GeneratorWord._trusted(n, tuple(pure)), tuple(rho_bits), tuple(perm))
+            perm[i], perm[j] = perm[j], perm[i]
+    return NormalForm(GeneratorWord._trusted(n, tuple(pure)), tuple(rho_bits[1:]), tuple(perm[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,25 @@ def test_certify_rejects_wrong_invariants():
     assert certify(gw("r[1] r[2]")) is None
 
 
+def test_no_certificate_for_a_mixed_inversion_vector_or_a_stray_last_letter():
+    # the normal form keeps sigma and the inversion bits from index 1 and
+    # slices slot 0 off; every stray letter here touches index n, so an
+    # off-by-one at either end of that slice changes an answer
+    rng = random.Random(1207)
+    for n in (2, 3, 4, 5):
+        r_n, s_1n = gw(f"r[{n}]", n), gw(f"s[1,{n}]", n)
+        assert certify(gw("r[1]", n)) is None
+        if n > 2:  # at rank 2, r[1] r[2] is rho itself
+            assert certify(gw("r[1] r[2]", n)) is None
+        for _ in range(25):
+            product = random_rho_conjugate_product(rng, n)
+            assert certify(product * r_n) is None, str(product)
+            cert = certify(product)
+            assert cert is not None and verify_certificate(cert, product), str(product)
+            for extra in (s_1n, r_n):
+                assert not verify_certificate(cert, product * extra), (str(product), str(extra))
+
+
 def test_certificate_json_roundtrip():
     cert = certify(gw("a[1,2] a[1,2]"))
     data = cert.to_json()

@@ -453,10 +453,10 @@ def test_rank_two_never_refutes():
 
 
 def mutant_letter_rule(old: str, new: str):
-    """``lift._h1_refutes`` recompiled with ``old`` in its source replaced by
-    ``new``."""
+    """``lift._h1_refutes`` recompiled with every ``old`` in its source
+    replaced by ``new``."""
     source = inspect.getsource(inspect.unwrap(lift._h1_refutes))
-    mutated = source.replace(old, new, 1)
+    mutated = source.replace(old, new)
     assert mutated != source
     namespace = dict(vars(lift))
     exec(mutated, namespace)
@@ -465,14 +465,18 @@ def mutant_letter_rule(old: str, new: str):
 
 def test_rank_three_refutation_catches_mutant_letter_rules():
     # v_j - v_i for 2 v_j - v_i refutes words in the kernel, which the
-    # suite-wide check also rejects; a swap skipped on an index n misses
-    # words that are out
-    halved = mutant_letter_rule("_combine(2, vector(letter[2])", "_combine(1, vector(letter[2])")
+    # suite-wide check also rejects; a swap skipped on an index n, and a swap
+    # that leaves i and j holding one dict, which the next in-place update of
+    # either changes for both, miss words that are out
+    halved = mutant_letter_rule(", 0) + 2", ", 0) + 1")  # both updates of v_i
     no_swap_on_n = mutant_letter_rule(
-        "moved[i], moved[j] = vector(j), vector(i)",
-        "if n not in (i, j):\n                moved[i], moved[j] = vector(j), vector(i)",
+        "            moved[i] = (",
+        "            if n in (i, j):\n                continue\n            moved[i] = (",
     )
-    for mutant in (halved, no_swap_on_n):
+    shared = mutant_letter_rule(
+        "moved[j] = ({} if i == n else {i: 1}) if vi is None else vi", "moved[j] = moved[i]"
+    )
+    for mutant in (halved, no_swap_on_n, shared):
         assert rank_three_mismatches(mutant) > 0
     conjugation_by_z1 = inner_relator(3, 1)
     assert halved(conjugation_by_z1)
