@@ -1,9 +1,12 @@
-"""Slow, independent references that the tests hold the fast paths to."""
+"""Slow, independent references that the tests hold the fast paths to, and
+the one way the tests build a mutant from library source."""
 
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
+import sys
 from typing import Optional
 
 from symlift.braid import BraidWord
@@ -385,6 +388,20 @@ def symmetry_generators_reference(t: LabelledBipartiteTree) -> list[tuple[int, .
     return chosen
 
 
+def source_mutant(functions, old: str, new: str) -> dict:
+    """A copy of the first function's module namespace in which
+    ``functions``, unwrapped, are compiled again from their joined source
+    with every ``old`` replaced by ``new``."""
+    functions = [inspect.unwrap(f) for f in functions]
+    source = "".join(inspect.getsource(f) for f in functions)
+    mutated = source.replace(old, new)
+    if mutated == source:
+        raise AssertionError(f"{old!r} is not in the source")
+    namespace = dict(vars(sys.modules[functions[0].__module__]))
+    exec(mutated, namespace)
+    return namespace
+
+
 def checked_trusted(cls):
     """``cls._trusted``, failing with ``AssertionError`` unless the public
     constructor accepts the same fields (which validates them) and builds an
@@ -454,7 +471,3 @@ def checked_h1_refutation(fast):
 
     return wrapper
 
-
-def checked_even_to_x(fast):
-    """``fast`` (an ``even_to_x``) held to :func:`even_to_x_reference`."""
-    return checked(fast, even_to_x_reference)

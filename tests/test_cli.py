@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -482,185 +481,6 @@ def test_a_closed_stdout_exits_2_without_a_traceback():
     assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err
     assert err == "error: stdout was closed before the output was written\n"
-
-
-def test_selftest_fault_injection(capsys, monkeypatch):
-    # append a false relation to the table and expect the named check to fail
-    import symlift.symaut as symaut_mod
-
-    relations = symaut_mod._relations
-
-    def broken(n):
-        yield from relations(n)
-        yield "injected_fault", (0,), (), (("r", 1),)
-
-    monkeypatch.setattr(symaut_mod, "_relations", broken)
-    code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "3")
-    assert code == 1
-    failing = [c for c in payload["checks"] if not c["passed"]]
-    assert [c["name"] for c in failing] == ["presentation"]
-    assert "injected_fault(0,)" in failing[0]["ranks"]["3"]["failures"]
-
-
-def test_selftest_poset_fault_injection(capsys, monkeypatch):
-    # drop one cover below a maximal tree: sizes and longest chains stay,
-    # the proper part's homology does not
-    import symlift.complexes as complexes_mod
-
-    enumerate_poset = complexes_mod.enumerate_whitehead_poset
-
-    def corrupted(n):
-        poset = enumerate_poset(n)
-        if n < 4:
-            return poset
-        top = len(poset.elements) - 1
-        below = [
-            i for i in range(top)
-            if poset.leq[i][top]
-            and poset.elements[i].unlabelled_count == poset.elements[top].unlabelled_count - 1
-        ]
-        leq = [list(row) for row in poset.leq]
-        leq[below[0]][top] = False
-        return complexes_mod.WhiteheadPoset(
-            n, poset.elements, tuple(tuple(row) for row in leq)
-        )
-
-    monkeypatch.setattr(complexes_mod, "enumerate_whitehead_poset", corrupted)
-    code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "3")
-    assert code == 1
-    failing = [c for c in payload["checks"] if not c["passed"]]
-    assert [c["name"] for c in failing] == ["poset_facts"]
-    assert failing[0]["sizes"]["4"] == 29
-    assert failing[0]["max_chain_cardinality"]["4"] == 3
-
-
-def test_selftest_outer_form_fault_injection(capsys, monkeypatch):
-    # a lossy outer form forgets image 3's conjugator, so half-words that
-    # differ only there collide and corollary_d reports a relation
-    import symlift.symaut as symaut_mod
-    from symlift.words import identity
-
-    outer_form = symaut_mod.outer_form
-
-    def lossy(f):
-        form = outer_form(f)
-        return form[:2] + ((identity(f.ctx),) + form[2][1:],)
-
-    monkeypatch.setattr(symaut_mod, "outer_form", lossy)
-    code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "3")
-    assert code == 1
-    failing = [c for c in payload["checks"] if not c["passed"]]
-    assert [c["name"] for c in failing] == ["corollary_d"]
-    assert failing[0]["relation_found"] is not None
-    assert failing[0]["pair_identified"] and failing[0]["oracle_mismatches"] == 0
-
-
-def test_selftest_braid_coverage_fault_injection(capsys, monkeypatch):
-    # a pruned subtree counted one word short: nothing is flagged, but the
-    # search no longer covers every word, so the braid check fails
-    import symlift.braid as braid_mod
-
-    subtree_words = braid_mod._subtree_words
-    monkeypatch.setattr(braid_mod, "_subtree_words", lambda n, depth: subtree_words(n, depth) - 1)
-    code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "3")
-    assert code == 1
-    failing = [c for c in payload["checks"] if not c["passed"]]
-    assert [c["name"] for c in failing] == ["braid_injectivity_evidence"]
-    assert all(not search["flagged"] for search in failing[0]["runs"].values())
-
-
-def test_selftest_braid_flag_fault_injection(capsys, monkeypatch):
-    # a search that flags "1 1" at 3 strands: the command exits 1 and lists
-    # the word, and the selftest fails the braid check alone
-    import symlift.braid as braid_mod
-
-    search = braid_mod.bounded_kernel_search
-
-    def flagging(strands, modulus, max_length):
-        report = search(strands, modulus, max_length)
-        return dataclasses.replace(report, flagged=("1 1",)) if strands == 3 else report
-
-    monkeypatch.setattr(braid_mod, "bounded_kernel_search", flagging)
-    code, payload = run(capsys, "braid", "search", "--n", "3", "--k", "2", "--max-len", "3")
-    assert code == 1 and payload["search"]["flagged"] == ["1 1"]
-    code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "3")
-    assert code == 1
-    failing = [c for c in payload["checks"] if not c["passed"]]
-    assert [c["name"] for c in failing] == ["braid_injectivity_evidence"]
-    assert failing[0]["runs"]["3,2,4"]["flagged"] == ["1 1"]
-
-
-def test_selftest_certificate_fault_injection(capsys, monkeypatch):
-    # a verifier that accepts anything: every certificate still verifies,
-    # but one without its last conjugator is no longer refuted
-    import symlift.kernel as kernel_mod
-
-    monkeypatch.setattr(kernel_mod, "verify_certificate", lambda cert, target: True)
-    code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "3")
-    assert code == 1
-    failing = [c for c in payload["checks"] if not c["passed"]]
-    assert [c["name"] for c in failing] == ["theorem_c_certificates"]
-    assert failing[0]["verified"] == failing[0]["samples"]
-
-
-def test_selftest_lift_route_fault_injection(capsys, monkeypatch):
-    # a lift route that drops the "inner after iota" branch; seed 3 draws no
-    # route word that needs it, so seed 7
-    import symlift.lift as lift_mod
-
-    lift_route = lift_mod.lift_route
-
-    def no_iota(h):
-        result = lift_route(h)
-        if result.composed_with_iota:
-            return lift_mod.LiftResult(None, False)
-        return result
-
-    monkeypatch.setattr(lift_mod, "lift_route", no_iota)
-    code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "7")
-    assert code == 1
-    failing = {c["name"]: c for c in payload["checks"] if not c["passed"]}
-    assert list(failing) == ["route_agreement", "n2_degeneracy"]
-    assert failing["route_agreement"]["disagreements"] == 4
-    assert failing["n2_degeneracy"]["elements_in_kernel"] == 4
-
-
-def test_selftest_stabilizer_fault_injection(capsys, monkeypatch):
-    # vertex automorphisms that lose their last letter: the stabilizer
-    # generators no longer fix their trees, first at rank 4
-    import symlift.complexes as complexes_mod
-
-    letters_of = complexes_mod._component_power_letters
-
-    def short(vertex, comps, powers):
-        letters = letters_of(vertex, comps, powers)
-        return letters[:-1] if len(letters) >= 2 else letters
-
-    monkeypatch.setattr(complexes_mod, "_component_power_letters", short)
-    code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "3")
-    assert code == 1
-    failing = [c for c in payload["checks"] if not c["passed"]]
-    assert [c["name"] for c in failing] == ["stabilizer_algebra"]
-    assert failing[0]["soundness_failed_rank"] == 4
-
-
-def test_selftest_quotient_map_fault_injection(capsys, monkeypatch):
-    # a quotient map that forgets every conjugator sends distinct vertices to
-    # one, so the separation part fails
-    import symlift.complexes as complexes_mod
-    from symlift.words import identity, torsion_context
-
-    def forgetful(vertex):
-        hctx = torsion_context(vertex.ctx.rank, 2)
-        factors = tuple((identity(hctx), t) for _, t in vertex.factors)
-        return complexes_mod.NuclearVertex(hctx, factors)
-
-    monkeypatch.setattr(complexes_mod.NuclearVertex, "project", forgetful)
-    code, payload = run(capsys, "selftest", "--level", "quick", "--seed", "3")
-    assert code == 1
-    failing = [c for c in payload["checks"] if not c["passed"]]
-    assert [c["name"] for c in failing] == ["quotient_map"]
-    assert failing[0]["ranks"]["3"]["separation_holds"] is False
 
 
 def test_selftest_default_seed_ignores_the_environment(capsys, monkeypatch):

@@ -7,14 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import (
-    checked,
-    checked_even_to_x,
     conjugation_step_reference,
     even_to_x_reference,
     expand_x,
     generator_conjugate_shape_reference,
     inner_conjugator_reference,
-    is_identity,
     project_mod_k_reference,
 )
 from symlift import braid, lift, symaut, words
@@ -581,36 +578,6 @@ def test_even_to_x_refuses_unreduced_words():
             even_to_x(Word(H3, sylls))
 
 
-def mutate(fast, old, new):
-    """``fast``, a function of ``words``, recompiled with ``old`` in its
-    source replaced by ``new``."""
-    source = inspect.getsource(inspect.unwrap(fast))
-    mutated = source.replace(old, new, 1)
-    assert mutated != source
-    namespace = dict(vars(words))
-    exec(mutated, namespace)
-    return namespace[fast.__name__]
-
-
-def test_checked_even_to_x_catches_a_dropped_merge(monkeypatch):
-    # the first merge branch removed: an x_a after a pair z_a z_n is
-    # appended instead of merged
-    mutant = mutate(words.even_to_x, "if a == last:", "if False:")
-    w = parse_word("z1 z3 z1 z2", H3)
-    assert mutant(w).syllables == ((1, 1), (1, 1), (2, -1))  # unreduced
-    with pytest.raises(AssertionError):
-        checked_even_to_x(mutant)(w)
-    # on the lift route, as the suite-wide check wraps it (run unfiltered: a
-    # verdict refutes this chain by its action on H_1(E) before restricting)
-    monkeypatch.setattr(lift, "even_to_x", checked_even_to_x(mutant))
-    chain = symaut.parse_generator_word("a[1,2] a[2,3] a[3,1] a[1,2] a[2,3] a[3,1]", 3)
-    with pytest.raises(AssertionError):
-        lift.lift_route(symaut.eval_generator_word(chain, H3))
-    # and the check passes the real fast path on the same route
-    monkeypatch.setattr(lift, "even_to_x", checked_even_to_x(inspect.unwrap(words.even_to_x)))
-    assert not lift.lift_route(symaut.eval_generator_word(chain, H3)).in_kernel
-
-
 # -- the one-pass conjugation step c g c^-1 d --------------------------------
 
 H33 = torsion_context(3, 3)
@@ -667,25 +634,6 @@ def test_conjugation_step_matches_the_product_on_seeded_words():
             else:
                 cases["merge" if c[m][0] == d[m][0] else "neither"] += 1
     assert min(cases.values()) > 100, cases
-
-
-def test_checked_conjugation_step_catches_a_skipped_prefix_fallback(monkeypatch):
-    # c a prefix of d, concatenated without the cascade through _extend_reduced
-    mutant = mutate(words.conjugation_step, "_extend_reduced(out, d[m:], k)", "out.extend(d[m:])")
-    checked_mutant = checked(mutant, conjugation_step_reference)
-    c, d = parse_word("z1", H3).syllables, parse_word("z1 z2 z1 z3", H3).syllables
-    assert mutant(c, (2, 1), d, H3) == ((1, 1), (2, 1), (2, 1), (1, 1), (3, 1))  # unreduced
-    with pytest.raises(AssertionError):
-        checked_mutant(c, (2, 1), d, H3)
-    # on the evaluation route, as the suite-wide check wraps it: the second
-    # letter's g = y2^-1 meets the first letter's conjugator y2
-    cancelling = symaut.parse_generator_word("a[1,2] a[1,2]^-1", 3)
-    monkeypatch.setattr(symaut, "conjugation_step", checked_mutant)
-    with pytest.raises(AssertionError):
-        symaut.eval_generator_word(cancelling, F3)
-    fast = inspect.unwrap(words.conjugation_step)
-    monkeypatch.setattr(symaut, "conjugation_step", checked(fast, conjugation_step_reference))
-    assert is_identity(symaut.eval_generator_word(cancelling, F3))
 
 
 # -- the closed-form inner test and the mirrored-halves shape ---------------
@@ -794,35 +742,6 @@ def test_generator_conjugate_shape_matches_the_cyclic_reduce_split():
                 assert repr(got) == repr(generator_conjugate_shape_reference(w)), w
                 outcomes[got is not None] += 1
     assert min(outcomes.values()) > 1000, outcomes
-
-
-def test_checked_inner_conjugator_catches_a_dropped_target_condition(monkeypatch):
-    # without "w[-1] is on target i", c_i = w minus any last syllable passes
-    mutant = mutate(words.inner_conjugator, "last != i or ", "")
-    y = lambda text: parse_word(text, F3)
-    images = [(y("y1 y2"), 1, 1), (y("y1"), 2, 1), (y("y1"), 3, 1)]
-    assert mutant(images, F3) == y("y1 y2")
-    with pytest.raises(AssertionError):
-        checked(mutant, inner_conjugator_reference)(images, F3)
-    # on the inner-in-H route, as the suite-wide check wraps it (run
-    # unfiltered: a verdict refutes a[1,2] by its action on H_1(E)): a[1,2]
-    # has c_1 = z2 and c_3 = e, so the mutant reads it as conjugation by z2
-    monkeypatch.setattr(symaut, "inner_conjugator", checked(mutant, inner_conjugator_reference))
-    h = symaut.eval_generator_word(symaut.parse_generator_word("a[1,2]", 3), H3)
-    with pytest.raises(AssertionError):
-        symaut.inner_witness_of(h)
-    fast = inspect.unwrap(words.inner_conjugator)
-    monkeypatch.setattr(symaut, "inner_conjugator", checked(fast, inner_conjugator_reference))
-    assert symaut.inner_witness_of(h) is None
-
-
-def test_checked_shape_catches_unmirrored_halves():
-    halves = "sylls[h + 1 :] != c.inverse().syllables"
-    mutant = mutate(words.generator_conjugate_shape, halves, "False")
-    w = parse_word("y1 y2 y3", F3)
-    assert mutant(w) == (parse_word("y1", F3), 2, 1)
-    with pytest.raises(AssertionError):
-        checked(mutant, generator_conjugate_shape_reference)(w)
 
 
 def test_every_binding_of_a_checked_fast_path_is_wrapped():
