@@ -245,13 +245,30 @@ class WhiteheadPoset:
     """Trees ordered by fold-reachability.  ``leq[i][j]`` is true iff
     ``elements[i] <= elements[j]``.  The enumeration's rows are ``bytes``
     (1 where ``i <= j``); a caller's rows may be any sequences of bools or
-    0/1.  The up-sets, covers and chain counts are read off ``leq`` once
-    per poset, and the first read raises ``WordError`` unless ``leq`` is a
-    square table of a partial order on the elements."""
+    0/1.  A poset from the public constructor reads its up-sets and covers
+    off ``leq`` once, and the first read raises ``WordError`` unless ``leq``
+    is a square table of a partial order on the elements.  The enumeration
+    hands its own over through ``_trusted``, so its posets never read
+    ``leq``; ``proper_part`` builds through the public constructor."""
 
     rank: int
     elements: tuple[LabelledBipartiteTree, ...]
     leq: tuple[Sequence[int], ...]
+
+    @classmethod
+    def _trusted(
+        cls,
+        rank: int,
+        elements: tuple[LabelledBipartiteTree, ...],
+        leq: tuple[Sequence[int], ...],
+        up_sets: tuple[tuple[int, ...], ...],
+        covers: tuple[tuple[int, int], ...],
+    ) -> "WhiteheadPoset":
+        """A poset whose strict up-sets (each ascending) and sorted covers
+        are already known to be those of ``leq``, without reading ``leq``."""
+        poset = cls(rank, elements, leq)
+        poset.__dict__["_order"] = up_sets, covers
+        return poset
 
     def index_of(self, t: LabelledBipartiteTree) -> int:
         try:
@@ -260,14 +277,17 @@ class WhiteheadPoset:
             raise WordError("tree not in poset") from None
 
     @cached_property
-    def _order(self) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    def _order(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
         """For each i, the ascending indices j != i with elements[i] <=
-        elements[j], and the bitset of the points strictly above some such j.
+        elements[j]; and the sorted covers, the minimal elements j of the
+        strict up-set of i.  A poset from ``_trusted`` holds them as handed
+        over; any other reads them off ``leq`` here, once.
 
         ``leq`` must be square and reflexive.  Transitivity and
-        antisymmetry are one test on the bitsets: no point strictly above a
+        antisymmetry are one test on bitsets: no point strictly above a
         point of i's strict up-set lies outside that up-set, i itself
-        included."""
+        included.  A point of up(i) covers i exactly when it is strictly
+        above no other point of up(i)."""
         size = len(self.elements)
         if len(self.leq) != size:
             raise WordError(f"leq has {len(self.leq)} rows for {size} elements")
@@ -284,27 +304,23 @@ class WhiteheadPoset:
                 j = flags.find(1, j + 1)
             up.append(tuple(above))
         bits = [sum(1 << j for j in above) for above in up]
-        between = []
+        covers = []
         for i, above in enumerate(up):
-            mask = 0
+            between = 0
             for m in above:
-                mask |= bits[m]
-            if mask & ~bits[i]:
+                between |= bits[m]
+            if between & ~bits[i]:
                 raise WordError(f"leq is not a partial order: it fails at row {i}")
-            between.append(mask)
-        return tuple(up), between
+            covers.extend((i, j) for j in above if not between >> j & 1)
+        return tuple(up), tuple(covers)
 
     @property
     def _up_sets(self) -> tuple[tuple[int, ...], ...]:
         return self._order[0]
 
-    @cached_property
+    @property
     def _covers(self) -> tuple[tuple[int, int], ...]:
-        up, between = self._order
-        # j covers i iff no m strictly between them, i.e. j is in no up(m)
-        return tuple(
-            (i, j) for i, above in enumerate(up) for j in above if not between[i] >> j & 1
-        )
+        return self._order[1]
 
     @cached_property
     def _simplex_counts(self) -> tuple[int, ...]:
@@ -312,8 +328,8 @@ class WhiteheadPoset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Sorted pairs (i, j) with elements[i] covered by elements[j]: the
-        minimal elements j of the strict up-set of i, read off the up-sets
-        as bitsets once per poset.  The list is the caller's own."""
+        minimal elements j of the strict up-set of i.  The list is the
+        caller's own."""
         return list(self._covers)
 
     def max_chain_cardinality(self) -> int:
@@ -367,7 +383,8 @@ def enumerate_whitehead_poset(n: int) -> WhiteheadPoset:
     between).  Each class is one ``LabelledBipartiteTree``, built without
     re-validation; the elements are sorted by ``(unlabelled_count,
     canonical())``.  The covers close to the up-sets, which set the ``leq``
-    row bits; the poset reads its up-sets and covers back off those rows.
+    row bits; covers and up-sets are handed to the poset through
+    ``WhiteheadPoset._trusted``, so it never reads them back off the rows.
     """
     if n < 2:
         raise WordError("the poset needs rank >= 2 (no valid trees at rank 1)")
@@ -402,15 +419,16 @@ def enumerate_whitehead_poset(n: int) -> WhiteheadPoset:
     for i, j in reversed(covers):
         above[i].add(j)
         above[i] |= above[j]
+    up_sets = tuple(tuple(sorted(up)) for up in above)
     leq = []
-    for i, up in enumerate(above):
+    for i, up in enumerate(up_sets):
         row = bytearray(size)
         row[i] = 1
         for j in up:
             row[j] = 1
         leq.append(bytes(row))
     elements = tuple(trees[i] for i in order)
-    return WhiteheadPoset(n, elements, tuple(leq))
+    return WhiteheadPoset._trusted(n, elements, tuple(leq), up_sets, tuple(covers))
 
 
 # ---------------------------------------------------------------------------
@@ -418,72 +436,74 @@ def enumerate_whitehead_poset(n: int) -> WhiteheadPoset:
 # ---------------------------------------------------------------------------
 
 
-def _smith_rank_divisors(rows: dict[int, dict[int, int]]) -> tuple[int, list[int], list[int]]:
-    """Rank, elementary divisors and unit pivot rows of a sparse integer
-    matrix.
+def _subtract(column: dict[int, int], value: int, pivot: tuple[int, dict[int, int]]) -> None:
+    """Clear ``column``'s entry ``value``, already popped, at the low of the
+    unit column ``pivot``: subtract ``value`` over the pivot's +-1 entry
+    times the pivot's other entries."""
+    unit, rest = pivot
+    factor = value * unit  # value / unit, as unit is +-1
+    for r, v in rest.items():
+        old = column.get(r)
+        if old is None:
+            column[r] = -factor * v
+        elif old == factor * v:
+            del column[r]
+        else:
+            column[r] = old - factor * v
 
-    Walks the columns once, in descending index order, pivoting each on a
-    +-1 entry in its shortest row (a unimodular step, so rank and divisors
-    are unchanged; the order only moves fill, and descending order makes
-    about half as much as ascending on the rank-6 top boundary), then runs a
-    dense Smith reduction on whatever survives, unit entries made by fill
-    included.  A unit pivot row, as it stands when it is pivoted, is zero at
-    every earlier pivot column and +-1 at its own, and it differs from its
-    input row by multiples of earlier pivot rows.  So the input's block on
-    the unit pivot rows and their columns is unimodular: that is what lets
-    ``order_complex_homology`` clear the returned rows.  The dense phase's
-    pivots have no such block and are not returned.
+
+def _reduce_columns(columns: Iterable[dict[int, int]]) -> tuple[int, list[int], list[int]]:
+    """Rank, elementary divisors and unit lows of the integer matrix whose
+    columns are ``columns`` (row -> nonzero entry), which it consumes.
+
+    The columns are reduced left to right as in persistent homology
+    (Zomorodian and Carlsson, "Computing persistent homology", DCG 33,
+    2005), over Z with unit pivots: a column's low is its largest row, and
+    while that is the low of an earlier unit column, the column is cleared
+    there by that one.  A column whose low entry is +-1 becomes the unit
+    column of that low, one whose low entry is not is set aside, and a zero
+    column is dropped.  Each column set aside is then cleared at every unit
+    low, largest first (a subtraction leaves entries only below the low it
+    clears), and what is left goes to ``_dense_smith``.
+
+    Column operations are unimodular, and the unit columns U have distinct
+    +-1 lows L, so on L they are triangular with a unit diagonal.  Once the
+    set-aside columns S are zero on L, Smith([U S]) = I + Smith(S off L).
+    The reduced matrix is the input times a unimodular V, so the input's
+    rows L hold a unimodular block too: that is what lets
+    ``order_complex_homology`` clear L from the boundary below.
     """
-    cols: dict[int, set[int]] = {}
-    for r, row in rows.items():
-        for c in row:
-            cols.setdefault(c, set()).add(r)
-    pivot_rows = []
-    for c0 in sorted(cols, reverse=True):
-        # the +-1 entry in the shortest row, ties to the smallest row id
-        r0 = -1
-        shortest = 0
-        for r in cols[c0]:
-            row = rows[r]
-            v = row[c0]
-            if (v == 1 or v == -1) and (
-                r0 < 0 or len(row) < shortest or (len(row) == shortest and r < r0)
-            ):
-                r0, shortest = r, len(row)
-        if r0 < 0:
-            continue
-        prow = rows.pop(r0)
-        v0 = prow.pop(c0)
-        targets = cols.pop(c0)
-        targets.discard(r0)
-        for c in prow:
-            cols[c].discard(r0)
-        for r in targets:
-            row = rows[r]
-            factor = row.pop(c0) * v0  # v0 in {1,-1}: row -= factor * prow
-            for c, v in prow.items():
-                old = row.get(c)
-                if old is None:
-                    row[c] = -factor * v
-                    cols[c].add(r)
-                elif old == factor * v:
-                    del row[c]
-                    cols[c].discard(r)
+    units: dict[int, tuple[int, dict[int, int]]] = {}  # low -> its entry, the rest
+    aside = []
+    for column in columns:
+        while column:
+            low = max(column)
+            value = column.pop(low)
+            pivot = units.get(low)
+            if pivot is None:
+                if value == 1 or value == -1:
+                    units[low] = (value, column)
                 else:
-                    row[c] = old - factor * v
-            if not row:
-                del rows[r]
-        pivot_rows.append(r0)
-    unit_pivots = len(pivot_rows)
-    if not rows:
-        return unit_pivots, [1] * unit_pivots, pivot_rows
+                    column[low] = value
+                    aside.append(column)
+                break
+            _subtract(column, value, pivot)
+    core = []
+    for column in aside:
+        hits = [r for r in column if r in units]
+        while hits:
+            low = max(hits)
+            _subtract(column, column.pop(low), units[low])
+            hits = [r for r in column if r in units]
+        if column:
+            core.append(column)
+    rank = len(units)
+    if not core:
+        return rank, [1] * rank, list(units)
     # dense Smith normal form on the small leftover core
-    row_ids = sorted(rows)
-    col_ids = sorted({c for row in rows.values() for c in row})
-    a = [[rows[r].get(c, 0) for c in col_ids] for r in row_ids]
-    divisors = _dense_smith(a)
-    rank = unit_pivots + len(divisors)
-    return rank, [1] * unit_pivots + divisors, pivot_rows
+    row_ids = sorted({r for column in core for r in column})
+    divisors = _dense_smith([[column.get(r, 0) for column in core] for r in row_ids])
+    return rank + len(divisors), [1] * rank + divisors, list(units)
 
 
 def _dense_smith(a: list[list[int]]) -> list[int]:
@@ -570,7 +590,10 @@ def _reduced_homology(
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Chain counts, reduced Betti numbers and torsion, one entry per
     dimension, of the order complex of the poset with strict up-sets
-    ``up``: the trie and the reduction of ``order_complex_homology``."""
+    ``up``: the trie and the reduction of ``order_complex_homology``.  Each
+    boundary goes to ``_reduce_columns`` as one column per chain that is not
+    cleared, its faces with alternating signs, built as the reducer reads
+    them."""
     size = len(up)
     # faces[d] lists the d-chains' faces as (d-1)-chain indices, and lasts
     # the top level's last elements; a point's one face is the empty chain,
@@ -601,22 +624,16 @@ def _reduced_homology(
     ranks[0] = 1 if counts[0] else 0
     cleared: set[int] = set()
     for d in range(dims - 1, 0, -1):
-        # the d-chains' faces, popped as they are needed for this boundary
-        # only; a chain's faces are distinct, so no two entries share a row
-        rows: dict[int, dict[int, int]] = {}
-        for col, column in enumerate(faces.pop()):
-            if col in cleared:
-                continue
-            sign = 1
-            for r in column:
-                row = rows.get(r)
-                if row is None:
-                    rows[r] = {col: sign}
-                else:
-                    row[col] = sign
-                sign = -sign
-        ranks[d], divisors[d], pivot_rows = _smith_rank_divisors(rows)
-        cleared = set(pivot_rows)
+        # the d-chains' boundary columns, built from their faces as the
+        # reducer reads them; a chain's faces are distinct rows
+        signs = (1, -1) * (d // 2 + 1)
+        columns = (
+            dict(zip(column, signs))
+            for col, column in enumerate(faces.pop())
+            if col not in cleared
+        )
+        ranks[d], divisors[d], lows = _reduce_columns(columns)
+        cleared = set(lows)
     betti = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(dims))
     torsion = tuple(tuple(v for v in divisors[d + 1] if v > 1) for d in range(dims))
     return counts, betti, torsion
@@ -626,13 +643,11 @@ def order_complex_homology(poset: WhiteheadPoset) -> HomologyReport:
     """Reduced integral homology of the poset's order complex.
 
     A poset with a least element is a cone on it, so it is acyclic and is
-    answered at once; every other poset is reduced over all its chains.
-
-    The simplex counts and the Euler characteristic are the whole
-    complex's: ``_chain_counts`` of the up-sets, cached on the poset, a
-    recursion that builds no chain.  The chains of k + 1 elements that start
-    at i number the sum over j in up(i) of the chains of k elements that
-    start at j.
+    answered at once, with the simplex counts of ``_chain_counts``, cached
+    on the poset: a recursion that builds no chain.  The chains of k + 1
+    elements that start at i number the sum over j in up(i) of the chains of
+    k elements that start at j.  Every other poset is reduced over all its
+    chains, and reports the counts of the chains it built.
 
     ``_reduced_homology`` takes the chains from a trie: a d-chain is
     (parent, last), with parent the chain without its last element.  The
@@ -640,25 +655,26 @@ def order_complex_homology(poset: WhiteheadPoset) -> HomologyReport:
     extended by last, so the faces in order are ``child[f * size + last]``
     for each face f of the parent, then the parent.
 
-    Each boundary is reduced by ``_smith_rank_divisors``, from the top
-    dimension down, with clearing (Chen and Kerber, "Persistent homology
-    computation with a twist", EuroCG 2011): the boundary of the d-chains
-    is built without the d-chains that were unit pivot rows of the
-    boundary one dimension up.  This is exact over Z.  On those rows P and
-    their pivot columns Q, the block B[P, Q] of the boundary B above is
-    unimodular (see ``_smith_rank_divisors``).  The boundary A below has
-    A B = 0, so A[:, P] = -A[:, rest] B[rest, Q] B[P, Q]^-1: the columns P
-    are integer combinations of the others.  Dropping them leaves the
-    column lattice, and with it the rank and the elementary divisors,
-    unchanged.  Rows pivoted in the dense Smith phase have no unimodular
-    block and are never cleared.
+    Each boundary is reduced by ``_reduce_columns``, from the top dimension
+    down, with clearing (Chen and Kerber, "Persistent homology computation
+    with a twist", EuroCG 2011): the boundary of the d-chains is built
+    without the d-chains that were the lows of unit columns of the boundary
+    one dimension up.  This is exact over Z.  Column reduction turns the
+    boundary B above into R = B V with V unimodular; on those lows P and
+    their unit columns Q the block R[P, Q] is triangular with a +-1
+    diagonal.  The boundary A below has A R = 0, so A[:, P] = -A[:, rest]
+    R[rest, Q] R[P, Q]^-1: the columns P are integer combinations of the
+    others.  Dropping them leaves the column lattice, and with it the rank
+    and the elementary divisors, unchanged.  Rows of the columns set aside
+    for the dense Smith phase are never cleared.
     """
-    counts = poset._simplex_counts
-    chi = sum((-1) ** d * c for d, c in enumerate(counts))
     up = poset._up_sets
     if any(len(above) == len(up) - 1 for above in up):
-        return HomologyReport(poset.rank, counts, chi, (0,) * len(counts), ((),) * len(counts))
-    _, betti, torsion = _reduced_homology(up)
+        counts = poset._simplex_counts
+        betti, torsion = (0,) * len(counts), ((),) * len(counts)
+    else:
+        counts, betti, torsion = _reduced_homology(up)
+    chi = sum((-1) ** d * c for d, c in enumerate(counts))
     return HomologyReport(poset.rank, counts, chi, betti, torsion)
 
 

@@ -3,6 +3,7 @@ the one way the tests build a mutant from library source."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import inspect
 import itertools
@@ -14,7 +15,9 @@ from symlift.complexes import (
     HomologyReport,
     LabelledBipartiteTree,
     NuclearVertex,
+    WhiteheadPoset,
     _canonicalize_factors,
+    _dense_smith,
 )
 from symlift.kernel import _require_pure
 from symlift.lift import Restriction, lift_route
@@ -176,6 +179,76 @@ def parse_semipalindrome_product_reference(gw: GeneratorWord) -> Optional[tuple[
     return tuple(blocks)
 
 
+def smith_rank_divisors_reference(
+    rows: dict[int, dict[int, int]],
+) -> tuple[int, list[int], list[int]]:
+    """Rank, elementary divisors and unit pivot rows of a sparse integer
+    matrix given as rows, which it consumes: the row-and-column elimination
+    that ``complexes._reduce_columns`` replaced.
+
+    Walks the columns once, in descending index order, pivoting each on a
+    +-1 entry in its shortest row (a unimodular step, so rank and divisors
+    are unchanged; the order only moves fill, and descending order makes
+    about half as much as ascending on the rank-6 top boundary), then runs a
+    dense Smith reduction on whatever survives, unit entries made by fill
+    included.  A unit pivot row, as it stands when it is pivoted, is zero at
+    every earlier pivot column and +-1 at its own, and it differs from its
+    input row by multiples of earlier pivot rows.  So the input's block on
+    the unit pivot rows and their columns is unimodular.  The dense phase's
+    pivots have no such block and are not returned.
+    """
+    cols: dict[int, set[int]] = {}
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    pivot_rows = []
+    for c0 in sorted(cols, reverse=True):
+        # the +-1 entry in the shortest row, ties to the smallest row id
+        r0 = -1
+        shortest = 0
+        for r in cols[c0]:
+            row = rows[r]
+            v = row[c0]
+            if (v == 1 or v == -1) and (
+                r0 < 0 or len(row) < shortest or (len(row) == shortest and r < r0)
+            ):
+                r0, shortest = r, len(row)
+        if r0 < 0:
+            continue
+        prow = rows.pop(r0)
+        v0 = prow.pop(c0)
+        targets = cols.pop(c0)
+        targets.discard(r0)
+        for c in prow:
+            cols[c].discard(r0)
+        for r in targets:
+            row = rows[r]
+            factor = row.pop(c0) * v0  # v0 in {1,-1}: row -= factor * prow
+            for c, v in prow.items():
+                old = row.get(c)
+                if old is None:
+                    row[c] = -factor * v
+                    cols[c].add(r)
+                elif old == factor * v:
+                    del row[c]
+                    cols[c].discard(r)
+                else:
+                    row[c] = old - factor * v
+            if not row:
+                del rows[r]
+        pivot_rows.append(r0)
+    unit_pivots = len(pivot_rows)
+    if not rows:
+        return unit_pivots, [1] * unit_pivots, pivot_rows
+    # dense Smith normal form on the small leftover core
+    row_ids = sorted(rows)
+    col_ids = sorted({c for row in rows.values() for c in row})
+    a = [[rows[r].get(c, 0) for c in col_ids] for r in row_ids]
+    divisors = _dense_smith(a)
+    rank = unit_pivots + len(divisors)
+    return rank, [1] * unit_pivots + divisors, pivot_rows
+
+
 def label_components_reference(labels, sets) -> list[frozenset]:
     """The components of ``labels``, each set joining its labels, sorted by
     smallest label, by merging: every label maps to its component, and each
@@ -318,6 +391,26 @@ def is_reduced_acyclic(report: HomologyReport) -> bool:
     return not any(report.reduced_betti) and not any(report.torsion)
 
 
+def projective_plane_faces():
+    """The face poset of the 6-vertex real projective plane: its order
+    complex is the barycentric subdivision, with H_1 = Z/2."""
+    triangles = [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+        (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
+    ]
+    return sorted(
+        {frozenset(f) for t in triangles for k in (1, 2, 3) for f in itertools.combinations(t, k)},
+        key=lambda f: (len(f), sorted(f)),
+    )
+
+
+def order_poset(elements, leq) -> WhiteheadPoset:
+    """The poset on ``elements`` ordered by ``leq(a, b)``; the homology
+    reads only the order, so any elements can stand in for trees."""
+    order = tuple(tuple(leq(a, b) for b in elements) for a in elements)
+    return WhiteheadPoset(2, tuple(elements), order)
+
+
 def label_set_splits(key: frozenset[frozenset[int]]) -> list[frozenset[frozenset[int]]]:
     """The classes with a fold to ``key``, on frozenset label sets: split
     one label set E at a label l in E into two sets that meet in {l}, each
@@ -402,20 +495,33 @@ def source_mutant(functions, old: str, new: str) -> dict:
     return namespace
 
 
+def trusted_view(value):
+    """What a value built by a ``_trusted`` constructor must share with the
+    one its public constructor builds: the value itself, and for a poset
+    also the up-sets, covers and longest chain that ``_trusted`` takes as
+    given."""
+    if isinstance(value, WhiteheadPoset):
+        return value, value._up_sets, value.covers(), value.max_chain_cardinality()
+    return value
+
+
 def checked_trusted(cls):
     """``cls._trusted``, failing with ``AssertionError`` unless the public
-    constructor accepts the same fields (which validates them) and builds an
-    equal value.  Returns a classmethod to patch in."""
+    constructor accepts the same fields (which validates them) and builds a
+    value with the same :func:`trusted_view`.  ``_trusted`` takes the public
+    fields first; a poset's handed-over up-sets and covers follow them.
+    Returns a classmethod to patch in."""
     trusted = cls._trusted
+    public = sum(f.init for f in dataclasses.fields(cls))
 
     def wrapper(cls, *args):
         got = trusted(*args)
         name = f"{cls.__name__}._trusted"
         try:
-            want = cls(*args)
+            want = trusted_view(cls(*args[:public]))
         except WordError as exc:
             raise AssertionError(f"{name} was handed an invalid value: {exc}") from None
-        if want != got:
+        if want != trusted_view(got):
             raise AssertionError(f"{name} built {got}, the public constructor {want}")
         return got
 
@@ -434,6 +540,30 @@ def checked(fast, reference):
         want = reference(*args, **kwargs)
         if repr(got) != repr(want):
             raise AssertionError(f"{fast.__name__}{args}{kwargs} gave {got}, the reference {want}")
+        return got
+
+    return wrapper
+
+
+def checked_column_reduction(fast):
+    """``fast`` (``complexes._reduce_columns``), failing with
+    ``AssertionError`` unless its rank and elementary divisors equal those
+    of :func:`smith_rank_divisors_reference` on a copy of the columns, as
+    the reducer consumes them."""
+
+    @functools.wraps(fast)
+    def wrapper(columns):
+        columns = list(columns)
+        rows: dict[int, dict[int, int]] = {}
+        for c, column in enumerate(columns):
+            for r, v in column.items():
+                rows.setdefault(r, {})[c] = v
+        got = fast(columns)
+        want = smith_rank_divisors_reference(rows)[:2]
+        if got[:2] != want:
+            raise AssertionError(
+                f"{fast.__name__} gave rank and divisors {got[:2]}, the reference {want}"
+            )
         return got
 
     return wrapper

@@ -20,7 +20,10 @@ from reference import (
     label_set_merges,
     label_set_splits,
     nuclear_vertex_from_basis,
+    order_poset,
+    projective_plane_faces,
     relabelled,
+    smith_rank_divisors_reference,
     source_mutant,
     symmetry_generators_reference,
     tree_symmetries_reference,
@@ -47,8 +50,8 @@ from symlift.complexes import (
     _canonicalize_factors,
     _conjugated,
     _dense_smith,
+    _reduce_columns,
     _tree_vertex_aut_group,
-    _smith_rank_divisors,
 )
 from symlift.symaut import (
     GeneratorWord,
@@ -300,6 +303,35 @@ def test_trusted_constructions_are_revalidated():
         GeneratorWord._trusted(2, (("a", 1, 1, 1),))
 
 
+def test_a_dropped_handed_over_cover_is_caught():
+    # the rows still hold the order the covers close to, so the public
+    # constructor reads the cover back off them
+    namespace = source_mutant(
+        [complexes.enumerate_whitehead_poset], "tuple(covers))", "tuple(covers[1:]))"
+    )
+    with pytest.raises(AssertionError, match="the public constructor"):
+        namespace["enumerate_whitehead_poset"](4)
+
+
+def test_enumerated_posets_never_read_leq(monkeypatch):
+    order = WhiteheadPoset.__dict__["_order"]
+    original, read = order.func, []
+    monkeypatch.setattr(order, "func", lambda poset: read.append(poset) or original(poset))
+    enumerated, parts = [], []
+    for n in (2, 3, 4, 5):
+        enumerate_whitehead_poset.cache_clear()
+        poset = enumerate_whitehead_poset(n)
+        enumerated.append(poset)
+        parts.append(proper_part(poset))
+    for p in enumerated + parts:
+        p.to_dot(), p.to_json(), order_complex_homology(p)
+    public = WhiteheadPoset(poset.rank, poset.elements, poset.leq)
+    assert public.covers() == poset.covers()
+    # the public constructor reads its leq: a caller's poset and a proper part
+    assert all(any(p is q for q in read) for p in parts + [public])
+    assert not any(p is q for p in enumerated for q in read)
+
+
 def test_poset_rank3_is_exactly_trivial_plus_paths():
     expected = {trivial_tree(3).canonical()}
     for center in (1, 2, 3):
@@ -416,37 +448,19 @@ def test_sparse_smith_matches_dense_smith():
         for _ in range(rng.randint(1, nrows * ncols)):
             value = rng.choice((1, -1, 1, -1, 2, -2, 3, 4, -6))
             dense[rng.randrange(nrows)][rng.randrange(ncols)] = value
-        rows = {r: {c: v for c, v in enumerate(row) if v} for r, row in enumerate(dense)}
-        rows = {r: row for r, row in rows.items() if row}
+        columns = [{r: row[c] for r, row in enumerate(dense) if row[c]} for c in range(ncols)]
         expected = _dense_smith([list(row) for row in dense])
-        rank, divisors, pivot_rows = _smith_rank_divisors(rows)
+        rank, divisors, lows = _reduce_columns(columns)
         assert (rank, divisors) == (len(expected), expected)
-        # the unit pivot rows are distinct and span a unimodular block
-        assert len(set(pivot_rows)) == len(pivot_rows) <= divisors.count(1)
-        if pivot_rows:
-            assert _dense_smith([list(dense[r]) for r in pivot_rows]) == [1] * len(pivot_rows)
+        # the lows are distinct, and the input's rows there hold a
+        # unimodular block (their Smith form is all ones), as clearing needs
+        assert len(set(lows)) == len(lows) <= divisors.count(1)
+        if lows:
+            assert _dense_smith([list(dense[r]) for r in lows]) == [1] * len(lows)
         nonunit_pivots += any(d > 1 for d in expected)
     assert nonunit_pivots > 20
-    assert _smith_rank_divisors({0: {0: 2}, 1: {1: 3}}) == (2, [1, 6], [])
-
-
-def projective_plane_faces():
-    """The face poset of the 6-vertex real projective plane: its order
-    complex is the barycentric subdivision, with H_1 = Z/2."""
-    triangles = [
-        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
-        (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
-    ]
-    return sorted(
-        {frozenset(f) for t in triangles for k in (1, 2, 3) for f in itertools.combinations(t, k)},
-        key=lambda f: (len(f), sorted(f)),
-    )
-
-
-def order_poset(elements, leq):
-    # the homology reads only the order, so any elements can stand in for trees
-    order = tuple(tuple(leq(a, b) for b in elements) for a in elements)
-    return WhiteheadPoset(2, tuple(elements), order)
+    # no unit entry at all: the whole matrix goes to the dense core
+    assert _reduce_columns([{0: 2}, {1: 3}]) == (2, [1, 6], [])
 
 
 def test_homology_finds_torsion_of_the_projective_plane():
@@ -469,7 +483,7 @@ def suspended_projective_plane():
 
 def homology_without_clearing(poset):
     """Reference: reduced homology from every full boundary, each reduced
-    by ``_smith_rank_divisors`` on its own."""
+    by ``smith_rank_divisors_reference`` on its own."""
     size = len(poset.elements)
     chains = [[(i,) for i in range(size)]]
     while True:
@@ -488,7 +502,7 @@ def homology_without_clearing(poset):
         for col, chain in enumerate(chains[d]):
             for skip in range(d + 1):
                 rows.setdefault(index[chain[:skip] + chain[skip + 1 :]], {})[col] = (-1) ** skip
-        ranks[d], divisors[d], _ = _smith_rank_divisors(rows)
+        ranks[d], divisors[d], _ = smith_rank_divisors_reference(rows)
     betti = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(len(chains)))
     torsion = tuple(tuple(v for v in divisors[d + 1] if v > 1) for d in range(len(chains)))
     return tuple(counts), betti, torsion

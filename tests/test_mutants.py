@@ -17,6 +17,7 @@ holds to a reference, and the arguments on which the wrapped check raises.
 
 from __future__ import annotations
 
+import copy
 import functools
 import inspect
 import json
@@ -26,13 +27,7 @@ from typing import Callable
 import pytest
 
 from conftest import REFERENCES
-from reference import (
-    checked,
-    checked_h1_refutation,
-    checked_h2_reduction,
-    is_identity,
-    source_mutant,
-)
+from reference import is_identity, order_poset, projective_plane_faces, source_mutant
 from symlift import braid, complexes, kernel, lift, selftest, symaut
 from symlift.cli import main
 from symlift.symaut import GeneratorWord, NormalForm, parse_generator_word
@@ -294,13 +289,8 @@ def test_every_bool_field_reads_false_in_some_row():
 
 # -- the suite-wide reference checks ------------------------------------------
 
-# checked name: (defining module, the check that wraps it, what it raises)
-CHECKED = {
-    name: (home, functools.partial(checked, reference=reference), "the reference")
-    for (home, name), reference in REFERENCES.items()
-}
-CHECKED["_h2_reduced"] = (symaut, checked_h2_reduction, "another automorphism")
-CHECKED["_h1_refutes"] = (lift, checked_h1_refutation, "in the kernel")
+# checked name: (defining module, the check that wraps it)
+CHECKED = {name: (home, check) for (home, name), check in REFERENCES.items()}
 
 F3 = free_context(3)
 H3 = torsion_context(3, 2)
@@ -316,6 +306,7 @@ class ReferenceRow:
     # a library call that reads the name through ``module``: it raises with
     # the checked mutant there, and gives ``value`` with the checked fast path
     route: tuple = ()  # (module, call, value)
+    raises: str = "the reference"  # what the check's AssertionError says
 
 
 A12 = ("a", 1, 2, 1)
@@ -387,6 +378,7 @@ REFERENCE_ROWS = [
         (parse_generator_word("a[1,2] a[2,1] r[3] s[1,3] s[1,3]", 3),),
         GeneratorWord(3),
         GeneratorWord(3, (A12, ("a", 2, 1, 1))),
+        raises="another automorphism",
     ),
     ReferenceRow(
         # v_j - v_i for 2 v_j - v_i refutes conjugation by z1, which is inner
@@ -395,28 +387,42 @@ REFERENCE_ROWS = [
         (symaut.inner_relator(3, 1),),
         True,
         False,
+        raises="in the kernel",
+    ),
+    ReferenceRow(
+        # any nonzero low taken as a pivot: a 2 counts as a unit
+        "_reduce_columns",
+        rewrite("if value == 1 or value == -1:", "if value:"),
+        ([{0: 2}],),
+        (1, [1], [0]),
+        (1, [2], []),
+        # the projective plane loses its H_1 = Z/2
+        (complexes, lambda: complexes.order_complex_homology(
+            order_poset(projective_plane_faces(), frozenset.__le__)
+        ).torsion, ((), (2,), ())),
     ),
 ]
 
 
 @pytest.mark.parametrize("row", REFERENCE_ROWS, ids=lambda row: row.name)
 def test_reference_check_catches_its_mutant(row, monkeypatch):
-    home, check, message = CHECKED[row.name]
+    home, check = CHECKED[row.name]
     fast = inspect.unwrap(getattr(home, row.name))
     mutant = row.mutant(fast)
-    assert mutant(*row.args) == row.wrong
-    with pytest.raises(AssertionError, match=message):
-        check(mutant)(*row.args)
-    assert check(fast)(*row.args) == row.right
+    # each call has its own copy of the arguments: the column reducer
+    # consumes its columns
+    assert mutant(*copy.deepcopy(row.args)) == row.wrong
+    with pytest.raises(AssertionError, match=row.raises):
+        check(mutant)(*copy.deepcopy(row.args))
+    assert check(fast)(*copy.deepcopy(row.args)) == row.right
     if row.route:
         module, call, value = row.route
         monkeypatch.setattr(module, row.name, check(mutant))
-        with pytest.raises(AssertionError, match=message):
+        with pytest.raises(AssertionError, match=row.raises):
             call()
         monkeypatch.setattr(module, row.name, check(fast))
         assert call() == value
 
 
 def test_every_reference_has_a_row():
-    # each key of REFERENCES, and _h2_reduced and _h1_refutes
     assert sorted(row.name for row in REFERENCE_ROWS) == sorted(CHECKED)
