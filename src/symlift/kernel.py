@@ -46,8 +46,8 @@ from .words import WordError, free_context
 
 # rounds of multiplying the pure part by inner relators before giving up
 SEARCH_DEPTH = 2
-# longest reduced pure part whose images ``certify`` evaluates to try the
-# empty certificate; image words can grow exponentially with the length
+# longest reduced pure part whose images ``certify_status`` evaluates to try
+# the rho-parity alone; image words can grow exponentially with the length
 EVAL_GATE_LETTERS = 60
 
 Block = tuple[Letter, ...]
@@ -199,62 +199,50 @@ def _relator_level(
 
 
 def certify(gw: GeneratorWord) -> Optional[Certificate]:
-    """Certificate expressing ``gw`` as a product of conjugates of rho.
-
-    Requires the normal form to have trivial permutation and an inversion
-    vector that is all zero or all one (both are invariants of the outer
-    class, so failure there is definitive).  The pure part is parsed as a
-    product of semipalindromes first *without* free cancellation: cancelling
-    across block boundaries can destroy parseability, while inputs built as
-    products of conjugates of rho parse raw.  Only when the raw pure part
-    fails is the freely reduced one built and parsed.  Level 0 of the search
-    is the reduced pure part; each further level, up to ``SEARCH_DEPTH``,
-    multiplies the last one by inner relators (words acting by conjugation,
-    which keep the outer class) on either side and freely reduces.  An
-    outer-trivial pure part of at most ``EVAL_GATE_LETTERS`` letters gets the
-    empty certificate; beyond these bounds the absence is reported as None.
-    """
-    return _certify(gw)[0]
+    """Certificate expressing ``gw`` as a product of conjugates of rho, or
+    None: the certificate of :func:`certify_status`."""
+    return certify_status(gw)[1]
 
 
 def certify_status(gw: GeneratorWord) -> tuple[str, Optional[Certificate]]:
     """``("certified", cert)``, ``("absent", None)`` outside the kernel,
     where no certificate exists, or ``("unproven", None)`` for a kernel
-    element the bounded search of :func:`certify` does not certify.  The
-    kernel verdict is computed at most once: the search's own, when it
-    asked one."""
-    cert, verdict = _certify(gw)
-    if cert is not None:
-        return "certified", cert
-    if verdict is None:
-        verdict = kernel_verdict(gw).verdict
-    return ("unproven" if verdict == "in" else "absent"), None
+    element the bounded search does not certify.
 
+    A certificate needs the normal form to have trivial permutation and an
+    inversion vector that is all zero or all one (both are invariants of the
+    outer class).  That vector gives the rho-parity: no conjugator, or the
+    trivial one ``e``.  The pure part is parsed as a product of
+    semipalindromes first *without* free cancellation: cancelling across
+    block boundaries can destroy parseability, while inputs built as
+    products of conjugates of rho parse raw.  Only when the raw pure part
+    fails is the freely reduced one built and parsed.  The block conjugators
+    followed by the parity are the certificate.
 
-def _certify(gw: GeneratorWord) -> tuple[Optional[Certificate], Optional[str]]:
-    """:func:`certify`'s search: the certificate or None, and the kernel
-    verdict the search asked for, or None when it asked none.
-
-    The relator search starts from the reduced pure part alone.  Free
-    reduction is confluent, so ``rel * raw`` and ``rel * reduced`` reduce to
-    the same candidate, and a raw level would only repeat the reduced one's
-    candidates in the same order."""
+    Every other answer asks the kernel verdict, once.  Inside the kernel the
+    search goes on from the reduced pure part: each level, up to
+    ``SEARCH_DEPTH``, multiplies the last one by inner relators (words
+    acting by conjugation, which keep the outer class) on either side and
+    freely reduces.  Free reduction is confluent, so a raw level would only
+    repeat the reduced one's candidates.  Last, an outer-trivial pure part
+    of at most ``EVAL_GATE_LETTERS`` letters gets the parity alone.
+    """
     n = gw.rank
     nf = semidirect_normal_form(gw, cancel=False)
-    if nf.perm != tuple(range(1, n + 1)) or set(nf.rho) not in ({0}, {1}, set()):
-        return None, None
+    shaped = nf.perm == tuple(range(1, n + 1)) and set(nf.rho) in ({0}, {1}, set())
+    parity = (GeneratorWord(n),) if 1 in nf.rho else ()
     reduced = nf.pure
-    blocks = parse_semipalindrome_product(nf.pure)
-    if blocks is None:
+    blocks = parse_semipalindrome_product(reduced) if shaped else None
+    if shaped and blocks is None:
         reduced = nf.pure.free_cancel()
         if reduced.letters != nf.pure.letters:
             blocks = parse_semipalindrome_product(reduced)
-    verdict = None
     if blocks is None:
         # every certificate verifies, so none exists outside the kernel
-        verdict = kernel_verdict(gw).verdict
-        if verdict != "in":
-            return None, verdict
+        if kernel_verdict(gw).verdict != "in":
+            return "absent", None
+        if not shaped:
+            return "unproven", None
         relators = _inner_relators(n)
         level, seen = [reduced], {reduced.letters}
         for _ in range(SEARCH_DEPTH):
@@ -263,19 +251,18 @@ def _certify(gw: GeneratorWord) -> tuple[Optional[Certificate], Optional[str]]:
             blocks = next((b for b in parses if b is not None), None)
             if blocks is not None:
                 break
-    if blocks is None:
-        if len(reduced) <= EVAL_GATE_LETTERS and verify_certificate(Certificate(n, ()), gw):
-            return Certificate(n, ()), verdict
-        return None, verdict
+        if blocks is None:
+            cert = Certificate(n, parity)
+            if len(reduced) <= EVAL_GATE_LETTERS and verify_certificate(cert, gw):
+                return "certified", cert
+            return "unproven", None
     conjugators = [
         GeneratorWord._trusted(n, c) for block in blocks for c in block_conjugators(block)
     ]
-    if nf.rho and nf.rho[0] == 1:
-        conjugators.append(GeneratorWord(n))
-    cert = Certificate(n, tuple(conjugators))
+    cert = Certificate(n, tuple(conjugators) + parity)
     if not verify_certificate(cert, gw):
         raise RuntimeError(f"internal: certificate for {gw} does not verify")
-    return cert, verdict
+    return "certified", cert
 
 
 def verify_certificate(cert: Certificate, target: GeneratorWord) -> bool:

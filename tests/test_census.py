@@ -33,6 +33,9 @@ RHO3 = "r[1] r[2] r[3]"
 # a kernel element at rank 5 that does not parse as it stands, so certify
 # searches the relator levels
 RELATOR_LEVELS = " ".join(["a[2,1] a[1,2] a[2,1]^-1 a[2,3] a[1,3]"] * 2)
+# conjugation by y1, y2, y1 in turn (a[2,1] a[3,1] conjugates by y1):
+# outer-trivial, but no level of the relator search parses it
+OUTER_TRIVIAL = "a[2,1] a[3,1] a[1,2] a[3,2] a[2,1] a[3,1]"
 CERT = {"certificate": {"conjugators": ["a[1,2]", "e"], "rank": 3}}
 
 # (argv, exit code); "{cert}" stands for the path of a file holding CERT
@@ -68,11 +71,13 @@ CORPUS = (
     (("complex", "ball", "--ctx", "H:3:2", "--radius", "1", "--format", "dot"), 0),
     (("complex", "tree", "--n", "4", "--format", "dot"), 0),
     (("lift", "kernel", "--n", "2", "--route", "lift", "--word", "a[1,2] a[2,1]"), 0),
-    # certify: a parsed product, a word outside the kernel, and a kernel
-    # element that takes the relator levels and stays unproven
+    # certify: a parsed product, a word outside the kernel, a kernel
+    # element that takes the relator levels and stays unproven, and one
+    # whose outer-trivial pure part gets the rho-parity alone
     (("kernel", "certify", "--n", "1", "--word", "r[1]"), 0),
     (("kernel", "certify", "--n", "4", "--word", "a[1,2] a[2,3]"), 1),
     (("kernel", "certify", "--n", "5", "--word", RELATOR_LEVELS), 3),
+    (("kernel", "certify", "--n", "3", "--word", OUTER_TRIVIAL + " " + RHO3), 0),
     # cores of several syllables, one of them a proper power
     (("words", "conjugacy", "--ctx", "F:3", "--u", "y1 y2 y1 y2", "--v", "y2 y1 y2 y1"), 0),
     (("words", "conjugacy", "--ctx", "F:3", "--u", "y1 y2 y3", "--v", "y3 y2 y1"), 1),

@@ -819,6 +819,33 @@ def test_distinct_vertex_automorphisms_commute_up_to_inner():
         checked += 1
 
 
+@pytest.mark.parametrize(
+    "ranks, powers, want", [((3, 4), range(-2, 3), 192), ((3, 4, 5), range(-1, 2), 2208)]
+)
+def test_distinct_vertex_automorphisms_commute_exactly(ranks, powers, want):
+    # every pair that selftest's stabilizer check can sample (ranks 3 and 4,
+    # powers -2..2), and rank 5: they commute, not only up to an inner
+    # automorphism, so the check compares them exactly
+    pairs = 0
+    for n in ranks:
+        ctx = free_context(n)
+        for t in enumerate_whitehead_poset(n).elements:
+            moving = moving_components(t)
+            autos = {
+                v: [
+                    eval_generator_word(vertex_automorphism(t, v, p), ctx)
+                    for p in itertools.product(powers, repeat=len(comps))
+                    if any(p)
+                ]
+                for v, comps in moving.items()
+            }
+            for v, w in itertools.combinations(moving, 2):
+                for f, g in itertools.product(autos[v], autos[w]):
+                    assert compose(f, g) == compose(g, f), (t, v, w)
+                    pairs += 1
+    assert pairs == want
+
+
 # -- stabilizers -------------------------------------------------------------------
 
 

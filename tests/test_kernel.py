@@ -9,6 +9,7 @@ from symlift.kernel import (
     Certificate,
     block_conjugators,
     certify,
+    certify_status,
     parse_semipalindrome_product,
     random_rho_conjugate_product,
     verify_certificate,
@@ -17,6 +18,7 @@ from symlift.lift import kernel_verdict
 from symlift.symaut import (
     GeneratorWord,
     all_letters,
+    inner_relator,
     letter_inverse,
     parse_generator_word,
     rho,
@@ -289,6 +291,25 @@ def test_certify_outer_trivial_fallback():
     cert = certify(inner_word)
     assert cert is not None and cert.conjugators == ()
     assert verify_certificate(cert, inner_word)
+    # conjugation by y1, y2 and y1 in turn: no relator level parses it, so
+    # it gets the rho-parity alone, [] without rho and ["e"] with it
+    word = gw("a[2,1] a[3,1] a[1,2] a[3,2] a[2,1] a[3,1]")
+    assert certify(word) == Certificate(3, ())
+    assert [str(c) for c in certify(word * rho(3)).conjugators] == ["e"]
+
+
+def test_inner_relator_products_certify_at_either_rho_parity():
+    rng = random.Random(5)
+    for n in (3, 4):
+        for _ in range(150):
+            pure = GeneratorWord(n)
+            for _ in range(rng.randint(3, 5)):
+                rel = inner_relator(n, rng.randint(1, n))
+                pure = pure * (rel if rng.random() < 0.5 else rel.inverse())
+            for target in (pure, pure * rho(n)):
+                status, cert = certify_status(target)
+                assert status == "certified", str(target)
+                assert verify_certificate(cert, target), str(target)
 
 
 def test_certify_builds_relators_only_when_level_0_finds_no_parse(monkeypatch):

@@ -75,6 +75,14 @@ def _forget_conjugators(vertex):
     return complexes.NuclearVertex(hctx, tuple((identity(hctx), t) for _, t in vertex.factors))
 
 
+def _kept_component_moves_too(t, vertex, powers):
+    # the component holding the largest label moves with the first one
+    comps = complexes.moving_components(t)[vertex]
+    kept = frozenset(range(1, t.rank + 1)) - {vertex}.union(*comps)
+    letters = complexes._component_power_letters(vertex, [*comps, kept], [*powers, powers[0]])
+    return GeneratorWord(t.rank, letters)
+
+
 @dataclass(frozen=True)
 class Row:
     id: str
@@ -189,10 +197,19 @@ SELFTEST_ROWS = [
     Row(
         "outer_equality_never_holds",
         replaced(selftest, "outer_equal", lambda f, g: False),
-        ("n2_degeneracy", "corollary_d", "stabilizer_algebra"),
+        ("n2_degeneracy", "corollary_d"),
         {
             "n2_degeneracy.conjugation_is_inner_at_rank_2": False,
             "corollary_d.pair_identified": False,
+        },
+    ),
+    Row(
+        # an inner automorphism more per vertex automorphism: inversion still
+        # negates every power, but commutation holds only up to inner ones
+        "kept_component_moves_too",
+        replaced(complexes, "vertex_automorphism", _kept_component_moves_too),
+        ("stabilizer_algebra",),
+        {
             "stabilizer_algebra.distinct_vertex_commutation": False,
             "stabilizer_algebra.rho_inversion": True,
         },
