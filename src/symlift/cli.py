@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 
 from . import braid as braid_mod
@@ -233,11 +234,7 @@ def cmd_complex_stabilizer(args) -> int:
 
 
 def cmd_complex_quotient_check(args) -> int:
-    import random
-
-    report = complexes.quotient_star_check(
-        args.n, random.Random(args.seed), samples=args.samples
-    )
+    report = complexes.quotient_star_check(args.n, random.Random(args.seed), args.samples)
     return _emit({"quotient_check": report.to_json()}, 0 if report.all_pass else 1)
 
 

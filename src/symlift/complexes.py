@@ -26,6 +26,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .symaut import (
+    MAX_EVAL_RANK,
     GeneratorWord,
     Letter,
     SymmetricAut,
@@ -1001,13 +1002,12 @@ def _canonicalize_factors(factors: Sequence[Factor], ctx: GroupContext) -> tuple
 
 
 def _tree_vertex_aut_group(
-    moving: dict[int, list[frozenset[int]]], ctx: GroupContext, bound: Optional[int]
+    moving: dict[int, list[frozenset[int]]], powers: range
 ) -> list[tuple[tuple[Letter, ...], str]]:
     """All products of vertex automorphisms carried by a tree over the
     standard basis, given its :func:`moving_components`, each as the letters
-    of its factors in vertex order with its tag; exponents bounded in free
-    contexts, exact otherwise."""
-    powers = range(-bound, bound + 1) if ctx.is_free else range(ctx.torsion)
+    of its factors in vertex order with its tag; each component's exponent
+    runs over ``powers``."""
     per_vertex = []
     for v, comps in moving.items():
         options = []
@@ -1091,9 +1091,10 @@ def nuclear_ball(ctx: GroupContext, radius: int, bound: Optional[int] = None) ->
     # enumerated at radius 0 too: the poset's rank limit bounds the start vertex
     elements = enumerate_whitehead_poset(ctx.rank).elements
     trees = [(t, moving_components(t)) for t in elements] if radius else []
-    choices = 2 * bound + 1 if ctx.is_free else ctx.torsion
+    # exponents bounded in free contexts, exact otherwise
+    powers = range(-bound, bound + 1) if ctx.is_free else range(ctx.torsion)
     # every exponent choice but all-zero is a move, so this is len(moves)
-    candidates = sum(choices ** sum(map(len, moving.values())) - 1 for _, moving in trees)
+    candidates = sum(len(powers) ** sum(map(len, moving.values())) - 1 for _, moving in trees)
     if candidates > MAX_BALL_WORK:
         raise WordError(
             f"the ball would list {candidates:,} moves, over the limit of {MAX_BALL_WORK:,}"
@@ -1101,7 +1102,7 @@ def nuclear_ball(ctx: GroupContext, radius: int, bound: Optional[int] = None) ->
     moves = [
         (letters, f"{t.canonical()}|{tag}")
         for t, moving in trees
-        for letters, tag in _tree_vertex_aut_group(moving, ctx, bound)
+        for letters, tag in _tree_vertex_aut_group(moving, powers)
         if letters
     ]
     start = NuclearVertex.standard(ctx).encode()
@@ -1156,7 +1157,6 @@ def nuclear_ball(ctx: GroupContext, radius: int, bound: Optional[int] = None) ->
 @dataclass(frozen=True)
 class QuotientCheckReport:
     rank: int
-    star_sizes: tuple[int, int]
     star_isomorphic: bool
     kernel_translate_checks: int
     kernel_translates_agree: bool
@@ -1170,7 +1170,6 @@ class QuotientCheckReport:
     def to_json(self) -> dict:
         return {
             "rank": self.rank,
-            "star_sizes": list(self.star_sizes),
             "star_isomorphic": self.star_isomorphic,
             "kernel_translate_checks": self.kernel_translate_checks,
             "kernel_translates_agree": self.kernel_translates_agree,
@@ -1180,31 +1179,34 @@ class QuotientCheckReport:
         }
 
 
-def quotient_star_check(n: int, rng, samples: int = 25) -> QuotientCheckReport:
+def quotient_star_check(n: int, rng, samples: int) -> QuotientCheckReport:
     """Checks that label-wise mod-2 projection behaves like a quotient map.
 
-    (a) The star posets over a basis and its projection are isomorphic: the
-        fold order only sees the tree shapes, and projection keeps every
-        label a generator conjugate (a factor of the projected vertex) and
-        the labels' targets a permutation of 1..n, so the two stars are one
-        poset under the label bijection.
+    (a) The star of every projected vertex the check builds (the standard
+        one, each kernel translate and each separating translate) is
+        isomorphic to the star it projects from.  A star is fixed by the
+        factors of its basis: its trees are labelled by them, and the fold
+        order only sees the tree shapes.  Projection keeps every label a
+        generator conjugate, so the label bijection is a poset isomorphism
+        exactly when the projection keeps n factors on the targets 1..n.
     (b) Translating by products of conjugates of generator inversions (all of
         which die mod 2) never moves the projected vertex.
     (c) Translates whose mod-2 image is non-inner land on distinct projected
         vertices.
 
     Ranks below 3 are refused: there every pure word is inner mod 2, so (c)
-    would have nothing to test.
+    would have nothing to test.  Ranks over :data:`MAX_EVAL_RANK` are
+    refused, as by every command that builds n images.
     """
     if n < 3:
         raise WordError(f"the quotient check needs rank >= 3, not {n}")
+    check_rank(n, MAX_EVAL_RANK, "automorphism images")
     if samples < 1:
         raise WordError(f"samples must be >= 1, not {samples}")
     fctx = free_context(n)
     hctx = torsion_context(n, 2)
-    star_size = len(enumerate_whitehead_poset(n).elements)
     q0 = NuclearVertex.standard(fctx).project()
-    star_iso = sorted(t for _, t in q0.factors) == list(range(1, n + 1))
+    projected = [q0]  # every projected vertex, for (a)
     pure = [l for l in all_letters(n) if l[0] == "a"]
     kernel_ok = True
     k_checks = 0
@@ -1216,7 +1218,8 @@ def quotient_star_check(n: int, rng, samples: int = 25) -> QuotientCheckReport:
             gw = gw * conj * rho_i(n, i) * conj.inverse()
         g = eval_generator_word(gw, fctx)
         k_checks += 1
-        if NuclearVertex.from_aut(g).project() != q0:
+        projected.append(NuclearVertex.from_aut(g).project())
+        if projected[-1] != q0:
             kernel_ok = False
     sep_ok = True
     s_checks = 0
@@ -1229,11 +1232,13 @@ def quotient_star_check(n: int, rng, samples: int = 25) -> QuotientCheckReport:
             continue
         g = eval_generator_word(gw, fctx)
         s_checks += 1
-        if NuclearVertex.from_aut(g).project() == q0:
+        projected.append(NuclearVertex.from_aut(g).project())
+        if projected[-1] == q0:
             sep_ok = False
+    targets = list(range(1, n + 1))
+    star_iso = all(sorted(t for _, t in q.factors) == targets for q in projected)
     return QuotientCheckReport(
         rank=n,
-        star_sizes=(star_size, star_size),
         star_isomorphic=star_iso,
         kernel_translate_checks=k_checks,
         kernel_translates_agree=kernel_ok,

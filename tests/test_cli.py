@@ -190,6 +190,10 @@ def test_complex_commands(capsys):
         capsys, "complex", "quotient-check", "--n", "3", "--samples", "8", "--seed", "3"
     )
     assert code == 0 and payload["quotient_check"]["all_pass"]
+    # part (a) reads no poset, so the check answers past the poset's rank limit
+    code, payload = run(capsys, "complex", "quotient-check", "--n", "7")
+    assert code == 0 and payload["quotient_check"]["all_pass"]
+    assert "star_sizes" not in payload["quotient_check"]
 
 
 def test_braid_commands(capsys):
@@ -364,6 +368,7 @@ def test_rank_sized_commands_refuse_huge_ranks_before_any_work(capsys, monkeypat
     for module, name in (
         (complexes_mod, "trivial_tree"),
         (complexes_mod, "tree_from_units"),
+        (complexes_mod, "free_context"),
         (symaut_mod, "GeneratorWord"),
         (braid_mod, "BraidWord"),
         (cli_mod, "eval_generator_word"),
@@ -400,6 +405,8 @@ def test_rank_sized_commands_refuse_huge_ranks_before_any_work(capsys, monkeypat
         ("braid", "act", "--n", "1001", "--word", "x"):
             "automorphism images are limited to rank <= 1000, not 1001",
         ("kernel", "certify", "--n", "1001", "--word", "e"):
+            "automorphism images are limited to rank <= 1000, not 1001",
+        ("complex", "quotient-check", "--n", "1001"):
             "automorphism images are limited to rank <= 1000, not 1001",
         # within the word budget, which 1,001 strands at length 1 are
         ("braid", "search", "--n", "1001", "--k", "2", "--max-len", "1"):

@@ -1251,9 +1251,10 @@ def test_from_aut_reads_the_images_like_the_image_word_round_trip():
 
 def test_ball_moves_are_letter_words_of_the_composed_vertex_automorphisms():
     # reference: compose the evaluated vertex automorphisms one by one
-    for ctx, bound in ((F3, 1), (torsion_context(4, 2), None), (torsion_context(4, 3), None)):
+    for ctx, powers in ((F3, range(-1, 2)), (torsion_context(4, 2), range(2)),
+                        (torsion_context(4, 3), range(3))):
         for t in enumerate_whitehead_poset(ctx.rank).elements:
-            for letters, tag in _tree_vertex_aut_group(moving_components(t), ctx, bound):
+            for letters, tag in _tree_vertex_aut_group(moving_components(t), powers):
                 expected = eval_generator_word(GeneratorWord(ctx.rank), ctx)
                 for v, combo in re.findall(r"v(\d+):\(([^)]*)\)", tag):
                     combo = [int(p) for p in combo.split(",") if p.strip()]
@@ -1332,6 +1333,18 @@ def test_quotient_star_check_passes():
     for n in (3, 4):
         report = quotient_star_check(n, random.Random(31 + n), samples=15)
         assert report.all_pass, report.to_json()
+
+
+def test_quotient_star_check_reads_no_poset(monkeypatch):
+    import symlift.complexes as complexes_mod
+
+    def no_poset(n):
+        raise AssertionError("the quotient check enumerated a poset")
+
+    monkeypatch.setattr(complexes_mod, "enumerate_whitehead_poset", no_poset)
+    for n in range(3, 8):
+        report = quotient_star_check(n, random.Random(n), samples=4)
+        assert report.all_pass and "star_sizes" not in report.to_json(), report.to_json()
 
 
 def test_quotient_star_check_refuses_rank_2_before_any_work():

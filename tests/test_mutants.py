@@ -195,6 +195,22 @@ SELFTEST_ROWS = [
         },
     ),
     Row(
+        # the same, on every projected vertex but the standard one: the
+        # translates' stars, not only the standard star, must keep n targets
+        "projection_merges_targets_off_the_standard_vertex",
+        patched(
+            complexes.NuclearVertex, "project",
+            lambda q, _: complexes.NuclearVertex(q.ctx, (q.factors[0],) * 2 + q.factors[2:])
+            if any(conj.syllables for conj, _ in q.factors) else q,
+        ),
+        ("quotient_map",),
+        {
+            "quotient_map.ranks.3.kernel_translates_agree": True,
+            "quotient_map.ranks.3.star_isomorphic": False,
+            "quotient_map.ranks.3.all_pass": False,
+        },
+    ),
+    Row(
         "outer_equality_never_holds",
         replaced(selftest, "outer_equal", lambda f, g: False),
         ("n2_degeneracy", "corollary_d"),
