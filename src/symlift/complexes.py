@@ -31,13 +31,14 @@ from .symaut import (
     Letter,
     SymmetricAut,
     act_letters,
-    all_letters,
     canonical_image,
     compose,  # unused here; perfbench/tests/test_tracing.py asserts this binding
     eval_generator_word,
     is_inner,
+    random_pure_word,
     rho_i,
 )
+from .lift import reduce_mod
 from .words import (
     GroupContext,
     Word,
@@ -370,6 +371,13 @@ def proper_part(poset: WhiteheadPoset) -> WhiteheadPoset:
 MAX_POSET_RANK = 6  # rank 7 has 79,745 classes: a dense leq of ~6.4e9 bytes (6.4 GB)
 
 
+def _check_poset_rank(n: int) -> None:
+    """The poset's refusals: no valid trees at rank 1, and a limit above."""
+    if n < 2:
+        raise WordError("the poset needs rank >= 2 (no valid trees at rank 1)")
+    check_rank(n, MAX_POSET_RANK, "posets")
+
+
 @lru_cache(maxsize=None)
 def enumerate_whitehead_poset(n: int) -> WhiteheadPoset:
     """All isomorphism classes of labelled bipartite trees at rank ``n``,
@@ -387,9 +395,7 @@ def enumerate_whitehead_poset(n: int) -> WhiteheadPoset:
     row bits; covers and up-sets are handed to the poset through
     ``WhiteheadPoset._trusted``, so it never reads them back off the rows.
     """
-    if n < 2:
-        raise WordError("the poset needs rank >= 2 (no valid trees at rank 1)")
-    check_rank(n, MAX_POSET_RANK, "posets")
+    _check_poset_rank(n)
     queue: list[LabelMasks] = [frozenset({(1 << (n + 1)) - 2})]
     found = {queue[0]: 0}
     pairs = []  # (class, split) as positions in the queue
@@ -1088,9 +1094,11 @@ def nuclear_ball(ctx: GroupContext, radius: int, bound: Optional[int] = None) ->
         raise WordError(f"free-context exploration needs an exponent bound >= 0, not {bound}")
     if not ctx.is_free and bound is not None:
         raise WordError("torsion contexts are explored exactly and take no exponent bound")
-    # enumerated at radius 0 too: the poset's rank limit bounds the start vertex
-    elements = enumerate_whitehead_poset(ctx.rank).elements
-    trees = [(t, moving_components(t)) for t in elements] if radius else []
+    # the poset's rank limit bounds the start vertex too, but radius 0
+    # applies no move and reads no poset
+    _check_poset_rank(ctx.rank)
+    elements = enumerate_whitehead_poset(ctx.rank).elements if radius else ()
+    trees = [(t, moving_components(t)) for t in elements]
     # exponents bounded in free contexts, exact otherwise
     powers = range(-bound, bound + 1) if ctx.is_free else range(ctx.torsion)
     # every exponent choice but all-zero is a move, so this is len(moves)
@@ -1192,7 +1200,12 @@ def quotient_star_check(n: int, rng, samples: int) -> QuotientCheckReport:
     (b) Translating by products of conjugates of generator inversions (all of
         which die mod 2) never moves the projected vertex.
     (c) Translates whose mod-2 image is non-inner land on distinct projected
-        vertices.
+        vertices.  Each sample, a pure word of 1-4 letters, is evaluated once,
+        in F_n, and its mod-2 image read as ``reduce_mod(g, 2)`` (evaluation
+        commutes with reduction).  Samples with an inner image are drawn
+        again, up to ``20 * samples`` attempts; the part holds only when
+        ``samples`` separating samples were found, none of them on the
+        standard projected vertex.
 
     Ranks below 3 are refused: there every pure word is inner mod 2, so (c)
     would have nothing to test.  Ranks over :data:`MAX_EVAL_RANK` are
@@ -1204,16 +1217,14 @@ def quotient_star_check(n: int, rng, samples: int) -> QuotientCheckReport:
     if samples < 1:
         raise WordError(f"samples must be >= 1, not {samples}")
     fctx = free_context(n)
-    hctx = torsion_context(n, 2)
     q0 = NuclearVertex.standard(fctx).project()
     projected = [q0]  # every projected vertex, for (a)
-    pure = [l for l in all_letters(n) if l[0] == "a"]
     kernel_ok = True
     k_checks = 0
     for _ in range(samples):
         gw = GeneratorWord(n)
         for _ in range(rng.randint(1, 3)):
-            conj = GeneratorWord(n, tuple(rng.choice(pure) for _ in range(rng.randint(0, 4))))
+            conj = random_pure_word(rng, n, 0, 4)
             i = rng.randint(1, n)
             gw = gw * conj * rho_i(n, i) * conj.inverse()
         g = eval_generator_word(gw, fctx)
@@ -1226,11 +1237,9 @@ def quotient_star_check(n: int, rng, samples: int) -> QuotientCheckReport:
     attempts = 0
     while s_checks < samples and attempts < samples * 20:
         attempts += 1
-        gw = GeneratorWord(n, tuple(rng.choice(pure) for _ in range(rng.randint(1, 4))))
-        h = eval_generator_word(gw, hctx)
-        if is_inner(h):
+        g = eval_generator_word(random_pure_word(rng, n, 1, 4), fctx)
+        if is_inner(reduce_mod(g, 2)):
             continue
-        g = eval_generator_word(gw, fctx)
         s_checks += 1
         projected.append(NuclearVertex.from_aut(g).project())
         if projected[-1] == q0:
@@ -1243,5 +1252,5 @@ def quotient_star_check(n: int, rng, samples: int) -> QuotientCheckReport:
         kernel_translate_checks=k_checks,
         kernel_translates_agree=kernel_ok,
         separating_checks=s_checks,
-        separation_holds=sep_ok,
+        separation_holds=sep_ok and s_checks == samples,
     )

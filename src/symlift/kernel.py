@@ -32,12 +32,12 @@ from typing import Optional
 from .symaut import (
     GeneratorWord,
     Letter,
-    all_letters,
     eval_generator_word,
     inner_relator,
     is_inner,
     letter_inverse,
     parse_generator_word,
+    random_pure_word,
     rho,
     semidirect_normal_form,
 )
@@ -292,9 +292,5 @@ def verify_certificate(cert: Certificate, target: GeneratorWord) -> bool:
 def random_rho_conjugate_product(rng, rank: int) -> GeneratorWord:
     """Sample ``prod_k c_k rho c_k^{-1}``: 1-6 factors, pure conjugators of
     0-10 letters."""
-    letters = [l for l in all_letters(rank) if l[0] == "a"]
-    conjugators = tuple(
-        GeneratorWord(rank, tuple(rng.choice(letters) for _ in range(rng.randint(0, 10))))
-        for _ in range(rng.randint(1, 6))
-    )
+    conjugators = tuple(random_pure_word(rng, rank, 0, 10) for _ in range(rng.randint(1, 6)))
     return Certificate(rank, conjugators).product_word()

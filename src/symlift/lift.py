@@ -6,7 +6,9 @@ Three maps are chained here:
   the order-k free product by reducing every conjugator mod k (at k = 2
   signs die because the generators become involutions).  Evaluation commutes
   with it, so the pipelines evaluate words directly in the order-2 product
-  and ``reduce_mod`` stays the reference they are checked against;
+  and ``reduce_mod`` stays the reference they are checked against (the
+  quotient check, which needs the free images anyway, reduces them with
+  it);
 * ``lift_restrict``: restrict an automorphism of the order-2 free product to
   its even-word subgroup E, a free group of rank ``n-1`` with basis
   ``x_i = z_i z_n``;

@@ -187,13 +187,29 @@ def rho(rank: int) -> GeneratorWord:
     return GeneratorWord(rank, tuple(("r", i) for i in range(1, rank + 1)))
 
 
+def pure_letter(rank: int, k: int) -> Letter:
+    """The ``k``-th of the ``2 rank (rank - 1)`` pure letters, counting from
+    0: ``a[i,j]`` then ``a[i,j]^-1``, ``j`` ascending past ``i``, ``i``
+    ascending."""
+    i, rest = divmod(k, 2 * (rank - 1))
+    m, inverted = divmod(rest, 2)
+    i += 1
+    return ("a", i, m + 1 if m + 1 < i else m + 2, -1 if inverted else 1)
+
+
+def random_pure_word(rng, rank: int, lo: int, hi: int) -> GeneratorWord:
+    """A word of ``rng.randint(lo, hi)`` pure letters, each drawn uniformly by
+    its index in :func:`pure_letter`'s order.  Each draw is the one
+    ``_randbelow`` call that ``rng.choice`` over the list of all pure letters
+    makes, so a seed gives the words that list gave, and no list is built."""
+    count = 2 * rank * (rank - 1)
+    return GeneratorWord(
+        rank, tuple(pure_letter(rank, rng.randrange(count)) for _ in range(rng.randint(lo, hi)))
+    )
+
+
 def all_letters(rank: int) -> list[Letter]:
-    letters: list[Letter] = []
-    for i in range(1, rank + 1):
-        for j in range(1, rank + 1):
-            if i != j:
-                letters.append(("a", i, j, 1))
-                letters.append(("a", i, j, -1))
+    letters = [pure_letter(rank, k) for k in range(2 * rank * (rank - 1))]
     letters.extend(("r", i) for i in range(1, rank + 1))
     for i in range(1, rank + 1):
         for j in range(i + 1, rank + 1):

@@ -331,6 +331,30 @@ def relabelled(t: LabelledBipartiteTree, perm) -> LabelledBipartiteTree:
     return LabelledBipartiteTree(t.rank, tuple(frozenset(perm[l - 1] for l in unit) for unit in t.units))
 
 
+def all_letters_reference(rank: int) -> list[Letter]:
+    """Every presentation letter by nested loops: ``a[i,j]`` and its inverse
+    for each ``i != j``, then each ``r[i]``, then each ``s[i,j]`` with
+    ``i < j``."""
+    letters: list[Letter] = []
+    for i in range(1, rank + 1):
+        for j in range(1, rank + 1):
+            if i != j:
+                letters.append(("a", i, j, 1))
+                letters.append(("a", i, j, -1))
+    letters.extend(("r", i) for i in range(1, rank + 1))
+    for i in range(1, rank + 1):
+        for j in range(i + 1, rank + 1):
+            letters.append(("s", i, j))
+    return letters
+
+
+def random_pure_word_reference(rng, rank: int, lo: int, hi: int) -> GeneratorWord:
+    """A pure word drawn with ``rng.choice`` from the list of every pure
+    letter."""
+    pure = [l for l in all_letters_reference(rank) if l[0] == "a"]
+    return GeneratorWord(rank, tuple(rng.choice(pure) for _ in range(rng.randint(lo, hi))))
+
+
 def acting_letters(ctx: GroupContext) -> list[Letter]:
     """The presentation letters with a symmetric action on ``ctx``: all of
     them in free and order-2 contexts, and all but ``r[i]`` at higher

@@ -93,7 +93,6 @@ UNREACHED = {
     "symaut.compose": _TRACER,
     "symaut.SymmetricAut.apply": _TRACER,
     "words.Word.pow": _TRACER,
-    "lift.reduce_mod": _TRACER,
     "lift.Restriction.inner_witness": _TRACER,
     "complexes.all_folds": _TRACER,
     "complexes._dense_smith": (

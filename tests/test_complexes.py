@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -1305,6 +1306,23 @@ def test_nuclear_ball_at_radius_0_lists_no_moves(monkeypatch):
             nuclear_ball(ctx, 1, bound)
 
 
+def test_nuclear_ball_at_radius_0_reads_no_poset(monkeypatch):
+    import symlift.complexes as complexes_mod
+
+    def no_poset(n):
+        raise AssertionError("the ball enumerated a poset at radius 0")
+
+    monkeypatch.setattr(complexes_mod, "enumerate_whitehead_poset", no_poset)
+    for n in range(2, 7):
+        for ctx, bound in ((torsion_context(n, 2), None), (free_context(n), 1)):
+            ball = nuclear_ball(ctx, 0, bound)
+            assert ball.levels == ((NuclearVertex.standard(ctx).encode(),),)
+    # the poset's refusals hold at radius 0 all the same
+    for n, message in ((1, "rank >= 2"), (7, "rank <= 6, not 7")):
+        with pytest.raises(WordError, match=message):
+            nuclear_ball(free_context(n), 0, 1)
+
+
 def test_nuclear_ball_free_context_flagged():
     ball = nuclear_ball(F3, 1, bound=1)
     assert ball.bound_limited and ball.bound == 1
@@ -1345,6 +1363,19 @@ def test_quotient_star_check_reads_no_poset(monkeypatch):
     for n in range(3, 8):
         report = quotient_star_check(n, random.Random(n), samples=4)
         assert report.all_pass and "star_sizes" not in report.to_json(), report.to_json()
+
+
+def test_quotient_star_check_builds_no_letter_table_at_rank_1000():
+    # the pure letters are drawn by index: a table of all 1,998,000 of them
+    # alone peaks at about 250 MB
+    tracemalloc.start()
+    try:
+        report = quotient_star_check(1000, random.Random(1729), samples=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_pass, report.to_json()
+    assert peak < 20_000_000, peak
 
 
 def test_quotient_star_check_refuses_rank_2_before_any_work():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, strategies as st
-from reference import parse_semipalindrome_product_reference
+from reference import parse_semipalindrome_product_reference, random_pure_word_reference
 
 from symlift.kernel import (
     Certificate,
@@ -209,12 +209,9 @@ def test_random_products_draw_as_a_factor_loop():
     for seed in range(20):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         n = 3 + seed % 2
-        pure = [l for l in all_letters(n) if l[0] == "a"]
         expected = GeneratorWord(n)
         for _ in range(ref_rng.randint(1, 6)):
-            conj = GeneratorWord(
-                n, tuple(ref_rng.choice(pure) for _ in range(ref_rng.randint(0, 10)))
-            )
+            conj = random_pure_word_reference(ref_rng, n, 0, 10)
             expected = expected * conj * rho(n) * conj.inverse()
         assert random_rho_conjugate_product(rng, n) == expected
         assert rng.random() == ref_rng.random()

@@ -181,6 +181,21 @@ SELFTEST_ROWS = [
         {"quotient_map.ranks.3.separation_holds": False},
     ),
     Row(
+        # every mod-2 image reads inner, so no sample separates: the search
+        # runs out with none found, and that must fail, not pass vacuously
+        "mod_2_image_always_inner",
+        replaced(
+            complexes, "reduce_mod",
+            lambda f, k: symaut.identity_aut(torsion_context(f.ctx.rank, 2)),
+        ),
+        ("quotient_map",),
+        {
+            "quotient_map.ranks.3.separating_checks": 0,
+            "quotient_map.ranks.3.separation_holds": False,
+            "quotient_map.ranks.3.kernel_translates_agree": True,
+        },
+    ),
+    Row(
         # two factors on one target break the label bijection of the stars
         "projection_merges_targets",
         patched(

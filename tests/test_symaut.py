@@ -3,7 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import act_letter, acting_letters, image_word, is_identity, permutation
+from reference import (
+    act_letter,
+    acting_letters,
+    all_letters_reference,
+    image_word,
+    is_identity,
+    permutation,
+    random_pure_word_reference,
+)
 from symlift.braid import parse_braid
 from symlift.symaut import (
     MAX_EVAL_RANK,
@@ -22,6 +30,7 @@ from symlift.symaut import (
     outer_equal,
     outer_form,
     parse_generator_word,
+    random_pure_word,
     rho_i,
     semidirect_normal_form,
 )
@@ -42,6 +51,27 @@ H3 = torsion_context(3, 2)
 def random_word(rng, n, max_len=10, letters=None):
     letters = letters or all_letters(n)
     return GeneratorWord(n, tuple(rng.choice(letters) for _ in range(rng.randint(0, max_len))))
+
+
+# -- letters ------------------------------------------------------------------
+
+
+def test_all_letters_keep_the_nested_loop_order():
+    for n in range(1, 9):
+        assert all_letters(n) == all_letters_reference(n), n
+
+
+def test_pure_words_draw_as_choice_over_the_letter_list():
+    # one randrange per letter consumes the stream rng.choice did, so every
+    # seeded sample (and the rng state after it) is the list-based one
+    for seed in range(50):
+        for n in range(2, 9):
+            for lo, hi in ((0, 4), (1, 4), (0, 10)):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                assert random_pure_word(rng, n, lo, hi) == random_pure_word_reference(
+                    ref_rng, n, lo, hi
+                ), (seed, n, lo, hi)
+                assert rng.getstate() == ref_rng.getstate()
 
 
 # -- evaluation --------------------------------------------------------------
