@@ -572,16 +572,16 @@ def checked(fast, reference):
 def checked_column_reduction(fast):
     """``fast`` (``complexes._reduce_columns``), failing with
     ``AssertionError`` unless its rank and elementary divisors equal those
-    of :func:`smith_rank_divisors_reference` on a copy of the columns, as
-    the reducer consumes them."""
+    of :func:`smith_rank_divisors_reference` on the transpose, a copy of the
+    columns taken as rows, as the reducer consumes them.  The transpose has
+    the same rank and divisors.  Read the other way round, with the columns
+    as columns, the rank-5 proper part's one coboundary takes the reference
+    about 14 s, against 1 ms transposed."""
 
     @functools.wraps(fast)
     def wrapper(columns):
         columns = list(columns)
-        rows: dict[int, dict[int, int]] = {}
-        for c, column in enumerate(columns):
-            for r, v in column.items():
-                rows.setdefault(r, {})[c] = v
+        rows = {c: dict(column) for c, column in enumerate(columns)}
         got = fast(columns)
         want = smith_rank_divisors_reference(rows)[:2]
         if got[:2] != want:

@@ -630,6 +630,33 @@ def test_a_wrong_least_element_test_is_caught(mutated_test):
     assert wrong > 0
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # the union test skipped: the forest takes every edge
+        ("if a != b:", "if True:"),
+        # every coface entered with sign +1
+        ("signs = (1, -1)", "signs = (1, 1)"),
+        # the chains cleared one level up are the lows' neighbours
+        ("cleared = {-low for low in lows}", "cleared = {1 - low for low in lows}"),
+    ],
+    ids=["forest_takes_every_edge", "unsigned_cofaces", "cleared_off_by_one"],
+)
+def test_a_wrong_coboundary_reduction_is_caught(old, new):
+    reduced = source_mutant([complexes._reduced_homology], old, new)["_reduced_homology"]
+    wrong = 0
+    for poset in core_test_posets():
+        wrong += reduced(poset._up_sets) != homology_without_clearing(poset)
+    assert wrong > 0
+
+
+def test_the_homology_reads_the_order_not_the_listing():
+    part = proper_part(enumerate_whitehead_poset(5))
+    listed = shuffled(part, random.Random(47))
+    assert listed._up_sets != part._up_sets
+    assert order_complex_homology(listed) == order_complex_homology(part)
+
+
 def test_collapses_match_the_homology_of_the_full_boundaries():
     # the reducer on its own: order_complex_homology answers the random
     # posets that have a least element without it
